@@ -36,11 +36,7 @@ from .crossed import (
 from .cosimplicial import (
     CrossedDiagram,
     DiagramMorphism,
-    Face,
-    compose_faces,
-    face_factorize,
     identity_diagram_morphism,
-    pushforward,
     validate_diagram,
     validate_diagram_morphism,
 )

@@ -193,6 +193,8 @@ def _parse_target(F: DiagramMorphism, spec: str) -> DescentDatum:
             d = json.loads(spec)
         except json.JSONDecodeError:
             raise LoadError(f"target {spec!r} is neither an index nor JSON") from None
+        if not (isinstance(d, dict) and all(isinstance(d.get(k), str) for k in "xga")):
+            raise LoadError(f"target {spec!r} is not an object with string x, g and a")
         return DescentDatum(d["x"], d["g"], d["a"])
     data = enumerate_descent(F.target)
     if not 0 <= index < len(data):
@@ -224,8 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("path", help="input document (UTF-8 JSON envelope)")
         p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
                        help="candidate/size bound (default %(default)s)")
-        p.add_argument("--json", action="store_true", default=True,
-                       help="JSON output (default; the only format)")
         p.set_defaults(func=func)
         return p
 

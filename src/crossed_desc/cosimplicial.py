@@ -1,16 +1,15 @@
-"""Face combinatorics of the 3-truncated injective simplex category, and
-diagrams of crossed groupoids indexed by it.
+"""Diagrams of crossed groupoids indexed by the 3-truncated injective simplex
+category.
 
 A diagram holds four crossed groupoids (levels 0..3) and coface morphisms
 d^k : level p -> level p+1 for 0 <= k <= p+1, p <= 2, satisfying the
-cosimplicial identities.  Elements are pushed to faces by composing cofaces
-along the canonical factorization of the face.
+cosimplicial identities.  The map of a face is the composite of the cofaces
+for its skipped vertices; each diagram builds it once and keeps it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .crossed import (
     CrossedGroupoid,
@@ -25,64 +24,15 @@ from .validation import DomainError, LoadError, ValidationReport
 MAX_DIM = 3
 
 
-@dataclass(frozen=True)
-class Face:
-    """An injective monotone map p -> q, stored as its strictly increasing
-    vertex sequence (i_0, ..., i_p)."""
-
-    seq: tuple[int, ...]
-    q: int
-
-    def __post_init__(self):
-        if not self.seq:
-            raise DomainError("a face needs at least one vertex")
-        if any(b <= a for a, b in zip(self.seq, self.seq[1:])):
-            raise DomainError(f"face {self.seq} is not strictly increasing")
-        if self.seq[0] < 0 or self.seq[-1] > self.q:
-            raise DomainError(f"face {self.seq} out of range for target dimension {self.q}")
-        if self.p > MAX_DIM or self.q > MAX_DIM:
-            raise DomainError("dimensions above 3 are not representable")
-
-    @property
-    def p(self) -> int:
-        return len(self.seq) - 1
-
-    def as_function(self) -> tuple[int, ...]:
-        return self.seq
-
-
-def face_from_seq(seq, q: int) -> Face:
-    return Face(tuple(int(i) for i in seq), int(q))
-
-
-@lru_cache(maxsize=None)
-def _factorize(seq: tuple[int, ...], q: int) -> tuple[int, ...]:
-    missing = tuple(sorted(set(range(q + 1)) - set(seq)))
-    return missing
-
-
-def face_factorize(f: Face) -> tuple[int, ...]:
-    """Coface indices whose composite is f, in application order.
-
-    Skipped vertices in increasing order: applying d^{k_1}, then d^{k_2}, ...
-    (k_1 < k_2 < ...) reproduces f as a function.
-    """
-    return _factorize(f.seq, f.q)
-
-
-def compose_faces(g: Face, f: Face) -> Face:
-    """The face g . f (apply f first)."""
-    if f.q != g.p:
-        raise DomainError("faces are not composable")
-    return Face(tuple(g.seq[i] for i in f.seq), g.q)
-
-
 @dataclass
 class CrossedDiagram:
     """Levels 0..3 with coface crossed morphisms, keyed (level, index)."""
 
     levels: tuple[CrossedGroupoid, CrossedGroupoid, CrossedGroupoid, CrossedGroupoid]
     cofaces: dict[tuple[int, int], CrossedMorphism]
+    _faces: dict[tuple[tuple[int, ...], int], CrossedMorphism] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.levels) != 4:
@@ -100,44 +50,34 @@ class CrossedDiagram:
         except KeyError:
             raise DomainError(f"no coface d^{k} at level {p}") from None
 
+    def face(self, seq: tuple[int, ...], q: int) -> CrossedMorphism:
+        """The map level p -> level q of the face with strictly increasing
+        vertex sequence `seq` (p = len(seq) - 1 < q <= 3).
 
-OBJ, MOR1, MOR2 = "object", "mor1", "mor2"
-
-
-def _infer_kind(level: CrossedGroupoid, e: str) -> str:
-    hits = []
-    if e in set(level.objects):
-        hits.append(OBJ)
-    if level.g1.contains_morphism(e):
-        hits.append(MOR1)
-    if e in level.g2.owner:
-        hits.append(MOR2)
-    if not hits:
-        raise DomainError(f"{e!r} is not an element of this level")
-    if len(hits) > 1:
-        raise DomainError(f"{e!r} is ambiguous ({'/'.join(hits)}); pass kind explicitly")
-    return hits[0]
-
-
-def pushforward(D: CrossedDiagram, f: Face, e: str, kind: str | None = None) -> str:
-    """Image of a level-p element under the diagram's map for the face f."""
-    level = D.levels[f.p]
-    if kind is None:
-        kind = _infer_kind(level, e)
-    cur = e
-    dim = f.p
-    for k in face_factorize(f):
-        d = D.coface(dim, k)
-        if kind == OBJ:
-            cur = d.apply_obj(cur)
-        elif kind == MOR1:
-            cur = d.apply_mor1(cur)
-        elif kind == MOR2:
-            cur = d.apply_mor2(cur)
-        else:
-            raise DomainError(f"unknown element kind {kind!r}")
-        dim += 1
-    return cur
+        It composes the cofaces d^k for the skipped vertices k in ascending
+        order: d^{k_1} first, then d^{k_2}, ...  Built on first use, then kept.
+        """
+        try:
+            return self._faces[(seq, q)]
+        except KeyError:
+            pass
+        if not seq:
+            raise DomainError("a face needs at least one vertex")
+        if any(b <= a for a, b in zip(seq, seq[1:])):
+            raise DomainError(f"face {seq} is not strictly increasing")
+        if seq[0] < 0 or seq[-1] > q:
+            raise DomainError(f"face {seq} out of range for target dimension {q}")
+        if q > MAX_DIM:
+            raise DomainError("dimensions above 3 are not representable")
+        p = len(seq) - 1
+        skipped = [k for k in range(q + 1) if k not in seq]
+        if not skipped:
+            raise DomainError(f"face {seq} of dimension {q} skips no vertex")
+        F = self.coface(p, skipped[0])
+        for dim, k in enumerate(skipped[1:], start=p + 1):
+            F = compose_crossed_morphisms(self.coface(dim, k), F)
+        self._faces[(seq, q)] = F
+        return F
 
 
 def validate_diagram(D: CrossedDiagram, bound: int | None = None) -> ValidationReport:

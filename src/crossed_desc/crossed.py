@@ -4,15 +4,15 @@ The structure is a quadruple (g1, g2, twist, feedback): a finite groupoid g1,
 a totally disconnected groupoid g2 on the same objects, an action of g1 on g2
 by group isomorphisms (the twisting), and a functor g2 -> g1 that is the
 identity on objects (the feedback), subject to equivariance and the Peiffer
-identity.  This module also computes the homotopy invariants pi0/pi1/pi2,
-hom-set quotients with their fibers, and decides weak equivalence.
+identity.  This module also computes the homotopy invariants pi0/pi1/pi2 and
+decides weak equivalence.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .groupoid import FiniteGroupoid, pi0_blocks, pi0_groupoid, validate_groupoid
@@ -354,7 +354,6 @@ def validate_crossed(
             d = C.feedback(a)
             if C.g1.src(d) != x or C.g1.dst(d) != x:
                 report.add("feedback-endpoints", f"feedback({a}) is not an endomorphism at {x}")
-        n = len(grp)
         for a, b in _bounded_product([grp.elements, grp.elements], bound, f"fb{x}"):
             if C.feedback(grp.mul(a, b)) != C.g1.compose(C.feedback(a), C.feedback(b)):
                 report.add(
@@ -376,7 +375,6 @@ def validate_crossed(
     # Peiffer: twist(feedback(a), b) = a . b . a^-1
     for x in C.objects:
         grp = C.g2.group(x)
-        n = len(grp)
         for a, b in _bounded_product([grp.elements, grp.elements], bound, f"pf{x}"):
             lhs = C.twist(C.feedback(a), b)
             rhs = grp.mul(grp.mul(a, b), grp.inv(a))
@@ -486,7 +484,6 @@ def validate_crossed_morphism(
                 report.add("morphism-g2", f"image of {a} is not at the image object")
         if F.apply_mor2(grp.identity) != tgrp.identity:
             report.add("morphism-g2", f"unit of g2({x}) not preserved")
-        n = len(grp)
         for a, b in _bounded_product([grp.elements, grp.elements], bound, f"m2{x}"):
             if F.apply_mor2(grp.mul(a, b)) != tgrp.mul(F.apply_mor2(a), F.apply_mor2(b)):
                 report.add("morphism-g2", f"product {a} . {b} at {x} not preserved")
@@ -558,42 +555,6 @@ def homotopy(C: CrossedGroupoid) -> HomotopyData:
         one = C.g1.identity(x)
         pi2[x] = tuple(sorted(a for a in grp if C.feedback(a) == one))
     return HomotopyData(pi0, pi1, pi2)
-
-
-@dataclass
-class QuotientFibers:
-    """Orbits of a hom-set under right translation by feedback images."""
-
-    x: str
-    x_prime: str
-    classes: dict[str, str]  # morphism -> canonical representative
-    _C: CrossedGroupoid = field(repr=False)
-
-    @property
-    def reps(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.classes.values())))
-
-    def fiber(self, g: str, g_prime: str) -> tuple[str, ...]:
-        """All 2-morphisms a at x with g' = g . feedback(a)."""
-        C = self._C
-        grp = C.g2.group(self.x)
-        return tuple(
-            sorted(a for a in grp if C.g1.compose(g, C.feedback(a)) == g_prime)
-        )
-
-
-def hom_quotient(C: CrossedGroupoid, x: str, x_prime: str) -> QuotientFibers:
-    """Partition g1(x, x') under g ~ g . feedback(a), with all fibers."""
-    image = sorted(_feedback_image(C, x))
-    classes: dict[str, str] = {}
-    for g in C.g1.hom(x, x_prime):
-        if g in classes:
-            continue
-        members = sorted(C.g1.compose(g, d) for d in image)
-        rep = members[0]
-        for m in members:
-            classes[m] = rep
-    return QuotientFibers(x, x_prime, classes, C)
 
 
 def is_weak_equivalence_crossed(F: CrossedMorphism) -> tuple[bool, ValidationReport]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cosimplicial import MOR1, MOR2, OBJ, CrossedDiagram, Face, pushforward
+from .cosimplicial import CrossedDiagram
 from .groupoid import Word, evaluate_word
 from .validation import (
     CrossedDescError,
@@ -50,15 +50,7 @@ class GaugeTransformation:
 
 def vertex_object(D: CrossedDiagram, x: str, i: int, q: int) -> str:
     """The level-q object x_(i)."""
-    return pushforward(D, Face((i,), q), x, OBJ)
-
-
-def _push1(D: CrossedDiagram, m: str, seq: tuple[int, ...], q: int) -> str:
-    return pushforward(D, Face(seq, q), m, MOR1)
-
-
-def _push2(D: CrossedDiagram, a: str, seq: tuple[int, ...], q: int) -> str:
-    return pushforward(D, Face(seq, q), a, MOR2)
+    return D.face((i,), q).apply_obj(x)
 
 
 # -- typing checks ------------------------------------------------------
@@ -114,9 +106,9 @@ def is_descent_datum(D: CrossedDiagram, t: DescentDatum) -> tuple[bool, Validati
     report = ValidationReport()
     L2, L3 = D.levels[2], D.levels[3]
 
-    g01 = _push1(D, t.g, (0, 1), 2)
-    g02 = _push1(D, t.g, (0, 2), 2)
-    g12 = _push1(D, t.g, (1, 2), 2)
+    g01 = D.face((0, 1), 2).apply_mor1(t.g)
+    g02 = D.face((0, 2), 2).apply_mor1(t.g)
+    g12 = D.face((1, 2), 2).apply_mor1(t.g)
     lhs1 = evaluate_word(L2.g1, Word.of((g02, -1), (g12, +1), (g01, +1)))
     rhs1 = L2.feedback(t.a)
     if lhs1 != rhs1:
@@ -125,11 +117,11 @@ def is_descent_datum(D: CrossedDiagram, t: DescentDatum) -> tuple[bool, Validati
             f"g_(0,2)^-1 . g_(1,2) . g_(0,1) = {lhs1} but feedback(a) = {rhs1}",
         )
 
-    a012 = _push2(D, t.a, (0, 1, 2), 3)
-    a013 = _push2(D, t.a, (0, 1, 3), 3)
-    a023 = _push2(D, t.a, (0, 2, 3), 3)
-    a123 = _push2(D, t.a, (1, 2, 3), 3)
-    g01_3 = _push1(D, t.g, (0, 1), 3)
+    a012 = D.face((0, 1, 2), 3).apply_mor2(t.a)
+    a013 = D.face((0, 1, 3), 3).apply_mor2(t.a)
+    a023 = D.face((0, 2, 3), 3).apply_mor2(t.a)
+    a123 = D.face((1, 2, 3), 3).apply_mor2(t.a)
+    g01_3 = D.face((0, 1), 3).apply_mor1(t.g)
     grp = L3.g2
     lhs2 = grp.mul(grp.mul(grp.inv(a013), a023), a012)
     rhs2 = L3.twist(L3.g1.inverse(g01_3), a123)
@@ -176,8 +168,8 @@ def enumerate_descent(
 def _predicted_g(D: CrossedDiagram, src_g: str, t: GaugeTransformation) -> str:
     """f_(1) . g . feedback(c) . f_(0)^-1 in level 1."""
     L1 = D.levels[1]
-    f0 = _push1(D, t.f, (0,), 1)
-    f1 = _push1(D, t.f, (1,), 1)
+    f0 = D.face((0,), 1).apply_mor1(t.f)
+    f1 = D.face((1,), 1).apply_mor1(t.f)
     return evaluate_word(
         L1.g1, Word.of((f1, +1), (src_g, +1), (L1.feedback(t.c), +1), (f0, -1))
     )
@@ -187,11 +179,11 @@ def _predicted_a(D: CrossedDiagram, src: DescentDatum, t: GaugeTransformation) -
     """twist(f_(0), c_(0,2)^-1 . a . twist(g_(0,1)^-1, c_(1,2)) . c_(0,1)) in level 2."""
     L2 = D.levels[2]
     grp = L2.g2
-    f0 = _push1(D, t.f, (0,), 2)
-    g01 = _push1(D, src.g, (0, 1), 2)
-    c01 = _push2(D, t.c, (0, 1), 2)
-    c02 = _push2(D, t.c, (0, 2), 2)
-    c12 = _push2(D, t.c, (1, 2), 2)
+    f0 = D.face((0,), 2).apply_mor1(t.f)
+    g01 = D.face((0, 1), 2).apply_mor1(src.g)
+    c01 = D.face((0, 1), 2).apply_mor2(t.c)
+    c02 = D.face((0, 2), 2).apply_mor2(t.c)
+    c12 = D.face((1, 2), 2).apply_mor2(t.c)
     inner = grp.mul(
         grp.mul(grp.mul(grp.inv(c02), src.a), L2.twist(L2.g1.inverse(g01), c12)),
         c01,
@@ -247,7 +239,7 @@ def gauge_compose(
     L0, L1 = D.levels[0], D.levels[1]
     if L0.g1.dst(t1.f) != L0.g1.src(t2.f):
         raise DomainError("gauge transformations are not composable")
-    f0 = _push1(D, t1.f, (0,), 1)
+    f0 = D.face((0,), 1).apply_mor1(t1.f)
     c = L1.g2.mul(t1.c, L1.twist(L1.g1.inverse(f0), t2.c))
     return GaugeTransformation(L0.g1.compose(t2.f, t1.f), c)
 
@@ -255,7 +247,7 @@ def gauge_compose(
 def gauge_invert(D: CrossedDiagram, t: GaugeTransformation) -> GaugeTransformation:
     """(f^-1, twist(f_(0), c^-1))."""
     L0, L1 = D.levels[0], D.levels[1]
-    f0 = _push1(D, t.f, (0,), 1)
+    f0 = D.face((0,), 1).apply_mor1(t.f)
     return GaugeTransformation(
         L0.g1.inverse(t.f), L1.twist(f0, L1.g2.inv(t.c))
     )
@@ -307,10 +299,10 @@ def completion_steps(
     L2 = D.levels[2]
     G, grp = L2.g1, L2.g2
 
-    f = [_push1(D, t.f, (i,), 2) for i in range(3)]
-    gm = {ij: _push1(D, src.g, ij, 2) for ij in ((0, 1), (0, 2), (1, 2))}
-    cm = {ij: _push2(D, t.c, ij, 2) for ij in ((0, 1), (0, 2), (1, 2))}
-    gp = {ij: _push1(D, dst.g, ij, 2) for ij in ((0, 1), (0, 2), (1, 2))}
+    f = [D.face((i,), 2).apply_mor1(t.f) for i in range(3)]
+    gm = {ij: D.face(ij, 2).apply_mor1(src.g) for ij in ((0, 1), (0, 2), (1, 2))}
+    cm = {ij: D.face(ij, 2).apply_mor2(t.c) for ij in ((0, 1), (0, 2), (1, 2))}
+    gp = {ij: D.face(ij, 2).apply_mor1(dst.g) for ij in ((0, 1), (0, 2), (1, 2))}
     Dc = {ij: L2.feedback(cm[ij]) for ij in cm}
 
     def word(*factors):

@@ -2,9 +2,9 @@
 equivalences used by the tests and the CLI.
 
 Conventions: 2-morphism ids carry a "2." prefix so that object, 1-morphism and
-2-morphism id sets stay disjoint within every structure (pushforward relies on
-this).  Fattened ids append "@copy" markers; product ids join components
-with "|".
+2-morphism id sets stay disjoint within every structure, and an id never names
+elements of two kinds.  Fattened ids append "@copy" markers; product ids join
+components with "|".
 """
 
 from __future__ import annotations
@@ -197,7 +197,6 @@ def _generating_words(G: FiniteGroup) -> tuple[list[str], dict[str, tuple[int, .
         if e in words:
             continue
         gens.append(e)
-        gi = len(gens) - 1
         # close under right multiplication by all known generators
         frontier = list(words)
         while frontier:
@@ -210,7 +209,6 @@ def _generating_words(G: FiniteGroup) -> tuple[list[str], dict[str, tuple[int, .
                         nxt.append(prod)
             frontier = nxt
         assert e in words, "closure failed to reach a generator"
-        del gi
     return gens, words
 
 
@@ -353,7 +351,6 @@ def fatten(
             twist_table[(mid, f"{a}@{i}")] = f"{C.twist_table[(m, a)]}@{j}"
     feedback_table = {}
     for a, d in C.feedback_table.items():
-        x = C.g2.object_of(a)
         for i in range(n):
             feedback_table[f"{a}@{i}"] = morph_ids[(d, i, i)]
     fat = CrossedGroupoid(fat_g1, fat_g2, twist_table, feedback_table)

@@ -240,7 +240,7 @@ def parse_document(text: str) -> tuple[str, object]:
         raise LoadError("document has no payload")
     try:
         return kind, _PARSERS[kind](payload)
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, KeyError, IndexError, ValueError) as exc:
         raise LoadError(f"malformed {kind} payload: {exc}") from None
 
 

@@ -28,8 +28,6 @@ from .descent import (
     is_descent_datum,
     is_gauge,
     vertex_object,
-    _push1,
-    _push2,
 )
 from .groupoid import Word, evaluate_word, pi0_groupoid
 from .validation import (
@@ -130,8 +128,8 @@ def lift_descent(
     trace.data.update({"x": x, "f": f, "y_prime": y_prime})
 
     # 2. transport the datum to y' with the trivial 2-component, then complete
-    f0 = _push1(H, f, (0,), 1)
-    f1 = _push1(H, f, (1,), 1)
+    f0 = H.face((0,), 1).apply_mor1(f)
+    f1 = H.face((1,), 1).apply_mor1(f)
     h_pp = evaluate_word(H1.g1, Word.of((f1, +1), (h, +1), (f0, -1)))
     c_pp = H1.g2.identity(vertex_object(H, y, 0, 1))
     b_pp, dd_pp = complete_descent(
@@ -164,9 +162,9 @@ def lift_descent(
 
     # 4. the unique source 2-cell with the prescribed feedback and image
     G2 = G.levels[2]
-    g01 = _push1(G, g, (0, 1), 2)
-    g02 = _push1(G, g, (0, 2), 2)
-    g12 = _push1(G, g, (1, 2), 2)
+    g01 = G.face((0, 1), 2).apply_mor1(g)
+    g02 = G.face((0, 2), 2).apply_mor1(g)
+    g12 = G.face((1, 2), 2).apply_mor1(g)
     want_feedback = evaluate_word(G2.g1, Word.of((g02, -1), (g12, +1), (g01, +1)))
     x0_2 = vertex_object(G, x, 0, 2)
     a = None
@@ -201,11 +199,11 @@ def _second_condition_defect(D: CrossedDiagram, t: DescentDatum) -> str:
     """a_(0,1,3)^-1 . a_(0,2,3) . a_(0,1,2) . twist(g_(0,1)^-1, a_(1,2,3))^-1."""
     L3 = D.levels[3]
     grp = L3.g2
-    a012 = _push2(D, t.a, (0, 1, 2), 3)
-    a013 = _push2(D, t.a, (0, 1, 3), 3)
-    a023 = _push2(D, t.a, (0, 2, 3), 3)
-    a123 = _push2(D, t.a, (1, 2, 3), 3)
-    g01 = _push1(D, t.g, (0, 1), 3)
+    a012 = D.face((0, 1, 2), 3).apply_mor2(t.a)
+    a013 = D.face((0, 1, 3), 3).apply_mor2(t.a)
+    a023 = D.face((0, 2, 3), 3).apply_mor2(t.a)
+    a123 = D.face((1, 2, 3), 3).apply_mor2(t.a)
+    g01 = D.face((0, 1), 3).apply_mor1(t.g)
     lhs = grp.mul(grp.mul(grp.inv(a013), a023), a012)
     return grp.mul(lhs, grp.inv(L3.twist(L3.g1.inverse(g01), a123)))
 
@@ -245,8 +243,8 @@ def lift_gauge(
     if e is None:
         raise LiftSearchError("hom-quotient-surjectivity", "no (e, v) with F(e) = f . D(v)")
     f_tilde = H0.g1.compose(t.f, H0.feedback(v))
-    v0 = _push2(H, v, (0,), 1)
-    v1 = _push2(H, v, (1,), 1)
+    v0 = H.face((0,), 1).apply_mor2(v)
+    v1 = H.face((1,), 1).apply_mor2(v)
     c_tilde = H1.g2.mul(
         H1.g2.mul(H1.twist(H1.g1.inverse(h), H1.g2.inv(v1)), t.c), v0
     )
@@ -256,8 +254,8 @@ def lift_gauge(
     trace.data.update({"e": e, "v": v, "f_tilde": f_tilde, "c_tilde": c_tilde})
 
     # 2. least d' with D(d') = g^-1 . e_(1)^-1 . g' . e_(0)
-    e0 = _push1(G, e, (0,), 1)
-    e1 = _push1(G, e, (1,), 1)
+    e0 = G.face((0,), 1).apply_mor1(e)
+    e1 = G.face((1,), 1).apply_mor1(e)
     want = evaluate_word(
         G1.g1, Word.of((src.g, -1), (e1, -1), (dst.g, +1), (e0, +1))
     )
@@ -305,11 +303,11 @@ def _gauge_condition_defect(
     """twist(e_(0)^-1, a')^-1 . d_(0,2)^-1 . a . twist(g_(0,1)^-1, d_(1,2)) . d_(0,1)."""
     L2 = D.levels[2]
     grp = L2.g2
-    e0 = _push1(D, t.f, (0,), 2)
-    d01 = _push2(D, t.c, (0, 1), 2)
-    d02 = _push2(D, t.c, (0, 2), 2)
-    d12 = _push2(D, t.c, (1, 2), 2)
-    g01 = _push1(D, src.g, (0, 1), 2)
+    e0 = D.face((0,), 2).apply_mor1(t.f)
+    d01 = D.face((0, 1), 2).apply_mor2(t.c)
+    d02 = D.face((0, 2), 2).apply_mor2(t.c)
+    d12 = D.face((1, 2), 2).apply_mor2(t.c)
+    g01 = D.face((0, 1), 2).apply_mor1(src.g)
     head = grp.inv(L2.twist(L2.g1.inverse(e0), dst.a))
     tail = grp.mul(
         grp.mul(grp.mul(grp.inv(d02), src.a), L2.twist(L2.g1.inverse(g01), d12)), d01
@@ -328,8 +326,8 @@ def revalidate_lift_trace(F: DiagramMorphism, trace: LiftTrace) -> ValidationRep
     if trace.kind == "surjectivity":
         target: DescentDatum = d["target"]
         H1 = H.levels[1]
-        f0 = _push1(H, d["f"], (0,), 1)
-        f1 = _push1(H, d["f"], (1,), 1)
+        f0 = H.face((0,), 1).apply_mor1(d["f"])
+        f1 = H.face((1,), 1).apply_mor1(d["f"])
         h_pp = evaluate_word(H1.g1, Word.of((f1, +1), (target.g, +1), (f0, -1)))
         if h_pp != d["h_pp"]:
             report.add("trace", "transported 1-morphism does not recompute")
@@ -361,15 +359,15 @@ def revalidate_lift_trace(F: DiagramMorphism, trace: LiftTrace) -> ValidationRep
         if F.levels[0].apply_mor1(d["e"]) != H0.g1.compose(t.f, H0.feedback(d["v"])):
             report.add("trace", "F(e) = f . D(v) fails")
         y_datum = apply_morphism(F, src)
-        v0 = _push2(H, d["v"], (0,), 1)
-        v1 = _push2(H, d["v"], (1,), 1)
+        v0 = H.face((0,), 1).apply_mor2(d["v"])
+        v1 = H.face((1,), 1).apply_mor2(d["v"])
         c_tilde = H1.g2.mul(
             H1.g2.mul(H1.twist(H1.g1.inverse(y_datum.g), H1.g2.inv(v1)), t.c), v0
         )
         if c_tilde != d["c_tilde"]:
             report.add("trace", "adjusted 2-component does not recompute")
-        e0 = _push1(G, d["e"], (0,), 1)
-        e1 = _push1(G, d["e"], (1,), 1)
+        e0 = G.face((0,), 1).apply_mor1(d["e"])
+        e1 = G.face((1,), 1).apply_mor1(d["e"])
         want = evaluate_word(
             G1.g1, Word.of((src.g, -1), (e1, -1), (dst.g, +1), (e0, +1))
         )
@@ -457,7 +455,6 @@ def verify_bijection(F: DiagramMorphism, bound: int = 1_000_000) -> BijectionRep
 
     # constructive surjectivity: lift a representative of every target class
     surjectivity = {}
-    hit_source_classes = set()
     constructive_surjective = True
     for tr in tgt_classes.reps:
         try:
@@ -466,7 +463,6 @@ def verify_bijection(F: DiagramMorphism, bound: int = 1_000_000) -> BijectionRep
             constructive_surjective = False
             continue
         surjectivity[tr] = (lifted, witness, trace)
-        hit_source_classes.add(src_classes.rep_of[lifted])
 
     # constructive injectivity: merge source classes whose images collide
     injectivity = {}

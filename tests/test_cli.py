@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,46 @@ def test_malformed_json_exits_2(run, tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     code, _ = run("validate", str(bad))
     assert code == 2
+
+
+def _drop_morphism_id(doc):
+    del doc["payload"]["g1"]["morphisms"][0]["id"]
+
+
+def _coface_key_out_of_range(doc):
+    cofaces = doc["payload"]["cofaces"]
+    cofaces["5,0"] = cofaces.pop("0,0")
+
+
+def _long_compose_row(doc):
+    doc["payload"]["g1"]["compose"][0].append("extra")
+
+
+@pytest.mark.parametrize(
+    "kind, edit, extra",
+    [
+        ("crossed", _drop_morphism_id, ()),
+        ("diagram", _coface_key_out_of_range, ()),
+        ("crossed", _long_compose_row, ()),
+        ("fat-spec", None, ("--target", '{"x": "*"}')),
+        ("fat-spec", None, ("--target", "[1]")),
+    ],
+    ids=["morphism-without-id", "coface-key-5-0", "compose-row-of-4",
+         "target-missing-keys", "target-not-an-object"],
+)
+def test_malformed_input_exits_2(
+    run, tmp_path, fixa_doc, fixa_core_doc, fat_spec_doc, kind, edit, extra
+):
+    path = {"crossed": fixa_core_doc, "diagram": fixa_doc, "fat-spec": fat_spec_doc}[kind]
+    if edit is not None:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        edit(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    command = "lift" if extra else "validate"
+    code, out = run(command, str(path), *extra)
+    assert code == 2
+    assert "error" in json.loads(out)
 
 
 def test_wrong_version_exits_2(run, tmp_path):

@@ -1,96 +1,76 @@
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
 
 from crossed_desc import (
     CrossedDiagram,
     DomainError,
-    Face,
-    compose_faces,
-    face_factorize,
-    pushforward,
     validate_diagram,
     validate_diagram_morphism,
 )
-from crossed_desc.cosimplicial import CrossedMorphism, MOR2
+from crossed_desc.cosimplicial import CrossedMorphism
 from crossed_desc.fixtures import cech_diagram, constant_diagram, fix_a_core, fix_c_core
 
-
-def test_face_validation():
-    with pytest.raises(DomainError):
-        Face((1, 0), 2)  # not increasing
-    with pytest.raises(DomainError):
-        Face((0, 3), 2)  # out of range
-    with pytest.raises(DomainError):
-        Face((), 2)  # empty
-    with pytest.raises(DomainError):
-        Face((0, 1, 2, 3, 4), 4)  # above the truncation dimension
+from oracles import push_desc
 
 
-def test_face_as_function():
-    f = Face((0, 2), 3)
-    assert f.p == 1 and f.q == 3
-    assert f.as_function() == (0, 2)
+def test_face_maps_match_the_descending_oracle(diag_cech, fat_a, fat_s3):
+    """Cofaces composed ascending agree with the oracle's descending chain."""
+    for D in (diag_cech, fat_a[0], fat_s3[0]):
+        for q in range(1, 4):
+            for p in range(q):
+                level = D.levels[p]
+                for seq in itertools.combinations(range(q + 1), p + 1):
+                    F = D.face(seq, q)
+                    assert D.face(seq, q) is F
+                    assert F.source is level and F.target is D.levels[q]
+                    for x in level.objects:
+                        assert F.apply_obj(x) == push_desc(D, p, q, seq, x, "obj")
+                    for m in level.g1.source:
+                        assert F.apply_mor1(m) == push_desc(D, p, q, seq, m, "mor1")
+                    for a in level.g2.owner:
+                        assert F.apply_mor2(a) == push_desc(D, p, q, seq, a, "mor2")
 
 
-def test_factorization_reconstructs_the_face():
-    """Applying cofaces for the skipped vertices, ascending, rebuilds the map."""
-    for q in range(4):
-        for p in range(q + 1):
-            import itertools
-
-            for seq in itertools.combinations(range(q + 1), p + 1):
-                f = Face(seq, q)
-                ks = face_factorize(f)
-                # replay: start from the identity on {0..p}, insert vertex k
-                cur = list(range(p + 1))
-                for k in ks:
-                    cur = [v if v < k else v + 1 for v in cur]
-                assert tuple(cur) == seq, (seq, q, ks)
-
-
-def test_compose_faces():
-    g = Face((0, 1, 3), 3)
-    f = Face((0, 2), 2)
-    assert compose_faces(g, f).seq == (0, 3)
-    with pytest.raises(DomainError):
-        compose_faces(f, g)
-
-
-@given(st.data())
-def test_compose_faces_is_function_composition(data):
-    q = data.draw(st.integers(min_value=1, max_value=3))
-    import itertools
-
-    mids = list(range(1, q + 1))
-    m = data.draw(st.sampled_from(mids))
-    g_seq = data.draw(st.sampled_from(list(itertools.combinations(range(q + 1), m + 1))))
-    p = data.draw(st.integers(min_value=0, max_value=m))
-    f_seq = data.draw(st.sampled_from(list(itertools.combinations(range(m + 1), p + 1))))
-    g, f = Face(g_seq, q), Face(f_seq, m)
-    composed = compose_faces(g, f)
-    assert composed.seq == tuple(g.seq[i] for i in f.seq)
+def test_face_rejects_non_faces():
+    D = constant_diagram(fix_c_core())
+    for seq, q in (
+        ((1, 0), 2),  # not increasing
+        ((0, 3), 2),  # out of range
+        ((), 2),  # empty
+        ((0, 1, 2, 3, 4), 4),  # above the truncation dimension
+        ((0, 1), 1),  # p == q skips no vertex
+    ):
+        with pytest.raises(DomainError):
+            D.face(seq, q)
 
 
 def test_pushforward_on_constant_diagram_is_identity():
     D = constant_diagram(fix_c_core())
-    for face in (Face((0,), 1), Face((0, 2), 3), Face((1, 2, 3), 3)):
-        assert pushforward(D, face, "*") == "*"
-        assert pushforward(D, face, "2.1") == "2.1"
+    for seq, q in (((0,), 1), ((0, 2), 3), ((1, 2, 3), 3)):
+        F = D.face(seq, q)
+        assert F.apply_obj("*") == "*"
+        assert F.apply_mor2("2.1") == "2.1"
 
 
 def test_pushforward_reindexes_cech():
     D = cech_diagram(fix_a_core(), 2)
     # level-0 components live over cover indices (0,), (1,); level-1 tuples in
-    # order are (0,0), (0,1), (1,0), (1,1).  Face (0,) keeps the first index of
-    # each pair, so each pair reads the component of its first index.
-    img = pushforward(D, Face((0,), 1), "2.1|2.0", MOR2)
-    assert img == "2.1|2.1|2.0|2.0"
+    # order are (0,0), (0,1), (1,0), (1,1).  The map of vertex (0,) keeps the
+    # first index of each pair, so each pair reads the component of that index.
+    assert D.face((0,), 1).apply_mor2("2.1|2.0") == "2.1|2.1|2.0|2.0"
 
 
 def test_infer_kind_rejects_foreign_elements():
     D = constant_diagram(fix_c_core())
-    with pytest.raises(DomainError):
-        pushforward(D, Face((0,), 1), "ghost")
+    for seq, q in (((0,), 1), ((0, 2), 3), ((1, 2, 3), 3)):
+        F = D.face(seq, q)
+        with pytest.raises(DomainError):
+            F.apply_obj("ghost")
+        with pytest.raises(DomainError):
+            F.apply_mor1("ghost")
+        with pytest.raises(DomainError):
+            F.apply_mor2("ghost")
 
 
 def test_cech_cover_of_one_is_constant():

@@ -11,7 +11,6 @@ from crossed_desc import (
     validate_crossed_morphism,
     validate_group,
 )
-from crossed_desc.crossed import hom_quotient
 from crossed_desc.fixtures import (
     NAMED_CROSSED,
     cyclic_group,
@@ -154,17 +153,6 @@ def test_homotopy_s3_a3():
 def test_pi1_cokernel_is_a_group():
     h = homotopy(NAMED_CROSSED["s3-a3"]())
     assert validate_group(h.pi1["*"].group).ok
-
-
-def test_hom_quotient_fibers():
-    C = fix_c_core()
-    q = hom_quotient(C, "*", "*")
-    # feedback is onto Z/2, so the two lower morphisms collapse to one class
-    assert len(q.reps) == 1
-    g = q.reps[0]
-    for g_prime in C.g1.hom("*", "*"):
-        fiber = q.fiber(g, g_prime)
-        assert len(fiber) == 1  # feedback is injective here
 
 
 # -- weak equivalences --------------------------------------------------
