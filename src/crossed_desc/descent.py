@@ -387,7 +387,7 @@ def gauge_classes(
     for t in members:
         x0 = vertex_object(D, t.x, 0, 1)
         n_c = len(L1.g2.group(x0))
-        n_f = sum(1 for m in L0.g1.source if L0.g1.source[m] == t.x)
+        n_f = len(L0.g1.out_of(t.x))
         total += n_c * n_f
     if total > bound:
         raise ResourceBoundError(f"{total} gauge candidates exceed the bound of {bound}")
@@ -405,7 +405,7 @@ def gauge_classes(
     }
     for src in members:
         x0 = vertex_object(D, src.x, 0, 1)
-        for fm in sorted(m for m in L0.g1.source if L0.g1.source[m] == src.x):
+        for fm in L0.g1.out_of(src.x):
             x_prime = L0.g1.dst(fm)
             for c in sorted(L1.g2.group(x0).elements):
                 t = GaugeTransformation(fm, c)

@@ -546,9 +546,19 @@ class FixtureSpec:
 
 def build_fixture(spec: FixtureSpec, bound: int = DEFAULT_SIZE_BOUND):
     """Build a fixture; returns ("crossed", C), ("diagram", D) or
-    ("diagram-morphism", F) depending on the kind."""
-    kind = spec.kind
-    p = spec.params
+    ("diagram-morphism", F) depending on the kind.
+
+    Parameters of the wrong shape or type raise LoadError.
+    """
+    try:
+        return _build(spec.kind, spec.params, bound)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise LoadError(
+            f"malformed {spec.kind!r} fixture params: {type(exc).__name__}: {exc}"
+        ) from None
+
+
+def _build(kind: str, p: dict, bound: int):
     if kind == "normal-subgroup":
         G = _resolve_group(p["group"])
         return "crossed", crossed_from_normal_subgroup(G, p["subgroup"])

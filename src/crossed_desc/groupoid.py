@@ -2,12 +2,13 @@
 
 Composition is written ``compose(h, g)`` for "g first, then h"; all tables are
 keyed ``(after, before)``.  Structures are immutable after validation and every
-operation is pure.
+operation is pure.  Each groupoid indexes its morphisms by object once, on
+construction: the sorted morphisms out of and into each object and the sorted
+hom-sets, so the validator walks only composable pairs and triples.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .validation import (
@@ -45,6 +46,13 @@ class FiniteGroupoid:
     identities: dict[str, str]  # object -> identity morphism
     table: dict[tuple[str, str], str]  # (after, before) -> composite
     inverses: dict[str, str]
+    # per-object index, built once from source/target after the checks
+    _morphisms: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _out: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _in: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _homs: dict[tuple[str, str], tuple[str, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         objset = set(self.objects)
@@ -76,11 +84,25 @@ class FiniteGroupoid:
         if set(self.inverses) != morphs:
             raise LoadError("inverse table does not cover the morphism set")
 
+        self._morphisms = tuple(sorted(morphs))
+        out: dict[str, list[str]] = {x: [] for x in self.objects}
+        into: dict[str, list[str]] = {x: [] for x in self.objects}
+        homs: dict[tuple[str, str], list[str]] = {}
+        for m in self._morphisms:
+            x, y = self.source[m], self.target[m]
+            out[x].append(m)
+            into[y].append(m)
+            homs.setdefault((x, y), []).append(m)
+        self._out = {x: tuple(ms) for x, ms in out.items()}
+        self._in = {x: tuple(ms) for x, ms in into.items()}
+        self._homs = {xy: tuple(ms) for xy, ms in homs.items()}
+
     # -- basic accessors -------------------------------------------------
 
     @property
-    def morphisms(self) -> list[str]:
-        return sorted(self.source)
+    def morphisms(self) -> tuple[str, ...]:
+        """All morphism ids, sorted."""
+        return self._morphisms
 
     def src(self, m: str) -> str:
         try:
@@ -121,11 +143,23 @@ class FiniteGroupoid:
         except KeyError:
             raise DomainError(f"unknown morphism {m!r}") from None
 
-    def hom(self, x: str, y: str) -> list[str]:
+    def hom(self, x: str, y: str) -> tuple[str, ...]:
         """All morphisms x -> y, sorted."""
-        return sorted(
-            m for m in self.source if self.source[m] == x and self.target[m] == y
-        )
+        return self._homs.get((x, y), ())
+
+    def out_of(self, x: str) -> tuple[str, ...]:
+        """All morphisms with source x, sorted."""
+        try:
+            return self._out[x]
+        except KeyError:
+            raise DomainError(f"unknown object {x!r}") from None
+
+    def into(self, x: str) -> tuple[str, ...]:
+        """All morphisms with target x, sorted."""
+        try:
+            return self._in[x]
+        except KeyError:
+            raise DomainError(f"unknown object {x!r}") from None
 
     def contains_morphism(self, m: str) -> bool:
         return m in self.source
@@ -136,30 +170,37 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     report = ValidationReport()
     morphs = G.morphisms
 
-    # composition domain: defined exactly on composable pairs
-    for h, g in itertools.product(morphs, repeat=2):
-        composable = G.target[g] == G.source[h]
-        defined = (h, g) in G.table
-        if composable and not defined:
-            report.add("composition-domain", f"composable pair ({h}, {g}) undefined")
-        elif defined and not composable:
-            report.add("composition-domain", f"non-composable pair ({h}, {g}) defined")
-        elif defined:
-            r = G.table[(h, g)]
-            if G.source[r] != G.source[g] or G.target[r] != G.target[h]:
-                report.add(
+    # composition domain: defined exactly on composable pairs.  Findings are
+    # keyed (h, g) and reported in that order.
+    domain: list[tuple[tuple[str, str], str, str]] = []
+    for h in morphs:
+        for g in G.into(G.source[h]):
+            r = G.table.get((h, g))
+            if r is None:
+                domain.append(((h, g), "composition-domain",
+                               f"composable pair ({h}, {g}) undefined"))
+            elif G.source[r] != G.source[g] or G.target[r] != G.target[h]:
+                domain.append((
+                    (h, g),
                     "composition-endpoints",
                     f"({h}, {g}) -> {r} has endpoints "
                     f"{G.source[r]} -> {G.target[r]}, expected "
                     f"{G.source[g]} -> {G.target[h]}",
-                )
+                ))
+    for h, g in G.table:
+        if G.target[g] != G.source[h]:
+            domain.append(((h, g), "composition-domain",
+                           f"non-composable pair ({h}, {g}) defined"))
+    domain.sort(key=lambda finding: finding[0])
+    for _, rule, detail in domain:
+        report.add(rule, detail)
 
     # identities are endomorphisms at their object and two-sided units
     for x, e in G.identities.items():
         if G.source[e] != x or G.target[e] != x:
             report.add("unit-law", f"identity {e} of {x} is not an endomorphism at {x}")
             continue
-        for m in morphs:
+        for m in sorted(set(G.out_of(x)).union(G.into(x))):
             if G.source[m] == x and G.table.get((m, e)) != m:
                 report.add("unit-law", f"{m} . 1_{x} != {m}")
             if G.target[m] == x and G.table.get((e, m)) != m:
@@ -178,14 +219,16 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
 
     # associativity on all composable triples
     for g in morphs:
-        for h in morphs:
-            if G.target[g] != G.source[h] or (h, g) not in G.table:
+        for h in G.out_of(G.target[g]):
+            hg = G.table.get((h, g))
+            if hg is None:
                 continue
-            for k in morphs:
-                if G.target[h] != G.source[k] or (k, h) not in G.table:
+            for k in G.out_of(G.target[h]):
+                kh = G.table.get((k, h))
+                if kh is None:
                     continue
-                lhs = G.table.get((G.table[(k, h)], g))
-                rhs = G.table.get((k, G.table[(h, g)]))
+                lhs = G.table.get((kh, g))
+                rhs = G.table.get((k, hg))
                 if lhs != rhs:
                     report.add("associativity", f"({k} . {h}) . {g} != {k} . ({h} . {g})")
     return report

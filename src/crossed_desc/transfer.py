@@ -80,14 +80,12 @@ def apply_morphism_gauge(F: DiagramMorphism, t: GaugeTransformation) -> GaugeTra
 
 
 def is_weak_equivalence_diagram(F: DiagramMorphism) -> tuple[bool, ValidationReport]:
-    """Levelwise weak-equivalence check; the report names the failing level."""
+    """Levelwise weak-equivalence check; the report names every failing level."""
     report = ValidationReport()
     for p in range(4):
-        ok, level_report = is_weak_equivalence_crossed(F.levels[p])
-        if not ok:
-            report.extend(level_report, prefix=f"level {p}: ")
-            return False, report
-    return True, report
+        _, level_report = is_weak_equivalence_crossed(F.levels[p])
+        report.extend(level_report, prefix=f"level {p}: ")
+    return report.ok, report
 
 
 # -- lifting descent data (surjectivity chase) --------------------------

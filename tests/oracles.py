@@ -195,3 +195,68 @@ def group_from_table(table):
         if all(table[(e, x)] == x and table[(x, e)] == x for x in elems):
             return elems, e
     raise AssertionError("table has no identity")
+
+
+def brute_groupoid_violations(G):
+    """Every violated groupoid axiom as (rule, detail), in report order.
+
+    An all-pairs scan: every (h, g) pair and every (g, h, k) triple of the
+    sorted morphism ids is tested against the raw source/target tables, so a
+    pair or triple that a per-object walk misses still shows.
+    """
+    out = []
+    morphs = sorted(G.source)
+
+    # composition domain: defined exactly on composable pairs
+    for h, g in itertools.product(morphs, repeat=2):
+        composable = G.target[g] == G.source[h]
+        defined = (h, g) in G.table
+        if composable and not defined:
+            out.append(("composition-domain", f"composable pair ({h}, {g}) undefined"))
+        elif defined and not composable:
+            out.append(("composition-domain", f"non-composable pair ({h}, {g}) defined"))
+        elif defined:
+            r = G.table[(h, g)]
+            if G.source[r] != G.source[g] or G.target[r] != G.target[h]:
+                out.append((
+                    "composition-endpoints",
+                    f"({h}, {g}) -> {r} has endpoints "
+                    f"{G.source[r]} -> {G.target[r]}, expected "
+                    f"{G.source[g]} -> {G.target[h]}",
+                ))
+
+    # identities are endomorphisms at their object and two-sided units
+    for x, e in G.identities.items():
+        if G.source[e] != x or G.target[e] != x:
+            out.append(("unit-law", f"identity {e} of {x} is not an endomorphism at {x}"))
+            continue
+        for m in morphs:
+            if G.source[m] == x and G.table.get((m, e)) != m:
+                out.append(("unit-law", f"{m} . 1_{x} != {m}"))
+            if G.target[m] == x and G.table.get((e, m)) != m:
+                out.append(("unit-law", f"1_{x} . {m} != {m}"))
+
+    # inverses
+    for m in morphs:
+        mi = G.inverses[m]
+        if G.source[mi] != G.target[m] or G.target[mi] != G.source[m]:
+            out.append(("inverse-law", f"inverse {mi} of {m} has wrong endpoints"))
+            continue
+        if G.table.get((mi, m)) != G.identities[G.source[m]]:
+            out.append(("inverse-law", f"{mi} . {m} != identity at {G.source[m]}"))
+        if G.table.get((m, mi)) != G.identities[G.target[m]]:
+            out.append(("inverse-law", f"{m} . {mi} != identity at {G.target[m]}"))
+
+    # associativity on all composable triples
+    for g in morphs:
+        for h in morphs:
+            if G.target[g] != G.source[h] or (h, g) not in G.table:
+                continue
+            for k in morphs:
+                if G.target[h] != G.source[k] or (k, h) not in G.table:
+                    continue
+                lhs = G.table.get((G.table[(k, h)], g))
+                rhs = G.table.get((k, G.table[(h, g)]))
+                if lhs != rhs:
+                    out.append(("associativity", f"({k} . {h}) . {g} != {k} . ({h} . {g})"))
+    return out

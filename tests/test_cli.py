@@ -110,23 +110,39 @@ def _long_compose_row(doc):
         ("crossed", _long_compose_row, ()),
         ("fat-spec", None, ("--target", '{"x": "*"}')),
         ("fat-spec", None, ("--target", "[1]")),
+        ("spec", {"kind": "fatten", "params": {"base": "fix-a-core", "copies": "x"}}, ()),
+        ("spec", {"kind": "fatten", "params": {"copies": 2}}, ()),
+        ("spec", {"kind": "cech", "params": {"base": "fix-a-core", "cover": [1]}}, ()),
+        ("spec", {"kind": "normal-subgroup", "params": {"group": "s3", "subgroup": 5}}, ()),
+        ("spec", {"kind": "fatten", "params": {"base": {"kind": "inner"}}}, ()),
+        ("spec", {"kind": "fatten", "params": {"base": {"kind": "fatten", "params": [1]}}},
+         ()),
     ],
     ids=["morphism-without-id", "coface-key-5-0", "compose-row-of-4",
-         "target-missing-keys", "target-not-an-object"],
+         "target-missing-keys", "target-not-an-object", "fatten-copies-not-int",
+         "fatten-without-base", "cech-cover-list", "subgroup-not-a-list",
+         "nested-inner-without-group", "nested-params-list"],
 )
 def test_malformed_input_exits_2(
     run, tmp_path, fixa_doc, fixa_core_doc, fat_spec_doc, kind, edit, extra
 ):
-    path = {"crossed": fixa_core_doc, "diagram": fixa_doc, "fat-spec": fat_spec_doc}[kind]
-    if edit is not None:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        edit(doc)
-        path = tmp_path / "malformed.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-    command = "lift" if extra else "validate"
-    code, out = run(command, str(path), *extra)
-    assert code == 2
-    assert "error" in json.loads(out)
+    if kind == "spec":
+        # the command builds a fixture spec, so check both commands that build one
+        path = tmp_path / "spec.json"
+        path.write_text(dumps_canonical(envelope("fixture-spec", edit)), encoding="utf-8")
+        commands = ("fixture", "validate")
+    else:
+        path = {"crossed": fixa_core_doc, "diagram": fixa_doc, "fat-spec": fat_spec_doc}[kind]
+        if edit is not None:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            edit(doc)
+            path = tmp_path / "malformed.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        commands = ("lift",) if extra else ("validate",)
+    for command in commands:
+        code, out = run(command, str(path), *extra)
+        assert code == 2
+        assert "error" in json.loads(out)
 
 
 def test_wrong_version_exits_2(run, tmp_path):

@@ -7,11 +7,13 @@ from crossed_desc import (
     LoadError,
     Word,
     evaluate_word,
+    fatten,
     pi0_groupoid,
     validate_groupoid,
 )
-from crossed_desc.fixtures import cyclic_group, symmetric_group
+from crossed_desc.fixtures import NAMED_CROSSED, cyclic_group, symmetric_group
 from crossed_desc.fixtures import one_object_groupoid
+from oracles import brute_groupoid_violations
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +103,72 @@ def test_corrupted_inverse_reported():
         FiniteGroupoid(G.objects, G.source, G.target, G.identities, G.table, inverses)
     )
     assert "inverse-law" in report.rules()
+
+
+def test_index_lists_morphisms_by_endpoints():
+    G = fatten(NAMED_CROSSED["inner-z3"](), 2)[0].g1
+    for x in G.objects:
+        assert G.out_of(x) == tuple(m for m in G.morphisms if G.src(m) == x)
+        assert G.into(x) == tuple(m for m in G.morphisms if G.dst(m) == x)
+        for y in G.objects:
+            assert G.hom(x, y) == tuple(m for m in G.out_of(x) if G.dst(m) == y)
+    assert G.morphisms == tuple(sorted(G.source))
+    with pytest.raises(DomainError):
+        G.out_of("missing")
+
+
+# Multi-object groupoids: a validator that visits the wrong pairs or triples
+# only shows on groupoids with non-composable pairs.
+ORACLE_GROUPOIDS = {
+    "two-component": two_component_groupoid(),
+    "fat-s3-a3": fatten(NAMED_CROSSED["s3-a3"](), 2)[0].g1,
+    "fat-inner-z3": fatten(NAMED_CROSSED["inner-z3"](), 3)[0].g1,
+}
+
+
+def _corrupt(G, edits):
+    """Apply (kind, i, j) edits to copies of G's composition and inverse tables."""
+    table, inverses = dict(G.table), dict(G.inverses)
+    morphs = sorted(G.source)
+    for kind, i, j in edits:
+        keys = sorted(table)
+        if kind == "drop-entry":
+            del table[keys[i % len(keys)]]
+        elif kind == "add-non-composable":
+            pairs = [(h, g) for h in morphs for g in morphs if G.target[g] != G.source[h]]
+            if pairs:
+                table[pairs[i % len(pairs)]] = morphs[j % len(morphs)]
+        elif kind == "retarget-entry":
+            h, g = keys[i % len(keys)]
+            wrong = [r for r in morphs
+                     if (G.source[r], G.target[r]) != (G.source[g], G.target[h])]
+            if wrong:
+                table[(h, g)] = wrong[j % len(wrong)]
+        else:  # break-inverse
+            m = morphs[i % len(morphs)]
+            others = [r for r in morphs if r != inverses[m]]
+            if others:
+                inverses[m] = others[j % len(others)]
+    return FiniteGroupoid(G.objects, G.source, G.target, G.identities, table, inverses)
+
+
+@given(
+    st.sampled_from(sorted(ORACLE_GROUPOIDS)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["drop-entry", "add-non-composable", "retarget-entry",
+                             "break-inverse"]),
+            st.integers(min_value=0, max_value=10_000),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_indexed_validator_matches_all_pairs_oracle(name, edits):
+    broken = _corrupt(ORACLE_GROUPOIDS[name], edits)
+    report = validate_groupoid(broken)
+    assert [(v.rule, v.detail) for v in report] == brute_groupoid_violations(broken)
 
 
 def test_word_evaluation_right_to_left(s3_groupoid):

@@ -9,6 +9,7 @@ from crossed_desc import (
     apply_morphism,
     apply_morphism_gauge,
     enumerate_descent,
+    fatten_diagram,
     gauge_classes,
     is_gauge,
     is_weak_equivalence_diagram,
@@ -17,7 +18,7 @@ from crossed_desc import (
     revalidate_lift_trace,
     verify_bijection,
 )
-from crossed_desc.fixtures import constant_diagram, trivial_group, one_object_crossed
+from crossed_desc.fixtures import constant_diagram, fix_a, trivial_group, one_object_crossed
 from crossed_desc.transfer import _target_gauge_between_images
 
 
@@ -53,6 +54,17 @@ def test_collapse_is_not_weak_equivalence(diag_a):
     assert not ok
     assert "pi2" in report.rules()
     assert any("level 0" in v.detail for v in report)
+
+
+def test_non_equivalence_report_names_every_level_and_object():
+    fat, _ = fatten_diagram(fix_a(), 2)
+    ok, report = is_weak_equivalence_diagram(collapse_morphism(fat))
+    assert not ok
+    assert [(v.rule, v.detail) for v in report] == [
+        ("pi2", f"level {p}: induced map on pi2 at {x} is not injective")
+        for p in range(4)
+        for x in ("*@0", "*@1")
+    ]
 
 
 def test_apply_morphism_preserves_descent(fat_a):
