@@ -80,16 +80,13 @@ class CrossedDiagram:
         return F
 
 
-def validate_diagram(D: CrossedDiagram, bound: int | None = None) -> ValidationReport:
+def validate_diagram(D: CrossedDiagram) -> ValidationReport:
     """Levels valid, cofaces valid morphisms, cosimplicial identities hold."""
-    from .crossed import DEFAULT_CHECK_BOUND
-
-    bound = DEFAULT_CHECK_BOUND if bound is None else bound
     report = ValidationReport()
     for p, level in enumerate(D.levels):
-        report.extend(validate_crossed(level, bound), prefix=f"level {p}: ")
+        report.extend(validate_crossed(level), prefix=f"level {p}: ")
     for (p, k), d in sorted(D.cofaces.items()):
-        report.extend(validate_crossed_morphism(d, bound), prefix=f"coface d^{k} at {p}: ")
+        report.extend(validate_crossed_morphism(d), prefix=f"coface d^{k} at {p}: ")
     if not report.ok:
         return report
     for p in range(2):
@@ -141,16 +138,11 @@ def identity_diagram_morphism(D: CrossedDiagram) -> DiagramMorphism:
     return DiagramMorphism(D, D, tuple(identity_crossed_morphism(L) for L in D.levels))
 
 
-def validate_diagram_morphism(
-    F: DiagramMorphism, bound: int | None = None
-) -> ValidationReport:
+def validate_diagram_morphism(F: DiagramMorphism) -> ValidationReport:
     """Level maps valid and natural with respect to every coface."""
-    from .crossed import DEFAULT_CHECK_BOUND
-
-    bound = DEFAULT_CHECK_BOUND if bound is None else bound
     report = ValidationReport()
     for p, Fp in enumerate(F.levels):
-        report.extend(validate_crossed_morphism(Fp, bound), prefix=f"level {p}: ")
+        report.extend(validate_crossed_morphism(Fp), prefix=f"level {p}: ")
     if not report.ok:
         return report
     for (p, k) in sorted(F.source.cofaces):

@@ -392,14 +392,6 @@ def gauge_classes(
     if total > bound:
         raise ResourceBoundError(f"{total} gauge candidates exceed the bound of {bound}")
 
-    parent: dict[DescentDatum, DescentDatum] = {m: m for m in members}
-
-    def find(m):
-        while parent[m] != m:
-            parent[m] = parent[parent[m]]
-            m = parent[m]
-        return m
-
     edges: dict[DescentDatum, list[tuple[DescentDatum, GaugeTransformation, bool]]] = {
         m: [] for m in members
     }
@@ -416,19 +408,14 @@ def gauge_classes(
                     )
                 edges[src].append((dst, t, True))
                 edges[dst].append((src, t, False))
-                ra, rb = find(src), find(dst)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-
-    blocks: dict[DescentDatum, list[DescentDatum]] = {}
-    for m in members:
-        blocks.setdefault(find(m), []).append(m)
 
     rep_of: dict[DescentDatum, DescentDatum] = {}
     witnesses: dict[DescentDatum, GaugeTransformation] = {}
-    for block in blocks.values():
-        rep = min(block)
-        # breadth-first from the representative, carrying gauges node -> rep
+    for rep in members:
+        if rep in witnesses:
+            continue
+        # members are sorted, so a member not reached yet is the least of its
+        # class; breadth-first from it, carrying gauges node -> rep
         witnesses[rep] = gauge_identity(D, rep)
         rep_of[rep] = rep
         frontier = [rep]

@@ -284,7 +284,6 @@ def constant_diagram(C: CrossedGroupoid) -> CrossedDiagram:
     cofaces = {
         (p, k): identity_crossed_morphism(C) for p in range(3) for k in range(p + 2)
     }
-    # reattach endpoints so the diagram's identity checks hold per level slot
     levels = (C, C, C, C)
     return CrossedDiagram(levels, cofaces)
 
@@ -328,13 +327,14 @@ def fatten(
         raise ResourceBoundError("fattened composition table would exceed the bound")
     for (m, i, j), mid in morph_ids.items():
         inverses[mid] = morph_ids[(g1.inverses[m], j, i)]
+    # transport each base composite: (m2@j.k) . (m1@i.j) = (m2 . m1)@i.k.
+    # Keys go in in sorted order, which keeps the sort in serialization cheap.
     table = {}
-    for (m2, j2, k) in morph_ids:
-        for (m1, i, j1) in morph_ids:
-            if j1 == j2 and g1.target[m1] == g1.source[m2]:
-                table[(morph_ids[(m2, j2, k)], morph_ids[(m1, i, j1)])] = morph_ids[
-                    (g1.table[(m2, m1)], i, k)
-                ]
+    for (m2, j, k), after in morph_ids.items():
+        for m1 in g1.into(g1.source[m2]):
+            r = g1.table[(m2, m1)]
+            for i in range(n):
+                table[(after, morph_ids[(m1, i, j)])] = morph_ids[(r, i, k)]
     identities = {f"{x}@{i}": morph_ids[(g1.identities[x], i, i)] for x in g1.objects for i in range(n)}
     fat_g1 = FiniteGroupoid(objects, source, target, identities, table, inverses)
 
@@ -406,7 +406,8 @@ def cech_diagram(
 ) -> CrossedDiagram:
     """The Čech diagram of a one-object crossed group over an abstract cover
     with m indices: level p is the product over all (p+1)-tuples of indices,
-    cofaces reindex by omitting a position."""
+    cofaces reindex by omitting a position.  Each level is marked as that
+    power of C, so `validate_crossed` checks it through C."""
     if len(C.objects) != 1:
         raise DomainError("the Čech construction needs a one-object crossed group")
     if m < 1:
@@ -440,7 +441,9 @@ def cech_diagram(
                 twist_table[(g, a)] = "|".join(
                     C.twist_table[(gx, ax)] for gx, ax in zip(gparts, aparts)
                 )
-        levels.append(CrossedGroupoid(g1p, g2p, twist_table, feedback))
+        level = CrossedGroupoid(g1p, g2p, twist_table, feedback)
+        level.power = (C, len(tuples[p]))
+        levels.append(level)
     levels = tuple(levels)
 
     def reindex(parts: list[str], p: int, k: int) -> str:

@@ -137,7 +137,7 @@ def test_criterion_1_axiom_suites(diag_cech):
     families = _families(diag_cech)
     for name, C in families.items():
         start = time.monotonic()
-        report = validate_crossed(C, bound=20_000)
+        report = validate_crossed(C)
         elapsed = time.monotonic() - start
         assert report.ok, (name, [v.detail for v in report])
         assert elapsed < 1.0, (name, elapsed)
@@ -148,7 +148,7 @@ def test_criterion_1_axiom_suites(diag_cech):
     assert len(corruptions) >= 10
     for name, label, broken in corruptions:
         start = time.monotonic()
-        report = validate_crossed(broken, bound=20_000)
+        report = validate_crossed(broken)
         elapsed = time.monotonic() - start
         assert not report.ok, (name, label)
         assert report.rules(), (name, label)  # names the violated axiom

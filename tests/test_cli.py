@@ -4,7 +4,14 @@ from pathlib import Path
 import pytest
 
 from crossed_desc.cli import main
-from crossed_desc.fixtures import fix_a, fix_a_core, fix_b_core
+from crossed_desc.fixtures import (
+    fatten,
+    fatten_diagram,
+    fix_a,
+    fix_a_core,
+    fix_b_core,
+    fix_c_core,
+)
 from crossed_desc.serialize import (
     envelope,
     dumps_canonical,
@@ -80,6 +87,67 @@ def test_validate_reports_broken_entry(run, tmp_path, fixa_core_doc):
     rules = {v["rule"] for v in json.loads(out)["report"]["violations"]}
     assert rules  # cites the violated axioms by stable rule tag
     assert rules & {"twist-unit", "twist-bijective", "peiffer", "equivariance"}
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _violations(out):
+    return [(v["rule"], v["detail"]) for v in json.loads(out)["report"]["violations"]]
+
+
+CECH_SPEC = {"kind": "cech", "params": {"base": "fix-a-core", "cover": 2}}
+
+
+def test_validate_cover_exactly(run, tmp_path):
+    """The 2-index cover is valid by the power check of each level plus the
+    exhaustive coface checks; no check is sampled."""
+    code, out = run("validate", _write(tmp_path, "cech", envelope("fixture-spec", CECH_SPEC)))
+    assert code == 0
+    assert json.loads(out)["report"] == {"ok": True, "violations": []}
+
+
+def test_validate_over_the_check_bound_exits_3(run, tmp_path):
+    """The inclusion into a fattened cover has no power check: its level-3
+    map alone needs 2^32 homomorphism checks, so the validator refuses
+    instead of sampling."""
+    spec = {"kind": "fatten", "params": {"base": CECH_SPEC, "copies": 2}}
+    code, out = run("validate", _write(tmp_path, "fat-cech", envelope("fixture-spec", spec)))
+    assert code == 3
+    assert "error" in json.loads(out)
+
+
+def test_validate_reports_missing_composite(run, tmp_path):
+    doc = json.loads(serialize_document("crossed", fatten(fix_c_core(), 2)[0]))
+    del doc["payload"]["g1"]["compose"][0]
+    code, out = run("validate", _write(tmp_path, "missing", doc))
+    assert code == 1
+    found = _violations(out)
+    assert ("composition-domain", "composable pair (0@0.0, 0@0.0) undefined") in found
+    # the crossed axioms skip what they cannot evaluate instead of citing it
+    assert {rule for rule, _ in found} == {
+        "composition-domain", "unit-law", "inverse-law", "associativity"}
+
+
+@pytest.mark.parametrize(
+    "image, extra",
+    [
+        # another object's 2-morphism: its feedback differs as well
+        ("2.1@1", [("morphism-feedback", "level 0: feedback(2.1) not preserved")]),
+        # no 2-morphism at all: nothing else can be evaluated
+        ("ghost", []),
+    ],
+)
+def test_validate_reports_level_map_off_the_image_object(run, tmp_path, image, extra):
+    doc = json.loads(serialize_document("diagram-morphism", fatten_diagram(fix_a(), 2)[1]))
+    doc["payload"]["levels"][0]["mor2"]["2.1"] = image
+    code, out = run("validate", _write(tmp_path, "astray", doc))
+    assert code == 1
+    assert _violations(out) == [
+        ("morphism-g2", "level 0: image of 2.1 is not at the image object"), *extra]
 
 
 def test_malformed_json_exits_2(run, tmp_path):

@@ -4,12 +4,22 @@ import pytest
 
 from crossed_desc import (
     CrossedDiagram,
+    CrossedGroupoid,
     DomainError,
+    FiniteGroup,
+    validate_crossed,
     validate_diagram,
     validate_diagram_morphism,
 )
 from crossed_desc.cosimplicial import CrossedMorphism
-from crossed_desc.fixtures import cech_diagram, constant_diagram, fix_a_core, fix_c_core
+from crossed_desc.fixtures import (
+    cech_diagram,
+    constant_diagram,
+    cyclic_group,
+    fix_a_core,
+    fix_c_core,
+    one_object_groupoid,
+)
 
 from oracles import push_desc
 
@@ -87,7 +97,60 @@ def test_cech_cover_of_one_is_constant():
 def test_validate_diagram_accepts_fixtures(diag_a, diag_c, diag_cech):
     for D in (diag_a, diag_c):
         assert validate_diagram(D).ok
-    assert validate_diagram(diag_cech, bound=20_000).ok
+    assert validate_diagram(diag_cech).ok
+
+
+def _flipped_z2():
+    """Z/2 on the ids of fix-a-core's upper group, but with identity 2.1."""
+    return FiniteGroup.from_table(
+        ("2.0", "2.1"),
+        {("2.0", "2.0"): "2.1", ("2.0", "2.1"): "2.0",
+         ("2.1", "2.0"): "2.0", ("2.1", "2.1"): "2.1"},
+        "2.1",
+        {"2.0": "2.0", "2.1": "2.1"},
+    )
+
+
+def test_cover_level_is_checked_entry_by_entry():
+    """Level 3 of the 2-index cover is the 16-fold power of fix-a-core.  Each
+    in-place change to one of its tables is named, entry by entry."""
+    L = cech_diagram(fix_a_core(), 2).levels[3]
+    one, e = L.g1.identity("*"), L.g2.identity("*")
+    a = "|".join(["2.1"] + ["2.0"] * 15)
+    corruptions = [
+        (L.twist_table, (one, a), e, "power-twist",
+         f"twist({one}, {a}) is {e}, expected {a}"),
+        (L.feedback_table, a, "x", "power-feedback",
+         f"feedback({a}) is x, expected {one}"),
+        (L.g1.table, (one, one), "x", "power-g1", f"{one} . {one} is x, expected {one}"),
+        (L.g1.inverses, one, "x", "power-g1", f"{one}^-1 is x, expected {one}"),
+        (L.g1.identities, "*", "x", "power-g1", f"1_* is x, expected {one}"),
+        (L.g2.groups, "*", FiniteGroup.product([_flipped_z2()] * 16), "power-g2",
+         "g2(*) is not the 16-fold power of the base's group"),
+        (vars(L), "g1", one_object_groupoid(cyclic_group(1)), "power-g1",
+         "the 1-morphisms are not the 16-fold powers of the base's"),
+    ]
+    for table, key, value, rule, detail in corruptions:
+        old = table[key]
+        table[key] = value
+        try:
+            report = validate_crossed(L)
+        finally:
+            table[key] = old
+        assert [(v.rule, v.detail) for v in report] == [(rule, detail)]
+    assert validate_crossed(L).ok
+
+
+def test_cover_of_an_invalid_base_is_invalid():
+    """The power check validates the base itself: a cover built coordinatewise
+    from a broken base agrees with it entry by entry, but is still rejected."""
+    C = fix_a_core()
+    twist = dict(C.twist_table)
+    twist[("1", "2.1")] = "2.0"
+    broken = CrossedGroupoid(C.g1, C.g2, twist, dict(C.feedback_table))
+    report = validate_crossed(cech_diagram(broken, 1).levels[0])
+    assert "twist-bijective" in report.rules()
+    assert all(v.detail.startswith("base: ") for v in report)
 
 
 def test_swapped_cofaces_break_cosimplicial_identities():
@@ -95,7 +158,7 @@ def test_swapped_cofaces_break_cosimplicial_identities():
     cofaces = dict(D.cofaces)
     cofaces[(1, 0)], cofaces[(1, 1)] = cofaces[(1, 1)], cofaces[(1, 0)]
     broken = CrossedDiagram(D.levels, cofaces)
-    report = validate_diagram(broken, bound=20_000)
+    report = validate_diagram(broken)
     assert "cosimplicial-identity" in report.rules()
 
 
@@ -108,7 +171,7 @@ def test_corrupted_coface_reported():
     cofaces = dict(D.cofaces)
     cofaces[(0, 0)] = CrossedMorphism(d.source, d.target, d.obj_map, d.mor1_map, mor2)
     broken = CrossedDiagram(D.levels, cofaces)
-    report = validate_diagram(broken, bound=20_000)
+    report = validate_diagram(broken)
     assert not report.ok
 
 
