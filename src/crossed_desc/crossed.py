@@ -4,8 +4,9 @@ The structure is a quadruple (g1, g2, twist, feedback): a finite groupoid g1,
 a totally disconnected groupoid g2 on the same objects, an action of g1 on g2
 by group isomorphisms (the twisting), and a functor g2 -> g1 that is the
 identity on objects (the feedback), subject to equivariance and the Peiffer
-identity.  This module also computes the homotopy invariants pi0/pi1/pi2 and
-decides weak equivalence.
+identity.  This module also computes the homotopy invariants pi0/pi1/pi2,
+once per crossed groupoid (they are kept on it), and decides weak
+equivalence.
 """
 
 from __future__ import annotations
@@ -95,10 +96,7 @@ class FiniteGroup:
             for e in f.elements:
                 if "|" in e:
                     raise LoadError(f"factor element id {e!r} contains separator '|'")
-        elements = tuple(
-            "|".join(combo)
-            for combo in itertools.product(*(f.elements for f in factors))
-        )
+        elements = tuple(map("|".join, itertools.product(*(f.elements for f in factors))))
         identity = "|".join(f.identity for f in factors)
 
         # `mul` and `inv` pass only elements, so each id has one part per factor
@@ -118,6 +116,17 @@ class FiniteGroup:
             raise DomainError(f"{a!r} or {b!r} is not an element of this group")
         return self._mul(a, b)
 
+    def mul_or_none(self, a: str | None, b: str | None) -> str | None:
+        """``a . b``, or None where it is undefined: `a` or `b` is not an
+        element, or a loaded table lacks the pair.  Validators use it so that
+        a structure that loaded is reported on, not raised on."""
+        if a not in self._members or b not in self._members:
+            return None
+        try:
+            return self._mul(a, b)
+        except LoadError:
+            return None
+
     def inv(self, a: str) -> str:
         if a not in self._members:
             raise DomainError(f"{a!r} is not an element of this group")
@@ -134,23 +143,29 @@ class FiniteGroup:
 
 
 def validate_group(G: FiniteGroup) -> ValidationReport:
-    """Check the group axioms exhaustively."""
+    """Check the group axioms exhaustively.  An undefined product is a
+    closure violation; the other axioms skip the instances that need it."""
     report = ValidationReport()
     n = len(G)
     _require_checks(n ** 3, "group associativity")
+    mul, e = G.mul_or_none, G.identity
     for a in G.elements:
-        if G.mul(G.identity, a) != a or G.mul(a, G.identity) != a:
+        if mul(e, a) not in (None, a) or mul(a, e) not in (None, a):
             report.add("group-unit", f"identity is not a unit at {a}")
         ai = G.inv(a)
         if ai not in G:
             report.add("group-inverse", f"inverse of {a} is not an element")
-        elif G.mul(ai, a) != G.identity or G.mul(a, ai) != G.identity:
+        elif mul(ai, a) not in (None, e) or mul(a, ai) not in (None, e):
             report.add("group-inverse", f"{a} . {ai} is not the identity")
     for a, b in itertools.product(G.elements, repeat=2):
-        if G.mul(a, b) not in G:
+        ab = mul(a, b)
+        if ab is None:
+            report.add("group-closure", f"{a} . {b} is undefined")
+        elif ab not in G:
             report.add("group-closure", f"{a} . {b} escapes the element set")
     for a, b, c in itertools.product(G.elements, repeat=3):
-        if G.mul(G.mul(a, b), c) != G.mul(a, G.mul(b, c)):
+        lhs, rhs = mul(mul(a, b), c), mul(a, mul(b, c))
+        if None not in (lhs, rhs) and lhs != rhs:
             report.add("group-associativity", f"({a} . {b}) . {c} != {a} . ({b} . {c})")
     return report
 
@@ -215,28 +230,33 @@ class CrossedGroupoid:
     power: tuple[CrossedGroupoid, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # pi0/pi1/pi2, computed by `homotopy` on first use, then kept
+    _homotopy: HomotopyData | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        # reads the tables directly: an unknown id is a typing error here
+        source, target, owner = self.g1.source, self.g1.target, self.g2.owner
         if set(self.g1.objects) != set(self.g2.objects):
             raise LoadError(
                 "object sets of the groupoid and the group family disagree"
             )
-        expected = 0
-        for g in self.g1.source:
-            expected += len(self.g2.group(self.g1.source[g]))
-        if len(self.twist_table) != expected:
+        order = {x: len(grp) for x, grp in self.g2.groups.items()}
+        if len(self.twist_table) != sum(order[x] for x in source.values()):
             raise LoadError("twist table is not total on (1-morphism, 2-morphism) pairs")
         for (g, a), r in self.twist_table.items():
-            if not self.g1.contains_morphism(g):
+            x = source.get(g)
+            if x is None:
                 raise LoadError(f"twist key uses unknown 1-morphism {g!r}")
-            if self.g2.object_of(a) != self.g1.source[g]:
+            if owner.get(a) != x:
                 raise LoadError(f"twist key ({g!r}, {a!r}) is ill-typed")
-            if self.g2.object_of(r) != self.g1.target[g]:
+            if owner.get(r) != target[g]:
                 raise LoadError(f"twist value of ({g!r}, {a!r}) lands at the wrong object")
-        if set(self.feedback_table) != set(self.g2.owner):
+        if self.feedback_table.keys() != owner.keys():
             raise LoadError("feedback table does not cover the 2-morphisms")
         for a, r in self.feedback_table.items():
-            if not self.g1.contains_morphism(r):
+            if r not in source:
                 raise LoadError(f"feedback of {a!r} is not a 1-morphism")
 
     @property
@@ -293,8 +313,9 @@ def validate_crossed(C: CrossedGroupoid) -> ValidationReport:
         if len({tw[(g, a)] for a in grp}) != len(grp):
             report.add("twist-bijective", f"twist({g}, -) is not injective")
         for a, b in itertools.product(grp.elements, repeat=2):
-            lhs = tw.get((g, grp.mul(a, b)))
-            if lhs is not None and lhs != image.mul(tw[(g, a)], tw[(g, b)]):
+            lhs = tw.get((g, grp.mul_or_none(a, b)))
+            rhs = image.mul_or_none(tw[(g, a)], tw[(g, b)])
+            if None not in (lhs, rhs) and lhs != rhs:
                 report.add(
                     "twist-homomorphism",
                     f"twist({g}, {a} . {b}) != twist({g}, {a}) . twist({g}, {b})",
@@ -321,7 +342,7 @@ def validate_crossed(C: CrossedGroupoid) -> ValidationReport:
             if g1.source[d] != x or g1.target[d] != x:
                 report.add("feedback-endpoints", f"feedback({a}) is not an endomorphism at {x}")
         for a, b in itertools.product(grp.elements, repeat=2):
-            lhs, rhs = fb.get(grp.mul(a, b)), g1.table.get((fb[a], fb[b]))
+            lhs, rhs = fb.get(grp.mul_or_none(a, b)), g1.table.get((fb[a], fb[b]))
             if None not in (lhs, rhs) and lhs != rhs:
                 report.add(
                     "feedback-functor",
@@ -342,7 +363,8 @@ def validate_crossed(C: CrossedGroupoid) -> ValidationReport:
         grp = C.g2.group(x)
         for a, b in itertools.product(grp.elements, repeat=2):
             lhs = tw.get((fb[a], b))
-            if lhs is not None and lhs != grp.mul(grp.mul(a, b), grp.inv(a)):
+            rhs = grp.mul_or_none(grp.mul_or_none(a, b), grp.inv(a))
+            if None not in (lhs, rhs) and lhs != rhs:
                 report.add(
                     "peiffer",
                     f"twist(feedback({a}), {b}) != {a} . {b} . {a}^-1",
@@ -499,8 +521,8 @@ def validate_crossed_morphism(F: CrossedMorphism) -> ValidationReport:
         if mor2.get(grp.identity) != tgrp.identity:
             report.add("morphism-g2", f"unit of g2({x}) not preserved")
         for a, b in itertools.product(grp.elements, repeat=2):
-            fa, fb = mor2.get(a), mor2.get(b)
-            if fa in tgrp and fb in tgrp and mor2.get(grp.mul(a, b)) != tgrp.mul(fa, fb):
+            ab, rhs = grp.mul_or_none(a, b), tgrp.mul_or_none(mor2.get(a), mor2.get(b))
+            if None not in (ab, rhs) and mor2.get(ab) != rhs:
                 report.add("morphism-g2", f"product {a} . {b} at {x} not preserved")
     # twist and feedback compatibility
     for (g, a), r in S.twist_table.items():
@@ -534,12 +556,18 @@ class HomotopyData:
 
 
 def homotopy(C: CrossedGroupoid) -> HomotopyData:
-    """Components of g1, cokernels and kernels of the feedback per object."""
+    """Components of g1, cokernels and kernels of the feedback per object.
+
+    Computed on the first call and kept on C, so later calls return the
+    same object."""
+    if C._homotopy is not None:
+        return C._homotopy
+    fb = C.feedback_table
     pi0 = pi0_groupoid(C.g1)
     pi1: dict[str, Pi1] = {}
     pi2: dict[str, tuple[str, ...]] = {}
     for x in C.objects:
-        image = sorted({C.feedback(a) for a in C.g2.group(x)})
+        image = sorted({fb[a] for a in C.g2.group(x)})
         auts = C.g1.hom(x, x)
         coset_of: dict[str, str] = {}
         for g in auts:
@@ -564,8 +592,9 @@ def homotopy(C: CrossedGroupoid) -> HomotopyData:
         )
         grp = C.g2.group(x)
         one = C.g1.identity(x)
-        pi2[x] = tuple(sorted(a for a in grp if C.feedback(a) == one))
-    return HomotopyData(pi0, pi1, pi2)
+        pi2[x] = tuple(sorted(a for a in grp if fb[a] == one))
+    C._homotopy = HomotopyData(pi0, pi1, pi2)
+    return C._homotopy
 
 
 def is_weak_equivalence_crossed(F: CrossedMorphism) -> tuple[bool, ValidationReport]:

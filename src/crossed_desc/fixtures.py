@@ -5,6 +5,11 @@ Conventions: 2-morphism ids carry a "2." prefix so that object, 1-morphism and
 2-morphism id sets stay disjoint within every structure, and an id never names
 elements of two kinds.  Fattened ids append "@copy" markers; product ids join
 components with "|".
+
+The large tables are built in bulk, a row at a time: a cover level's twist and
+feedback tables from the base's rows, a fattened twist table from one row per
+1-morphism and copy, and a diagram's levels are fattened once per distinct
+level object.
 """
 
 from __future__ import annotations
@@ -345,22 +350,32 @@ def fatten(
     }
     fat_g2 = DisconnectedGroupoid(fat_groups)
 
+    # the row twist(m, -)@j is built once per target copy j and serves every
+    # source copy i, whose keys are the elements of the fattened group
     twist_table = {}
-    for (m, i, j), mid in morph_ids.items():
-        for a in C.g2.group(g1.source[m]):
-            twist_table[(mid, f"{a}@{i}")] = f"{C.twist_table[(m, a)]}@{j}"
+    for m, x in g1.source.items():
+        row = [C.twist_table[(m, a)] for a in C.g2.group(x)]
+        rows = [[f"{r}@{j}" for r in row] for j in range(n)]
+        for i in range(n):
+            keys = fat_groups[f"{x}@{i}"].elements
+            for j in range(n):
+                mid = morph_ids[(m, i, j)]
+                twist_table.update(zip(zip(itertools.repeat(mid), keys), rows[j]))
     feedback_table = {}
     for a, d in C.feedback_table.items():
         for i in range(n):
             feedback_table[f"{a}@{i}"] = morph_ids[(d, i, i)]
     fat = CrossedGroupoid(fat_g1, fat_g2, twist_table, feedback_table)
 
+    mor2_map = {}
+    for x, grp in C.g2.groups.items():
+        mor2_map.update(zip(grp.elements, fat_groups[f"{x}@0"].elements))
     inclusion = CrossedMorphism(
         C,
         fat,
         {x: f"{x}@0" for x in g1.objects},
         {m: morph_ids[(m, 0, 0)] for m in g1.source},
-        {a: f"{a}@0" for a in C.g2.owner},
+        mor2_map,
     )
     return fat, inclusion
 
@@ -368,9 +383,15 @@ def fatten(
 def fatten_diagram(
     D: CrossedDiagram, n: int, bound: int = DEFAULT_SIZE_BOUND
 ) -> tuple[CrossedDiagram, DiagramMorphism]:
-    """Fatten every level compatibly; returns the inclusion of copy 0."""
-    fattened = [fatten(L, n, bound) for L in D.levels]
-    levels = tuple(f for f, _ in fattened)
+    """Fatten every level compatibly; returns the inclusion of copy 0.
+
+    Each distinct level object is fattened once, so levels that are one
+    object (as in a constant diagram) stay one object."""
+    fattened: dict[int, tuple[CrossedGroupoid, CrossedMorphism]] = {}
+    for L in D.levels:
+        if id(L) not in fattened:
+            fattened[id(L)] = fatten(L, n, bound)
+    levels = tuple(fattened[id(L)][0] for L in D.levels)
     cofaces = {}
     for (p, k), d in D.cofaces.items():
         obj_map = {
@@ -391,14 +412,7 @@ def fatten_diagram(
         }
         cofaces[(p, k)] = CrossedMorphism(levels[p], levels[p + 1], obj_map, mor1_map, mor2_map)
     fat = CrossedDiagram(levels, cofaces)
-    incl_levels = []
-    for p in range(4):
-        _, incl = fattened[p]
-        # re-point the inclusion at the shared level objects
-        incl_levels.append(
-            CrossedMorphism(D.levels[p], levels[p], incl.obj_map, incl.mor1_map, incl.mor2_map)
-        )
-    return fat, DiagramMorphism(D, fat, tuple(incl_levels))
+    return fat, DiagramMorphism(D, fat, tuple(fattened[id(L)][1] for L in D.levels))
 
 
 def cech_diagram(
@@ -425,24 +439,24 @@ def cech_diagram(
     g1_groups = [FiniteGroup.product([base_g1] * len(tuples[p])) for p in range(4)]
     g2_groups = [FiniteGroup.product([base_g2] * len(tuples[p])) for p in range(4)]
 
+    # A row lists a base map's values in the order of the base's 2-morphisms.
+    # itertools.product over k rows lists the power map's values in the order
+    # in which `FiniteGroup.product` lists the power's elements.
+    feedback_row = [C.feedback_table[a] for a in base_g2]
+    twist_rows = {g: [C.twist_table[(g, a)] for a in base_g2] for g in base_g1}
     levels = []
     for p in range(4):
+        k = len(tuples[p])
         g1p = one_object_groupoid(g1_groups[p], obj, bound)
         g2p = DisconnectedGroupoid({obj: g2_groups[p]})
-        feedback = {}
-        for a in g2_groups[p]:
-            parts = a.split("|")
-            feedback[a] = "|".join(C.feedback_table[x] for x in parts)
+        elems = g2_groups[p].elements
+        feedback = dict(zip(elems, map("|".join, itertools.product(feedback_row, repeat=k))))
         twist_table = {}
-        for g in g1_groups[p]:
-            gparts = g.split("|")
-            for a in g2_groups[p]:
-                aparts = a.split("|")
-                twist_table[(g, a)] = "|".join(
-                    C.twist_table[(gx, ax)] for gx, ax in zip(gparts, aparts)
-                )
+        for g, parts in zip(g1_groups[p], itertools.product(base_g1.elements, repeat=k)):
+            values = map("|".join, itertools.product(*(twist_rows[h] for h in parts)))
+            twist_table.update(zip(zip(itertools.repeat(g), elems), values))
         level = CrossedGroupoid(g1p, g2p, twist_table, feedback)
-        level.power = (C, len(tuples[p]))
+        level.power = (C, k)
         levels.append(level)
     levels = tuple(levels)
 

@@ -260,3 +260,70 @@ def brute_groupoid_violations(G):
                 if lhs != rhs:
                     out.append(("associativity", f"({k} . {h}) . {g} != {k} . ({h} . {g})"))
     return out
+
+
+def fatten_tables(C, n):
+    """The tables of `fatten(C, n)`, written one entry at a time.
+
+    Returns (g1 composition table, twist table, feedback table, g2 owner) as
+    dicts whose insertion order is the order the entries are listed in: morphism
+    ids by base morphism, source copy, target copy; 2-morphism ids by object,
+    copy, base element.
+    """
+    g1 = C.g1
+    morph_ids = {
+        (m, i, j): f"{m}@{i}.{j}" for m in g1.source for i in range(n) for j in range(n)
+    }
+    table = {}
+    for (m2, j, k), after in morph_ids.items():
+        for m1 in sorted(g1.source):
+            if g1.target[m1] != g1.source[m2]:
+                continue
+            r = g1.table[(m2, m1)]
+            for i in range(n):
+                table[(after, morph_ids[(m1, i, j)])] = morph_ids[(r, i, k)]
+    owner = {}
+    for x in g1.objects:
+        for i in range(n):
+            for a in C.g2.group(x):
+                owner[f"{a}@{i}"] = f"{x}@{i}"
+    twist = {}
+    for (m, i, j), mid in morph_ids.items():
+        for a in C.g2.group(g1.source[m]):
+            twist[(mid, f"{a}@{i}")] = f"{C.twist_table[(m, a)]}@{j}"
+    feedback = {}
+    for a, d in C.feedback_table.items():
+        for i in range(n):
+            feedback[f"{a}@{i}"] = morph_ids[(d, i, i)]
+    return table, twist, feedback, owner
+
+
+def cech_tables(C, m):
+    """Per level p of `cech_diagram(C, m)`, the tables written one entry at a
+    time from the "|"-split ids: (g1 composition table, twist table, feedback
+    table, g2 owner).  A level's ids join one base id per (p+1)-tuple of the m
+    cover indices, listed in lexicographic order of the base ids' positions.
+    """
+    (x,) = C.objects
+    g1_ids = sorted(C.g1.source)
+    g2_ids = list(C.g2.group(x).elements)
+    levels = []
+    for p in range(4):
+        k = m ** (p + 1)
+        mors = ["|".join(c) for c in itertools.product(g1_ids, repeat=k)]
+        cells = ["|".join(c) for c in itertools.product(g2_ids, repeat=k)]
+        table = {}
+        for h in mors:
+            for g in mors:
+                table[(h, g)] = "|".join(
+                    C.g1.table[(hx, gx)] for hx, gx in zip(h.split("|"), g.split("|"))
+                )
+        twist = {}
+        for g in mors:
+            for a in cells:
+                twist[(g, a)] = "|".join(
+                    C.twist_table[(gx, ax)] for gx, ax in zip(g.split("|"), a.split("|"))
+                )
+        feedback = {a: "|".join(C.feedback_table[ax] for ax in a.split("|")) for a in cells}
+        levels.append((table, twist, feedback, {a: x for a in cells}))
+    return levels

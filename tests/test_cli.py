@@ -5,6 +5,8 @@ import pytest
 
 from crossed_desc.cli import main
 from crossed_desc.fixtures import (
+    NAMED_CROSSED,
+    constant_diagram,
     fatten,
     fatten_diagram,
     fix_a,
@@ -77,7 +79,8 @@ def test_validate_ok(run, fixa_doc, fixa_core_doc):
 
 
 def test_validate_reports_broken_entry(run, tmp_path, fixa_core_doc):
-    doc = json.loads(open(fixa_core_doc).read())
+    with open(fixa_core_doc, encoding="utf-8") as fh:
+        doc = json.loads(fh.read())
     # break one twist entry: Peiffer and equivariance checks must flag it
     doc["payload"]["twist"][-1][2] = doc["payload"]["twist"][0][2]
     bad = tmp_path / "bad.json"
@@ -150,6 +153,26 @@ def test_validate_reports_level_map_off_the_image_object(run, tmp_path, image, e
         ("morphism-g2", "level 0: image of 2.1 is not at the image object"), *extra]
 
 
+@pytest.mark.parametrize(
+    "kind, structure, prefix",
+    [
+        ("crossed", NAMED_CROSSED["s3-a3"](), ""),
+        ("diagram", constant_diagram(NAMED_CROSSED["s3-a3"]()), "level 0: "),
+    ],
+    ids=["crossed", "diagram"],
+)
+def test_validate_reports_missing_group_product(run, tmp_path, kind, structure, prefix):
+    """A g2 table without one product loads; the validator names the product
+    as undefined and skips every other check that needs it."""
+    doc = json.loads(serialize_document(kind, structure))
+    payload = doc["payload"] if kind == "crossed" else doc["payload"]["levels"][0]
+    del payload["g2"]["*"]["compose"][0]
+    code, out = run("validate", _write(tmp_path, "no-product", doc))
+    assert code == 1
+    assert _violations(out) == [
+        ("group-closure", f"{prefix}g2(*): 2.012 . 2.012 is undefined")]
+
+
 def test_malformed_json_exits_2(run, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -170,12 +193,22 @@ def _long_compose_row(doc):
     doc["payload"]["g1"]["compose"][0].append("extra")
 
 
+def _twist_key_unknown_2_morphism(doc):
+    doc["payload"]["twist"][0][1] = "2.ghost"
+
+
+def _twist_value_unknown_2_morphism(doc):
+    doc["payload"]["twist"][0][2] = "2.ghost"
+
+
 @pytest.mark.parametrize(
     "kind, edit, extra",
     [
         ("crossed", _drop_morphism_id, ()),
         ("diagram", _coface_key_out_of_range, ()),
         ("crossed", _long_compose_row, ()),
+        ("crossed", _twist_key_unknown_2_morphism, ()),
+        ("crossed", _twist_value_unknown_2_morphism, ()),
         ("fat-spec", None, ("--target", '{"x": "*"}')),
         ("fat-spec", None, ("--target", "[1]")),
         ("spec", {"kind": "fatten", "params": {"base": "fix-a-core", "copies": "x"}}, ()),
@@ -187,6 +220,7 @@ def _long_compose_row(doc):
          ()),
     ],
     ids=["morphism-without-id", "coface-key-5-0", "compose-row-of-4",
+         "twist-key-unknown-2-morphism", "twist-value-unknown-2-morphism",
          "target-missing-keys", "target-not-an-object", "fatten-copies-not-int",
          "fatten-without-base", "cech-cover-list", "subgroup-not-a-list",
          "nested-inner-without-group", "nested-params-list"],

@@ -150,6 +150,18 @@ def test_homotopy_s3_a3():
     assert grp.mul(nontrivial, nontrivial) == grp.identity
 
 
+def test_homotopy_is_computed_once_per_crossed_groupoid():
+    for name, mk in NAMED_CROSSED.items():
+        C, fresh = fatten(mk(), 2)[0], fatten(mk(), 2)[0]
+        h = homotopy(C)
+        assert homotopy(C) is h, name
+        other = homotopy(fresh)
+        assert other is not h
+        assert (h.pi0, h.pi2) == (other.pi0, other.pi2), name
+        assert {x: (p.reps, p.coset_of) for x, p in h.pi1.items()} == {
+            x: (p.reps, p.coset_of) for x, p in other.pi1.items()}, name
+
+
 def test_pi1_cokernel_is_a_group():
     h = homotopy(NAMED_CROSSED["s3-a3"]())
     assert validate_group(h.pi1["*"].group).ok

@@ -9,6 +9,7 @@ from crossed_desc import (
     validate_diagram_morphism,
     validate_group,
 )
+from crossed_desc import fixtures
 from crossed_desc.fixtures import (
     FixtureSpec,
     NAMED_CROSSED,
@@ -19,12 +20,14 @@ from crossed_desc.fixtures import (
     crossed_from_normal_subgroup,
     crossed_group,
     cyclic_group,
+    fatten,
+    fatten_diagram,
     fix_a_core,
     symmetric_group,
     trivial_group,
 )
 
-from oracles import cech_two_cocycle_count
+from oracles import cech_tables, cech_two_cocycle_count, fatten_tables
 
 
 def test_group_generators_validate():
@@ -140,3 +143,60 @@ def test_build_fixture_unknown_kind():
         build_fixture(FixtureSpec("mystery", {}))
     with pytest.raises(LoadError):
         build_fixture(FixtureSpec("inner", {"group": "zz9"}))
+
+
+# -- bulk construction against the entry-by-entry oracles ---------------
+
+
+def _tables(C):
+    """A crossed groupoid's tables as item lists, so insertion order counts."""
+    return (list(C.g1.table.items()), list(C.twist_table.items()),
+            list(C.feedback_table.items()), list(C.g2.owner.items()))
+
+
+def _oracle(tables):
+    return tuple(list(t.items()) for t in tables)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(NAMED_CROSSED))
+def test_fatten_tables_match_the_entry_oracle(name, n):
+    C = NAMED_CROSSED[name]()
+    fat, _ = fatten(C, n)
+    assert _tables(fat) == _oracle(fatten_tables(C, n))
+
+
+@pytest.mark.parametrize(
+    "name, m", [("fix-a-core", 1), ("fix-a-core", 2), ("fix-b-core", 1), ("fix-c-core", 1)])
+def test_cover_tables_match_the_entry_oracle(name, m):
+    C = NAMED_CROSSED[name]()
+    D = cech_diagram(C, m)
+    for level, tables in zip(D.levels, cech_tables(C, m)):
+        assert _tables(level) == _oracle(tables)
+
+
+def test_fattened_cover_tables_match_the_entry_oracle(diag_cech, fat_cech):
+    fat, incl = fat_cech
+    for p in range(4):
+        assert _tables(fat.levels[p]) == _oracle(fatten_tables(diag_cech.levels[p], 2))
+        assert incl.levels[p].source is diag_cech.levels[p]
+        assert incl.levels[p].target is fat.levels[p]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_fatten_diagram_fattens_each_level_object_once(monkeypatch, n):
+    C = NAMED_CROSSED["s3-a3"]()
+    calls = []
+
+    def counted(L, *args):
+        calls.append(L)
+        return fatten(L, *args)
+
+    monkeypatch.setattr(fixtures, "fatten", counted)
+    fat, incl = fatten_diagram(constant_diagram(C), n)
+    assert len(calls) == 1 and calls[0] is C
+    assert len({id(L) for L in fat.levels}) == 1
+    assert _tables(fat.levels[0]) == _oracle(fatten_tables(C, n))
+    assert all(F.source is C and F.target is fat.levels[0] for F in incl.levels)
+    assert validate_diagram(fat).ok
+    assert validate_diagram_morphism(incl).ok
