@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .groupoid import FiniteGroupoid, pi0_blocks, pi0_groupoid, validate_groupoid
+from .groupoid import FiniteGroupoid, pi0_groupoid, validate_groupoid
 from .validation import DomainError, LoadError, ResourceBoundError, ValidationReport
 
 # Validators are exhaustive.  An axiom instance that would take more than this
@@ -132,6 +132,16 @@ class FiniteGroup:
             raise DomainError(f"{a!r} is not an element of this group")
         return self._inv(a)
 
+    def inv_or_none(self, a: str) -> str | None:
+        """``a^-1``, or None where it is undefined: `a` is not an element, or
+        a loaded table lacks its inverse.  Used by validators, as `mul_or_none`."""
+        if a not in self._members:
+            return None
+        try:
+            return self._inv(a)
+        except LoadError:
+            return None
+
     def __contains__(self, a: str) -> bool:
         return a in self._members
 
@@ -144,7 +154,8 @@ class FiniteGroup:
 
 def validate_group(G: FiniteGroup) -> ValidationReport:
     """Check the group axioms exhaustively.  An undefined product is a
-    closure violation; the other axioms skip the instances that need it."""
+    closure violation and an undefined inverse an inverse violation; the other
+    axioms skip the instances that need them."""
     report = ValidationReport()
     n = len(G)
     _require_checks(n ** 3, "group associativity")
@@ -152,8 +163,10 @@ def validate_group(G: FiniteGroup) -> ValidationReport:
     for a in G.elements:
         if mul(e, a) not in (None, a) or mul(a, e) not in (None, a):
             report.add("group-unit", f"identity is not a unit at {a}")
-        ai = G.inv(a)
-        if ai not in G:
+        ai = G.inv_or_none(a)
+        if ai is None:
+            report.add("group-inverse", f"inverse of {a} is undefined")
+        elif ai not in G:
             report.add("group-inverse", f"inverse of {a} is not an element")
         elif mul(ai, a) not in (None, e) or mul(a, ai) not in (None, e):
             report.add("group-inverse", f"{a} . {ai} is not the identity")
@@ -363,7 +376,7 @@ def validate_crossed(C: CrossedGroupoid) -> ValidationReport:
         grp = C.g2.group(x)
         for a, b in itertools.product(grp.elements, repeat=2):
             lhs = tw.get((fb[a], b))
-            rhs = grp.mul_or_none(grp.mul_or_none(a, b), grp.inv(a))
+            rhs = grp.mul_or_none(grp.mul_or_none(a, b), grp.inv_or_none(a))
             if None not in (lhs, rhs) and lhs != rhs:
                 report.add(
                     "peiffer",
@@ -600,33 +613,44 @@ def homotopy(C: CrossedGroupoid) -> HomotopyData:
 def is_weak_equivalence_crossed(F: CrossedMorphism) -> tuple[bool, ValidationReport]:
     """True iff F induces a pi0 bijection and pi1/pi2 isomorphisms everywhere.
 
-    The report names every failing invariant at every object.
+    The report names every failing invariant at every object; a map that is
+    not functorial on objects or automorphisms is reported there, not raised.
     """
     report = ValidationReport()
     S, T = F.source, F.target
     hs, ht = homotopy(S), homotopy(T)
 
-    src_blocks = {b[0]: b for b in pi0_blocks(hs.pi0)}
-    tgt_blocks = {b[0]: b for b in pi0_blocks(ht.pi0)}
-    image_labels = {ht.pi0[F.apply_obj(x)] for x in S.objects}
-    label_of_block = {}
-    for label, block in src_blocks.items():
-        images = {ht.pi0[F.apply_obj(x)] for x in block}
-        label_of_block[label] = next(iter(images))
-    if len(set(label_of_block.values())) != len(src_blocks):
+    # pi0: the target components that the objects of each source component hit
+    hit: dict[str, set[str]] = {}
+    for x in S.objects:
+        y = F.apply_obj(x)
+        if y in ht.pi0:
+            hit.setdefault(hs.pi0[x], set()).add(ht.pi0[y])
+        else:
+            report.add("pi0", f"image {y} of object {x} is not an object of the target")
+    for label, labels in sorted(hit.items()):
+        if len(labels) > 1:
+            report.add("pi0", f"objects of component {label} land in several target components")
+    image = set().union(*hit.values())
+    if sum(map(len, hit.values())) != len(image):
         report.add("pi0", "induced component map is not injective")
-    if image_labels != set(tgt_blocks):
+    if image != set(ht.pi0.values()):
         report.add("pi0", "induced component map is not surjective")
 
     for x in S.objects:
         y = F.apply_obj(x)
+        if y not in ht.pi0:
+            continue
         # pi1: [g] -> [F(g)] must be a bijection of coset representatives
         p1s, p1t = hs.pi1[x], ht.pi1[y]
-        induced = {r: p1t.coset_of[F.apply_mor1(r)] for r in p1s.reps}
-        if len(set(induced.values())) != len(p1s.reps):
-            report.add("pi1", f"induced map on pi1 at {x} is not injective")
-        if set(induced.values()) != set(p1t.reps):
-            report.add("pi1", f"induced map on pi1 at {x} is not surjective")
+        induced = [p1t.coset_of.get(F.apply_mor1(r)) for r in p1s.reps]
+        if None in induced:
+            report.add("pi1", f"induced map on pi1 at {x} leaves the automorphisms of {y}")
+        else:
+            if len(set(induced)) != len(induced):
+                report.add("pi1", f"induced map on pi1 at {x} is not injective")
+            if set(induced) != set(p1t.reps):
+                report.add("pi1", f"induced map on pi1 at {x} is not surjective")
         # pi2: kernel to kernel, bijectively
         images = [F.apply_mor2(a) for a in hs.pi2[x]]
         if len(set(images)) != len(images):

@@ -7,7 +7,9 @@ the failure-of-1-cocycle condition in level 2 and the twisted-2-cocycle
 condition in level 3.  Gauge transformations (f, c) relate such triples; they
 form an equivalence relation whose identity, composition, and inversion are
 implemented here, together with the completion operation that fills in the
-unique third component over a partial datum.
+unique third component over a partial datum.  Every gauge out of a datum is
+one candidate (f, c) with f out of its object, so a gauge class is the orbit
+of any one member: `gauge_classes` reaches each class from its least member.
 """
 
 from __future__ import annotations
@@ -373,11 +375,14 @@ class ClassTable:
 def gauge_classes(
     D: CrossedDiagram, bound: int = DEFAULT_CANDIDATE_BOUND
 ) -> ClassTable:
-    """Partition all descent data by scanning typed (source, f, c) candidates.
+    """Partition all descent data into gauge classes, which are orbits.
 
-    Every candidate determines its destination uniquely, so the scan visits
-    the complete gauge relation.  Witness gauges to the canonical (least)
-    representative are accumulated by breadth-first composition and verified.
+    Members are scanned in sorted order.  A member not reached yet is the least
+    of its class and becomes its representative; its own candidates (f, c)
+    reach its whole class in one hop, and the first candidate t reaching a
+    member gives that member the witness 1_rep . t^-1.  The candidates of every
+    other member are scanned as well: each image must be a descent datum of the
+    scanning member's class.  Every witness is verified.
     """
     members = enumerate_descent(D, bound)
     member_set = set(members)
@@ -392,10 +397,10 @@ def gauge_classes(
     if total > bound:
         raise ResourceBoundError(f"{total} gauge candidates exceed the bound of {bound}")
 
-    edges: dict[DescentDatum, list[tuple[DescentDatum, GaugeTransformation, bool]]] = {
-        m: [] for m in members
-    }
+    rep_of: dict[DescentDatum, DescentDatum] = {}
+    first: dict[DescentDatum, GaugeTransformation] = {}  # member <- first t from its rep
     for src in members:
+        rep = rep_of.setdefault(src, src)
         x0 = vertex_object(D, src.x, 0, 1)
         for fm in L0.g1.out_of(src.x):
             x_prime = L0.g1.dst(fm)
@@ -406,36 +411,21 @@ def gauge_classes(
                     raise CrossedDescError(
                         f"gauge image {dst} of {src} is not a descent datum"
                     )
-                edges[src].append((dst, t, True))
-                edges[dst].append((src, t, False))
+                if src == rep and dst not in rep_of:
+                    rep_of[dst] = rep
+                    first[dst] = t
+                elif rep_of.get(dst) != rep:
+                    raise CrossedDescError(
+                        f"gauge image {dst} of {src} lies outside the class of {rep}"
+                    )
 
-    rep_of: dict[DescentDatum, DescentDatum] = {}
+    # t : rep -> m, so m -> rep is 1_rep . t^-1; each rep precedes its members
     witnesses: dict[DescentDatum, GaugeTransformation] = {}
-    for rep in members:
-        if rep in witnesses:
-            continue
-        # members are sorted, so a member not reached yet is the least of its
-        # class; breadth-first from it, carrying gauges node -> rep
-        witnesses[rep] = gauge_identity(D, rep)
-        rep_of[rep] = rep
-        frontier = [rep]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                w_node = witnesses[node]
-                for other, t, forward in edges[node]:
-                    if other in witnesses:
-                        continue
-                    if forward:
-                        # t : node -> other, so other -> rep is w_node . t^-1
-                        w = gauge_compose(D, w_node, gauge_invert(D, t))
-                    else:
-                        # t : other -> node
-                        w = gauge_compose(D, w_node, t)
-                    witnesses[other] = w
-                    rep_of[other] = rep
-                    nxt.append(other)
-            frontier = nxt
+    for m, rep in rep_of.items():
+        if m == rep:
+            witnesses[m] = gauge_identity(D, rep)
+        else:
+            witnesses[m] = gauge_compose(D, witnesses[rep], gauge_invert(D, first[m]))
     for m in members:
         ok, report = is_gauge(D, witnesses[m], m, rep_of[m])
         if not ok:

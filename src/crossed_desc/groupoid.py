@@ -285,10 +285,3 @@ def pi0_groupoid(G: FiniteGroupoid) -> dict[str, str]:
             out[x] = label
     return out
 
-
-def pi0_blocks(pi0: dict[str, str]) -> list[tuple[str, ...]]:
-    """Blocks of a component map, each sorted, listed by label."""
-    blocks: dict[str, list[str]] = {}
-    for x, label in pi0.items():
-        blocks.setdefault(label, []).append(x)
-    return [tuple(sorted(blocks[label])) for label in sorted(blocks)]

@@ -462,19 +462,13 @@ def verify_bijection(F: DiagramMorphism, bound: int = 1_000_000) -> BijectionRep
             continue
         surjectivity[tr] = (lifted, witness, trace)
 
-    # constructive injectivity: merge source classes whose images collide
+    # constructive injectivity: merge source classes whose images collide.
+    # The collision groups are disjoint and each merges into its least member,
+    # so once every lift succeeds there are len(collisions) merged classes.
     injectivity = {}
     collisions: dict[DescentDatum, list[DescentDatum]] = {}
     for s, t in class_map.items():
         collisions.setdefault(t, []).append(s)
-    merged = {r: r for r in src_classes.reps}
-
-    def find(r):
-        while merged[r] != r:
-            merged[r] = merged[merged[r]]
-            r = merged[r]
-        return r
-
     constructive_injective = True
     for group in collisions.values():
         group = sorted(group)
@@ -487,14 +481,10 @@ def verify_bijection(F: DiagramMorphism, bound: int = 1_000_000) -> BijectionRep
                 constructive_injective = False
                 continue
             injectivity[(other, base)] = (lifted_gauge, trace)
-            ra, rb = find(base), find(other)
-            if ra != rb:
-                merged[max(ra, rb)] = min(ra, rb)
-    merged_count = len({find(r) for r in src_classes.reps})
     constructive_bijective = (
         constructive_surjective
         and constructive_injective
-        and merged_count == len(tgt_classes.reps)
+        and len(collisions) == len(tgt_classes.reps)
     )
 
     result = BijectionReport(

@@ -5,7 +5,17 @@ from crossed_desc import (
     fatten_diagram,
     identity_diagram_morphism,
 )
-from crossed_desc.fixtures import NAMED_CROSSED, fix_a, fix_b, fix_c, fix_cech
+from crossed_desc.fixtures import (
+    NAMED_CROSSED,
+    fix_a,
+    fix_a_core,
+    fix_b,
+    fix_c,
+    fix_c_core,
+    fix_cech,
+)
+
+from builders import disjoint_union
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +62,14 @@ def fat_s3(diag_s3):
 @pytest.fixture(scope="session")
 def id_a(diag_a):
     return identity_diagram_morphism(diag_a)
+
+
+@pytest.fixture(scope="session")
+def diag_union():
+    """Constant diagram of fix-a-core + fix-c-core: two gauge classes."""
+    return constant_diagram(disjoint_union(fix_a_core(), fix_c_core()))
+
+
+@pytest.fixture(scope="session")
+def fat_union(diag_union):
+    return fatten_diagram(diag_union, 2)

@@ -4,12 +4,32 @@ Everything here is deliberately written against the raw tables, without using
 the library's face factorization, word evaluation, completion, or class
 machinery, so that agreement between the two is meaningful.  Faces are applied
 as explicit coface chains in a *different* factorization order (largest
-skipped vertex first) than the library uses.
+skipped vertex first) than the library uses.  The one exception is
+`bfs_gauge_classes`, the library's former classifier, kept to pin the current
+one to its exact output.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from crossed_desc.descent import (
+    DEFAULT_CANDIDATE_BOUND,
+    ClassTable,
+    CrossedDescError,
+    CrossedDiagram,
+    DescentDatum,
+    GaugeTransformation,
+    ResourceBoundError,
+    _predicted_a,
+    _predicted_g,
+    enumerate_descent,
+    gauge_compose,
+    gauge_identity,
+    gauge_invert,
+    is_gauge,
+    vertex_object,
+)
 
 
 def _skipped(seq, q):
@@ -327,3 +347,80 @@ def cech_tables(C, m):
         feedback = {a: "|".join(C.feedback_table[ax] for ax in a.split("|")) for a in cells}
         levels.append((table, twist, feedback, {a: x for a in cells}))
     return levels
+
+
+# The breadth-first classifier that `gauge_classes` replaced, kept verbatim
+# (only renamed) so that the orbit scan can be compared with it, insertion
+# order included.  It builds every gauge edge, forward and backward, and
+# searches the resulting graph from each member not reached yet.
+def bfs_gauge_classes(
+    D: CrossedDiagram, bound: int = DEFAULT_CANDIDATE_BOUND
+) -> ClassTable:
+    """Partition all descent data by scanning typed (source, f, c) candidates.
+
+    Every candidate determines its destination uniquely, so the scan visits
+    the complete gauge relation.  Witness gauges to the canonical (least)
+    representative are accumulated by breadth-first composition and verified.
+    """
+    members = enumerate_descent(D, bound)
+    member_set = set(members)
+    L0, L1 = D.levels[0], D.levels[1]
+
+    total = 0
+    for t in members:
+        x0 = vertex_object(D, t.x, 0, 1)
+        n_c = len(L1.g2.group(x0))
+        n_f = len(L0.g1.out_of(t.x))
+        total += n_c * n_f
+    if total > bound:
+        raise ResourceBoundError(f"{total} gauge candidates exceed the bound of {bound}")
+
+    edges: dict[DescentDatum, list[tuple[DescentDatum, GaugeTransformation, bool]]] = {
+        m: [] for m in members
+    }
+    for src in members:
+        x0 = vertex_object(D, src.x, 0, 1)
+        for fm in L0.g1.out_of(src.x):
+            x_prime = L0.g1.dst(fm)
+            for c in sorted(L1.g2.group(x0).elements):
+                t = GaugeTransformation(fm, c)
+                dst = DescentDatum(x_prime, _predicted_g(D, src.g, t), _predicted_a(D, src, t))
+                if dst not in member_set:
+                    raise CrossedDescError(
+                        f"gauge image {dst} of {src} is not a descent datum"
+                    )
+                edges[src].append((dst, t, True))
+                edges[dst].append((src, t, False))
+
+    rep_of: dict[DescentDatum, DescentDatum] = {}
+    witnesses: dict[DescentDatum, GaugeTransformation] = {}
+    for rep in members:
+        if rep in witnesses:
+            continue
+        # members are sorted, so a member not reached yet is the least of its
+        # class; breadth-first from it, carrying gauges node -> rep
+        witnesses[rep] = gauge_identity(D, rep)
+        rep_of[rep] = rep
+        frontier = [rep]
+        while frontier:
+            nxt = []
+            for node in frontier:
+                w_node = witnesses[node]
+                for other, t, forward in edges[node]:
+                    if other in witnesses:
+                        continue
+                    if forward:
+                        # t : node -> other, so other -> rep is w_node . t^-1
+                        w = gauge_compose(D, w_node, gauge_invert(D, t))
+                    else:
+                        # t : other -> node
+                        w = gauge_compose(D, w_node, t)
+                    witnesses[other] = w
+                    rep_of[other] = rep
+                    nxt.append(other)
+            frontier = nxt
+    for m in members:
+        ok, report = is_gauge(D, witnesses[m], m, rep_of[m])
+        if not ok:
+            raise CrossedDescError(f"witness for {m} failed verification: {report.violations}")
+    return ClassTable(members, rep_of, witnesses)

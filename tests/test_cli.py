@@ -173,6 +173,65 @@ def test_validate_reports_missing_group_product(run, tmp_path, kind, structure, 
         ("group-closure", f"{prefix}g2(*): 2.012 . 2.012 is undefined")]
 
 
+@pytest.mark.parametrize(
+    "kind, structure, prefix",
+    [
+        ("crossed", NAMED_CROSSED["s3-a3"](), ""),
+        ("diagram", constant_diagram(NAMED_CROSSED["s3-a3"]()), "level 0: "),
+    ],
+    ids=["crossed", "diagram"],
+)
+def test_validate_reports_missing_group_inverse(run, tmp_path, kind, structure, prefix):
+    """A g2 table without one inverse entry loads; the validator names the
+    inverse as undefined and skips the checks that need it."""
+    doc = json.loads(serialize_document(kind, structure))
+    payload = doc["payload"] if kind == "crossed" else doc["payload"]["levels"][0]
+    del payload["g2"]["*"]["inverses"]["2.120"]
+    code, out = run("validate", _write(tmp_path, "no-inverse", doc))
+    assert code == 1
+    assert _violations(out) == [
+        ("group-inverse", f"{prefix}g2(*): inverse of 2.120 is undefined")]
+
+
+def _object_to_ghost(levels):
+    levels[0]["objects"]["*"] = "ghost"
+
+
+def _automorphism_across_copies(levels):
+    levels[0]["mor1"]["021"] = "021@0.1"
+
+
+@pytest.mark.parametrize(
+    "base, edit, violations",
+    [
+        ("fix-c-core", _object_to_ghost, [
+            ("pi0", "level 0: image ghost of object * is not an object of the target"),
+            ("pi0", "level 0: induced component map is not surjective"),
+        ]),
+        ("s3-a3", _automorphism_across_copies, [
+            ("pi1", "level 0: induced map on pi1 at * leaves the automorphisms of *@0"),
+        ]),
+    ],
+    ids=["object-to-unknown-id", "automorphism-to-non-automorphism"],
+)
+def test_level_map_off_the_target_is_not_a_weak_equivalence(
+    run, tmp_path, base, edit, violations
+):
+    """A level map sending an object or an automorphism off the target's is
+    reported: `weq` exits 1, and `transfer` and `lift` refuse with exit 4."""
+    doc = json.loads(serialize_document(
+        "diagram-morphism", fatten_diagram(constant_diagram(NAMED_CROSSED[base]()), 2)[1]))
+    edit(doc["payload"]["levels"])
+    path = _write(tmp_path, "astray", doc)
+    for command, extra, exit_code in (
+        ("weq", (), 1), ("transfer", (), 4), ("lift", ("--target", "0"), 4)
+    ):
+        code, out = run(command, path, *extra)
+        assert code == exit_code
+        assert json.loads(out)["weakEquivalence"] is False
+        assert _violations(out) == violations
+
+
 def test_malformed_json_exits_2(run, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")

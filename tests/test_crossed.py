@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from crossed_desc import (
@@ -218,3 +224,27 @@ def test_weak_equivalence_failure_names_pi1():
     ok, report = is_weak_equivalence_crossed(F)
     assert not ok
     assert "pi1" in report.rules()
+
+
+def test_pi0_verdict_does_not_depend_on_the_hash_seed():
+    """The component map is induced from the objects, not from an element
+    picked out of a set, so string hashing cannot change the verdict."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    script = (
+        "import json, builders\n"
+        "from crossed_desc import is_weak_equivalence_crossed\n"
+        "ok, report = is_weak_equivalence_crossed(builders.split_component_morphism())\n"
+        "print(json.dumps([ok, report.as_json()['violations']]))\n"
+    )
+    verdicts = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        verdicts.append(json.loads(run.stdout))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0] == [False, [
+        {"rule": "pi0", "detail": "objects of component *@0:0 land in several target components"},
+        {"rule": "pi0", "detail": "induced component map is not injective"},
+    ]]

@@ -1,8 +1,13 @@
 import itertools
+import random
+import re
 
 import pytest
 
 from crossed_desc import (
+    CrossedDescError,
+    CrossedDiagram,
+    CrossedMorphism,
     DescentDatum,
     DomainError,
     GaugeTransformation,
@@ -10,7 +15,9 @@ from crossed_desc import (
     ResourceBoundError,
     complete_descent,
     completion_steps,
+    constant_diagram,
     enumerate_descent,
+    fatten_diagram,
     gauge_classes,
     gauge_compose,
     gauge_identity,
@@ -18,9 +25,16 @@ from crossed_desc import (
     is_descent_datum,
     is_gauge,
 )
+from crossed_desc import descent
 from crossed_desc.descent import vertex_object
+from crossed_desc.fixtures import NAMED_CROSSED
 
-from oracles import brute_descent_data, brute_gauge_classes, brute_gauge_related
+from oracles import (
+    bfs_gauge_classes,
+    brute_descent_data,
+    brute_gauge_classes,
+    brute_gauge_related,
+)
 
 
 def test_counts_match_oracle(diag_a, diag_b, diag_c, diag_cech):
@@ -106,9 +120,9 @@ def test_gauge_relation_matches_oracle(diag_a, diag_b, diag_c, fat_a):
             ), (s, d)
 
 
-def test_classes_match_oracle(diag_a, diag_b, diag_cech, fat_a):
+def test_classes_match_oracle(diag_a, diag_b, diag_cech, fat_a, diag_union):
     fat, _ = fat_a
-    for D, n_classes in ((diag_a, 1), (diag_b, 1), (diag_cech, 1), (fat, 1)):
+    for D, n_classes in ((diag_a, 1), (diag_b, 1), (diag_cech, 1), (fat, 1), (diag_union, 2)):
         table = gauge_classes(D)
         oracle = brute_gauge_classes(D)
         assert len(table.reps) == len(oracle) == n_classes
@@ -117,6 +131,120 @@ def test_classes_match_oracle(diag_a, diag_b, diag_cech, fat_a):
              for rep in table.reps]
         )
         assert lib_blocks == oracle
+
+
+# -- classes are orbits: the scan against the breadth-first oracle -------
+
+
+def _table(table):
+    """Everything a ClassTable holds, insertion order included."""
+    return table.members, list(table.rep_of.items()), list(table.witnesses.items())
+
+
+LADDER = [(name, n) for name in sorted(NAMED_CROSSED) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name, n", LADDER, ids=[f"{b}-n{n}" for b, n in LADDER])
+def test_orbit_scan_matches_bfs_oracle_on_the_ladder(name, n):
+    D, _ = fatten_diagram(constant_diagram(NAMED_CROSSED[name]()), n)
+    assert _table(gauge_classes(D)) == _table(bfs_gauge_classes(D))
+
+
+def test_orbit_scan_matches_bfs_oracle(diag_cech, diag_union, fat_union):
+    for D in (diag_cech, diag_union, fat_union[0]):
+        assert _table(gauge_classes(D)) == _table(bfs_gauge_classes(D))
+
+
+def test_scan_from_every_member_checks_closure(monkeypatch, diag_c):
+    """The candidates of a member that is not a representative are scanned
+    too: an image there that is not a descent datum is an error."""
+    members = enumerate_descent(diag_c)
+    last = members[-1]
+    assert gauge_classes(diag_c).rep_of[last] != last
+    predicted_a = descent._predicted_a
+
+    def predicted_a_off_the_data(D, src, t):
+        a = predicted_a(D, src, t)
+        if src != last:
+            return a
+        return next(b for b in D.levels[2].g2.group(D.levels[2].g2.object_of(a)) if b != a)
+
+    monkeypatch.setattr(descent, "_predicted_a", predicted_a_off_the_data)
+    with pytest.raises(
+        CrossedDescError, match=rf"gauge image .* of {re.escape(str(last))} is not a descent datum"
+    ):
+        gauge_classes(diag_c)
+
+
+def test_scan_rejects_an_image_outside_the_class(monkeypatch, diag_a):
+    """When the least datum's gauges are patched to fix it, the other datum
+    starts a class of its own, and its gauge back to the least datum leaves
+    that class.  The scan names it; the breadth-first search merged the two
+    classes without a word."""
+    least, other = enumerate_descent(diag_a)
+    predicted_a = descent._predicted_a
+
+    def predicted_a_fixing_the_least(D, src, t):
+        return src.a if src == least else predicted_a(D, src, t)
+
+    monkeypatch.setattr(descent, "_predicted_a", predicted_a_fixing_the_least)
+    with pytest.raises(
+        CrossedDescError,
+        match=rf"gauge image {re.escape(str(least))} of {re.escape(str(other))} "
+              rf"lies outside the class of {re.escape(str(other))}",
+    ):
+        gauge_classes(diag_a)
+    assert len(bfs_gauge_classes(diag_a).reps) == 1
+
+
+def _mutated(D, key, kind, element, image):
+    """D with one entry of coface `key`'s 1- or 2-morphism map changed."""
+    d = D.cofaces[key]
+    maps = {"mor1": dict(d.mor1_map), "mor2": dict(d.mor2_map)}
+    maps[kind][element] = image
+    cofaces = dict(D.cofaces)
+    cofaces[key] = CrossedMorphism(d.source, d.target, d.obj_map, maps["mor1"], maps["mor2"])
+    return CrossedDiagram(D.levels, cofaces)
+
+
+@pytest.mark.parametrize("base", ["union", "inner-z3"])
+def test_mutated_cofaces_give_the_oracle_table_or_raise(base, fat_union):
+    """On diagrams with one coface entry changed at random, the library
+    returns exactly the breadth-first oracle's table, or raises."""
+    D = fat_union[0] if base == "union" else fatten_diagram(
+        constant_diagram(NAMED_CROSSED[base]()), 2)[0]
+    rng = random.Random(1)
+    returned = raised = 0
+    for _ in range(300):
+        key = rng.choice(sorted(D.cofaces))
+        kind = rng.choice(("mor1", "mor2"))
+        d = D.cofaces[key]
+        element = rng.choice(sorted(getattr(d, f"{kind}_map")))
+        pool = d.target.g1.source if kind == "mor1" else d.target.g2.owner
+        M = _mutated(D, key, kind, element, rng.choice(sorted(pool)))
+        try:
+            table = gauge_classes(M)
+        except CrossedDescError:
+            raised += 1
+            continue
+        assert _table(table) == _table(bfs_gauge_classes(M))
+        returned += 1
+    assert returned and raised
+
+
+def test_mutated_coface_image_outside_the_class_is_named(fat_union):
+    """One mutation of the two-class fattening where the scan's class check
+    fires; the breadth-first search only failed at witness verification."""
+    M = _mutated(fat_union[0], (1, 2), "mor2", "2.1:0@0", "2.0:0@0")
+    with pytest.raises(CrossedDescError) as raised:
+        gauge_classes(M)
+    assert str(raised.value) == (
+        "gauge image DescentDatum(x='*:0@0', g='1:0@0.0', a='2.1:0@0') of "
+        "DescentDatum(x='*:0@1', g='1:0@1.1', a='2.0:0@1') lies outside the class of "
+        "DescentDatum(x='*:0@0', g='1:0@0.0', a='2.0:0@0')"
+    )
+    with pytest.raises(CrossedDescError, match="failed verification"):
+        bfs_gauge_classes(M)
 
 
 def test_witnesses_verify(diag_cech):

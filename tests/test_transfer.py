@@ -191,6 +191,18 @@ def test_verify_bijection_all_fixture_weqs(weq):
         assert revalidate_lift_trace(weq, trace).ok
 
 
+def test_verify_bijection_maps_two_classes_onto_two(fat_union):
+    """The first fixture with more than one gauge class: both routes must see
+    the fattening map the two classes of fix-a-core + fix-c-core onto two."""
+    _, incl = fat_union
+    report = verify_bijection(incl)
+    assert len(report.source_classes.reps) == len(report.target_classes.reps) == 2
+    assert report.oracle_bijective and report.constructive_bijective
+    assert sorted(report.class_map.values()) == report.target_classes.reps
+    assert sorted(report.surjectivity) == report.target_classes.reps
+    assert report.injectivity == {}
+
+
 def test_verify_bijection_rejects_non_weq(diag_a):
     with pytest.raises(DomainError):
         verify_bijection(collapse_morphism(diag_a))
