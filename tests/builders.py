@@ -13,26 +13,36 @@ from crossed_desc import (
 from crossed_desc.fixtures import one_object_crossed, trivial_group
 
 
+def _tag(e: str, i: int) -> str:
+    return f"{e}:{i}"
+
+
+def disjoint_union_groupoid(*parts: FiniteGroupoid) -> FiniteGroupoid:
+    """The disjoint union of groupoids, tables copied as they are (valid or
+    not); every id of part i (objects and morphisms) is suffixed with ":i"."""
+    objects, source, target, identities, table, inverses = [], {}, {}, {}, {}, {}
+    for i, G in enumerate(parts):
+        objects += (_tag(x, i) for x in G.objects)
+        for m in G.source:
+            source[_tag(m, i)] = _tag(G.source[m], i)
+            target[_tag(m, i)] = _tag(G.target[m], i)
+            inverses[_tag(m, i)] = _tag(G.inverses[m], i)
+        for x in G.objects:
+            identities[_tag(x, i)] = _tag(G.identities[x], i)
+        for (h, g), r in G.table.items():
+            table[(_tag(h, i), _tag(g, i))] = _tag(r, i)
+    return FiniteGroupoid(tuple(objects), source, target, identities, table, inverses)
+
+
 def disjoint_union(*parts: CrossedGroupoid) -> CrossedGroupoid:
     """The disjoint union of crossed groupoids; every id of part i (objects,
     1-morphisms and 2-morphisms) is suffixed with ":i"."""
-    objects, source, target, identities, table, inverses = [], {}, {}, {}, {}, {}
     groups, twist, feedback = {}, {}, {}
     for i, C in enumerate(parts):
         def tag(e: str, _i=i) -> str:
-            return f"{e}:{_i}"
+            return _tag(e, _i)
 
-        g1 = C.g1
-        objects += map(tag, g1.objects)
-        for m in g1.source:
-            source[tag(m)] = tag(g1.source[m])
-            target[tag(m)] = tag(g1.target[m])
-            inverses[tag(m)] = tag(g1.inverses[m])
-        for x in g1.objects:
-            identities[tag(x)] = tag(g1.identities[x])
-        for (h, g), r in g1.table.items():
-            table[(tag(h), tag(g))] = tag(r)
-        for x in g1.objects:
+        for x in C.g1.objects:
             grp = C.g2.group(x)
             groups[tag(x)] = FiniteGroup.from_table(
                 map(tag, grp.elements),
@@ -44,8 +54,24 @@ def disjoint_union(*parts: CrossedGroupoid) -> CrossedGroupoid:
             twist[(tag(g), tag(a))] = tag(r)
         for a, d in C.feedback_table.items():
             feedback[tag(a)] = tag(d)
-    g1 = FiniteGroupoid(tuple(objects), source, target, identities, table, inverses)
+    g1 = disjoint_union_groupoid(*(C.g1 for C in parts))
     return CrossedGroupoid(g1, DisconnectedGroupoid(groups), twist, feedback)
+
+
+def loop5() -> FiniteGroupoid:
+    """The order-5 loop with identity 0 and x . x = 0 as a one-object
+    groupoid: units and inverses hold, associativity does not (a group with
+    x . x = 1 throughout has order a power of 2)."""
+    rows = ("01234", "10342", "24013", "32401", "43120")  # compose(h, g) = rows[h][g]
+    ids = tuple(rows[0])
+    return FiniteGroupoid(
+        objects=("*",),
+        source={m: "*" for m in ids},
+        target={m: "*" for m in ids},
+        identities={"*": "0"},
+        table={(h, g): rows[int(h)][int(g)] for h in ids for g in ids},
+        inverses={m: m for m in ids},
+    )
 
 
 def point() -> CrossedGroupoid:

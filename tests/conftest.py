@@ -1,4 +1,7 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from crossed_desc import (
     constant_diagram,
@@ -16,6 +19,10 @@ from crossed_desc.fixtures import (
 )
 
 from builders import disjoint_union
+
+# HYPOTHESIS_PROFILE=ci fuzzes harder (CI runs it); local runs keep the default
+settings.register_profile("ci", max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -282,6 +282,25 @@ def brute_groupoid_violations(G):
     return out
 
 
+def brute_twist_action_violations(C):
+    """Every violated twist-action instance as (rule, detail), in report order:
+    the walk over every composable pair and every 2-morphism that
+    `validate_crossed` ran before it proved the action on generators."""
+    out = []
+    g1, tw = C.g1, C.twist_table
+    for h in g1.morphisms:
+        for g in g1.into(g1.source[h]):
+            hg = g1.table.get((h, g))
+            for a in C.g2.group(g1.source[g]):
+                lhs = tw.get((hg, a))
+                if lhs is not None and lhs != tw[(h, tw[(g, a)])]:
+                    out.append((
+                        "twist-action",
+                        f"twist({h} . {g}, {a}) != twist({h}, twist({g}, {a}))",
+                    ))
+    return out
+
+
 def fatten_tables(C, n):
     """The tables of `fatten(C, n)`, written one entry at a time.
 

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crossed_desc import (
     CrossedGroupoid,
@@ -30,6 +31,9 @@ from crossed_desc.fixtures import (
     crossed_group,
     one_object_crossed,
 )
+
+from builders import disjoint_union
+from oracles import brute_twist_action_violations
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_CROSSED))
@@ -112,6 +116,66 @@ def test_twist_feedback_domain_errors():
         C.feedback("nope")
     with pytest.raises(DomainError):
         C.twist("0", "nope")
+
+
+ACTION_CROSSED = {
+    **{f"fat-{name}": fatten(NAMED_CROSSED[name](), 2)[0]
+       for name in ("inner-s3", "inner-z3", "s3-a3")},
+    "union": disjoint_union(fix_a_core(), fix_c_core()),
+}
+
+
+def _rewrite_rows(C, edits):
+    """Apply (kind, i, j) edits to twist rows of C: row g is twist(g, -)."""
+    twist = dict(C.twist_table)
+    morphs = C.g1.morphisms
+    for kind, i, j in edits:
+        g = morphs[i % len(morphs)]
+        grp = C.g2.group(C.g1.source[g])
+        row = {a: twist[(g, a)] for a in grp}
+        if kind == "invert":  # precompose with a -> a^-1
+            new = {a: row[grp.inv(a)] for a in grp}
+        elif kind == "shift":  # precompose with a cyclic shift of the elements
+            els = grp.elements
+            new = {a: row[els[(k + j) % len(els)]] for k, a in enumerate(els)}
+        else:  # borrow the row of another morphism with the same endpoints
+            parallel = C.g1.hom(C.g1.source[g], C.g1.target[g])
+            other = parallel[j % len(parallel)]
+            new = {a: twist[(other, a)] for a in grp}
+        twist.update({(g, a): r for a, r in new.items()})
+    return _rebuild(C, twist_table=twist)
+
+
+@given(
+    st.sampled_from(sorted(ACTION_CROSSED)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["invert", "shift", "borrow"]),
+            st.integers(min_value=0, max_value=10_000),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_twist_action_on_generators_matches_the_pair_walk(name, edits):
+    C = _rewrite_rows(ACTION_CROSSED[name], edits)
+    report = validate_crossed(C)
+    found = [(v.rule, v.detail) for v in report if v.rule == "twist-action"]
+    assert found == brute_twist_action_violations(C)
+
+
+def test_twist_action_only_failure_is_walked_in_full():
+    """Inversion is an automorphism of Z/3 and fixes the feedback, so every
+    rule but the action still holds; the generator check must find it, and
+    the report must name every violated instance."""
+    C = fatten(NAMED_CROSSED["inner-z3"](), 2)[0]
+    units = set(C.g1.identities.values())
+    g = next(m for m in C.g1.morphisms if m not in units)
+    C = _rewrite_rows(C, [("invert", C.g1.morphisms.index(g), 0)])
+    report = validate_crossed(C)
+    assert report.rules() == {"twist-action"}
+    assert [(v.rule, v.detail) for v in report] == brute_twist_action_violations(C)
 
 
 # -- homotopy invariants ------------------------------------------------

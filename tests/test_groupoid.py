@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +19,8 @@ from crossed_desc import (
 )
 from crossed_desc.fixtures import NAMED_CROSSED, cyclic_group, symmetric_group
 from crossed_desc.fixtures import one_object_groupoid
+from crossed_desc.groupoid import _generators
+from builders import disjoint_union_groupoid, loop5
 from oracles import brute_groupoid_violations
 
 
@@ -144,6 +152,20 @@ def _corrupt(G, edits):
                      if (G.source[r], G.target[r]) != (G.source[g], G.target[h])]
             if wrong:
                 table[(h, g)] = wrong[j % len(wrong)]
+        elif kind == "swap-results":
+            # entries that involve no identity and give none: every endpoint,
+            # unit and inverse stays right, so only associativity can break
+            units = set(G.identities.values())
+            plain = [k for k in keys if units.isdisjoint((*k, table[k]))]
+            if plain:
+                k1 = plain[i % len(plain)]
+                r1 = table[k1]
+                ends = (G.source[r1], G.target[r1])
+                others = [k for k in plain
+                          if table[k] != r1 and (G.source[table[k]], G.target[table[k]]) == ends]
+                if others:
+                    k2 = others[j % len(others)]
+                    table[k1], table[k2] = table[k2], r1
         else:  # break-inverse
             m = morphs[i % len(morphs)]
             others = [r for r in morphs if r != inverses[m]]
@@ -157,7 +179,7 @@ def _corrupt(G, edits):
     st.lists(
         st.tuples(
             st.sampled_from(["drop-entry", "add-non-composable", "retarget-entry",
-                             "break-inverse"]),
+                             "break-inverse", "swap-results"]),
             st.integers(min_value=0, max_value=10_000),
             st.integers(min_value=0, max_value=10_000),
         ),
@@ -169,6 +191,79 @@ def test_indexed_validator_matches_all_pairs_oracle(name, edits):
     broken = _corrupt(ORACLE_GROUPOIDS[name], edits)
     report = validate_groupoid(broken)
     assert [(v.rule, v.detail) for v in report] == brute_groupoid_violations(broken)
+
+
+@pytest.mark.parametrize("G", [
+    loop5(),
+    disjoint_union_groupoid(two_component_groupoid(), loop5(),
+                            fatten(NAMED_CROSSED["inner-z3"](), 2)[0].g1),
+], ids=["loop", "loop-in-a-union"])
+def test_associativity_only_failure_is_walked_in_full(G):
+    """Units and inverses hold, so only the generator check can find the
+    failure; the report must still name every violated triple."""
+    report = validate_groupoid(G)
+    assert report.rules() == {"associativity"}
+    assert [(v.rule, v.detail) for v in report] == brute_groupoid_violations(G)
+
+
+def _closure(G, gens):
+    """Everything the composition table reaches from gens, in any bracketing."""
+    reached = set(gens)
+    while True:
+        new = {G.table[(h, g)] for h in reached for g in reached
+               if (h, g) in G.table} - reached
+        if not new:
+            return reached
+        reached |= new
+
+
+GENERATED_GROUPOIDS = {
+    **{f"fat-{name}-{n}": fatten(NAMED_CROSSED[name](), n)[0].g1
+       for name in sorted(NAMED_CROSSED) for n in (1, 2, 3)},
+    "two-component": two_component_groupoid(),
+    "loop": loop5(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED_GROUPOIDS))
+def test_generators_reach_every_morphism(name):
+    G = GENERATED_GROUPOIDS[name]
+    gens = _generators(G)
+    assert _closure(G, gens) == set(G.morphisms)
+    # the scan over the sorted ids: each generator is the least id that the
+    # ones before it do not reach (on associative tables, where any
+    # bracketing reaches the same morphisms)
+    if validate_groupoid(G).ok:
+        for i, m in enumerate(gens):
+            before = _closure(G, gens[:i])
+            assert m == min(set(G.morphisms) - before)
+    # the same tables listed in another order give the same generators
+    shuffled = FiniteGroupoid(
+        tuple(reversed(G.objects)),
+        dict(reversed(G.source.items())),
+        dict(reversed(G.target.items())),
+        dict(reversed(G.identities.items())),
+        dict(reversed(G.table.items())),
+        dict(reversed(G.inverses.items())),
+    )
+    assert _generators(shuffled) == gens
+
+
+def test_generators_do_not_depend_on_the_hash_seed():
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    script = (
+        "import json\n"
+        "from crossed_desc.groupoid import _generators\n"
+        "from test_groupoid import GENERATED_GROUPOIDS as G\n"
+        "print(json.dumps({k: _generators(g) for k, g in sorted(G.items())}))\n"
+    )
+    want = {k: list(_generators(g)) for k, g in sorted(GENERATED_GROUPOIDS.items())}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert json.loads(run.stdout) == want
 
 
 def test_word_evaluation_right_to_left(s3_groupoid):
