@@ -9,6 +9,7 @@ failure, 3 resource bound exceeded, 4 precondition failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -109,13 +110,18 @@ def cmd_desc(args) -> int:
     D = _as_diagram(kind, structure)
     if args.classes:
         table = gauge_classes(D, args.bound)
+        # members are sorted and each rep is the least of its class, so one
+        # pass groups the classes in rep order with their members sorted
+        classes: dict[DescentDatum, list[DescentDatum]] = {}
+        for m in table.members:
+            classes.setdefault(table.rep_of[m], []).append(m)
         out = {
             "count": len(table.members),
-            "classCount": len(table.reps),
+            "classCount": len(classes),
             "classes": [
                 {
                     "representative": _datum_json(rep),
-                    "members": [_datum_json(m) for m in table.class_members(rep)],
+                    "members": [_datum_json(m) for m in members],
                     "witnesses": [
                         {
                             "member": _datum_json(m),
@@ -124,10 +130,10 @@ def cmd_desc(args) -> int:
                                 "c": table.witnesses[m].c,
                             },
                         }
-                        for m in table.class_members(rep)
+                        for m in members
                     ],
                 }
-                for rep in table.reps
+                for rep, members in classes.items()
             ],
         }
     else:
@@ -214,7 +220,10 @@ def cmd_fixture(args) -> int:
 # -- argument parsing ---------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept: parsing does
+    not change it, so every `main` call in a process can share it."""
     parser = argparse.ArgumentParser(
         prog="crossed-desc",
         description="Finite crossed groupoids: descent data, gauge classes, transfer.",

@@ -120,6 +120,11 @@ class DiagramMorphism:
     source: CrossedDiagram
     target: CrossedDiagram
     levels: tuple[CrossedMorphism, CrossedMorphism, CrossedMorphism, CrossedMorphism]
+    # (verdict, report) of the levelwise weak-equivalence check, set by
+    # `transfer.is_weak_equivalence_diagram` on first use, then kept
+    _weq: tuple[bool, ValidationReport] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.levels) != 4:

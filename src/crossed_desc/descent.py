@@ -10,6 +10,18 @@ implemented here, together with the completion operation that fills in the
 unique third component over a partial datum.  Every gauge out of a datum is
 one candidate (f, c) with f out of its object, so a gauge class is the orbit
 of any one member: `gauge_classes` reaches each class from its least member.
+
+The classification scan evaluates every candidate of every member, so it
+computes nothing more often than its inputs change: the face maps' dicts and
+the level tables once per diagram; per level-0 object, the rows
+(f, x', f_(1), f_(0)^-1, f_(0) at level 2) of its out-morphisms; per level-1
+2-cell c, feedback(c) and the images c_(0,1), c_(0,2), c_(1,2); and per
+member, the f-free inner 2-cell of the image for each c.  A candidate is then
+three composition lookups, one twist lookup and one membership lookup.  The
+input is not validated, so the tables need not be associative: every product
+keeps the bracketing of the checked formulas `_predicted_g` and
+`_predicted_a`, and a candidate whose lookups miss is evaluated by those
+formulas, which raise the checked error.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cosimplicial import CrossedDiagram
+from .crossed import CrossedGroupoid
 from .groupoid import Word, evaluate_word
 from .validation import (
     CrossedDescError,
@@ -180,17 +193,22 @@ def _predicted_g(D: CrossedDiagram, src_g: str, t: GaugeTransformation) -> str:
 def _predicted_a(D: CrossedDiagram, src: DescentDatum, t: GaugeTransformation) -> str:
     """twist(f_(0), c_(0,2)^-1 . a . twist(g_(0,1)^-1, c_(1,2)) . c_(0,1)) in level 2."""
     L2 = D.levels[2]
-    grp = L2.g2
     f0 = D.face((0,), 2).apply_mor1(t.f)
     g01 = D.face((0, 1), 2).apply_mor1(src.g)
     c01 = D.face((0, 1), 2).apply_mor2(t.c)
     c02 = D.face((0, 2), 2).apply_mor2(t.c)
     c12 = D.face((1, 2), 2).apply_mor2(t.c)
-    inner = grp.mul(
-        grp.mul(grp.mul(grp.inv(c02), src.a), L2.twist(L2.g1.inverse(g01), c12)),
+    return L2.twist(f0, _inner_cell(L2, src.a, g01, c01, c02, c12))
+
+
+def _inner_cell(L2: CrossedGroupoid, a: str, g01: str, c01: str, c02: str, c12: str) -> str:
+    """c_(0,2)^-1 . a . twist(g_(0,1)^-1, c_(1,2)) . c_(0,1) in level 2, the
+    part of `_predicted_a` that does not depend on f."""
+    grp = L2.g2
+    return grp.mul(
+        grp.mul(grp.mul(grp.inv(c02), a), L2.twist(L2.g1.inverse(g01), c12)),
         c01,
     )
-    return L2.twist(f0, inner)
 
 
 def is_partial_gauge(
@@ -383,9 +401,18 @@ def gauge_classes(
     member gives that member the witness 1_rep . t^-1.  The candidates of every
     other member are scanned as well: each image must be a descent datum of the
     scanning member's class.  Every witness is verified.
+
+    Each value of the scan is computed once per change of its inputs: the
+    face maps and level tables once per diagram, the 1-morphism rows once per
+    level-0 object and the 2-cell rows once per level-1 object (`_GaugeScan`),
+    and the f-free inner 2-cell once per member and 2-cell (`_gauge_images`).
+    A candidate then costs three composition lookups, one twist lookup and one
+    membership lookup.  The products keep the bracketing of `_predicted_g` and
+    `_predicted_a`, because the input is not validated and a table need not
+    be associative; a candidate whose lookups miss is evaluated by those
+    checked formulas, which raise the checked error.
     """
     members = enumerate_descent(D, bound)
-    member_set = set(members)
     L0, L1 = D.levels[0], D.levels[1]
 
     total = 0
@@ -397,37 +424,118 @@ def gauge_classes(
     if total > bound:
         raise ResourceBoundError(f"{total} gauge candidates exceed the bound of {bound}")
 
-    rep_of: dict[DescentDatum, DescentDatum] = {}
-    first: dict[DescentDatum, GaugeTransformation] = {}  # member <- first t from its rep
-    for src in members:
-        rep = rep_of.setdefault(src, src)
-        x0 = vertex_object(D, src.x, 0, 1)
-        for fm in L0.g1.out_of(src.x):
-            x_prime = L0.g1.dst(fm)
-            for c in sorted(L1.g2.group(x0).elements):
-                t = GaugeTransformation(fm, c)
-                dst = DescentDatum(x_prime, _predicted_g(D, src.g, t), _predicted_a(D, src, t))
-                if dst not in member_set:
-                    raise CrossedDescError(
-                        f"gauge image {dst} of {src} is not a descent datum"
-                    )
-                if src == rep and dst not in rep_of:
-                    rep_of[dst] = rep
-                    first[dst] = t
-                elif rep_of.get(dst) != rep:
-                    raise CrossedDescError(
-                        f"gauge image {dst} of {src} lies outside the class of {rep}"
-                    )
+    if not members:  # nothing to scan; `_GaugeScan` reads faces built by a datum
+        return ClassTable(members, {}, {})
+
+    # members by position: a candidate's image is looked up as a plain tuple
+    scan = _GaugeScan(D, members)
+    position = {(m.x, m.g, m.a): i for i, m in enumerate(members)}
+    rep_at = [-1] * len(members)  # position of each member's rep; -1: not reached
+    reached: list[int] = []  # positions in the order they are reached
+    first: dict[int, tuple[str, str]] = {}  # member <- first (f, c) from its rep
+    for i, src in enumerate(members):
+        if rep_at[i] < 0:
+            rep_at[i] = i
+            reached.append(i)
+        rep = rep_at[i]
+        for t, dst in _gauge_images(scan, src):
+            j = position.get(dst)
+            if j is None:
+                raise CrossedDescError(
+                    f"gauge image {DescentDatum(*dst)} of {src} is not a descent datum"
+                )
+            if i == rep and rep_at[j] < 0:
+                rep_at[j] = rep
+                reached.append(j)
+                first[j] = t
+            elif rep_at[j] != rep:
+                raise CrossedDescError(
+                    f"gauge image {members[j]} of {src} lies outside the class of "
+                    f"{members[rep]}"
+                )
 
     # t : rep -> m, so m -> rep is 1_rep . t^-1; each rep precedes its members
+    rep_of: dict[DescentDatum, DescentDatum] = {}
     witnesses: dict[DescentDatum, GaugeTransformation] = {}
-    for m, rep in rep_of.items():
+    for j in reached:
+        m, rep = members[j], members[rep_at[j]]
+        rep_of[m] = rep
         if m == rep:
             witnesses[m] = gauge_identity(D, rep)
         else:
-            witnesses[m] = gauge_compose(D, witnesses[rep], gauge_invert(D, first[m]))
+            t = GaugeTransformation(*first[j])
+            witnesses[m] = gauge_compose(D, witnesses[rep], gauge_invert(D, t))
     for m in members:
         ok, report = is_gauge(D, witnesses[m], m, rep_of[m])
         if not ok:
             raise CrossedDescError(f"witness for {m} failed verification: {report.violations}")
     return ClassTable(members, rep_of, witnesses)
+
+
+class _GaugeScan:
+    """What the gauge scan of D reads: the level tables and face maps, and
+    the rows below, each computed once.
+
+    `rows[x]`, per level-0 object x of a member: x_(0) at level 1, and the row
+    (f, x', f_(1), f_(0)^-1, f_(0) at level 2) of each f: x -> x', sorted.
+    `cells[x_(0)]`: the row (c, feedback(c), c_(0,1), c_(0,2), c_(1,2)) of
+    each 2-morphism c at x_(0), sorted.  An undefined image or inverse is
+    None, so every lookup that uses it misses.  Needs a member: its descent
+    check has built every face read here.
+    """
+
+    def __init__(self, D: CrossedDiagram, members: list[DescentDatum]):
+        L0, L1, L2 = D.levels[0], D.levels[1], D.levels[2]
+        self.D = D
+        self.compose1 = L1.g1.table
+        self.twist2 = L2.twist_table
+        self.g01 = D.face((0, 1), 2).mor1_map
+        f0, f1 = D.face((0,), 1).mor1_map, D.face((1,), 1).mor1_map
+        f0_2 = D.face((0,), 2).mor1_map
+        inverse1 = L1.g1.inverses
+        self.rows: dict[str, tuple[str, list[tuple]]] = {}
+        for x in dict.fromkeys(m.x for m in members):
+            self.rows[x] = (vertex_object(D, x, 0, 1), [
+                (f, L0.g1.target[f], f1.get(f), inverse1.get(f0.get(f)), f0_2.get(f))
+                for f in L0.g1.out_of(x)
+            ])
+        c01, c02, c12 = (D.face(ij, 2).mor2_map for ij in ((0, 1), (0, 2), (1, 2)))
+        feedback1 = L1.feedback_table
+        self.cells: dict[str, list[tuple]] = {}
+        for x0, _ in self.rows.values():
+            if x0 not in self.cells:
+                self.cells[x0] = [
+                    (c, feedback1[c], c01.get(c), c02.get(c), c12.get(c))
+                    for c in sorted(L1.g2.group(x0).elements)
+                ]
+
+
+def _gauge_images(scan: _GaugeScan, src: DescentDatum):
+    """Every gauge candidate out of `src` with its image, in scan order (f
+    out of src.x, then c, both sorted), as plain tuples ((f, c), (x', g', a')).
+
+    A hit in a table implies the check the checked accessors make (twist keys
+    are typed when the crossed groupoid is built), so a candidate whose
+    lookups all hit has the checked value; one that misses is evaluated by
+    `_predicted_g` and `_predicted_a`, which raise the checked error.
+    """
+    D, L2 = scan.D, scan.D.levels[2]
+    x0, rows = scan.rows[src.x]
+    cells = scan.cells[x0]
+    g, g01 = src.g, scan.g01.get(src.g)
+    inners = []  # the f-free part of a', per c; None where it would raise
+    for _, _, c01, c02, c12 in cells:
+        try:
+            inners.append(_inner_cell(L2, src.a, g01, c01, c02, c12))
+        except CrossedDescError:
+            inners.append(None)
+    compose, twist = scan.compose1, scan.twist2
+    for f, x_prime, f1, f0_inv, f0_2 in rows:
+        for (c, feedback_c, _, _, _), inner in zip(cells, inners):
+            try:
+                g_new = compose[(f1, compose[(g, compose[(feedback_c, f0_inv)])])]
+                a_new = twist[(f0_2, inner)]
+            except KeyError:
+                t = GaugeTransformation(f, c)
+                g_new, a_new = _predicted_g(D, g, t), _predicted_a(D, src, t)
+            yield (f, c), (x_prime, g_new, a_new)

@@ -80,12 +80,18 @@ def apply_morphism_gauge(F: DiagramMorphism, t: GaugeTransformation) -> GaugeTra
 
 
 def is_weak_equivalence_diagram(F: DiagramMorphism) -> tuple[bool, ValidationReport]:
-    """Levelwise weak-equivalence check; the report names every failing level."""
-    report = ValidationReport()
-    for p in range(4):
-        _, level_report = is_weak_equivalence_crossed(F.levels[p])
-        report.extend(level_report, prefix=f"level {p}: ")
-    return report.ok, report
+    """Levelwise weak-equivalence check; the report names every failing level.
+
+    Computed on the first call and kept on F, so a later call (`transfer`
+    checks before `verify_bijection` does) returns the same verdict and
+    report without scanning the levels again."""
+    if F._weq is None:
+        report = ValidationReport()
+        for p in range(4):
+            _, level_report = is_weak_equivalence_crossed(F.levels[p])
+            report.extend(level_report, prefix=f"level {p}: ")
+        F._weq = (report.ok, report)
+    return F._weq
 
 
 # -- lifting descent data (surjectivity chase) --------------------------

@@ -1,12 +1,14 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately written against the raw tables, without using
-the library's face factorization, word evaluation, completion, or class
-machinery, so that agreement between the two is meaningful.  Faces are applied
-as explicit coface chains in a *different* factorization order (largest
-skipped vertex first) than the library uses.  The one exception is
-`bfs_gauge_classes`, the library's former classifier, kept to pin the current
-one to its exact output.
+the library's face maps, word evaluation, completion, or class machinery, so
+that agreement between the two is meaningful.  A face is applied as an
+explicit chain of cofaces (`push_desc`), composed in a *different* order
+(largest skipped vertex first) than `CrossedDiagram.face` composes them.  The
+two exceptions are former classifiers of the library, kept verbatim to pin
+the current one to their exact output: `bfs_gauge_classes`, the breadth-first
+search over every gauge edge, and `scan_gauge_classes`, the orbit scan that
+evaluated every candidate through the checked accessors.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ def _skipped(seq, q):
 
 
 def push_desc(D, p, q, seq, e, kind):
-    """Pushforward by applying cofaces for skipped vertices, largest first.
+    """The image of `e` under the face `seq` (level p -> level q), applying
+    the cofaces for the skipped vertices, largest first.
 
     When vertex k (in the final q-simplex) is inserted last among the larger
     ones, the coface index at an intermediate stage equals k minus the number
@@ -438,6 +441,72 @@ def bfs_gauge_classes(
                     rep_of[other] = rep
                     nxt.append(other)
             frontier = nxt
+    for m in members:
+        ok, report = is_gauge(D, witnesses[m], m, rep_of[m])
+        if not ok:
+            raise CrossedDescError(f"witness for {m} failed verification: {report.violations}")
+    return ClassTable(members, rep_of, witnesses)
+
+
+# The orbit scan that `gauge_classes` computed before it read the face maps
+# and level tables once per diagram, object and cell, kept verbatim (only
+# renamed): every candidate goes through `_predicted_g` and `_predicted_a`,
+# so the library must return its table, insertion order included, or raise
+# its error, on valid and on corrupted input alike.
+def scan_gauge_classes(
+    D: CrossedDiagram, bound: int = DEFAULT_CANDIDATE_BOUND
+) -> ClassTable:
+    """Partition all descent data into gauge classes, which are orbits.
+
+    Members are scanned in sorted order.  A member not reached yet is the least
+    of its class and becomes its representative; its own candidates (f, c)
+    reach its whole class in one hop, and the first candidate t reaching a
+    member gives that member the witness 1_rep . t^-1.  The candidates of every
+    other member are scanned as well: each image must be a descent datum of the
+    scanning member's class.  Every witness is verified.
+    """
+    members = enumerate_descent(D, bound)
+    member_set = set(members)
+    L0, L1 = D.levels[0], D.levels[1]
+
+    total = 0
+    for t in members:
+        x0 = vertex_object(D, t.x, 0, 1)
+        n_c = len(L1.g2.group(x0))
+        n_f = len(L0.g1.out_of(t.x))
+        total += n_c * n_f
+    if total > bound:
+        raise ResourceBoundError(f"{total} gauge candidates exceed the bound of {bound}")
+
+    rep_of: dict[DescentDatum, DescentDatum] = {}
+    first: dict[DescentDatum, GaugeTransformation] = {}  # member <- first t from its rep
+    for src in members:
+        rep = rep_of.setdefault(src, src)
+        x0 = vertex_object(D, src.x, 0, 1)
+        for fm in L0.g1.out_of(src.x):
+            x_prime = L0.g1.dst(fm)
+            for c in sorted(L1.g2.group(x0).elements):
+                t = GaugeTransformation(fm, c)
+                dst = DescentDatum(x_prime, _predicted_g(D, src.g, t), _predicted_a(D, src, t))
+                if dst not in member_set:
+                    raise CrossedDescError(
+                        f"gauge image {dst} of {src} is not a descent datum"
+                    )
+                if src == rep and dst not in rep_of:
+                    rep_of[dst] = rep
+                    first[dst] = t
+                elif rep_of.get(dst) != rep:
+                    raise CrossedDescError(
+                        f"gauge image {dst} of {src} lies outside the class of {rep}"
+                    )
+
+    # t : rep -> m, so m -> rep is 1_rep . t^-1; each rep precedes its members
+    witnesses: dict[DescentDatum, GaugeTransformation] = {}
+    for m, rep in rep_of.items():
+        if m == rep:
+            witnesses[m] = gauge_identity(D, rep)
+        else:
+            witnesses[m] = gauge_compose(D, witnesses[rep], gauge_invert(D, first[m]))
     for m in members:
         ok, report = is_gauge(D, witnesses[m], m, rep_of[m])
         if not ok:

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from crossed_desc.cli import main
+from crossed_desc import transfer
+from crossed_desc.cli import _build_parser, main
 from crossed_desc.fixtures import (
     NAMED_CROSSED,
     constant_diagram,
@@ -329,6 +331,58 @@ def test_desc_counts(run, fixa_doc):
     payload = json.loads(out)
     assert payload["classCount"] == 1
     assert len(payload["classes"][0]["members"]) == 2
+
+
+def test_desc_classes_bytes_on_two_classes(run, tmp_path, diag_union):
+    """`desc --classes` on a diagram with two gauge classes prints exactly
+    these bytes (sha256 pinned): classes in representative order, members
+    and witnesses sorted."""
+    path = tmp_path / "union.json"
+    path.write_text(serialize_document("diagram", diag_union), encoding="utf-8")
+    code, out = run("desc", str(path), "--classes")
+    assert code == 0
+    assert json.loads(out)["classCount"] == 2
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "8665f7884ef4457948c04013e4de4b9685dec010e3213a0908433a81d52041fb"
+    )
+
+
+def test_consecutive_calls_do_not_leak_flags(run, fixa_doc, fat_spec_doc):
+    """One parser serves every call in a process: a flag or a usage error
+    of one call does not carry over to the next, and help is unchanged."""
+    code, out = run("desc", fixa_doc, "--classes")
+    assert code == 0 and "classes" in json.loads(out)
+    code, out = run("desc", fixa_doc)
+    assert code == 0 and set(json.loads(out)) == {"count", "data"}
+    code, _ = run("desc", fixa_doc, "--bound", "1")
+    assert code == 3
+    code, _ = run("desc", fixa_doc)
+    assert code == 0
+    code, out = run("transfer", fat_spec_doc, "--trace")
+    assert code == 0 and "surjectivityWitnesses" in json.loads(out)
+    code, out = run("transfer", fat_spec_doc)
+    assert code == 0 and "surjectivityWitnesses" not in json.loads(out)
+    code, _ = run("desc")
+    assert code == 2
+    code, out = run("--help")
+    assert code == 0 and out == _build_parser.__wrapped__().format_help()
+    assert _build_parser() is _build_parser()
+
+
+def test_transfer_checks_weak_equivalence_once(run, fat_spec_doc, monkeypatch):
+    """`transfer` checks the morphism before `verify_bijection` does; the
+    levelwise check runs once, one call per level."""
+    calls = []
+    check = transfer.is_weak_equivalence_crossed
+
+    def counted(F):
+        calls.append(F)
+        return check(F)
+
+    monkeypatch.setattr(transfer, "is_weak_equivalence_crossed", counted)
+    code, _ = run("transfer", fat_spec_doc)
+    assert code == 0
+    assert len(calls) == 4
 
 
 def test_desc_fixture_spec_input(run, tmp_path):

@@ -3,13 +3,16 @@ import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crossed_desc import (
     CrossedDescError,
     CrossedDiagram,
+    CrossedGroupoid,
     CrossedMorphism,
     DescentDatum,
     DomainError,
+    FiniteGroupoid,
     GaugeTransformation,
     PartialDescentDatum,
     ResourceBoundError,
@@ -34,6 +37,7 @@ from oracles import (
     brute_descent_data,
     brute_gauge_classes,
     brute_gauge_related,
+    scan_gauge_classes,
 )
 
 
@@ -161,15 +165,16 @@ def test_scan_from_every_member_checks_closure(monkeypatch, diag_c):
     members = enumerate_descent(diag_c)
     last = members[-1]
     assert gauge_classes(diag_c).rep_of[last] != last
-    predicted_a = descent._predicted_a
+    gauge_images = descent._gauge_images
+    grp = diag_c.levels[2].g2
 
-    def predicted_a_off_the_data(D, src, t):
-        a = predicted_a(D, src, t)
-        if src != last:
-            return a
-        return next(b for b in D.levels[2].g2.group(D.levels[2].g2.object_of(a)) if b != a)
+    def images_off_the_data(scan, src):
+        for t, (x, g, a) in gauge_images(scan, src):
+            if src == last:
+                a = next(b for b in grp.group(grp.object_of(a)) if b != a)
+            yield t, (x, g, a)
 
-    monkeypatch.setattr(descent, "_predicted_a", predicted_a_off_the_data)
+    monkeypatch.setattr(descent, "_gauge_images", images_off_the_data)
     with pytest.raises(
         CrossedDescError, match=rf"gauge image .* of {re.escape(str(last))} is not a descent datum"
     ):
@@ -182,12 +187,13 @@ def test_scan_rejects_an_image_outside_the_class(monkeypatch, diag_a):
     that class.  The scan names it; the breadth-first search merged the two
     classes without a word."""
     least, other = enumerate_descent(diag_a)
-    predicted_a = descent._predicted_a
+    gauge_images = descent._gauge_images
 
-    def predicted_a_fixing_the_least(D, src, t):
-        return src.a if src == least else predicted_a(D, src, t)
+    def images_fixing_the_least(scan, src):
+        for t, (x, g, a) in gauge_images(scan, src):
+            yield t, (x, g, src.a if src == least else a)
 
-    monkeypatch.setattr(descent, "_predicted_a", predicted_a_fixing_the_least)
+    monkeypatch.setattr(descent, "_gauge_images", images_fixing_the_least)
     with pytest.raises(
         CrossedDescError,
         match=rf"gauge image {re.escape(str(least))} of {re.escape(str(other))} "
@@ -195,6 +201,36 @@ def test_scan_rejects_an_image_outside_the_class(monkeypatch, diag_a):
     ):
         gauge_classes(diag_a)
     assert len(bfs_gauge_classes(diag_a).reps) == 1
+
+
+def test_scan_visits_every_candidate_and_verifies_every_witness(monkeypatch, fat_union):
+    """Every (f, c) out of every member is scanned, in order, and every
+    member's witness goes through is_gauge once."""
+    D = fat_union[0]
+    L0, L1 = D.levels[0], D.levels[1]
+    scanned, verified = [], []
+    gauge_images, check = descent._gauge_images, descent.is_gauge
+
+    def recorded_images(scan, src):
+        for t, dst in gauge_images(scan, src):
+            scanned.append((src, t))
+            yield t, dst
+
+    def recorded_check(D, t, src, dst):
+        verified.append(src)
+        return check(D, t, src, dst)
+
+    monkeypatch.setattr(descent, "_gauge_images", recorded_images)
+    monkeypatch.setattr(descent, "is_gauge", recorded_check)
+    table = gauge_classes(D)
+    assert len(table.reps) == 2
+    assert scanned == [
+        (src, (f, c))
+        for src in table.members
+        for f in L0.g1.out_of(src.x)
+        for c in sorted(L1.g2.group(vertex_object(D, src.x, 0, 1)).elements)
+    ]
+    assert verified == table.members
 
 
 def _mutated(D, key, kind, element, image):
@@ -245,6 +281,98 @@ def test_mutated_coface_image_outside_the_class_is_named(fat_union):
     )
     with pytest.raises(CrossedDescError, match="failed verification"):
         bfs_gauge_classes(M)
+
+
+def _relevel(D, p, level):
+    """D with level p replaced by `level`, every coface re-pointed to it."""
+    levels = D.levels[:p] + (level,) + D.levels[p + 1:]
+    cofaces = {
+        (q, k): CrossedMorphism(levels[q], levels[q + 1], d.obj_map, d.mor1_map, d.mor2_map)
+        for (q, k), d in D.cofaces.items()
+    }
+    return CrossedDiagram(levels, cofaces)
+
+
+def _swap_composites(D, p, i, j):
+    """D with two results of level p's composition table swapped, both with
+    the endpoints of the first: the table stays typed, but need not be
+    associative any more."""
+    L, G = D.levels[p], D.levels[p].g1
+    keys = sorted(G.table)
+    first = keys[i % len(keys)]
+
+    def ends(k):
+        return G.source[G.table[k]], G.target[G.table[k]]
+
+    partners = [k for k in keys if ends(k) == ends(first)]
+    second = partners[j % len(partners)]
+    table = dict(G.table)
+    table[first], table[second] = table[second], table[first]
+    g1 = FiniteGroupoid(G.objects, G.source, G.target, G.identities, table, G.inverses)
+    return _relevel(D, p, CrossedGroupoid(g1, L.g2, L.twist_table, L.feedback_table))
+
+
+def _rewrite_twist(D, p, i, j):
+    """D with one twist entry of level p sent to another 2-morphism at the
+    same object."""
+    L = D.levels[p]
+    keys = sorted(L.twist_table)
+    g, a = keys[i % len(keys)]
+    cells = L.g2.group(L.g1.target[g]).elements
+    twist = dict(L.twist_table)
+    twist[(g, a)] = cells[j % len(cells)]
+    return _relevel(D, p, CrossedGroupoid(L.g1, L.g2, twist, L.feedback_table))
+
+
+def _edit(D, kind, i, j, k):
+    """D with one edit of `kind`; the integers pick entries modulo their count."""
+    if kind in ("mor1", "mor2"):
+        key = sorted(D.cofaces)[i % len(D.cofaces)]
+        d = D.cofaces[key]
+        elements = sorted(getattr(d, f"{kind}_map"))
+        pool = sorted(d.target.g1.source if kind == "mor1" else d.target.g2.owner)
+        return _mutated(D, key, kind, elements[j % len(elements)], pool[k % len(pool)])
+    edit = _swap_composites if kind == "compose" else _rewrite_twist
+    return edit(D, 1 + i % 2, j, k)
+
+
+@pytest.fixture(scope="module")
+def scan_diagrams(fat_union, diag_cech):
+    fat = {name: fatten_diagram(constant_diagram(NAMED_CROSSED[name]()), 2)[0]
+           for name in ("inner-z3", "s3-a3")}
+    return {"union": fat_union[0], **fat, "cech": diag_cech}
+
+
+def _outcome(classify, D):
+    """The table a classifier returns, or the type and message it raises."""
+    try:
+        return _table(classify(D))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.sampled_from(["union", "inner-z3", "s3-a3", "cech"]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["mor1", "mor2", "compose", "twist"]),
+            st.integers(min_value=0, max_value=10_000),
+            st.integers(min_value=0, max_value=10_000),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_scan_matches_the_scan_oracle_on_mutated_diagrams(scan_diagrams, name, edits):
+    """With coface entries remapped, level-1 and level-2 composites swapped
+    and twist entries rewritten, the library returns the table of the scan
+    that evaluated every candidate through the checked accessors, insertion
+    order included, or raises its error."""
+    D = scan_diagrams[name]
+    for edit in edits:
+        D = _edit(D, *edit)
+    assert _outcome(gauge_classes, D) == _outcome(scan_gauge_classes, D)
 
 
 def test_witnesses_verify(diag_cech):
