@@ -3,7 +3,10 @@
 Commands: validate, desc, weq, transfer, lift, fixture.  All input and output
 is UTF-8 JSON; output is canonical (sorted keys and ids) so identical inputs
 produce identical bytes.  Exit codes: 0 success, 1 semantic failure, 2 parse
-failure, 3 resource bound exceeded, 4 precondition failure.
+failure, 3 resource bound exceeded, 4 precondition failure.  `main` is the
+one place an error becomes an exit code, so an error exits the same way from
+every command.  `validate` on a diagram morphism checks its level maps, their
+naturality, and its source and target diagrams.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import json
 import sys
 
 from .cosimplicial import (
-    CrossedDiagram,
     DiagramMorphism,
     validate_diagram,
     validate_diagram_morphism,
@@ -54,26 +56,17 @@ def _load(path: str) -> tuple[str, object]:
         return parse_document(fh.read())
 
 
-def _as_diagram(kind: str, structure) -> CrossedDiagram:
-    if kind == "diagram":
-        return structure
+def _load_as(path: str, want: str):
+    """The structure of kind `want` in the document at `path`; a fixture spec
+    is built first."""
+    kind, structure = _load(path)
     if kind == "fixture-spec":
-        built_kind, built = build_fixture(structure)
-        if built_kind == "diagram":
-            return built
-        raise DomainError(f"fixture produces a {built_kind}, not a diagram")
-    raise DomainError(f"expected a diagram document, got kind {kind!r}")
-
-
-def _as_diagram_morphism(kind: str, structure) -> DiagramMorphism:
-    if kind == "diagram-morphism":
-        return structure
-    if kind == "fixture-spec":
-        built_kind, built = build_fixture(structure)
-        if built_kind == "diagram-morphism":
-            return built
-        raise DomainError(f"fixture produces a {built_kind}, not a diagram morphism")
-    raise DomainError(f"expected a diagram-morphism document, got kind {kind!r}")
+        kind, structure = build_fixture(structure)
+        if kind != want:
+            raise DomainError(f"fixture produces a {kind}, not a {want.replace('-', ' ')}")
+    elif kind != want:
+        raise DomainError(f"expected a {want} document, got kind {kind!r}")
+    return structure
 
 
 def _datum_json(t: DescentDatum) -> dict:
@@ -85,29 +78,23 @@ def _datum_json(t: DescentDatum) -> dict:
 
 def cmd_validate(args) -> int:
     kind, structure = _load(args.path)
-    if kind == "groupoid":
-        report = validate_groupoid(structure)
-    elif kind == "crossed":
-        report = validate_crossed(structure)
-    elif kind == "diagram":
-        report = validate_diagram(structure)
-    elif kind == "diagram-morphism":
-        report = validate_diagram_morphism(structure)
-    else:  # fixture-spec: build it and validate the result
-        built_kind, built = build_fixture(structure)
-        if built_kind == "crossed":
-            report = validate_crossed(built)
-        elif built_kind == "diagram":
-            report = validate_diagram(built)
-        else:
-            report = validate_diagram_morphism(built)
+    built_kind, built = (
+        build_fixture(structure) if kind == "fixture-spec" else (kind, structure)
+    )
+    if built_kind == "groupoid":
+        report = validate_groupoid(built)
+    elif built_kind == "crossed":
+        report = validate_crossed(built)
+    elif built_kind == "diagram":
+        report = validate_diagram(built)
+    else:
+        report = validate_diagram_morphism(built)
     _emit({"kind": kind, "report": report.as_json()})
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
 def cmd_desc(args) -> int:
-    kind, structure = _load(args.path)
-    D = _as_diagram(kind, structure)
+    D = _load_as(args.path, "diagram")
     if args.classes:
         table = gauge_classes(D, args.bound)
         # members are sorted and each rep is the least of its class, so one
@@ -144,34 +131,25 @@ def cmd_desc(args) -> int:
 
 
 def cmd_weq(args) -> int:
-    kind, structure = _load(args.path)
-    F = _as_diagram_morphism(kind, structure)
+    F = _load_as(args.path, "diagram-morphism")
     ok, report = is_weak_equivalence_diagram(F)
     _emit({"weakEquivalence": ok, "report": report.as_json()})
     return EXIT_OK if ok else EXIT_SEMANTIC
 
 
 def cmd_transfer(args) -> int:
-    kind, structure = _load(args.path)
-    F = _as_diagram_morphism(kind, structure)
+    F = _load_as(args.path, "diagram-morphism")
     ok, report = is_weak_equivalence_diagram(F)
     if not ok:
         _emit({"weakEquivalence": False, "report": report.as_json()})
         return EXIT_PRECONDITION
-    try:
-        result = verify_bijection(F, args.bound)
-    except CrossedDescError as exc:
-        if isinstance(exc, (ResourceBoundError, DomainError)):
-            raise
-        _emit({"error": str(exc)})
-        return EXIT_SEMANTIC
+    result = verify_bijection(F, args.bound)
     _emit(result.as_json(include_traces=args.trace))
     return EXIT_OK
 
 
 def cmd_lift(args) -> int:
-    kind, structure = _load(args.path)
-    F = _as_diagram_morphism(kind, structure)
+    F = _load_as(args.path, "diagram-morphism")
     ok, report = is_weak_equivalence_diagram(F)
     if not ok:
         _emit({"weakEquivalence": False, "report": report.as_json()})

@@ -144,7 +144,9 @@ def identity_diagram_morphism(D: CrossedDiagram) -> DiagramMorphism:
 
 
 def validate_diagram_morphism(F: DiagramMorphism) -> ValidationReport:
-    """Level maps valid and natural with respect to every coface."""
+    """Level maps valid and natural with respect to every coface, then the
+    source and target diagrams valid.  Invalid level maps are reported
+    alone."""
     report = ValidationReport()
     for p, Fp in enumerate(F.levels):
         report.extend(validate_crossed_morphism(Fp), prefix=f"level {p}: ")
@@ -159,4 +161,6 @@ def validate_diagram_morphism(F: DiagramMorphism) -> ValidationReport:
                 f"level map does not commute with d^{k} at level {p} "
                 f"(at {_first_difference(lhs, rhs)})",
             )
+    report.extend(validate_diagram(F.source), prefix="source: ")
+    report.extend(validate_diagram(F.target), prefix="target: ")
     return report

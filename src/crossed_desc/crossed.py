@@ -528,8 +528,9 @@ def validate_crossed_morphism(F: CrossedMorphism) -> ValidationReport:
     report = ValidationReport()
     S, T = F.source, F.target
     obj, mor1, mor2 = F.obj_map, F.mor1_map, F.mor2_map
+    target_objects = set(T.objects)
     for x in S.objects:
-        if obj.get(x) not in set(T.objects):
+        if obj.get(x) not in target_objects:
             report.add("morphism-objects", f"image of object {x} is unknown")
             return report
     for x in S.objects:
@@ -616,6 +617,11 @@ def homotopy(C: CrossedGroupoid) -> HomotopyData:
             rep = members[0]
             for m in members:
                 coset_of[m] = rep
+        one = C.g1.identity(x)
+        if one not in coset_of:
+            raise DomainError(
+                f"identity {one!r} at {x!r} lies in no coset of the feedback image"
+            )
         reps = tuple(sorted(set(coset_of.values())))
 
         def mul(a: str, b: str, _c=coset_of, _g1=C.g1) -> str:
@@ -627,10 +633,9 @@ def homotopy(C: CrossedGroupoid) -> HomotopyData:
         pi1[x] = Pi1(
             reps,
             coset_of,
-            FiniteGroup(reps, coset_of[C.g1.identity(x)], mul, inv),
+            FiniteGroup(reps, coset_of[one], mul, inv),
         )
         grp = C.g2.group(x)
-        one = C.g1.identity(x)
         pi2[x] = tuple(sorted(a for a in grp if fb[a] == one))
     C._homotopy = HomotopyData(pi0, pi1, pi2)
     return C._homotopy

@@ -73,7 +73,7 @@ def vertex_object(D: CrossedDiagram, x: str, i: int, q: int) -> str:
 
 def _check_datum_typing(D: CrossedDiagram, t: DescentDatum) -> None:
     L0, L1, L2 = D.levels[0], D.levels[1], D.levels[2]
-    if t.x not in set(L0.objects):
+    if t.x not in L0.g1.identities:
         raise DomainError(f"{t.x!r} is not an object of level 0")
     if not L1.g1.contains_morphism(t.g):
         raise DomainError(f"{t.g!r} is not a 1-morphism of level 1")
@@ -115,31 +115,41 @@ def _check_gauge_typing(
 # -- the two descent conditions -----------------------------------------
 
 
+def _cocycle_failure(D: CrossedDiagram, g: str) -> str:
+    """g_(0,2)^-1 . g_(1,2) . g_(0,1) in level 2, which the first descent
+    condition equates with feedback(a)."""
+    g01 = D.face((0, 1), 2).apply_mor1(g)
+    g02 = D.face((0, 2), 2).apply_mor1(g)
+    g12 = D.face((1, 2), 2).apply_mor1(g)
+    return evaluate_word(D.levels[2].g1, Word.of((g02, -1), (g12, +1), (g01, +1)))
+
+
+def _twisted_cocycle_sides(D: CrossedDiagram, t: DescentDatum) -> tuple[str, str]:
+    """a_(0,1,3)^-1 . a_(0,2,3) . a_(0,1,2) and twist(g_(0,1)^-1, a_(1,2,3))
+    in level 3, which the second descent condition equates."""
+    L3 = D.levels[3]
+    a012 = D.face((0, 1, 2), 3).apply_mor2(t.a)
+    a013 = D.face((0, 1, 3), 3).apply_mor2(t.a)
+    a023 = D.face((0, 2, 3), 3).apply_mor2(t.a)
+    a123 = D.face((1, 2, 3), 3).apply_mor2(t.a)
+    g01 = D.face((0, 1), 3).apply_mor1(t.g)
+    grp = L3.g2
+    lhs = grp.mul(grp.mul(grp.inv(a013), a023), a012)
+    return lhs, L3.twist(L3.g1.inverse(g01), a123)
+
+
 def is_descent_datum(D: CrossedDiagram, t: DescentDatum) -> tuple[bool, ValidationReport]:
     """Check both descent conditions; ill-typed input raises, it is not False."""
     _check_datum_typing(D, t)
     report = ValidationReport()
-    L2, L3 = D.levels[2], D.levels[3]
-
-    g01 = D.face((0, 1), 2).apply_mor1(t.g)
-    g02 = D.face((0, 2), 2).apply_mor1(t.g)
-    g12 = D.face((1, 2), 2).apply_mor1(t.g)
-    lhs1 = evaluate_word(L2.g1, Word.of((g02, -1), (g12, +1), (g01, +1)))
-    rhs1 = L2.feedback(t.a)
+    lhs1 = _cocycle_failure(D, t.g)
+    rhs1 = D.levels[2].feedback(t.a)
     if lhs1 != rhs1:
         report.add(
             "cocycle-failure",
             f"g_(0,2)^-1 . g_(1,2) . g_(0,1) = {lhs1} but feedback(a) = {rhs1}",
         )
-
-    a012 = D.face((0, 1, 2), 3).apply_mor2(t.a)
-    a013 = D.face((0, 1, 3), 3).apply_mor2(t.a)
-    a023 = D.face((0, 2, 3), 3).apply_mor2(t.a)
-    a123 = D.face((1, 2, 3), 3).apply_mor2(t.a)
-    g01_3 = D.face((0, 1), 3).apply_mor1(t.g)
-    grp = L3.g2
-    lhs2 = grp.mul(grp.mul(grp.inv(a013), a023), a012)
-    rhs2 = L3.twist(L3.g1.inverse(g01_3), a123)
+    lhs2, rhs2 = _twisted_cocycle_sides(D, t)
     if lhs2 != rhs2:
         report.add(
             "twisted-2-cocycle",
@@ -317,18 +327,17 @@ def completion_steps(
     """
     a_prime, dst = complete_descent(D, src, partial_dst, t)
     L2 = D.levels[2]
-    G, grp = L2.g1, L2.g2
+    G = L2.g1
 
     f = [D.face((i,), 2).apply_mor1(t.f) for i in range(3)]
     gm = {ij: D.face(ij, 2).apply_mor1(src.g) for ij in ((0, 1), (0, 2), (1, 2))}
     cm = {ij: D.face(ij, 2).apply_mor2(t.c) for ij in ((0, 1), (0, 2), (1, 2))}
-    gp = {ij: D.face(ij, 2).apply_mor1(dst.g) for ij in ((0, 1), (0, 2), (1, 2))}
+    # cannot raise: the descent check of dst in `complete_descent` evaluated it
+    target = _cocycle_failure(D, dst.g)
     Dc = {ij: L2.feedback(cm[ij]) for ij in cm}
 
     def word(*factors):
         return evaluate_word(G, Word.of(*factors))
-
-    target = word((gp[(0, 2)], -1), (gp[(1, 2)], +1), (gp[(0, 1)], +1))
 
     expand = lambda ij, i, j: [(f[j], +1), (gm[ij], +1), (Dc[ij], +1), (f[i], -1)]
     piece02 = word(*expand((0, 2), 0, 2))
@@ -353,9 +362,7 @@ def completion_steps(
         (L2.feedback(twisted_c12), +1), (Dc[(0, 1)], +1), (f[0], -1),
     )
 
-    inner = grp.mul(
-        grp.mul(grp.mul(grp.inv(cm[(0, 2)]), src.a), twisted_c12), cm[(0, 1)]
-    )
+    inner = _inner_cell(L2, src.a, gm[(0, 1)], cm[(0, 1)], cm[(0, 2)], cm[(1, 2)])
     pulled_out = L2.feedback(L2.twist(f[0], inner))
 
     definition = L2.feedback(a_prime)

@@ -114,6 +114,15 @@ def one_object_crossed(
     return CrossedGroupoid(g1, g2, twist_table, dict(feedback))
 
 
+def _upper_group(G: FiniteGroup, elems) -> tuple[dict[str, str], FiniteGroup]:
+    """The subgroup `elems` of G with every id "2."-prefixed, in the order of
+    `elems`, and the map from an element to its prefixed id."""
+    up = {a: f"2.{a}" for a in elems}
+    table = {(up[a], up[b]): up[G.mul(a, b)] for a in elems for b in elems}
+    inv = {up[a]: up[G.inv(a)] for a in elems}
+    return up, FiniteGroup.from_table(tuple(up.values()), table, up[G.identity], inv)
+
+
 def crossed_from_normal_subgroup(G: FiniteGroup, N) -> CrossedGroupoid:
     """One object; lower group G, upper group a normal subgroup N with the
     inclusion as feedback and conjugation as twist."""
@@ -137,11 +146,7 @@ def crossed_from_normal_subgroup(G: FiniteGroup, N) -> CrossedGroupoid:
                 raise DomainError(
                     f"subgroup is not normal: {g!r} . {a!r} . {g!r}^-1 escapes"
                 )
-    up = {a: f"2.{a}" for a in N}
-    table = {(up[a], up[b]): up[G.mul(a, b)] for a in N for b in N}
-    g2_grp = FiniteGroup.from_table(
-        tuple(up[a] for a in N), table, up[G.identity], {up[a]: up[G.inv(a)] for a in N}
-    )
+    up, g2_grp = _upper_group(G, N)
     feedback = {up[a]: a for a in N}
 
     def twist(g: str, a2: str) -> str:
@@ -163,18 +168,7 @@ def crossed_group(g2_grp_base: FiniteGroup) -> CrossedGroupoid:
                     "trivial feedback requires an abelian upper group "
                     f"({a!r} and {b!r} do not commute)"
                 )
-    up = {a: f"2.{a}" for a in g2_grp_base}
-    table = {
-        (up[a], up[b]): up[g2_grp_base.mul(a, b)]
-        for a in g2_grp_base
-        for b in g2_grp_base
-    }
-    g2_grp = FiniteGroup.from_table(
-        tuple(up[a] for a in g2_grp_base),
-        table,
-        up[g2_grp_base.identity],
-        {up[a]: up[g2_grp_base.inv(a)] for a in g2_grp_base},
-    )
+    up, g2_grp = _upper_group(g2_grp_base, g2_grp_base)
     g1_grp = trivial_group()
     feedback = {up[a]: g1_grp.identity for a in g2_grp_base}
     return one_object_crossed(g1_grp, g2_grp, feedback, lambda g, a: a)
@@ -265,11 +259,7 @@ def inner_crossed(G: FiniteGroup) -> CrossedGroupoid:
     ident = name[tuple(order)]
     aut_grp = FiniteGroup.from_table(tuple(sorted(by_name)), table, ident, inv_table)
 
-    up = {a: f"2.{a}" for a in G}
-    g2_table = {(up[a], up[b]): up[G.mul(a, b)] for a in G for b in G}
-    g2_grp = FiniteGroup.from_table(
-        tuple(up[a] for a in G), g2_table, up[G.identity], {up[a]: up[G.inv(a)] for a in G}
-    )
+    up, g2_grp = _upper_group(G, G)
     feedback = {}
     for a in G:
         conj = tuple(G.mul(G.mul(a, e), G.inv(a)) for e in order)

@@ -19,7 +19,6 @@ from .groupoid import FiniteGroupoid
 from .validation import LoadError, ResourceBoundError
 
 FORMAT_VERSION = "crossed-desc/1"
-KINDS = ("groupoid", "crossed", "diagram", "diagram-morphism", "fixture-spec")
 
 
 def dumps_canonical(obj) -> str:
@@ -119,19 +118,31 @@ def crossed_from_json(d: dict) -> CrossedGroupoid:
 # -- diagrams and their morphisms ---------------------------------------
 
 
-def _maps_to_json(obj_map: dict, mor1_map: dict, mor2_map: dict) -> dict:
+def _maps_to_json(F: CrossedMorphism) -> dict:
     return {
-        "objects": dict(sorted(obj_map.items())),
-        "mor1": dict(sorted(mor1_map.items())),
-        "mor2": dict(sorted(mor2_map.items())),
+        "objects": dict(sorted(F.obj_map.items())),
+        "mor1": dict(sorted(F.mor1_map.items())),
+        "mor2": dict(sorted(F.mor2_map.items())),
     }
+
+
+def _maps_from_json(
+    d: dict, source: CrossedGroupoid, target: CrossedGroupoid, what: str
+) -> CrossedMorphism:
+    return CrossedMorphism(
+        source,
+        target,
+        dict(_require(d, "objects", what)),
+        dict(_require(d, "mor1", what)),
+        dict(_require(d, "mor2", what)),
+    )
 
 
 def diagram_to_json(D: CrossedDiagram, bound: int = DEFAULT_SIZE_BOUND) -> dict:
     return {
         "levels": [crossed_to_json(L, bound) for L in D.levels],
         "cofaces": {
-            f"{p},{k}": _maps_to_json(d.obj_map, d.mor1_map, d.mor2_map)
+            f"{p},{k}": _maps_to_json(d)
             for (p, k), d in sorted(D.cofaces.items())
         },
     }
@@ -147,13 +158,7 @@ def diagram_from_json(d: dict) -> CrossedDiagram:
             p, k = (int(part) for part in key.split(","))
         except ValueError:
             raise LoadError(f"bad coface key {key!r}; expected 'p,k'") from None
-        cofaces[(p, k)] = CrossedMorphism(
-            levels[p],
-            levels[p + 1],
-            dict(_require(maps, "objects", "coface")),
-            dict(_require(maps, "mor1", "coface")),
-            dict(_require(maps, "mor2", "coface")),
-        )
+        cofaces[(p, k)] = _maps_from_json(maps, levels[p], levels[p + 1], "coface")
     return CrossedDiagram(levels, cofaces)
 
 
@@ -163,9 +168,7 @@ def diagram_morphism_to_json(
     return {
         "source": diagram_to_json(F.source, bound),
         "target": diagram_to_json(F.target, bound),
-        "levels": [
-            _maps_to_json(Fp.obj_map, Fp.mor1_map, Fp.mor2_map) for Fp in F.levels
-        ],
+        "levels": [_maps_to_json(Fp) for Fp in F.levels],
     }
 
 
@@ -176,13 +179,7 @@ def diagram_morphism_from_json(d: dict) -> DiagramMorphism:
     if len(maps) != 4:
         raise LoadError("a diagram-morphism document needs exactly four level maps")
     levels = tuple(
-        CrossedMorphism(
-            source.levels[p],
-            target.levels[p],
-            dict(_require(maps[p], "objects", "level map")),
-            dict(_require(maps[p], "mor1", "level map")),
-            dict(_require(maps[p], "mor2", "level map")),
-        )
+        _maps_from_json(maps[p], source.levels[p], target.levels[p], "level map")
         for p in range(4)
     )
     return DiagramMorphism(source, target, levels)
@@ -220,6 +217,16 @@ _PARSERS = {
     "fixture-spec": fixture_spec_from_json,
 }
 
+# kind -> payload writer taking (structure, bound)
+_WRITERS = {
+    "groupoid": lambda G, bound: groupoid_to_json(G),
+    "crossed": crossed_to_json,
+    "diagram": diagram_to_json,
+    "diagram-morphism": diagram_morphism_to_json,
+    "fixture-spec": lambda spec, bound: fixture_spec_to_json(spec),
+}
+KINDS = tuple(_WRITERS)
+
 
 def parse_document(text: str) -> tuple[str, object]:
     """Parse an envelope; returns (kind, structure).
@@ -245,16 +252,6 @@ def parse_document(text: str) -> tuple[str, object]:
 
 
 def serialize_document(kind: str, structure, bound: int = DEFAULT_SIZE_BOUND) -> str:
-    if kind == "groupoid":
-        payload = groupoid_to_json(structure)
-    elif kind == "crossed":
-        payload = crossed_to_json(structure, bound)
-    elif kind == "diagram":
-        payload = diagram_to_json(structure, bound)
-    elif kind == "diagram-morphism":
-        payload = diagram_morphism_to_json(structure, bound)
-    elif kind == "fixture-spec":
-        payload = fixture_spec_to_json(structure)
-    else:
+    if kind not in _WRITERS:
         raise LoadError(f"unknown document kind {kind!r}")
-    return dumps_canonical(envelope(kind, payload))
+    return dumps_canonical(envelope(kind, _WRITERS[kind](structure, bound)))

@@ -15,12 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cosimplicial import CrossedDiagram, DiagramMorphism
-from .crossed import is_weak_equivalence_crossed
+from .crossed import homotopy, is_weak_equivalence_crossed
 from .descent import (
     ClassTable,
     DescentDatum,
     GaugeTransformation,
     PartialDescentDatum,
+    _cocycle_failure,
+    _inner_cell,
+    _twisted_cocycle_sides,
     complete_descent,
     gauge_classes,
     gauge_compose,
@@ -29,7 +32,7 @@ from .descent import (
     is_gauge,
     vertex_object,
 )
-from .groupoid import Word, evaluate_word, pi0_groupoid
+from .groupoid import Word, evaluate_word
 from .validation import (
     CrossedDescError,
     DomainError,
@@ -117,7 +120,7 @@ def lift_descent(
 
     # 1. an object of the source hitting the component of y, and a connecting
     #    1-morphism f : y -> F(x)
-    labels = pi0_groupoid(H0.g1)
+    labels = homotopy(H0).pi0
     x = f = None
     for cand in sorted(G.levels[0].objects):
         image = F.levels[0].apply_obj(cand)
@@ -166,10 +169,7 @@ def lift_descent(
 
     # 4. the unique source 2-cell with the prescribed feedback and image
     G2 = G.levels[2]
-    g01 = G.face((0, 1), 2).apply_mor1(g)
-    g02 = G.face((0, 2), 2).apply_mor1(g)
-    g12 = G.face((1, 2), 2).apply_mor1(g)
-    want_feedback = evaluate_word(G2.g1, Word.of((g02, -1), (g12, +1), (g01, +1)))
+    want_feedback = _cocycle_failure(G, g)
     x0_2 = vertex_object(G, x, 0, 2)
     a = None
     for cand in sorted(G2.g2.group(x0_2).elements):
@@ -201,15 +201,9 @@ def lift_descent(
 
 def _second_condition_defect(D: CrossedDiagram, t: DescentDatum) -> str:
     """a_(0,1,3)^-1 . a_(0,2,3) . a_(0,1,2) . twist(g_(0,1)^-1, a_(1,2,3))^-1."""
-    L3 = D.levels[3]
-    grp = L3.g2
-    a012 = D.face((0, 1, 2), 3).apply_mor2(t.a)
-    a013 = D.face((0, 1, 3), 3).apply_mor2(t.a)
-    a023 = D.face((0, 2, 3), 3).apply_mor2(t.a)
-    a123 = D.face((1, 2, 3), 3).apply_mor2(t.a)
-    g01 = D.face((0, 1), 3).apply_mor1(t.g)
-    lhs = grp.mul(grp.mul(grp.inv(a013), a023), a012)
-    return grp.mul(lhs, grp.inv(L3.twist(L3.g1.inverse(g01), a123)))
+    grp = D.levels[3].g2
+    lhs, rhs = _twisted_cocycle_sides(D, t)
+    return grp.mul(lhs, grp.inv(rhs))
 
 
 # -- lifting gauge transformations (injectivity chase) ------------------
@@ -313,10 +307,7 @@ def _gauge_condition_defect(
     d12 = D.face((1, 2), 2).apply_mor2(t.c)
     g01 = D.face((0, 1), 2).apply_mor1(src.g)
     head = grp.inv(L2.twist(L2.g1.inverse(e0), dst.a))
-    tail = grp.mul(
-        grp.mul(grp.mul(grp.inv(d02), src.a), L2.twist(L2.g1.inverse(g01), d12)), d01
-    )
-    return grp.mul(head, tail)
+    return grp.mul(head, _inner_cell(L2, src.a, g01, d01, d02, d12))
 
 
 # -- trace re-validation ------------------------------------------------

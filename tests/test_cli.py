@@ -1,8 +1,12 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crossed_desc import transfer
 from crossed_desc.cli import _build_parser, main
@@ -454,3 +458,221 @@ def test_output_is_deterministic(run, fixa_doc):
 def test_unknown_command_exits_2(run):
     code, _ = run("frobnicate", "x.json")
     assert code == 2
+
+
+WRONG_KIND_DOCS = {
+    "groupoid": lambda: serialize_document("groupoid", fix_a_core().g1),
+    "crossed": lambda: serialize_document("crossed", fix_a_core()),
+    "diagram": lambda: serialize_document("diagram", fix_a()),
+    "diagram-morphism": lambda: serialize_document(
+        "diagram-morphism", fatten_diagram(fix_a(), 2)[1]),
+    "crossed-spec": lambda: dumps_canonical(envelope(
+        "fixture-spec", {"kind": "inner", "params": {"group": "z2"}})),
+    "diagram-spec": lambda: dumps_canonical(envelope(
+        "fixture-spec", {"kind": "constant-diagram", "params": {"base": "fix-a-core"}})),
+    "diagram-morphism-spec": lambda: dumps_canonical(envelope("fixture-spec", {
+        "kind": "fatten",
+        "params": {"base": {"kind": "constant-diagram", "params": {"base": "fix-a-core"}},
+                   "copies": 2},
+    })),
+}
+
+
+def _report_bytes(kind):
+    return ('{\n  "kind": "%s",\n  "report": {\n    "ok": true,\n'
+            '    "violations": []\n  }\n}\n' % kind)
+
+
+def _error_bytes(message):
+    return '{\n  "error": %s\n}\n' % json.dumps(message)
+
+
+_NOT_A_DIAGRAM = "expected a diagram document, got kind {!r}"
+_NOT_A_MORPHISM = "expected a diagram-morphism document, got kind {!r}"
+_NOT_A_SPEC = "expected a fixture-spec document, got kind {!r}"
+
+# (command, input, exit code, stdout: a report, an error, or the sha256 of
+# an expanded document)
+WRONG_KIND_CASES = [
+    ("desc", "crossed", 4, _error_bytes(_NOT_A_DIAGRAM.format("crossed"))),
+    ("desc", "crossed-spec", 4, _error_bytes("fixture produces a crossed, not a diagram")),
+    ("desc", "groupoid", 4, _error_bytes(_NOT_A_DIAGRAM.format("groupoid"))),
+    ("desc", "diagram-morphism", 4, _error_bytes(_NOT_A_DIAGRAM.format("diagram-morphism"))),
+    ("desc", "diagram-morphism-spec", 4,
+     _error_bytes("fixture produces a diagram-morphism, not a diagram")),
+    *(
+        case
+        for command in ("weq", "transfer", "lift")
+        for case in (
+            (command, "diagram", 4, _error_bytes(_NOT_A_MORPHISM.format("diagram"))),
+            (command, "diagram-spec", 4,
+             _error_bytes("fixture produces a diagram, not a diagram morphism")),
+            (command, "crossed", 4, _error_bytes(_NOT_A_MORPHISM.format("crossed"))),
+            (command, "groupoid", 4, _error_bytes(_NOT_A_MORPHISM.format("groupoid"))),
+            (command, "crossed-spec", 4,
+             _error_bytes("fixture produces a crossed, not a diagram morphism")),
+        )
+    ),
+    *(("validate", kind, 0, _report_bytes(kind))
+      for kind in ("groupoid", "crossed", "diagram", "diagram-morphism")),
+    *(("validate", spec, 0, _report_bytes("fixture-spec"))
+      for spec in ("crossed-spec", "diagram-spec", "diagram-morphism-spec")),
+    *(("fixture", kind, 4, _error_bytes(_NOT_A_SPEC.format(kind)))
+      for kind in ("groupoid", "crossed", "diagram", "diagram-morphism")),
+    ("fixture", "crossed-spec", 0,
+     "4d7372feaa391300f0007915954941041ef6d3febde9a31e44d80b7ee3a05592"),
+    ("fixture", "diagram-spec", 0,
+     "af4030364f44c7574836fb3f10ce893554de1a1dafe64a15c5151add987f0d6a"),
+    ("fixture", "diagram-morphism-spec", 0,
+     "7c63e3a94aae9f10fed02d58f7dcd836af21d23e2dae8fd37bafd4fee299ac5b"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, kind, exit_code, expected", WRONG_KIND_CASES,
+    ids=[f"{c[0]}-{c[1]}" for c in WRONG_KIND_CASES],
+)
+def test_document_kinds_pinned(run, tmp_path, command, kind, exit_code, expected):
+    """Every command on every document kind it refuses or accepts prints
+    exactly these bytes and exits with this code."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(WRONG_KIND_DOCS[kind](), encoding="utf-8")
+    extra = ("--target", "0") if command == "lift" else ()
+    code, out = run(command, str(path), *extra)
+    assert code == exit_code
+    if command == "fixture" and exit_code == 0:
+        out = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert out == expected
+
+
+@functools.cache
+def _inclusion_text(base):
+    """The serialized inclusion of copy 0 into the fattened constant diagram
+    of `base` (two copies)."""
+    return serialize_document(
+        "diagram-morphism", fatten_diagram(constant_diagram(NAMED_CROSSED[base]()), 2)[1])
+
+
+def _inclusion_doc(base):
+    return json.loads(_inclusion_text(base))
+
+
+def _target_doc(doc):
+    return envelope("diagram", doc["payload"]["target"])
+
+
+def test_transfer_maps_a_table_defect_like_desc(run, tmp_path):
+    """A composable pair missing from a target table is a parse failure in
+    `transfer` as in `desc --classes` on the target: exit 2, same bytes."""
+    doc = _inclusion_doc("fix-c-core")
+    doc["payload"]["target"]["levels"][1]["g1"]["compose"].remove(["1@0.0", "0@0.0", "1@0.0"])
+    desc = run("desc", _write(tmp_path, "target", _target_doc(doc)), "--classes")
+    assert run("transfer", _write(tmp_path, "morphism", doc)) == desc
+    assert desc == (2, _error_bytes("composable pair ('1@0.0', '0@0.0') missing from table"))
+
+
+def _feedback_off_the_identity(doc):
+    doc["payload"]["target"]["levels"][1]["feedback"]["2.012@1"] = "021@1.1"
+
+
+def _identity_across_copies(doc):
+    doc["payload"]["target"]["levels"][0]["g1"]["identities"]["*@0"] = "0@0.1"
+
+
+@pytest.mark.parametrize(
+    "base, edit, message",
+    [
+        ("s3-a3", _feedback_off_the_identity,
+         "identity '012@1.1' at '*@1' lies in no coset of the feedback image"),
+        ("fix-c-core", _identity_across_copies,
+         "identity '0@0.1' at '*@0' lies in no coset of the feedback image"),
+    ],
+    ids=["feedback-off-the-identity", "identity-across-copies"],
+)
+def test_identity_outside_every_coset_exits_4(run, tmp_path, base, edit, message):
+    """A target level whose identity lies in no coset of the feedback image
+    has no pi1: `weq`, `transfer` and `lift` refuse with exit 4."""
+    doc = _inclusion_doc(base)
+    edit(doc)
+    path = _write(tmp_path, "morphism", doc)
+    for command, extra in (("weq", ()), ("transfer", ()), ("lift", ("--target", "0"))):
+        assert run(command, path, *extra) == (4, _error_bytes(message))
+
+
+def test_validate_morphism_covers_its_diagrams(run, tmp_path):
+    """`validate` on a diagram morphism reports what `validate` on its target
+    reports, prefixed with "target: ", after its own sections."""
+    doc = _inclusion_doc("s3-a3")
+    _feedback_off_the_identity(doc)
+    code, out = run("validate", _write(tmp_path, "target", _target_doc(doc)))
+    assert code == 1
+    target_violations = _violations(out)
+    assert ("feedback-unit", "level 1: feedback(1) != 1_*@1") in target_violations
+    code, out = run("validate", _write(tmp_path, "morphism", doc))
+    assert code == 1
+    assert _violations(out) == [
+        (rule, f"target: {detail}") for rule, detail in target_violations]
+
+
+def _table_ids(payload, level, table):
+    """Paths (list index or dict key, then position) of every id in one g1
+    compose, identities or feedback table of a level."""
+    lv = payload["levels"][level]
+    if table == "compose":
+        return [(i, k) for i in range(len(lv["g1"]["compose"])) for k in range(3)]
+    entries = lv["g1"]["identities"] if table == "identities" else lv["feedback"]
+    return [(key, k) for key in sorted(entries) for k in range(2)]
+
+
+def _substitute(payload, level, table, where, new_id):
+    """Replace one id of a table, a key or a value, by `new_id`; a key is
+    replaced only by an id that is not a key already."""
+    lv = payload["levels"][level]
+    if table == "compose":
+        row, k = where
+        lv["g1"]["compose"][row][k] = new_id
+        return
+    entries = lv["g1"]["identities"] if table == "identities" else lv["feedback"]
+    key, k = where
+    if k == 1:
+        entries[key] = new_id
+    elif new_id not in entries:
+        entries[new_id] = entries.pop(key)
+
+
+def _level_ids(payload, level):
+    lv = payload["levels"][level]
+    return sorted({*lv["g1"]["objects"], *(m["id"] for m in lv["g1"]["morphisms"]),
+                   *(a for grp in lv["g2"].values() for a in grp["elements"])})
+
+
+@st.composite
+def _substitutions(draw):
+    base = draw(st.sampled_from(["fix-c-core", "s3-a3", "fix-a-core"]))
+    doc = _inclusion_doc(base)
+    side = draw(st.sampled_from(["source", "target"]))
+    payload = doc["payload"][side]
+    level = draw(st.integers(0, 3))
+    table = draw(st.sampled_from(["compose", "identities", "feedback"]))
+    where = draw(st.sampled_from(_table_ids(payload, level, table)))
+    new_id = draw(st.sampled_from(_level_ids(payload, level)))
+    _substitute(payload, level, table, where, new_id)
+    return doc
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_substitutions())
+def test_single_id_substitutions_end_in_an_exit_code(tmp_path_factory, doc):
+    """One id of a g1 composition, identity or feedback table of a fattened
+    inclusion replaced by another id of its level: every command ends in an
+    exit code from 0 to 4 with JSON on stdout, and no exception escapes."""
+    tmp = tmp_path_factory.getbasetemp()
+    morphism = _write(tmp, "substituted-morphism", doc)
+    target = _write(tmp, "substituted-target", _target_doc(doc))
+    for argv in (["validate", morphism], ["desc", target, "--classes"], ["weq", morphism],
+                 ["transfer", morphism], ["lift", morphism, "--target", "0"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code in range(5), argv
+        json.loads(out.getvalue())
