@@ -32,6 +32,7 @@ from .transfer import (
     verify_bijection,
 )
 from .validation import (
+    DEFAULT_BOUND,
     CrossedDescError,
     DomainError,
     LoadError,
@@ -43,8 +44,6 @@ EXIT_SEMANTIC = 1
 EXIT_PARSE = 2
 EXIT_BOUND = 3
 EXIT_PRECONDITION = 4
-
-DEFAULT_BOUND = 1_000_000
 
 
 def _emit(obj) -> None:
@@ -67,10 +66,6 @@ def _load_as(path: str, want: str):
     elif kind != want:
         raise DomainError(f"expected a {want} document, got kind {kind!r}")
     return structure
-
-
-def _datum_json(t: DescentDatum) -> dict:
-    return {"x": t.x, "g": t.g, "a": t.a}
 
 
 # -- commands -----------------------------------------------------------
@@ -107,16 +102,10 @@ def cmd_desc(args) -> int:
             "classCount": len(classes),
             "classes": [
                 {
-                    "representative": _datum_json(rep),
-                    "members": [_datum_json(m) for m in members],
+                    "representative": rep.as_json(),
+                    "members": [m.as_json() for m in members],
                     "witnesses": [
-                        {
-                            "member": _datum_json(m),
-                            "gauge": {
-                                "f": table.witnesses[m].f,
-                                "c": table.witnesses[m].c,
-                            },
-                        }
+                        {"member": m.as_json(), "gauge": table.witnesses[m].as_json()}
                         for m in members
                     ],
                 }
@@ -125,7 +114,7 @@ def cmd_desc(args) -> int:
         }
     else:
         data = enumerate_descent(D, args.bound)
-        out = {"count": len(data), "data": [_datum_json(t) for t in data]}
+        out = {"count": len(data), "data": [t.as_json() for t in data]}
     _emit(out)
     return EXIT_OK
 
@@ -154,12 +143,12 @@ def cmd_lift(args) -> int:
     if not ok:
         _emit({"weakEquivalence": False, "report": report.as_json()})
         return EXIT_PRECONDITION
-    target = _parse_target(F, args.target)
+    target = _parse_target(F, args.target, args.bound)
     lifted, witness, trace = lift_descent(F, target)
     out = {
-        "target": _datum_json(target),
-        "lifted": _datum_json(lifted),
-        "witness": {"f": witness.f, "c": witness.c},
+        "target": target.as_json(),
+        "lifted": lifted.as_json(),
+        "witness": witness.as_json(),
     }
     if args.trace:
         out["trace"] = trace.as_json()
@@ -167,9 +156,9 @@ def cmd_lift(args) -> int:
     return EXIT_OK
 
 
-def _parse_target(F: DiagramMorphism, spec: str) -> DescentDatum:
-    """A target datum: an index into the canonical enumeration, or a JSON
-    object {"x":..., "g":..., "a":...}."""
+def _parse_target(F: DiagramMorphism, spec: str, bound: int) -> DescentDatum:
+    """A target datum: an index into the canonical enumeration (of at most
+    `bound` candidates), or a JSON object {"x":..., "g":..., "a":...}."""
     try:
         index = int(spec)
     except ValueError:
@@ -180,7 +169,7 @@ def _parse_target(F: DiagramMorphism, spec: str) -> DescentDatum:
         if not (isinstance(d, dict) and all(isinstance(d.get(k), str) for k in "xga")):
             raise LoadError(f"target {spec!r} is not an object with string x, g and a")
         return DescentDatum(d["x"], d["g"], d["a"])
-    data = enumerate_descent(F.target)
+    data = enumerate_descent(F.target, bound)
     if not 0 <= index < len(data):
         raise DomainError(f"target index {index} out of range (0..{len(data) - 1})")
     return data[index]

@@ -44,12 +44,6 @@ class CrossedDiagram:
             if d.source is not self.levels[p] or d.target is not self.levels[p + 1]:
                 raise LoadError(f"coface ({p}, {k}) does not connect level {p} to {p + 1}")
 
-    def coface(self, p: int, k: int) -> CrossedMorphism:
-        try:
-            return self.cofaces[(p, k)]
-        except KeyError:
-            raise DomainError(f"no coface d^{k} at level {p}") from None
-
     def face(self, seq: tuple[int, ...], q: int) -> CrossedMorphism:
         """The map level p -> level q of the face with strictly increasing
         vertex sequence `seq` (p = len(seq) - 1 < q <= 3).
@@ -73,9 +67,9 @@ class CrossedDiagram:
         skipped = [k for k in range(q + 1) if k not in seq]
         if not skipped:
             raise DomainError(f"face {seq} of dimension {q} skips no vertex")
-        F = self.coface(p, skipped[0])
+        F = self.cofaces[(p, skipped[0])]
         for dim, k in enumerate(skipped[1:], start=p + 1):
-            F = compose_crossed_morphisms(self.coface(dim, k), F)
+            F = compose_crossed_morphisms(self.cofaces[(dim, k)], F)
         self._faces[(seq, q)] = F
         return F
 
@@ -93,8 +87,8 @@ def validate_diagram(D: CrossedDiagram) -> ValidationReport:
         for j in range(p + 3):
             for i in range(j):
                 # d^j . d^i = d^i . d^{j-1} as maps level p -> level p+2
-                lhs = compose_crossed_morphisms(D.coface(p + 1, j), D.coface(p, i))
-                rhs = compose_crossed_morphisms(D.coface(p + 1, i), D.coface(p, j - 1))
+                lhs = compose_crossed_morphisms(D.cofaces[(p + 1, j)], D.cofaces[(p, i)])
+                rhs = compose_crossed_morphisms(D.cofaces[(p + 1, i)], D.cofaces[(p, j - 1)])
                 if not crossed_morphisms_equal(lhs, rhs):
                     witness = _first_difference(lhs, rhs)
                     report.add(
@@ -133,9 +127,6 @@ class DiagramMorphism:
             if F.source is not self.source.levels[p] or F.target is not self.target.levels[p]:
                 raise LoadError(f"level map {p} does not connect the diagrams' levels")
 
-    def level(self, p: int) -> CrossedMorphism:
-        return self.levels[p]
-
 
 def identity_diagram_morphism(D: CrossedDiagram) -> DiagramMorphism:
     from .crossed import identity_crossed_morphism
@@ -153,8 +144,8 @@ def validate_diagram_morphism(F: DiagramMorphism) -> ValidationReport:
     if not report.ok:
         return report
     for (p, k) in sorted(F.source.cofaces):
-        lhs = compose_crossed_morphisms(F.levels[p + 1], F.source.coface(p, k))
-        rhs = compose_crossed_morphisms(F.target.coface(p, k), F.levels[p])
+        lhs = compose_crossed_morphisms(F.levels[p + 1], F.source.cofaces[(p, k)])
+        rhs = compose_crossed_morphisms(F.target.cofaces[(p, k)], F.levels[p])
         if not crossed_morphisms_equal(lhs, rhs):
             report.add(
                 "naturality",

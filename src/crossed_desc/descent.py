@@ -32,13 +32,12 @@ from .cosimplicial import CrossedDiagram
 from .crossed import CrossedGroupoid
 from .groupoid import Word, evaluate_word
 from .validation import (
+    DEFAULT_BOUND,
     CrossedDescError,
     DomainError,
     ResourceBoundError,
     ValidationReport,
 )
-
-DEFAULT_CANDIDATE_BOUND = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -46,6 +45,9 @@ class DescentDatum:
     x: str
     g: str
     a: str
+
+    def as_json(self) -> dict:
+        return {"x": self.x, "g": self.g, "a": self.a}
 
 
 @dataclass(frozen=True, order=True)
@@ -58,6 +60,9 @@ class PartialDescentDatum:
 class GaugeTransformation:
     f: str
     c: str
+
+    def as_json(self) -> dict:
+        return {"f": self.f, "c": self.c}
 
 
 # -- face shorthands ----------------------------------------------------
@@ -159,17 +164,19 @@ def is_descent_datum(D: CrossedDiagram, t: DescentDatum) -> tuple[bool, Validati
     return report.ok, report
 
 
-def enumerate_descent(
-    D: CrossedDiagram, bound: int = DEFAULT_CANDIDATE_BOUND
-) -> list[DescentDatum]:
-    """All descent data, in lexicographic (x, g, a) order."""
+def enumerate_descent(D: CrossedDiagram, bound: int = DEFAULT_BOUND) -> list[DescentDatum]:
+    """All descent data, in lexicographic (x, g, a) order.
+
+    Candidates come from typed hom-sets and groups, so only the two conditions
+    are evaluated, in `is_descent_datum`'s order (errors included): the cocycle
+    failure of g once per (x, g), then feedback(a) and both twisted sides."""
     total = 0
     plan = []
     for x in sorted(D.levels[0].objects):
         x0, x1 = vertex_object(D, x, 0, 1), vertex_object(D, x, 1, 1)
         homset = D.levels[1].g1.hom(x0, x1)
         x0_2 = vertex_object(D, x, 0, 2)
-        cells = D.levels[2].g2.group(x0_2).elements
+        cells = sorted(D.levels[2].g2.group(x0_2).elements)
         total += len(homset) * len(cells)
         plan.append((x, homset, cells))
     if total > bound:
@@ -177,12 +184,15 @@ def enumerate_descent(
             f"{total} candidate triples exceed the bound of {bound}"
         )
     out = []
+    L2 = D.levels[2]
     for x, homset, cells in plan:
         for g in homset:
-            for a in sorted(cells):
+            failure = _cocycle_failure(D, g)
+            for a in cells:
                 t = DescentDatum(x, g, a)
-                ok, _ = is_descent_datum(D, t)
-                if ok:
+                cocycle_ok = L2.feedback(a) == failure
+                lhs, rhs = _twisted_cocycle_sides(D, t)
+                if cocycle_ok and lhs == rhs:
                     out.append(t)
     return out
 
@@ -397,9 +407,7 @@ class ClassTable:
         return sorted(m for m, r in self.rep_of.items() if r == rep)
 
 
-def gauge_classes(
-    D: CrossedDiagram, bound: int = DEFAULT_CANDIDATE_BOUND
-) -> ClassTable:
+def gauge_classes(D: CrossedDiagram, bound: int = DEFAULT_BOUND) -> ClassTable:
     """Partition all descent data into gauge classes, which are orbits.
 
     Members are scanned in sorted order.  A member not reached yet is the least

@@ -26,10 +26,8 @@ from .crossed import (
     FiniteGroup,
     identity_crossed_morphism,
 )
-from .groupoid import FiniteGroupoid
-from .validation import DomainError, LoadError, ResourceBoundError
-
-DEFAULT_SIZE_BOUND = 1_000_000
+from .groupoid import FiniteGroupoid, _generators
+from .validation import DEFAULT_BOUND, DomainError, LoadError, ResourceBoundError
 
 
 # -- elementary groups --------------------------------------------------
@@ -39,18 +37,18 @@ def trivial_group(ident: str = "1") -> FiniteGroup:
     return FiniteGroup.from_table((ident,), {(ident, ident): ident}, ident, {ident: ident})
 
 
-def cyclic_group(n: int, prefix: str = "") -> FiniteGroup:
-    """Z/n with elements prefix+"0" .. prefix+str(n-1); identity is the 0."""
+def cyclic_group(n: int) -> FiniteGroup:
+    """Z/n with elements "0" .. str(n-1); identity is the 0."""
     if n < 1:
         raise DomainError("cyclic group order must be positive")
-    elems = tuple(f"{prefix}{i}" for i in range(n))
+    elems = tuple(f"{i}" for i in range(n))
     table = {
-        (f"{prefix}{i}", f"{prefix}{j}"): f"{prefix}{(i + j) % n}"
+        (f"{i}", f"{j}"): f"{(i + j) % n}"
         for i in range(n)
         for j in range(n)
     }
-    inv = {f"{prefix}{i}": f"{prefix}{(-i) % n}" for i in range(n)}
-    return FiniteGroup.from_table(elems, table, f"{prefix}0", inv)
+    inv = {f"{i}": f"{(-i) % n}" for i in range(n)}
+    return FiniteGroup.from_table(elems, table, "0", inv)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -80,11 +78,10 @@ NAMED_GROUPS: dict[str, Callable[[], FiniteGroup]] = {
 # -- groupoid and crossed-groupoid builders -----------------------------
 
 
-def one_object_groupoid(grp: FiniteGroup, obj: str = "*",
-                        bound: int = DEFAULT_SIZE_BOUND) -> FiniteGroupoid:
+def one_object_groupoid(grp: FiniteGroup, obj: str = "*") -> FiniteGroupoid:
     """A group viewed as a groupoid with one object."""
     n = len(grp)
-    if n * n > bound:
+    if n * n > DEFAULT_BOUND:
         raise ResourceBoundError(f"{n * n} composition entries exceed the bound")
     table = {(a, b): grp.mul(a, b) for a in grp for b in grp}
     return FiniteGroupoid(
@@ -102,14 +99,12 @@ def one_object_crossed(
     g2_grp: FiniteGroup,
     feedback: dict[str, str],
     twist: Callable[[str, str], str],
-    obj: str = "*",
-    bound: int = DEFAULT_SIZE_BOUND,
 ) -> CrossedGroupoid:
-    """Assemble a one-object crossed groupoid from explicit group data."""
-    if len(g1_grp) * len(g2_grp) > bound:
+    """Assemble a one-object crossed groupoid on "*" from explicit group data."""
+    if len(g1_grp) * len(g2_grp) > DEFAULT_BOUND:
         raise ResourceBoundError("twist table would exceed the size bound")
-    g1 = one_object_groupoid(g1_grp, obj, bound)
-    g2 = DisconnectedGroupoid({obj: g2_grp})
+    g1 = one_object_groupoid(g1_grp)
+    g2 = DisconnectedGroupoid({"*": g2_grp})
     twist_table = {(g, a): twist(g, a) for g in g1_grp for a in g2_grp}
     return CrossedGroupoid(g1, g2, twist_table, dict(feedback))
 
@@ -188,47 +183,32 @@ def _element_orders(G: FiniteGroup) -> dict[str, int]:
     return orders
 
 
-def _generating_words(G: FiniteGroup) -> tuple[list[str], dict[str, tuple[int, ...]]]:
-    """A small generating sequence and, per element, one word in the generators."""
-    gens: list[str] = []
-    words: dict[str, tuple[int, ...]] = {G.identity: ()}
-    for e in sorted(G.elements):
-        if e in words:
-            continue
-        gens.append(e)
-        # close under right multiplication by all known generators
-        frontier = list(words)
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for k, g in enumerate(gens):
-                    prod = G.mul(w, g)
-                    if prod not in words:
-                        words[prod] = words[w] + (k,)
-                        nxt.append(prod)
-            frontier = nxt
-        assert e in words, "closure failed to reach a generator"
-    return gens, words
-
-
 def automorphisms(G: FiniteGroup) -> list[dict[str, str]]:
     """All group automorphisms, by backtracking over generator images.
 
-    Intended for small groups (|G| <= 24 or so).
+    Each choice of images for the generating set of G as a one-object
+    groupoid is extended along r -> r . s for every generator s, the way
+    `_generators` reaches the group, then checked.  Intended for small
+    groups (|G| <= 24 or so).
     """
     orders = _element_orders(G)
-    gens, words = _generating_words(G)
+    gens = _generators(one_object_groupoid(G))
+    steps = []  # (r . s, r, s) for every other element, r reached before it
+    reached = list(gens)
+    for r in reached:  # the list grows while walked: breadth-first
+        for s in gens:
+            rs = G.mul(r, s)
+            if rs not in reached:
+                reached.append(rs)
+                steps.append((rs, r, s))
     by_order: dict[int, list[str]] = {}
     for a in G:
         by_order.setdefault(orders[a], []).append(a)
     results = []
     for images in itertools.product(*(sorted(by_order[orders[g]]) for g in gens)):
-        phi = {}
-        for e in G:
-            val = G.identity
-            for k in words[e]:
-                val = G.mul(val, images[k])
-            phi[e] = val
+        phi = dict(zip(gens, images))
+        for rs, r, s in steps:
+            phi[rs] = G.mul(phi[r], phi[s])
         if len(set(phi.values())) != len(G):
             continue
         if all(
@@ -297,9 +277,7 @@ def _relabel_group(base: FiniteGroup, tag: str) -> FiniteGroup:
     return FiniteGroup(elems, f"{base.identity}{tag}", mul, inv)
 
 
-def fatten(
-    C: CrossedGroupoid, n: int, bound: int = DEFAULT_SIZE_BOUND
-) -> tuple[CrossedGroupoid, CrossedMorphism]:
+def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism]:
     """Replace each object by n copies connected by transported isomorphisms.
 
     Returns the fattened crossed groupoid and the inclusion of copy 0, which
@@ -318,7 +296,7 @@ def fatten(
                 morph_ids[(m, i, j)] = mid
                 source[mid] = f"{g1.source[m]}@{i}"
                 target[mid] = f"{g1.target[m]}@{j}"
-    if len(source) ** 2 > bound:
+    if len(source) ** 2 > DEFAULT_BOUND:
         raise ResourceBoundError("fattened composition table would exceed the bound")
     for (m, i, j), mid in morph_ids.items():
         inverses[mid] = morph_ids[(g1.inverses[m], j, i)]
@@ -370,9 +348,7 @@ def fatten(
     return fat, inclusion
 
 
-def fatten_diagram(
-    D: CrossedDiagram, n: int, bound: int = DEFAULT_SIZE_BOUND
-) -> tuple[CrossedDiagram, DiagramMorphism]:
+def fatten_diagram(D: CrossedDiagram, n: int) -> tuple[CrossedDiagram, DiagramMorphism]:
     """Fatten every level compatibly; returns the inclusion of copy 0.
 
     Each distinct level object is fattened once, so levels that are one
@@ -380,7 +356,7 @@ def fatten_diagram(
     fattened: dict[int, tuple[CrossedGroupoid, CrossedMorphism]] = {}
     for L in D.levels:
         if id(L) not in fattened:
-            fattened[id(L)] = fatten(L, n, bound)
+            fattened[id(L)] = fatten(L, n)
     levels = tuple(fattened[id(L)][0] for L in D.levels)
     cofaces = {}
     for (p, k), d in D.cofaces.items():
@@ -405,9 +381,7 @@ def fatten_diagram(
     return fat, DiagramMorphism(D, fat, tuple(fattened[id(L)][1] for L in D.levels))
 
 
-def cech_diagram(
-    C: CrossedGroupoid, m: int, bound: int = DEFAULT_SIZE_BOUND
-) -> CrossedDiagram:
+def cech_diagram(C: CrossedGroupoid, m: int) -> CrossedDiagram:
     """The Čech diagram of a one-object crossed group over an abstract cover
     with m indices: level p is the product over all (p+1)-tuples of indices,
     cofaces reindex by omitting a position.  Each level is marked as that
@@ -423,7 +397,7 @@ def cech_diagram(
     tuples = [sorted(itertools.product(range(m), repeat=p + 1)) for p in range(4)]
     for p in range(4):
         k = len(tuples[p])
-        if len(base_g2) ** k > bound or (len(base_g1) ** k) ** 2 > bound:
+        if len(base_g2) ** k > DEFAULT_BOUND or (len(base_g1) ** k) ** 2 > DEFAULT_BOUND:
             raise ResourceBoundError(f"Čech level {p} exceeds the size bound")
 
     g1_groups = [FiniteGroup.product([base_g1] * len(tuples[p])) for p in range(4)]
@@ -437,7 +411,7 @@ def cech_diagram(
     levels = []
     for p in range(4):
         k = len(tuples[p])
-        g1p = one_object_groupoid(g1_groups[p], obj, bound)
+        g1p = one_object_groupoid(g1_groups[p], obj)
         g2p = DisconnectedGroupoid({obj: g2_groups[p]})
         elems = g2_groups[p].elements
         feedback = dict(zip(elems, map("|".join, itertools.product(feedback_row, repeat=k))))
@@ -551,39 +525,39 @@ class FixtureSpec:
     params: dict = field(default_factory=dict)
 
 
-def build_fixture(spec: FixtureSpec, bound: int = DEFAULT_SIZE_BOUND):
+def build_fixture(spec: FixtureSpec):
     """Build a fixture; returns ("crossed", C), ("diagram", D) or
     ("diagram-morphism", F) depending on the kind.
 
     Parameters of the wrong shape or type raise LoadError.
     """
     try:
-        return _build(spec.kind, spec.params, bound)
+        return _build(spec.kind, spec.params)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LoadError(
             f"malformed {spec.kind!r} fixture params: {type(exc).__name__}: {exc}"
         ) from None
 
 
-def _build(kind: str, p: dict, bound: int):
+def _build(kind: str, p: dict):
     if kind == "normal-subgroup":
         G = _resolve_group(p["group"])
         return "crossed", crossed_from_normal_subgroup(G, p["subgroup"])
     if kind == "inner":
         return "crossed", inner_crossed(_resolve_group(p["group"]))
     if kind == "constant-diagram":
-        return "diagram", constant_diagram(_resolve_crossed(p["base"], bound))
+        return "diagram", constant_diagram(_resolve_crossed(p["base"]))
     if kind == "fatten":
         n = int(p.get("copies", 2))
-        base_kind, base = _resolve_base(p["base"], bound)
+        base_kind, base = _resolve_base(p["base"])
         if base_kind == "diagram":
-            fat, incl = fatten_diagram(base, n, bound)
+            fat, incl = fatten_diagram(base, n)
             return "diagram-morphism", incl
-        fat, incl = fatten(base, n, bound)
+        fat, incl = fatten(base, n)
         return "crossed", fat
     if kind == "cech":
-        base = _resolve_crossed(p["base"], bound)
-        return "diagram", cech_diagram(base, int(p.get("cover", 2)), bound)
+        base = _resolve_crossed(p["base"])
+        return "diagram", cech_diagram(base, int(p.get("cover", 2)))
     raise LoadError(f"unknown fixture kind {kind!r}")
 
 
@@ -596,23 +570,23 @@ def _resolve_group(ref) -> FiniteGroup:
     raise LoadError("group reference must be a name")
 
 
-def _resolve_crossed(ref, bound: int) -> CrossedGroupoid:
+def _resolve_crossed(ref) -> CrossedGroupoid:
     if isinstance(ref, str):
         try:
             return NAMED_CROSSED[ref]()
         except KeyError:
             raise LoadError(f"unknown crossed-groupoid name {ref!r}") from None
     if isinstance(ref, dict):
-        kind, built = build_fixture(FixtureSpec(ref["kind"], ref.get("params", {})), bound)
+        kind, built = build_fixture(FixtureSpec(ref["kind"], ref.get("params", {})))
         if kind != "crossed":
             raise LoadError("nested fixture does not produce a crossed groupoid")
         return built
     raise LoadError("crossed-groupoid reference must be a name or a nested spec")
 
 
-def _resolve_base(ref, bound: int):
+def _resolve_base(ref):
     if isinstance(ref, str) and ref in NAMED_CROSSED:
         return "crossed", NAMED_CROSSED[ref]()
     if isinstance(ref, dict):
-        return build_fixture(FixtureSpec(ref["kind"], ref.get("params", {})), bound)
+        return build_fixture(FixtureSpec(ref["kind"], ref.get("params", {})))
     raise LoadError("fatten base must be a named crossed groupoid or a nested spec")

@@ -35,8 +35,8 @@ class Word:
     anchor: str | None = None
 
     @staticmethod
-    def of(*factors: tuple[str, int], anchor: str | None = None) -> "Word":
-        return Word(tuple(factors), anchor)
+    def of(*factors: tuple[str, int]) -> "Word":
+        return Word(tuple(factors))
 
 
 @dataclass

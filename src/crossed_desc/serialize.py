@@ -14,9 +14,9 @@ import json
 
 from .crossed import CrossedGroupoid, CrossedMorphism, DisconnectedGroupoid, FiniteGroup
 from .cosimplicial import CrossedDiagram, DiagramMorphism
-from .fixtures import DEFAULT_SIZE_BOUND, FixtureSpec, build_fixture
+from .fixtures import FixtureSpec, build_fixture
 from .groupoid import FiniteGroupoid
-from .validation import LoadError, ResourceBoundError
+from .validation import DEFAULT_BOUND, LoadError, ResourceBoundError
 
 FORMAT_VERSION = "crossed-desc/1"
 
@@ -69,7 +69,7 @@ def groupoid_from_json(d: dict) -> FiniteGroupoid:
 # -- groups and crossed groupoids ---------------------------------------
 
 
-def group_to_json(grp: FiniteGroup, bound: int = DEFAULT_SIZE_BOUND) -> dict:
+def group_to_json(grp: FiniteGroup, bound: int = DEFAULT_BOUND) -> dict:
     n = len(grp)
     if n * n > bound:
         raise ResourceBoundError(
@@ -92,7 +92,7 @@ def group_from_json(d: dict) -> FiniteGroup:
     )
 
 
-def crossed_to_json(C: CrossedGroupoid, bound: int = DEFAULT_SIZE_BOUND) -> dict:
+def crossed_to_json(C: CrossedGroupoid, bound: int = DEFAULT_BOUND) -> dict:
     return {
         "g1": groupoid_to_json(C.g1),
         "g2": {
@@ -138,7 +138,7 @@ def _maps_from_json(
     )
 
 
-def diagram_to_json(D: CrossedDiagram, bound: int = DEFAULT_SIZE_BOUND) -> dict:
+def diagram_to_json(D: CrossedDiagram, bound: int = DEFAULT_BOUND) -> dict:
     return {
         "levels": [crossed_to_json(L, bound) for L in D.levels],
         "cofaces": {
@@ -163,7 +163,7 @@ def diagram_from_json(d: dict) -> CrossedDiagram:
 
 
 def diagram_morphism_to_json(
-    F: DiagramMorphism, bound: int = DEFAULT_SIZE_BOUND
+    F: DiagramMorphism, bound: int = DEFAULT_BOUND
 ) -> dict:
     return {
         "source": diagram_to_json(F.source, bound),
@@ -251,7 +251,7 @@ def parse_document(text: str) -> tuple[str, object]:
         raise LoadError(f"malformed {kind} payload: {exc}") from None
 
 
-def serialize_document(kind: str, structure, bound: int = DEFAULT_SIZE_BOUND) -> str:
+def serialize_document(kind: str, structure, bound: int = DEFAULT_BOUND) -> str:
     if kind not in _WRITERS:
         raise LoadError(f"unknown document kind {kind!r}")
     return dumps_canonical(envelope(kind, _WRITERS[kind](structure, bound)))

@@ -34,6 +34,7 @@ from .descent import (
 )
 from .groupoid import Word, evaluate_word
 from .validation import (
+    DEFAULT_BOUND,
     CrossedDescError,
     DomainError,
     LiftSearchError,
@@ -51,12 +52,7 @@ class LiftTrace:
     def as_json(self) -> dict:
         out = {"kind": self.kind}
         for k, v in self.data.items():
-            if isinstance(v, DescentDatum):
-                out[k] = {"x": v.x, "g": v.g, "a": v.a}
-            elif isinstance(v, GaugeTransformation):
-                out[k] = {"f": v.f, "c": v.c}
-            else:
-                out[k] = v
+            out[k] = v.as_json() if hasattr(v, "as_json") else v
         return out
 
 
@@ -405,14 +401,12 @@ class BijectionReport:
         return self.oracle_bijective == self.constructive_bijective
 
     def as_json(self, include_traces: bool = False) -> dict:
-        def dd(t):
-            return {"x": t.x, "g": t.g, "a": t.a}
-
         out = {
             "sourceClasses": len(self.source_classes.reps),
             "targetClasses": len(self.target_classes.reps),
             "classMap": [
-                {"source": dd(s), "target": dd(t)} for s, t in sorted(self.class_map.items())
+                {"source": s.as_json(), "target": t.as_json()}
+                for s, t in sorted(self.class_map.items())
             ],
             "oracleBijective": self.oracle_bijective,
             "constructiveBijective": self.constructive_bijective,
@@ -428,7 +422,7 @@ class BijectionReport:
         return out
 
 
-def verify_bijection(F: DiagramMorphism, bound: int = 1_000_000) -> BijectionReport:
+def verify_bijection(F: DiagramMorphism, bound: int = DEFAULT_BOUND) -> BijectionReport:
     """Check the induced map on gauge classes two independent ways.
 
     The enumeration route classifies both sides and inspects the induced map

@@ -1,4 +1,9 @@
-"""Violation reports and the exception hierarchy shared by all modules."""
+"""Violation reports, the exception hierarchy and the one size bound shared
+by all modules.
+
+Enumeration, classification, the bijection check and the serializer writers
+take `DEFAULT_BOUND` as their default bound; the fixture builders always use it.
+"""
 
 from __future__ import annotations
 
@@ -25,6 +30,9 @@ class ComposabilityError(DomainError):
 
 class ResourceBoundError(CrossedDescError):
     """An enumeration or construction would exceed the configured size bound."""
+
+
+DEFAULT_BOUND = 1_000_000
 
 
 class LiftSearchError(CrossedDescError):
@@ -56,8 +64,8 @@ class Violation:
 class ValidationReport:
     """Accumulates axiom violations; empty means the structure is valid."""
 
-    def __init__(self, violations: list[Violation] | None = None):
-        self.violations: list[Violation] = list(violations or [])
+    def __init__(self):
+        self.violations: list[Violation] = []
 
     def add(self, rule: str, detail: str) -> None:
         self.violations.append(Violation(rule, detail))

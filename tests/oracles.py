@@ -5,10 +5,12 @@ the library's face maps, word evaluation, completion, or class machinery, so
 that agreement between the two is meaningful.  A face is applied as an
 explicit chain of cofaces (`push_desc`), composed in a *different* order
 (largest skipped vertex first) than `CrossedDiagram.face` composes them.  The
-two exceptions are former classifiers of the library, kept verbatim to pin
-the current one to their exact output: `bfs_gauge_classes`, the breadth-first
-search over every gauge edge, and `scan_gauge_classes`, the orbit scan that
-evaluated every candidate through the checked accessors.
+exceptions are former routines of the library, kept verbatim to pin the
+current ones to their exact output: `bfs_gauge_classes`, the breadth-first
+search over every gauge edge, `scan_gauge_classes`, the orbit scan that
+evaluated every candidate through the checked accessors, and
+`checked_descent_data`, the enumeration that sent every candidate through
+`is_descent_datum`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import itertools
 
 from crossed_desc.descent import (
-    DEFAULT_CANDIDATE_BOUND,
     ClassTable,
     CrossedDescError,
     CrossedDiagram,
@@ -29,9 +30,11 @@ from crossed_desc.descent import (
     gauge_compose,
     gauge_identity,
     gauge_invert,
+    is_descent_datum,
     is_gauge,
     vertex_object,
 )
+from crossed_desc.validation import DEFAULT_BOUND
 
 
 def _skipped(seq, q):
@@ -98,6 +101,38 @@ def brute_descent_data(D):
                 rhs2 = L3.twist_table[(L3.g1.inverses[g01_3], a123)]
                 if lhs2 == rhs2:
                     out.append((x, g, a))
+    return out
+
+
+# The enumeration that `enumerate_descent` ran before it stopped sending its
+# candidates through the typing checks, kept verbatim (only renamed): every
+# candidate goes through `is_descent_datum`, so the library must return its
+# list, in order, or raise its error, on valid and on corrupted input alike.
+def checked_descent_data(
+    D: CrossedDiagram, bound: int = DEFAULT_BOUND
+) -> list[DescentDatum]:
+    """All descent data, in lexicographic (x, g, a) order."""
+    total = 0
+    plan = []
+    for x in sorted(D.levels[0].objects):
+        x0, x1 = vertex_object(D, x, 0, 1), vertex_object(D, x, 1, 1)
+        homset = D.levels[1].g1.hom(x0, x1)
+        x0_2 = vertex_object(D, x, 0, 2)
+        cells = D.levels[2].g2.group(x0_2).elements
+        total += len(homset) * len(cells)
+        plan.append((x, homset, cells))
+    if total > bound:
+        raise ResourceBoundError(
+            f"{total} candidate triples exceed the bound of {bound}"
+        )
+    out = []
+    for x, homset, cells in plan:
+        for g in homset:
+            for a in sorted(cells):
+                t = DescentDatum(x, g, a)
+                ok, _ = is_descent_datum(D, t)
+                if ok:
+                    out.append(t)
     return out
 
 
@@ -209,6 +244,18 @@ def cech_two_cocycle_count(m: int, values: int = 2):
         )
         coboundaries.add(db)
     return n_cocycles, len(coboundaries)
+
+
+def brute_automorphisms(G):
+    """Every bijection of G fixing the identity that is a homomorphism,
+    checked against the raw multiplication."""
+    rest = [e for e in G.elements if e != G.identity]
+    out = []
+    for images in itertools.permutations(rest):
+        phi = {G.identity: G.identity, **dict(zip(rest, images))}
+        if all(phi[G.mul(a, b)] == G.mul(phi[a], phi[b]) for a in G for b in G):
+            out.append(phi)
+    return out
 
 
 def group_from_table(table):
@@ -376,7 +423,7 @@ def cech_tables(C, m):
 # order included.  It builds every gauge edge, forward and backward, and
 # searches the resulting graph from each member not reached yet.
 def bfs_gauge_classes(
-    D: CrossedDiagram, bound: int = DEFAULT_CANDIDATE_BOUND
+    D: CrossedDiagram, bound: int = DEFAULT_BOUND
 ) -> ClassTable:
     """Partition all descent data by scanning typed (source, f, c) candidates.
 
@@ -454,7 +501,7 @@ def bfs_gauge_classes(
 # so the library must return its table, insertion order included, or raise
 # its error, on valid and on corrupted input alike.
 def scan_gauge_classes(
-    D: CrossedDiagram, bound: int = DEFAULT_CANDIDATE_BOUND
+    D: CrossedDiagram, bound: int = DEFAULT_BOUND
 ) -> ClassTable:
     """Partition all descent data into gauge classes, which are orbits.
 

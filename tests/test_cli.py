@@ -432,6 +432,13 @@ def test_lift(run, fat_spec_doc):
     assert json.loads(out)["lifted"]["a"] == "2.1"
 
 
+def test_lift_target_index_respects_bound(run, fat_spec_doc):
+    """The enumeration behind `--target <index>` is bounded by `--bound`."""
+    code, out = run("lift", fat_spec_doc, "--target", "0", "--bound", "1")
+    assert code == 3
+    assert json.loads(out) == {"error": "4 candidate triples exceed the bound of 1"}
+
+
 def test_lift_bad_target(run, fat_spec_doc):
     code, _ = run("lift", fat_spec_doc, "--target", "99")
     assert code == 4

@@ -35,6 +35,7 @@ from crossed_desc.fixtures import NAMED_CROSSED
 from oracles import (
     bfs_gauge_classes,
     brute_descent_data,
+    checked_descent_data,
     brute_gauge_classes,
     brute_gauge_related,
     scan_gauge_classes,
@@ -373,6 +374,39 @@ def test_scan_matches_the_scan_oracle_on_mutated_diagrams(scan_diagrams, name, e
     for edit in edits:
         D = _edit(D, *edit)
     assert _outcome(gauge_classes, D) == _outcome(scan_gauge_classes, D)
+
+
+def _enumerated(enumerator, D):
+    """The list an enumeration returns, or the type and message it raises."""
+    try:
+        return enumerator(D)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.sampled_from(["union", "inner-z3", "s3-a3", "cech"]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["mor1", "mor2", "compose", "twist"]),
+            st.integers(min_value=0, max_value=10_000),
+            st.integers(min_value=0, max_value=10_000),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_enumeration_matches_the_checked_oracle_on_mutated_diagrams(
+    scan_diagrams, name, edits
+):
+    """On the mutated diagrams of the scan test, enumeration returns the list
+    of the loop that sent every candidate through `is_descent_datum`, in
+    order, or raises its error."""
+    D = scan_diagrams[name]
+    for edit in edits:
+        D = _edit(D, *edit)
+    assert _enumerated(enumerate_descent, D) == _enumerated(checked_descent_data, D)
 
 
 def test_witnesses_verify(diag_cech):
