@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .crossed import (
     CrossedGroupoid,
     CrossedMorphism,
+    _check_crossed_morphism,
     compose_crossed_morphisms,
     crossed_morphisms_equal,
     validate_crossed,
@@ -75,12 +76,18 @@ class CrossedDiagram:
 
 
 def validate_diagram(D: CrossedDiagram) -> ValidationReport:
-    """Levels valid, cofaces valid morphisms, cosimplicial identities hold."""
+    """Levels valid, cofaces valid morphisms, cosimplicial identities hold.
+
+    Once all four levels are valid, the cofaces' functoriality and g2
+    homomorphisms are proven on generators (`crossed._check_crossed_morphism`);
+    otherwise every pair is walked."""
     report = ValidationReport()
     for p, level in enumerate(D.levels):
         report.extend(validate_crossed(level), prefix=f"level {p}: ")
+    levels_valid = report.ok
     for (p, k), d in sorted(D.cofaces.items()):
-        report.extend(validate_crossed_morphism(d), prefix=f"coface d^{k} at {p}: ")
+        report.extend(_check_crossed_morphism(d, levels_valid),
+                      prefix=f"coface d^{k} at {p}: ")
     if not report.ok:
         return report
     for p in range(2):
@@ -137,7 +144,8 @@ def identity_diagram_morphism(D: CrossedDiagram) -> DiagramMorphism:
 def validate_diagram_morphism(F: DiagramMorphism) -> ValidationReport:
     """Level maps valid and natural with respect to every coface, then the
     source and target diagrams valid.  Invalid level maps are reported
-    alone."""
+    alone.  The level maps are walked over every pair: their ends are
+    validated only after them, so the proofs on generators cannot be used."""
     report = ValidationReport()
     for p, Fp in enumerate(F.levels):
         report.extend(validate_crossed_morphism(Fp), prefix=f"level {p}: ")

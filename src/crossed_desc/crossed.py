@@ -154,12 +154,17 @@ class FiniteGroup:
 
 
 def validate_group(G: FiniteGroup) -> ValidationReport:
-    """Check the group axioms exhaustively.  An undefined product is a
-    closure violation and an undefined inverse an inverse violation; the other
-    axioms skip the instances that need them."""
+    """Check the group axioms exactly.  An undefined product is a closure
+    violation and an undefined inverse an inverse violation; the other axioms
+    skip the instances that need them.
+
+    Units, inverses and closure are walked in full.  When they hold,
+    associativity is proven on a generating set (Light's test, as for
+    groupoids); otherwise, or on a counterexample, every triple is walked,
+    so every violated instance is named."""
     report = ValidationReport()
     n = len(G)
-    _require_checks(n ** 3, "group associativity")
+    _require_checks(n * n, "group closure")
     mul, e = G.mul_or_none, G.identity
     for a in G.elements:
         if mul(e, a) not in (None, a) or mul(a, e) not in (None, a):
@@ -177,11 +182,30 @@ def validate_group(G: FiniteGroup) -> ValidationReport:
             report.add("group-closure", f"{a} . {b} is undefined")
         elif ab not in G:
             report.add("group-closure", f"{a} . {b} escapes the element set")
+    if report.ok:
+        gens = _generators(G)
+        _require_checks(n * n * len(gens), "group associativity on generators")
+        if all(_group_associative_at(G, s) for s in gens):
+            return report
+    _require_checks(n ** 3, "group associativity")
     for a, b, c in itertools.product(G.elements, repeat=3):
         lhs, rhs = mul(mul(a, b), c), mul(a, mul(b, c))
         if None not in (lhs, rhs) and lhs != rhs:
             report.add("group-associativity", f"({a} . {b}) . {c} != {a} . ({b} . {c})")
     return report
+
+
+def _group_associative_at(G: FiniteGroup, s: str) -> bool:
+    """(a . s) . c == a . (s . c) for every a and c: Light's test with s in
+    the middle (`groupoid._associative_at`).  Needs a closed table."""
+    mul, elements = G._mul, G.elements
+    after = [(c, mul(s, c)) for c in elements]
+    for a in elements:
+        as_ = mul(a, s)
+        for c, sc in after:
+            if mul(as_, c) != mul(a, sc):
+                return False
+    return True
 
 
 class DisconnectedGroupoid:
@@ -300,16 +324,23 @@ def validate_crossed(C: CrossedGroupoid) -> ValidationReport:
     An instance whose inputs are undefined or mistyped is skipped: the
     groupoid validator or another rule here already names them.
 
-    On a valid g1 the twist action is proven on a generating set of g1 (Light's
-    test, as for associativity); when g1 is invalid or a generator fails,
-    every composable pair is walked, so every violated instance is named."""
+    Each law over pairs is proven on a generating set once the laws its
+    proof rests on have passed (Light's test, as for associativity): the twist
+    action on generators of g1, and the twist homomorphisms, the feedback
+    functor and the Peiffer identity on generators of each g2 group.  When a
+    precondition or a generator fails, every pair is walked, so every
+    violated instance is named."""
     if C.power is not None:
         return _validate_power(C, *C.power)
     report = ValidationReport()
     g1_report = validate_groupoid(C.g1)
     report.extend(g1_report)
+    gens: dict[str, tuple[str, ...]] = {}  # generators of the valid g2 groups
     for x in C.g2.objects:
-        report.extend(validate_group(C.g2.group(x)), prefix=f"g2({x}): ")
+        group_report = validate_group(C.g2.group(x))
+        report.extend(group_report, prefix=f"g2({x}): ")
+        if group_report.ok:
+            gens[x] = _generators(C.g2.group(x))
 
     g1, tw, fb = C.g1, C.twist_table, C.feedback_table
     n_action = sum(
@@ -319,22 +350,31 @@ def validate_crossed(C: CrossedGroupoid) -> ValidationReport:
     _require_checks(n_action, "the twist action")
     _require_checks(len(tw), "equivariance")
 
-    # twisting is an action by group isomorphisms
+    # twisting is an action by group isomorphisms; twist(g, -) is proven a
+    # homomorphism on generators when the groups at both ends are valid
     for x in C.objects:
         e = g1.identities[x]
         for a in C.g2.group(x):
             r = tw.get((e, a))
             if r is not None and r != a:
                 report.add("twist-unit", f"twist(1_{x}, {a}) != {a}")
+    hom_ok = True
     for g in g1.morphisms:
-        grp = C.g2.group(g1.source[g])
-        image = C.g2.group(g1.target[g])
-        if len({tw[(g, a)] for a in grp}) != len(grp):
+        x, y = g1.source[g], g1.target[g]
+        grp, image = C.g2.group(x), C.g2.group(y)
+        row = {a: tw[(g, a)] for a in grp.elements}
+        if len(set(row.values())) != len(grp):
             report.add("twist-bijective", f"twist({g}, -) is not injective")
+        if x in gens and y in gens:
+            _require_checks(len(grp) * len(gens[x]), "a twist homomorphism on generators")
+            if _multiplicative_on(grp, gens[x], row, image._mul):
+                continue
+        _require_checks(len(grp) ** 2, "a twist homomorphism")
         for a, b in itertools.product(grp.elements, repeat=2):
             lhs = tw.get((g, grp.mul_or_none(a, b)))
-            rhs = image.mul_or_none(tw[(g, a)], tw[(g, b)])
+            rhs = image.mul_or_none(row[a], row[b])
             if None not in (lhs, rhs) and lhs != rhs:
+                hom_ok = False
                 report.add(
                     "twist-homomorphism",
                     f"twist({g}, {a} . {b}) != twist({g}, {a}) . twist({g}, {b})",
@@ -342,7 +382,9 @@ def validate_crossed(C: CrossedGroupoid) -> ValidationReport:
 
     # the action law: proven on generators of a valid g1 (`_acts_at`); walked
     # over every composable pair otherwise, so each violated instance is named
-    if not (g1_report.ok and all(_acts_at(C, g) for g in _generators(g1))):
+    action_ok = g1_report.ok and all(_acts_at(C, g) for g in _generators(g1))
+    if not action_ok:
+        walked = len(report)
         for h in g1.morphisms:
             for g in g1.into(g1.source[h]):
                 hg = g1.table.get((h, g))
@@ -353,23 +395,33 @@ def validate_crossed(C: CrossedGroupoid) -> ValidationReport:
                             "twist-action",
                             f"twist({h} . {g}, {a}) != twist({h}, twist({g}, {a}))",
                         )
+        action_ok = len(report) == walked
 
-    # feedback is a functor landing in automorphism groups
+    # feedback is a functor landing in automorphism groups; proven on
+    # generators when g1 and the group are valid and the endpoints hold
+    functor_ok: dict[str, bool] = {}
     for x in C.objects:
         grp = C.g2.group(x)
+        checked = len(report)
         if fb[grp.identity] != g1.identities[x]:
             report.add("feedback-unit", f"feedback(1) != 1_{x}")
-        for a in grp:
-            d = fb[a]
-            if g1.source[d] != x or g1.target[d] != x:
-                report.add("feedback-endpoints", f"feedback({a}) is not an endomorphism at {x}")
-        for a, b in itertools.product(grp.elements, repeat=2):
-            lhs, rhs = fb.get(grp.mul_or_none(a, b)), g1.table.get((fb[a], fb[b]))
-            if None not in (lhs, rhs) and lhs != rhs:
-                report.add(
-                    "feedback-functor",
-                    f"feedback({a} . {b}) != feedback({a}) . feedback({b})",
-                )
+        strays = [a for a in grp if g1.source[fb[a]] != x or g1.target[fb[a]] != x]
+        for a in strays:
+            report.add("feedback-endpoints", f"feedback({a}) is not an endomorphism at {x}")
+        proven = False
+        if g1_report.ok and x in gens and not strays:
+            _require_checks(len(grp) * len(gens[x]), "the feedback functor on generators")
+            proven = _multiplicative_on(grp, gens[x], fb, g1.compose)
+        if not proven:
+            _require_checks(len(grp) ** 2, "the feedback functor")
+            for a, b in itertools.product(grp.elements, repeat=2):
+                lhs, rhs = fb.get(grp.mul_or_none(a, b)), g1.table.get((fb[a], fb[b]))
+                if None not in (lhs, rhs) and lhs != rhs:
+                    report.add(
+                        "feedback-functor",
+                        f"feedback({a} . {b}) != feedback({a}) . feedback({b})",
+                    )
+        functor_ok[x] = len(report) == checked
 
     # equivariance: feedback(twist(g, a)) = g . feedback(a) . g^-1
     for (g, a), r in tw.items():
@@ -380,9 +432,16 @@ def validate_crossed(C: CrossedGroupoid) -> ValidationReport:
                 f"feedback(twist({g}, {a})) != {g} . feedback({a}) . {g}^-1",
             )
 
-    # Peiffer: twist(feedback(a), b) = a . b . a^-1
+    # Peiffer: twist(feedback(a), b) = a . b . a^-1, proven on generators a
+    # (`_peiffer_at`) once the laws its proof rests on hold
+    premises_hold = g1_report.ok and action_ok and hom_ok
     for x in C.objects:
         grp = C.g2.group(x)
+        if premises_hold and x in gens and functor_ok[x]:
+            _require_checks(len(grp) * len(gens[x]), "the Peiffer identity on generators")
+            if _peiffer_at(C, x, gens[x]):
+                continue
+        _require_checks(len(grp) ** 2, "the Peiffer identity")
         for a, b in itertools.product(grp.elements, repeat=2):
             lhs = tw.get((fb[a], b))
             rhs = grp.mul_or_none(grp.mul_or_none(a, b), grp.inv_or_none(a))
@@ -392,6 +451,28 @@ def validate_crossed(C: CrossedGroupoid) -> ValidationReport:
                     f"twist(feedback({a}), {b}) != {a} . {b} . {a}^-1",
                 )
     return report
+
+
+def _multiplicative_on(
+    grp: FiniteGroup,
+    gens: Iterable[str],
+    f: dict[str, str],
+    mul: Callable[[str, str], str],
+) -> bool:
+    """f(b . s) == mul(f(b), f(s)) for every b in grp and every s in gens.
+
+    The s where this holds are closed under products when grp and `mul` are
+    associative (f(b . st) = f(bs . t) = f(bs) . f(t) = f(b) . f(s) . f(t) =
+    f(b) . f(st)), so holding on a generating set of grp proves f a
+    homomorphism.  Needs a valid grp, f defined on it and `mul` total on its
+    images."""
+    grp_mul = grp._mul
+    for s in gens:
+        fs = f[s]
+        for b in grp.elements:
+            if f[grp_mul(b, s)] != mul(f[b], fs):
+                return False
+    return True
 
 
 def _acts_at(C: CrossedGroupoid, g: str) -> bool:
@@ -407,6 +488,24 @@ def _acts_at(C: CrossedGroupoid, g: str) -> bool:
         hg = g1.table[(h, g)]
         for a, ga in pushed:
             if tw[(hg, a)] != tw[(h, ga)]:
+                return False
+    return True
+
+
+def _peiffer_at(C: CrossedGroupoid, x: str, gens: Iterable[str]) -> bool:
+    """twist(feedback(a), b) == a . b . a^-1 for every a in gens and every b.
+
+    The a where this holds are closed under products once feedback is a
+    functor and twisting an action (twist(feedback(ac), b) =
+    twist(feedback(a), twist(feedback(c), b)) = a . c b c^-1 . a^-1), so
+    holding on a generating set of the group at x proves the identity.
+    Needs a valid g1 and group at x, and feedback endomorphisms at x."""
+    grp, tw, fb = C.g2.group(x), C.twist_table, C.feedback_table
+    mul = grp._mul
+    for a in gens:
+        fa, ai = fb[a], grp._inv(a)
+        for b in grp.elements:
+            if tw[(fa, b)] != mul(mul(a, b), ai):
                 return False
     return True
 
@@ -524,7 +623,18 @@ def validate_crossed_morphism(F: CrossedMorphism) -> ValidationReport:
 
     Images are read from the maps and the target's tables; an instance whose
     images are undefined or mistyped is skipped, because another rule names it.
-    """
+    Every pair is walked: the proofs on generators need both ends valid,
+    which only a caller that has validated them can say
+    (`_check_crossed_morphism`)."""
+    return _check_crossed_morphism(F, ends_valid=False)
+
+
+def _check_crossed_morphism(F: CrossedMorphism, ends_valid: bool) -> ValidationReport:
+    """`validate_crossed_morphism`.  With `ends_valid`, source and target are
+    known to be valid crossed groupoids, so g1 functoriality (`_functorial_at`)
+    and each g2 homomorphism (`_multiplicative_on`) are proven on generating
+    sets of the source once the images are typed; a law whose precondition
+    or generator fails is walked over every pair."""
     report = ValidationReport()
     S, T = F.source, F.target
     obj, mor1, mor2 = F.obj_map, F.mor1_map, F.mor2_map
@@ -533,8 +643,13 @@ def validate_crossed_morphism(F: CrossedMorphism) -> ValidationReport:
         if obj.get(x) not in target_objects:
             report.add("morphism-objects", f"image of object {x} is unknown")
             return report
+    gens = {x: _generators(S.g2.group(x)) for x in S.objects} if ends_valid else {}
     for x in S.objects:
-        _require_checks(len(S.g2.group(x)) ** 2, f"the g2 homomorphism at {x}")
+        n = len(S.g2.group(x))
+        if ends_valid:
+            _require_checks(n * len(gens[x]), f"the g2 homomorphism at {x} on generators")
+        else:
+            _require_checks(n * n, f"the g2 homomorphism at {x}")
     _require_checks(len(S.twist_table), "twist compatibility")
     _require_checks(len(S.feedback_table), "feedback compatibility")
     # g1 functoriality
@@ -548,18 +663,23 @@ def validate_crossed_morphism(F: CrossedMorphism) -> ValidationReport:
     for x in S.objects:
         if mor1.get(S.g1.identity(x)) != T.g1.identity(obj[x]):
             report.add("morphism-g1", f"identity at {x} not preserved")
-    for (h, g), r in S.g1.table.items():
-        if T.g1.table.get((mor1.get(h), mor1.get(g))) != mor1.get(r):
-            report.add("morphism-g1", f"composition ({h}, {g}) not preserved")
+    if not (ends_valid and report.ok
+            and all(_functorial_at(F, s) for s in _generators(S.g1))):
+        for (h, g), r in S.g1.table.items():
+            if T.g1.table.get((mor1.get(h), mor1.get(g))) != mor1.get(r):
+                report.add("morphism-g1", f"composition ({h}, {g}) not preserved")
     # g2 homomorphisms per object
     for x in S.objects:
         grp = S.g2.group(x)
         tgrp = T.g2.group(obj[x])
-        for a in grp:
-            if mor2.get(a) not in tgrp:
-                report.add("morphism-g2", f"image of {a} is not at the image object")
+        strays = [a for a in grp if mor2.get(a) not in tgrp]
+        for a in strays:
+            report.add("morphism-g2", f"image of {a} is not at the image object")
         if mor2.get(grp.identity) != tgrp.identity:
             report.add("morphism-g2", f"unit of g2({x}) not preserved")
+        if ends_valid and not strays and _multiplicative_on(grp, gens[x], mor2, tgrp._mul):
+            continue
+        _require_checks(len(grp) ** 2, f"the g2 homomorphism at {x}")
         for a, b in itertools.product(grp.elements, repeat=2):
             ab, rhs = grp.mul_or_none(a, b), tgrp.mul_or_none(mor2.get(a), mor2.get(b))
             if None not in (ab, rhs) and mor2.get(ab) != rhs:
@@ -574,6 +694,21 @@ def validate_crossed_morphism(F: CrossedMorphism) -> ValidationReport:
         if rhs is not None and mor1.get(d) != rhs:
             report.add("morphism-feedback", f"feedback({a}) not preserved")
     return report
+
+
+def _functorial_at(F: CrossedMorphism, s: str) -> bool:
+    """F(m . s) == F(m) . F(s) for every 1-morphism m after s.
+
+    The s where this holds are closed under composition when both g1 are
+    associative (F(m . st) = F(ms . t) = F(ms) . F(t) = F(m) . F(s) . F(t) =
+    F(m) . F(st)), so holding on a generating set of the source's g1 proves
+    functoriality.  Needs valid ends and images with the right endpoints."""
+    S, T, mor1 = F.source.g1, F.target.g1, F.mor1_map
+    fs = mor1[s]
+    for m in S.out_of(S.target[s]):
+        if T.table[(mor1[m], fs)] != mor1[S.table[(m, s)]]:
+            return False
+    return True
 
 
 # -- homotopy invariants ------------------------------------------------

@@ -24,6 +24,7 @@ from .crossed import (
     CrossedMorphism,
     DisconnectedGroupoid,
     FiniteGroup,
+    _multiplicative_on,
     identity_crossed_morphism,
 )
 from .groupoid import FiniteGroupoid, _generators
@@ -186,13 +187,14 @@ def _element_orders(G: FiniteGroup) -> dict[str, int]:
 def automorphisms(G: FiniteGroup) -> list[dict[str, str]]:
     """All group automorphisms, by backtracking over generator images.
 
-    Each choice of images for the generating set of G as a one-object
-    groupoid is extended along r -> r . s for every generator s, the way
-    `_generators` reaches the group, then checked.  Intended for small
-    groups (|G| <= 24 or so).
+    Each choice of images for the generating set of G (`_generators`) is
+    extended along r -> r . s for every generator s, the way the scan reaches
+    the group, and kept when it is a bijection that is multiplicative on the
+    generators, which makes it a homomorphism.  Intended for small groups
+    (|G| <= 24 or so).
     """
     orders = _element_orders(G)
-    gens = _generators(one_object_groupoid(G))
+    gens = _generators(G)
     steps = []  # (r . s, r, s) for every other element, r reached before it
     reached = list(gens)
     for r in reached:  # the list grows while walked: breadth-first
@@ -209,13 +211,7 @@ def automorphisms(G: FiniteGroup) -> list[dict[str, str]]:
         phi = dict(zip(gens, images))
         for rs, r, s in steps:
             phi[rs] = G.mul(phi[r], phi[s])
-        if len(set(phi.values())) != len(G):
-            continue
-        if all(
-            phi[G.mul(a, b)] == G.mul(phi[a], phi[b])
-            for a in G
-            for b in G
-        ):
+        if len(set(phi.values())) == len(G) and _multiplicative_on(G, gens, phi, G.mul):
             results.append(phi)
     return results
 

@@ -13,6 +13,7 @@ triple is named.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .validation import (
     ComposabilityError,
@@ -20,6 +21,9 @@ from .validation import (
     LoadError,
     ValidationReport,
 )
+
+if TYPE_CHECKING:
+    from .crossed import FiniteGroup
 
 
 @dataclass(frozen=True)
@@ -241,33 +245,42 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     return report
 
 
-def _generators(G: FiniteGroupoid) -> tuple[str, ...]:
-    """A generating set of G under its composition table, scanning the sorted
-    ids: an id that the generators so far do not reach becomes a generator.
+def _generators(G: FiniteGroupoid | FiniteGroup) -> tuple[str, ...]:
+    """A generating set of a groupoid under its composition table, or of a
+    `FiniteGroup` scanned as the one-object groupoid on its elements: over the
+    sorted ids, an id that the generators so far do not reach becomes a
+    generator.
 
     The reached set is kept closed under r -> r . s for every generator s
-    (`table[(r, s)]`), so every reached morphism is a table product of
-    generators whatever the table's bracketing, and the closure does not
-    depend on the order the set is walked in.
+    (`table[(r, s)]`, or `mul_or_none(r, s)` for a group), so every reached
+    id is a product of generators whatever the bracketing, and the closure
+    does not depend on the order the set is walked in.  Computed afresh on
+    every call: the tables are plain dicts that a caller may still change.
     """
+    if isinstance(G, FiniteGroupoid):
+        ids, table = G.morphisms, G.table
+
+        def product(r: str, s: str) -> str | None:
+            return table.get((r, s))
+    else:
+        ids, product = sorted(G.elements), G.mul_or_none
     gens: list[str] = []
     reached: set[str] = set()
-    table = G.table
-    for m in G.morphisms:
+    for m in ids:
         if m in reached:
             continue
         gens.append(m)
         reached.add(m)
         fresh = [m]
         for r in list(reached):
-            rm = table.get((r, m))
+            rm = product(r, m)
             if rm is not None and rm not in reached:
                 reached.add(rm)
                 fresh.append(rm)
         while fresh:
             r = fresh.pop()
             for s in gens:
-                rs = table.get((r, s))
+                rs = product(r, s)
                 if rs is not None and rs not in reached:
                     reached.add(rs)
                     fresh.append(rs)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from crossed_desc import (
+    CrossedDiagram,
     CrossedGroupoid,
     CrossedMorphism,
     DisconnectedGroupoid,
@@ -95,3 +96,14 @@ def split_component_morphism() -> CrossedMorphism:
         {m: T.g1.identity(obj[S.g1.src(m)]) for m in S.g1.source},
         {a: T.g2.identity(obj[S.g2.object_of(a)]) for a in S.g2.owner},
     )
+
+
+def with_coface_entry(D: CrossedDiagram, key, kind: str, element: str, image: str) -> CrossedDiagram:
+    """D with one entry of coface `key`'s 1- or 2-morphism map (`kind` "mor1"
+    or "mor2") sent to `image`."""
+    d = D.cofaces[key]
+    maps = {"mor1": dict(d.mor1_map), "mor2": dict(d.mor2_map)}
+    maps[kind][element] = image
+    cofaces = dict(D.cofaces)
+    cofaces[key] = CrossedMorphism(d.source, d.target, d.obj_map, maps["mor1"], maps["mor2"])
+    return CrossedDiagram(D.levels, cofaces)

@@ -8,9 +8,12 @@ explicit chain of cofaces (`push_desc`), composed in a *different* order
 exceptions are former routines of the library, kept verbatim to pin the
 current ones to their exact output: `bfs_gauge_classes`, the breadth-first
 search over every gauge edge, `scan_gauge_classes`, the orbit scan that
-evaluated every candidate through the checked accessors, and
+evaluated every candidate through the checked accessors,
 `checked_descent_data`, the enumeration that sent every candidate through
-`is_descent_datum`.
+`is_descent_datum`, `pairwise_automorphisms`, the automorphism search that
+checked every pair, and the validators' walks over every pair or triple of
+each law that the library now proves on a generating set (the `brute_*`
+and `walked_*` functions).
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from crossed_desc.descent import (
     is_gauge,
     vertex_object,
 )
+from crossed_desc.fixtures import _element_orders, one_object_groupoid
+from crossed_desc.groupoid import _generators
 from crossed_desc.validation import DEFAULT_BOUND
 
 
@@ -258,6 +263,40 @@ def brute_automorphisms(G):
     return out
 
 
+# The automorphism search that `fixtures.automorphisms` ran before it checked
+# multiplicativity on generators only, kept verbatim (only renamed): each
+# bijective candidate is checked on every pair, so the library must return
+# the same list of maps, in order.
+def pairwise_automorphisms(G):
+    orders = _element_orders(G)
+    gens = _generators(one_object_groupoid(G))
+    steps = []  # (r . s, r, s) for every other element, r reached before it
+    reached = list(gens)
+    for r in reached:  # the list grows while walked: breadth-first
+        for s in gens:
+            rs = G.mul(r, s)
+            if rs not in reached:
+                reached.append(rs)
+                steps.append((rs, r, s))
+    by_order: dict[int, list[str]] = {}
+    for a in G:
+        by_order.setdefault(orders[a], []).append(a)
+    results = []
+    for images in itertools.product(*(sorted(by_order[orders[g]]) for g in gens)):
+        phi = dict(zip(gens, images))
+        for rs, r, s in steps:
+            phi[rs] = G.mul(phi[r], phi[s])
+        if len(set(phi.values())) != len(G):
+            continue
+        if all(
+            phi[G.mul(a, b)] == G.mul(phi[a], phi[b])
+            for a in G
+            for b in G
+        ):
+            results.append(phi)
+    return results
+
+
 def group_from_table(table):
     """(elements, identity) of a raw dict table, for sanity-checking inputs."""
     elems = sorted({a for a, _ in table} | {b for _, b in table} | set(table.values()))
@@ -347,6 +386,232 @@ def brute_twist_action_violations(C):
                     out.append((
                         "twist-action",
                         f"twist({h} . {g}, {a}) != twist({h}, twist({g}, {a}))",
+                    ))
+    return out
+
+
+def brute_group_associativity_violations(G):
+    """Every violated associativity instance of a group as (rule, detail), in
+    report order: the walk over every triple that `validate_group` ran before
+    it proved associativity on generators."""
+    out = []
+    mul = G.mul_or_none
+    for a, b, c in itertools.product(G.elements, repeat=3):
+        lhs, rhs = mul(mul(a, b), c), mul(a, mul(b, c))
+        if None not in (lhs, rhs) and lhs != rhs:
+            out.append(("group-associativity", f"({a} . {b}) . {c} != {a} . ({b} . {c})"))
+    return out
+
+
+def brute_group_violations(G):
+    """`validate_group`'s report as (rule, detail), with every law walked."""
+    out = []
+    mul, e = G.mul_or_none, G.identity
+    for a in G.elements:
+        if mul(e, a) not in (None, a) or mul(a, e) not in (None, a):
+            out.append(("group-unit", f"identity is not a unit at {a}"))
+        ai = G.inv_or_none(a)
+        if ai is None:
+            out.append(("group-inverse", f"inverse of {a} is undefined"))
+        elif ai not in G:
+            out.append(("group-inverse", f"inverse of {a} is not an element"))
+        elif mul(ai, a) not in (None, e) or mul(a, ai) not in (None, e):
+            out.append(("group-inverse", f"{a} . {ai} is not the identity"))
+    for a, b in itertools.product(G.elements, repeat=2):
+        ab = mul(a, b)
+        if ab is None:
+            out.append(("group-closure", f"{a} . {b} is undefined"))
+        elif ab not in G:
+            out.append(("group-closure", f"{a} . {b} escapes the element set"))
+    return out + brute_group_associativity_violations(G)
+
+
+def brute_twist_homomorphism_violations(C, g):
+    """Every pair of 2-morphisms on which twist(g, -) is not multiplicative,
+    as (rule, detail): the walk `validate_crossed` ran before it proved the
+    law on generators."""
+    out = []
+    tw = C.twist_table
+    grp = C.g2.group(C.g1.source[g])
+    image = C.g2.group(C.g1.target[g])
+    for a, b in itertools.product(grp.elements, repeat=2):
+        lhs = tw.get((g, grp.mul_or_none(a, b)))
+        rhs = image.mul_or_none(tw[(g, a)], tw[(g, b)])
+        if None not in (lhs, rhs) and lhs != rhs:
+            out.append((
+                "twist-homomorphism",
+                f"twist({g}, {a} . {b}) != twist({g}, {a}) . twist({g}, {b})",
+            ))
+    return out
+
+
+def brute_feedback_functor_violations(C, x):
+    """Every pair at x on which the feedback is not multiplicative, as
+    (rule, detail), walked as `brute_twist_homomorphism_violations`."""
+    out = []
+    fb, grp = C.feedback_table, C.g2.group(x)
+    for a, b in itertools.product(grp.elements, repeat=2):
+        lhs, rhs = fb.get(grp.mul_or_none(a, b)), C.g1.table.get((fb[a], fb[b]))
+        if None not in (lhs, rhs) and lhs != rhs:
+            out.append((
+                "feedback-functor",
+                f"feedback({a} . {b}) != feedback({a}) . feedback({b})",
+            ))
+    return out
+
+
+def brute_peiffer_violations(C, x):
+    """Every pair at x that breaks the Peiffer identity, as (rule, detail),
+    walked as `brute_twist_homomorphism_violations`."""
+    out = []
+    tw, fb, grp = C.twist_table, C.feedback_table, C.g2.group(x)
+    for a, b in itertools.product(grp.elements, repeat=2):
+        lhs = tw.get((fb[a], b))
+        rhs = grp.mul_or_none(grp.mul_or_none(a, b), grp.inv_or_none(a))
+        if None not in (lhs, rhs) and lhs != rhs:
+            out.append(("peiffer", f"twist(feedback({a}), {b}) != {a} . {b} . {a}^-1"))
+    return out
+
+
+def walked_crossed_violations(C):
+    """`validate_crossed`'s report as (rule, detail) on a crossed groupoid
+    that is not a cover level, with every law walked over every instance:
+    the groupoid and group sections come from the oracles above."""
+    assert C.power is None
+    g1, tw, fb = C.g1, C.twist_table, C.feedback_table
+    out = brute_groupoid_violations(g1)
+    for x in C.g2.objects:
+        out += [(rule, f"g2({x}): {detail}")
+                for rule, detail in brute_group_violations(C.g2.group(x))]
+    for x in C.objects:
+        for a in C.g2.group(x):
+            r = tw.get((g1.identities[x], a))
+            if r is not None and r != a:
+                out.append(("twist-unit", f"twist(1_{x}, {a}) != {a}"))
+    for g in g1.morphisms:
+        grp = C.g2.group(g1.source[g])
+        if len({tw[(g, a)] for a in grp}) != len(grp):
+            out.append(("twist-bijective", f"twist({g}, -) is not injective"))
+        out += brute_twist_homomorphism_violations(C, g)
+    out += brute_twist_action_violations(C)
+    for x in C.objects:
+        grp = C.g2.group(x)
+        if fb[grp.identity] != g1.identities[x]:
+            out.append(("feedback-unit", f"feedback(1) != 1_{x}"))
+        for a in grp:
+            if g1.source[fb[a]] != x or g1.target[fb[a]] != x:
+                out.append(("feedback-endpoints", f"feedback({a}) is not an endomorphism at {x}"))
+        out += brute_feedback_functor_violations(C, x)
+    for (g, a), r in tw.items():
+        rhs = g1.table.get((g1.table.get((g, fb[a])), g1.inverses[g]))
+        if rhs is not None and fb[r] != rhs:
+            out.append((
+                "equivariance",
+                f"feedback(twist({g}, {a})) != {g} . feedback({a}) . {g}^-1",
+            ))
+    for x in C.objects:
+        out += brute_peiffer_violations(C, x)
+    return out
+
+
+def brute_morphism_g1_violations(F):
+    """Every composable pair that F does not carry to a composite, as
+    (rule, detail), in table order: the walk `validate_crossed_morphism` runs
+    on a morphism whose ends are not known to be valid."""
+    out = []
+    S, T, mor1 = F.source.g1, F.target.g1, F.mor1_map
+    for (h, g), r in S.table.items():
+        if T.table.get((mor1.get(h), mor1.get(g))) != mor1.get(r):
+            out.append(("morphism-g1", f"composition ({h}, {g}) not preserved"))
+    return out
+
+
+def brute_morphism_g2_violations(F, x):
+    """Every pair at x whose product F does not preserve, as (rule, detail),
+    walked as `brute_morphism_g1_violations`."""
+    out = []
+    mor2 = F.mor2_map
+    grp, tgrp = F.source.g2.group(x), F.target.g2.group(F.obj_map[x])
+    for a, b in itertools.product(grp.elements, repeat=2):
+        ab, rhs = grp.mul_or_none(a, b), tgrp.mul_or_none(mor2.get(a), mor2.get(b))
+        if None not in (ab, rhs) and mor2.get(ab) != rhs:
+            out.append(("morphism-g2", f"product {a} . {b} at {x} not preserved"))
+    return out
+
+
+def walked_morphism_violations(F):
+    """`validate_crossed_morphism`'s report as (rule, detail), every law walked."""
+    S, T = F.source, F.target
+    obj, mor1, mor2 = F.obj_map, F.mor1_map, F.mor2_map
+    for x in S.objects:
+        if obj.get(x) not in T.objects:
+            return [("morphism-objects", f"image of object {x} is unknown")]
+    out = []
+    for m in S.g1.morphisms:
+        fm = mor1.get(m)
+        if fm not in T.g1.source:
+            out.append(("morphism-g1", f"image of {m} is not a 1-morphism"))
+        elif (T.g1.source[fm], T.g1.target[fm]) != (obj[S.g1.source[m]], obj[S.g1.target[m]]):
+            out.append(("morphism-g1", f"image of {m} has wrong endpoints"))
+    for x in S.objects:
+        if mor1.get(S.g1.identities[x]) != T.g1.identities[obj[x]]:
+            out.append(("morphism-g1", f"identity at {x} not preserved"))
+    out += brute_morphism_g1_violations(F)
+    for x in S.objects:
+        grp, tgrp = S.g2.group(x), T.g2.group(obj[x])
+        for a in grp:
+            if mor2.get(a) not in tgrp:
+                out.append(("morphism-g2", f"image of {a} is not at the image object"))
+        if mor2.get(grp.identity) != tgrp.identity:
+            out.append(("morphism-g2", f"unit of g2({x}) not preserved"))
+        out += brute_morphism_g2_violations(F, x)
+    for (g, a), r in S.twist_table.items():
+        rhs = T.twist_table.get((mor1.get(g), mor2.get(a)))
+        if rhs is not None and mor2.get(r) != rhs:
+            out.append(("morphism-twist", f"twist({g}, {a}) not preserved"))
+    for a, d in S.feedback_table.items():
+        rhs = T.feedback_table.get(mor2.get(a))
+        if rhs is not None and mor1.get(d) != rhs:
+            out.append(("morphism-feedback", f"feedback({a}) not preserved"))
+    return out
+
+
+def walked_diagram_violations(D):
+    """`validate_diagram`'s report as (rule, detail) on a diagram without
+    cover levels, from the walks above; each cosimplicial identity composes
+    the raw maps and names the first differing entry in sorted order."""
+    out = []
+    for p, level in enumerate(D.levels):
+        out += [(rule, f"level {p}: {detail}")
+                for rule, detail in walked_crossed_violations(level)]
+    for (p, k), d in sorted(D.cofaces.items()):
+        out += [(rule, f"coface d^{k} at {p}: {detail}")
+                for rule, detail in walked_morphism_violations(d)]
+    if out:
+        return out
+
+    def maps(after, before):
+        return [
+            ("obj", {x: after.obj_map[y] for x, y in before.obj_map.items()}),
+            ("mor1", {m: after.mor1_map[n] for m, n in before.mor1_map.items()}),
+            ("mor2", {a: after.mor2_map[b] for a, b in before.mor2_map.items()}),
+        ]
+
+    for p in range(2):
+        for j in range(p + 3):
+            for i in range(j):
+                lhs = maps(D.cofaces[(p + 1, j)], D.cofaces[(p, i)])
+                rhs = maps(D.cofaces[(p + 1, i)], D.cofaces[(p, j - 1)])
+                witness = next(
+                    (f"{kind} {key}: {left[key]} vs {right.get(key)}"
+                     for (kind, left), (_, right) in zip(lhs, rhs)
+                     for key in sorted(left) if left[key] != right.get(key)),
+                    None,
+                )
+                if witness is not None:
+                    out.append((
+                        "cosimplicial-identity",
+                        f"d^{j} d^{i} != d^{i} d^{j - 1} out of level {p} (at {witness})",
                     ))
     return out
 

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crossed_desc import (
     CrossedDiagram,
@@ -13,15 +14,21 @@ from crossed_desc import (
 )
 from crossed_desc.cosimplicial import CrossedMorphism
 from crossed_desc.fixtures import (
+    NAMED_CROSSED,
     cech_diagram,
     constant_diagram,
+    crossed_group,
     cyclic_group,
+    fatten_diagram,
     fix_a_core,
     fix_c_core,
+    one_object_crossed,
     one_object_groupoid,
+    trivial_group,
 )
 
-from oracles import push_desc
+from builders import with_coface_entry
+from oracles import push_desc, walked_diagram_violations
 
 
 def test_face_maps_match_the_descending_oracle(diag_cech, fat_a, fat_s3):
@@ -192,3 +199,59 @@ def test_diagram_morphism_naturality_checked(fat_a):
     broken = DiagramMorphism(incl.source, incl.target, tuple(broken_levels))
     report = validate_diagram_morphism(broken)
     assert not report.ok
+
+
+@pytest.fixture(scope="module")
+def oracle_diagrams(fat_union):
+    fat = {name: fatten_diagram(constant_diagram(NAMED_CROSSED[name]()), 2)[0]
+           for name in ("inner-z3", "s3-a3")}
+    return {"union": fat_union[0], **fat,
+            "inner-s3": constant_diagram(NAMED_CROSSED["inner-s3"]())}
+
+
+@given(
+    st.sampled_from(["union", "inner-z3", "s3-a3", "inner-s3"]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["mor1", "mor2"]),
+            st.integers(min_value=0, max_value=10_000),
+            st.integers(min_value=0, max_value=10_000),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+)
+def test_diagram_validator_matches_the_walks_on_mutated_cofaces(oracle_diagrams, name, edits):
+    """With coface entries remapped, the report is the one every law's walk
+    gives, cosimplicial identities included, rule by rule and in order."""
+    D = oracle_diagrams[name]
+    for kind, i, j, k in edits:
+        key = sorted(D.cofaces)[i % len(D.cofaces)]
+        d = D.cofaces[key]
+        elements = sorted(getattr(d, f"{kind}_map"))
+        pool = sorted(d.target.g1.source if kind == "mor1" else d.target.g2.owner)
+        D = with_coface_entry(D, key, kind, elements[j % len(elements)], pool[k % len(pool)])
+    assert [(v.rule, v.detail) for v in validate_diagram(D)] == walked_diagram_violations(D)
+
+
+@pytest.mark.parametrize("rule, level, kind", [
+    # Z/4 over a trivial upper group: d^0 at 0 swaps the 1-morphisms 1 and 2
+    ("morphism-g1",
+     one_object_crossed(cyclic_group(4), trivial_group("2.0"), {"2.0": "0"},
+                        lambda g, a: a),
+     "mor1"),
+    # Z/4 over a trivial lower group: d^0 at 0 swaps the 2-morphisms 2.1 and 2.2
+    ("morphism-g2", crossed_group(cyclic_group(4)), "mor2"),
+])
+def test_coface_law_only_failure_is_walked_in_full(rule, level, kind):
+    """A bijection that fixes the unit but is not a homomorphism keeps every
+    typing, twist and feedback check: with all levels valid, only the
+    generator check can find it, and the report must name every pair."""
+    D = constant_diagram(level)
+    one, two = ("1", "2") if kind == "mor1" else ("2.1", "2.2")
+    D = with_coface_entry(D, (0, 0), kind, one, two)
+    D = with_coface_entry(D, (0, 0), kind, two, one)
+    report = validate_diagram(D)
+    assert report.rules() == {rule}
+    assert [(v.rule, v.detail) for v in report] == walked_diagram_violations(D)

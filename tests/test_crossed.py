@@ -10,8 +10,10 @@ from hypothesis import given, strategies as st
 from crossed_desc import (
     CrossedGroupoid,
     CrossedMorphism,
+    DisconnectedGroupoid,
     DomainError,
     FiniteGroup,
+    ResourceBoundError,
     homotopy,
     is_weak_equivalence_crossed,
     validate_crossed,
@@ -32,8 +34,12 @@ from crossed_desc.fixtures import (
     one_object_crossed,
 )
 
-from builders import disjoint_union
-from oracles import brute_twist_action_violations
+from builders import disjoint_union, loop5
+from oracles import (
+    brute_group_violations,
+    brute_twist_action_violations,
+    walked_crossed_violations,
+)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_CROSSED))
@@ -176,6 +182,148 @@ def test_twist_action_only_failure_is_walked_in_full():
     report = validate_crossed(C)
     assert report.rules() == {"twist-action"}
     assert [(v.rule, v.detail) for v in report] == brute_twist_action_violations(C)
+
+
+def _table_group(G, swaps=()):
+    """G as a table-backed group, with the results of the entries at each
+    (kind, i, j) pair of sorted keys swapped: any entries for "swap-any",
+    entries that involve no identity and give none for "swap-plain" (units and
+    inverses then stay right, so only associativity can break)."""
+    table = {(a, b): G.mul(a, b) for a in G for b in G}
+    keys = sorted(table)
+    plain = [k for k in keys if G.identity not in (*k, table[k])]
+    for kind, i, j in swaps:
+        pool = plain if kind == "swap-plain" else keys
+        if pool:
+            k1, k2 = pool[i % len(pool)], pool[j % len(pool)]
+            table[k1], table[k2] = table[k2], table[k1]
+    return FiniteGroup.from_table(G.elements, table, G.identity, {a: G.inv(a) for a in G})
+
+
+ORACLE_GROUPS = {
+    "s3": symmetric_group(3),
+    "z4": cyclic_group(4),
+    "z6": cyclic_group(6),
+    "z2xz2": FiniteGroup.product([cyclic_group(2)] * 2),
+}
+
+
+@given(
+    st.sampled_from(sorted(ORACLE_GROUPS)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["swap-any", "swap-plain"]),
+            st.integers(min_value=0, max_value=10_000),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_group_validator_matches_the_triple_walk(name, swaps):
+    G = _table_group(ORACLE_GROUPS[name], swaps)
+    assert [(v.rule, v.detail) for v in validate_group(G)] == brute_group_violations(G)
+
+
+def test_group_associativity_only_failure_is_walked_in_full():
+    """The order-5 loop has units and inverses but is not associative: the
+    generator check must find it, and the report must name every triple."""
+    L = loop5()
+    G = FiniteGroup.from_table(L.morphisms, L.table, "0", L.inverses)
+    report = validate_group(G)
+    assert report.rules() == {"group-associativity"}
+    assert [(v.rule, v.detail) for v in report] == brute_group_violations(G)
+
+
+def test_group_closure_is_bounded_before_it_is_walked(monkeypatch):
+    """2^16 elements need 2^32 closure checks: the validator refuses before
+    it multiplies anything."""
+    G = FiniteGroup.product([cyclic_group(2)] * 16)
+    products = []
+    monkeypatch.setattr(G, "_mul", lambda a, b: products.append((a, b)))
+    with pytest.raises(ResourceBoundError, match="group closure"):
+        validate_group(G)
+    assert products == []
+
+
+def _swap_entries(C, edits):
+    """C with the feedback values of two 2-morphisms swapped for each
+    ("swap-feedback", i, j) edit, and two products of the group at one object
+    swapped for each ("swap-product", i, j) edit (`_table_group`)."""
+    fb, groups = dict(C.feedback_table), dict(C.g2.groups)
+    cells = sorted(fb)
+    for kind, i, j in edits:
+        if kind == "swap-feedback":
+            a, b = cells[i % len(cells)], cells[j % len(cells)]
+            fb[a], fb[b] = fb[b], fb[a]
+        else:
+            x = C.g2.objects[i % len(C.g2.objects)]
+            groups[x] = _table_group(groups[x], [("swap-any", i, j)])
+    return CrossedGroupoid(C.g1, DisconnectedGroupoid(groups), dict(C.twist_table), fb)
+
+
+@given(
+    st.sampled_from(sorted(ACTION_CROSSED)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["invert", "shift", "borrow", "swap-feedback", "swap-product"]),
+            st.integers(min_value=0, max_value=10_000),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_crossed_validator_matches_the_pair_walks(name, edits):
+    """With twist rows rewritten, feedback values swapped and group products
+    swapped, the report is the one every law's walk gives, rule by rule and
+    in order."""
+    swaps = [e for e in edits if e[0].startswith("swap")]
+    C = _rewrite_rows(ACTION_CROSSED[name], [e for e in edits if e not in swaps])
+    C = _swap_entries(C, swaps)
+    assert [(v.rule, v.detail) for v in validate_crossed(C)] == walked_crossed_violations(C)
+
+
+_Z3 = crossed_group(cyclic_group(3)).g2.group("*")  # elements 2.0, 2.1, 2.2
+
+
+def _only_twist_homomorphism_fails():
+    """Z/2 twisting Z/3 by the involution swapping 2.0 and 2.1: a bijection
+    and an action, equivariant and Peiffer for the trivial feedback of an
+    abelian group, but not a homomorphism."""
+    swap = {"2.0": "2.1", "2.1": "2.0"}
+    return one_object_crossed(cyclic_group(2), _Z3, {a: "0" for a in _Z3},
+                              lambda g, a: swap.get(a, a) if g == "1" else a)
+
+
+def _only_feedback_functor_fails():
+    """Z/2 acting trivially on Z/3, with a feedback that keeps the unit but
+    is not a homomorphism; everything is abelian, so equivariance and
+    Peiffer hold."""
+    return one_object_crossed(cyclic_group(2), _Z3, {"2.0": "0", "2.1": "1", "2.2": "0"},
+                              lambda g, a: a)
+
+
+def _only_peiffer_fails():
+    """S3 over the trivial group: trivial twist and feedback satisfy every
+    law but Peiffer, which needs an abelian group here."""
+    s3 = NAMED_CROSSED["inner-s3"]().g2.group("*")
+    return one_object_crossed(trivial_group(), s3, {a: "1" for a in s3}, lambda g, a: a)
+
+
+@pytest.mark.parametrize("rule, build", [
+    ("twist-homomorphism", _only_twist_homomorphism_fails),
+    ("feedback-functor", _only_feedback_functor_fails),
+    ("peiffer", _only_peiffer_fails),
+])
+@pytest.mark.parametrize("copies", [1, 2])
+def test_only_failing_law_is_walked_in_full(rule, build, copies):
+    """Every law the proof of `rule` rests on holds, so only the generator
+    check can find the failure; the report must name every violated pair."""
+    C = fatten(build(), copies)[0]
+    report = validate_crossed(C)
+    assert report.rules() == {rule}
+    assert [(v.rule, v.detail) for v in report] == walked_crossed_violations(C)
 
 
 # -- homotopy invariants ------------------------------------------------

@@ -32,6 +32,7 @@ from crossed_desc import descent
 from crossed_desc.descent import vertex_object
 from crossed_desc.fixtures import NAMED_CROSSED
 
+from builders import with_coface_entry
 from oracles import (
     bfs_gauge_classes,
     brute_descent_data,
@@ -234,16 +235,6 @@ def test_scan_visits_every_candidate_and_verifies_every_witness(monkeypatch, fat
     assert verified == table.members
 
 
-def _mutated(D, key, kind, element, image):
-    """D with one entry of coface `key`'s 1- or 2-morphism map changed."""
-    d = D.cofaces[key]
-    maps = {"mor1": dict(d.mor1_map), "mor2": dict(d.mor2_map)}
-    maps[kind][element] = image
-    cofaces = dict(D.cofaces)
-    cofaces[key] = CrossedMorphism(d.source, d.target, d.obj_map, maps["mor1"], maps["mor2"])
-    return CrossedDiagram(D.levels, cofaces)
-
-
 @pytest.mark.parametrize("base", ["union", "inner-z3"])
 def test_mutated_cofaces_give_the_oracle_table_or_raise(base, fat_union):
     """On diagrams with one coface entry changed at random, the library
@@ -258,7 +249,7 @@ def test_mutated_cofaces_give_the_oracle_table_or_raise(base, fat_union):
         d = D.cofaces[key]
         element = rng.choice(sorted(getattr(d, f"{kind}_map")))
         pool = d.target.g1.source if kind == "mor1" else d.target.g2.owner
-        M = _mutated(D, key, kind, element, rng.choice(sorted(pool)))
+        M = with_coface_entry(D, key, kind, element, rng.choice(sorted(pool)))
         try:
             table = gauge_classes(M)
         except CrossedDescError:
@@ -272,7 +263,7 @@ def test_mutated_cofaces_give_the_oracle_table_or_raise(base, fat_union):
 def test_mutated_coface_image_outside_the_class_is_named(fat_union):
     """One mutation of the two-class fattening where the scan's class check
     fires; the breadth-first search only failed at witness verification."""
-    M = _mutated(fat_union[0], (1, 2), "mor2", "2.1:0@0", "2.0:0@0")
+    M = with_coface_entry(fat_union[0], (1, 2), "mor2", "2.1:0@0", "2.0:0@0")
     with pytest.raises(CrossedDescError) as raised:
         gauge_classes(M)
     assert str(raised.value) == (
@@ -332,7 +323,7 @@ def _edit(D, kind, i, j, k):
         d = D.cofaces[key]
         elements = sorted(getattr(d, f"{kind}_map"))
         pool = sorted(d.target.g1.source if kind == "mor1" else d.target.g2.owner)
-        return _mutated(D, key, kind, elements[j % len(elements)], pool[k % len(pool)])
+        return with_coface_entry(D, key, kind, elements[j % len(elements)], pool[k % len(pool)])
     edit = _swap_composites if kind == "compose" else _rewrite_twist
     return edit(D, 1 + i % 2, j, k)
 

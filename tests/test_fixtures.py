@@ -2,6 +2,7 @@ import pytest
 
 from crossed_desc import (
     DomainError,
+    FiniteGroup,
     LoadError,
     ResourceBoundError,
     validate_crossed,
@@ -28,7 +29,13 @@ from crossed_desc.fixtures import (
     trivial_group,
 )
 
-from oracles import brute_automorphisms, cech_tables, cech_two_cocycle_count, fatten_tables
+from oracles import (
+    brute_automorphisms,
+    cech_tables,
+    cech_two_cocycle_count,
+    fatten_tables,
+    pairwise_automorphisms,
+)
 
 
 def test_group_generators_validate():
@@ -54,13 +61,36 @@ def test_automorphism_counts(maker, count):
     assert len(automorphisms(maker())) == count
 
 
-@pytest.mark.parametrize("name", sorted(NAMED_GROUPS))
+AUTOMORPHISM_GROUPS = {
+    **NAMED_GROUPS,
+    **{f"z{n}": (lambda n=n: cyclic_group(n)) for n in (5, 6, 8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUTOMORPHISM_GROUPS))
 def test_automorphisms_match_the_oracle(name):
-    """The search over generator images finds every automorphism, once."""
-    G = NAMED_GROUPS[name]()
-    found = [frozenset(phi.items()) for phi in automorphisms(G)]
+    """The search over generator images finds every automorphism, once, and
+    checking multiplicativity on generators keeps the list the all-pairs
+    check gave, maps and order alike."""
+    G = AUTOMORPHISM_GROUPS[name]()
+    found = [list(phi.items()) for phi in automorphisms(G)]
+    assert found == [list(phi.items()) for phi in pairwise_automorphisms(G)]
+    found = [frozenset(phi) for phi in found]
     assert len(set(found)) == len(found)
     assert set(found) == {frozenset(phi.items()) for phi in brute_automorphisms(G)}
+
+
+@pytest.mark.parametrize("G, count", [
+    (symmetric_group(4), 24),
+    (FiniteGroup.product([cyclic_group(2), symmetric_group(3)]), 12),
+], ids=["s4", "z2xs3"])
+def test_automorphisms_reject_bijections_that_are_not_homomorphisms(G, count):
+    """Here half or more of the bijective extensions of generator images are
+    not homomorphisms (48 of them for S4), so the check on generators decides
+    the list; it must be the all-pairs check's list, in order."""
+    found = [list(phi.items()) for phi in automorphisms(G)]
+    assert found == [list(phi.items()) for phi in pairwise_automorphisms(G)]
+    assert len(found) == count
 
 
 def test_non_normal_subgroup_rejected():
