@@ -78,16 +78,20 @@ class CrossedDiagram:
 def validate_diagram(D: CrossedDiagram) -> ValidationReport:
     """Levels valid, cofaces valid morphisms, cosimplicial identities hold.
 
-    Once all four levels are valid, the cofaces' functoriality and g2
-    homomorphisms are proven on generators (`crossed._check_crossed_morphism`);
-    otherwise every pair is walked."""
+    Each distinct level and coface object is checked once, and its report is
+    extended under every position that holds it.  Once all four levels are
+    valid, the cofaces' functoriality and g2 homomorphisms are proven on
+    generators (`crossed._check_crossed_morphism`); otherwise every pair is
+    walked."""
     report = ValidationReport()
-    for p, level in enumerate(D.levels):
-        report.extend(validate_crossed(level), prefix=f"level {p}: ")
+    for p, level_report in enumerate(_once_each(validate_crossed, D.levels)):
+        report.extend(level_report, prefix=f"level {p}: ")
     levels_valid = report.ok
-    for (p, k), d in sorted(D.cofaces.items()):
-        report.extend(_check_crossed_morphism(d, levels_valid),
-                      prefix=f"coface d^{k} at {p}: ")
+    keys = sorted(D.cofaces)
+    coface_reports = _once_each(lambda d: _check_crossed_morphism(d, levels_valid),
+                                [D.cofaces[key] for key in keys])
+    for (p, k), coface_report in zip(keys, coface_reports):
+        report.extend(coface_report, prefix=f"coface d^{k} at {p}: ")
     if not report.ok:
         return report
     for p in range(2):
@@ -103,6 +107,17 @@ def validate_diagram(D: CrossedDiagram) -> ValidationReport:
                         f"d^{j} d^{i} != d^{i} d^{j - 1} out of level {p} (at {witness})",
                     )
     return report
+
+
+def _once_each(check, objects):
+    """`check(obj)` for each of `objects` in order, run once per distinct
+    object: a loaded document shares equal levels and maps, and the checks
+    depend only on the object they get."""
+    reports = {}
+    for obj in objects:
+        if id(obj) not in reports:
+            reports[id(obj)] = check(obj)
+        yield reports[id(obj)]
 
 
 def _first_difference(F: CrossedMorphism, G: CrossedMorphism) -> str:
@@ -144,11 +159,11 @@ def identity_diagram_morphism(D: CrossedDiagram) -> DiagramMorphism:
 def validate_diagram_morphism(F: DiagramMorphism) -> ValidationReport:
     """Level maps valid and natural with respect to every coface, then the
     source and target diagrams valid.  Invalid level maps are reported
-    alone.  The level maps are walked over every pair: their ends are
+    alone; each distinct level map is checked once.  The level maps are walked over every pair: their ends are
     validated only after them, so the proofs on generators cannot be used."""
     report = ValidationReport()
-    for p, Fp in enumerate(F.levels):
-        report.extend(validate_crossed_morphism(Fp), prefix=f"level {p}: ")
+    for p, level_report in enumerate(_once_each(validate_crossed_morphism, F.levels)):
+        report.extend(level_report, prefix=f"level {p}: ")
     if not report.ok:
         return report
     for (p, k) in sorted(F.source.cofaces):

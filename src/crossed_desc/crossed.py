@@ -524,8 +524,8 @@ def _validate_power(C: CrossedGroupoid, base: CrossedGroupoid, k: int) -> Valida
     if C.objects != (x,):
         report.add("power-objects", f"objects {list(C.objects)} are not the base's [{x}]")
         return report
-    grp, g1 = C.g2.group(x), C.g1
-    if len(grp.factors) != k or any(f is not base.g2.group(x) for f in grp.factors):
+    grp, g1, base_grp = C.g2.group(x), C.g1, base.g2.group(x)
+    if len(grp.factors) != k or any(f is not base_grp for f in grp.factors):
         report.add("power-g2", f"g2({x}) is not the {k}-fold power of the base's group")
         return report
     ids = sorted("|".join(c) for c in itertools.product(base.g1.morphisms, repeat=k))
@@ -540,18 +540,26 @@ def _validate_power(C: CrossedGroupoid, base: CrossedGroupoid, k: int) -> Valida
         if got != want:
             report.add(rule, f"{what} is {got}, expected {want}")
 
+    # The twist and feedback values, as rows over the power's elements:
+    # itertools.product over k base rows lists them in the order in which
+    # `FiniteGroup.product` lists the elements (as `cech_diagram` builds them).
+    twist_rows = {h: [base.twist_table[(h, b)] for b in base_grp] for h in base.g1.morphisms}
     check("power-g1", f"1_{x}", g1.identities.get(x), "|".join([base.g1.identities[x]] * k))
     for m in g1.morphisms:
         check("power-g1", f"{m}^-1", g1.inverses.get(m), power(base.g1.inverses.get, m))
         for n in g1.morphisms:
             check("power-g1", f"{m} . {n}", g1.table.get((m, n)),
                   power(lambda h, g: base.g1.table[(h, g)], m, n))
-        for a in grp:
-            check("power-twist", f"twist({m}, {a})", C.twist_table.get((m, a)),
-                  power(lambda g, b: base.twist_table[(g, b)], m, a))
-    for a in grp:
-        check("power-feedback", f"feedback({a})", C.feedback_table.get(a),
-              power(base.feedback_table.get, a))
+        row = map("|".join, itertools.product(*(twist_rows[h] for h in m.split("|"))))
+        for a, want in zip(grp, row):
+            got = C.twist_table.get((m, a))
+            if got != want:
+                report.add("power-twist", f"twist({m}, {a}) is {got}, expected {want}")
+    feedback_row = [base.feedback_table[b] for b in base_grp]
+    for a, want in zip(grp, map("|".join, itertools.product(feedback_row, repeat=k))):
+        got = C.feedback_table.get(a)
+        if got != want:
+            report.add("power-feedback", f"feedback({a}) is {got}, expected {want}")
     return report
 
 

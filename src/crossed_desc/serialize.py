@@ -6,6 +6,14 @@ Documents are wrapped in an envelope {"formatVersion": "crossed-desc/1",
 list of [after, before, result] triples (the "before first" convention), and
 output is canonical — sorted keys, sorted id lists — so serialization is
 byte-stable and round-trips exactly.
+
+Loading keeps one object per distinct level and map within a document, as
+the builders do: a crossed-groupoid payload `==` an earlier one reuses its
+`CrossedGroupoid`, and a coface or level-map payload `==` an earlier one
+between the same two level objects reuses its `CrossedMorphism`.  So a
+loaded constant diagram has one level object and one coface object, an
+in-place edit of a loaded level reaches every position that shares it, and
+`validate` checks each distinct level and coface once.
 """
 
 from __future__ import annotations
@@ -148,8 +156,27 @@ def diagram_to_json(D: CrossedDiagram, bound: int = DEFAULT_BOUND) -> dict:
     }
 
 
+def _once(memo: dict, payload, ends: tuple, build):
+    """`build()`, unless a payload `==` to `payload` between the same `ends`
+    (level objects) was built earlier in the document: then that object.
+    `memo` maps the ends' ids to the (payload, object) pairs built so far."""
+    built = memo.setdefault(tuple(map(id, ends)), [])
+    for earlier, obj in built:
+        if earlier == payload:
+            return obj
+    built.append((payload, build()))
+    return built[-1][1]
+
+
 def diagram_from_json(d: dict) -> CrossedDiagram:
-    levels = tuple(crossed_from_json(ld) for ld in _require(d, "levels", "diagram"))
+    return _diagram_from_json(d, {})
+
+
+def _diagram_from_json(d: dict, memo: dict) -> CrossedDiagram:
+    levels = tuple(
+        _once(memo, ld, (), lambda: crossed_from_json(ld))
+        for ld in _require(d, "levels", "diagram")
+    )
     if len(levels) != 4:
         raise LoadError("a diagram document needs exactly four levels")
     cofaces = {}
@@ -158,7 +185,10 @@ def diagram_from_json(d: dict) -> CrossedDiagram:
             p, k = (int(part) for part in key.split(","))
         except ValueError:
             raise LoadError(f"bad coface key {key!r}; expected 'p,k'") from None
-        cofaces[(p, k)] = _maps_from_json(maps, levels[p], levels[p + 1], "coface")
+        ends = levels[p], levels[p + 1]
+        cofaces[(p, k)] = _once(
+            memo, maps, ends, lambda: _maps_from_json(maps, *ends, "coface")
+        )
     return CrossedDiagram(levels, cofaces)
 
 
@@ -173,19 +203,22 @@ def diagram_morphism_to_json(
 
 
 def diagram_morphism_from_json(d: dict) -> DiagramMorphism:
-    source = _resolve_embedded_diagram(_require(d, "source", "diagram-morphism"))
-    target = _resolve_embedded_diagram(_require(d, "target", "diagram-morphism"))
+    memo: dict = {}
+    source = _resolve_embedded_diagram(_require(d, "source", "diagram-morphism"), memo)
+    target = _resolve_embedded_diagram(_require(d, "target", "diagram-morphism"), memo)
     maps = _require(d, "levels", "diagram-morphism")
     if len(maps) != 4:
         raise LoadError("a diagram-morphism document needs exactly four level maps")
-    levels = tuple(
-        _maps_from_json(maps[p], source.levels[p], target.levels[p], "level map")
-        for p in range(4)
-    )
-    return DiagramMorphism(source, target, levels)
+    levels = []
+    for p in range(4):
+        ends = source.levels[p], target.levels[p]
+        levels.append(_once(
+            memo, maps[p], ends, lambda: _maps_from_json(maps[p], *ends, "level map")
+        ))
+    return DiagramMorphism(source, target, tuple(levels))
 
 
-def _resolve_embedded_diagram(d: dict) -> CrossedDiagram:
+def _resolve_embedded_diagram(d: dict, memo: dict) -> CrossedDiagram:
     """An embedded diagram: explicit tables, or a fixture spec to expand."""
     if "fixture" in d:
         spec = d["fixture"]
@@ -193,7 +226,7 @@ def _resolve_embedded_diagram(d: dict) -> CrossedDiagram:
         if kind != "diagram":
             raise LoadError("embedded fixture does not produce a diagram")
         return built
-    return diagram_from_json(d)
+    return _diagram_from_json(d, memo)
 
 
 # -- fixture specs ------------------------------------------------------

@@ -13,7 +13,8 @@ evaluated every candidate through the checked accessors,
 `is_descent_datum`, `pairwise_automorphisms`, the automorphism search that
 checked every pair, and the validators' walks over every pair or triple of
 each law that the library now proves on a generating set (the `brute_*`
-and `walked_*` functions).
+and `walked_*` functions), and the diagram loaders that built every level
+and map from its own payload (`unshared_*`).
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ from crossed_desc.descent import (
     is_gauge,
     vertex_object,
 )
+from crossed_desc.cosimplicial import DiagramMorphism
 from crossed_desc.fixtures import _element_orders, one_object_groupoid
 from crossed_desc.groupoid import _generators
-from crossed_desc.validation import DEFAULT_BOUND
+from crossed_desc.serialize import _maps_from_json, _require, crossed_from_json
+from crossed_desc.validation import DEFAULT_BOUND, LoadError
 
 
 def _skipped(seq, q):
@@ -614,6 +617,37 @@ def walked_diagram_violations(D):
                         f"d^{j} d^{i} != d^{i} d^{j - 1} out of level {p} (at {witness})",
                     ))
     return out
+
+
+# The diagram loaders from before a document's equal levels and maps were
+# loaded as one object, kept verbatim (only renamed; the morphism loader
+# takes explicit embedded diagrams only).  Every level and every coface or
+# level map is built from its own payload.
+def unshared_diagram_from_json(d: dict) -> CrossedDiagram:
+    levels = tuple(crossed_from_json(ld) for ld in _require(d, "levels", "diagram"))
+    if len(levels) != 4:
+        raise LoadError("a diagram document needs exactly four levels")
+    cofaces = {}
+    for key, maps in _require(d, "cofaces", "diagram").items():
+        try:
+            p, k = (int(part) for part in key.split(","))
+        except ValueError:
+            raise LoadError(f"bad coface key {key!r}; expected 'p,k'") from None
+        cofaces[(p, k)] = _maps_from_json(maps, levels[p], levels[p + 1], "coface")
+    return CrossedDiagram(levels, cofaces)
+
+
+def unshared_diagram_morphism_from_json(d: dict) -> DiagramMorphism:
+    source = unshared_diagram_from_json(_require(d, "source", "diagram-morphism"))
+    target = unshared_diagram_from_json(_require(d, "target", "diagram-morphism"))
+    maps = _require(d, "levels", "diagram-morphism")
+    if len(maps) != 4:
+        raise LoadError("a diagram-morphism document needs exactly four level maps")
+    levels = tuple(
+        _maps_from_json(maps[p], source.levels[p], target.levels[p], "level map")
+        for p in range(4)
+    )
+    return DiagramMorphism(source, target, levels)
 
 
 def fatten_tables(C, n):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crossed_desc import (
     CrossedDiagram,
@@ -12,6 +12,7 @@ from crossed_desc import (
     validate_diagram,
     validate_diagram_morphism,
 )
+from crossed_desc.cli import main
 from crossed_desc.cosimplicial import CrossedMorphism
 from crossed_desc.fixtures import (
     NAMED_CROSSED,
@@ -26,9 +27,24 @@ from crossed_desc.fixtures import (
     one_object_groupoid,
     trivial_group,
 )
+from crossed_desc.serialize import (
+    diagram_from_json,
+    diagram_morphism_from_json,
+    diagram_morphism_to_json,
+    diagram_to_json,
+    dumps_canonical,
+    envelope,
+    parse_document,
+    serialize_document,
+)
 
 from builders import with_coface_entry
-from oracles import push_desc, walked_diagram_violations
+from oracles import (
+    push_desc,
+    unshared_diagram_from_json,
+    unshared_diagram_morphism_from_json,
+    walked_diagram_violations,
+)
 
 
 def test_face_maps_match_the_descending_oracle(diag_cech, fat_a, fat_s3):
@@ -255,3 +271,133 @@ def test_coface_law_only_failure_is_walked_in_full(rule, level, kind):
     report = validate_diagram(D)
     assert report.rules() == {rule}
     assert [(v.rule, v.detail) for v in report] == walked_diagram_violations(D)
+
+
+def _distinct(objects) -> int:
+    return len({id(obj) for obj in objects})
+
+
+def test_loading_shares_equal_levels_and_cofaces():
+    """A constant diagram and its fattening load as the builders make them:
+    one level object and one coface object, and they write back unchanged."""
+    D = constant_diagram(NAMED_CROSSED["inner-s3"]())
+    for diagram in (D, fatten_diagram(D, 2)[0]):
+        doc = serialize_document("diagram", diagram)
+        kind, loaded = parse_document(doc)
+        assert loaded.levels[0] is loaded.levels[3]
+        assert _distinct(loaded.levels) == 1
+        assert _distinct(loaded.cofaces.values()) == 1
+        assert serialize_document(kind, loaded) == doc
+        assert validate_diagram(loaded).ok
+
+
+def test_loading_a_fattening_inclusion_shares_each_side(capsys, tmp_path):
+    """The expanded fatten spec of a constant diagram: one source level, one
+    target level and one level map object."""
+    spec = tmp_path / "fatten.json"
+    spec.write_text(dumps_canonical(envelope("fixture-spec", {
+        "kind": "fatten",
+        "params": {"base": {"kind": "constant-diagram", "params": {"base": "inner-s3"}},
+                   "copies": 2},
+    })), encoding="utf-8")
+    assert main(["fixture", str(spec)]) == 0
+    kind, F = parse_document(capsys.readouterr().out)
+    assert kind == "diagram-morphism"
+    assert _distinct(F.source.levels) == 1 and _distinct(F.target.levels) == 1
+    assert F.source.levels[0] is not F.target.levels[0]
+    assert _distinct(F.levels) == 1
+    assert validate_diagram_morphism(F).ok
+
+
+def test_a_changed_level_loads_as_its_own_object():
+    """One twist entry of level 2 changed: level 2 is built on its own, the
+    other three levels stay one object, and the cofaces share by their ends."""
+    payload = diagram_to_json(constant_diagram(NAMED_CROSSED["inner-s3"]()))
+    entry = next(t for t in payload["levels"][2]["twist"] if t[1] != t[2])
+    entry[2] = entry[1]
+    D = diagram_from_json(payload)
+    L0, L1, L2, L3 = D.levels
+    assert L0 is L1 is L3 and L2 is not L0
+    for p in range(3):
+        assert _distinct(D.cofaces[(p, k)] for k in range(p + 2)) == 1
+    assert _distinct(D.cofaces.values()) == 3
+    report = validate_diagram(D)
+    assert not report.ok
+    assert report.as_json() == validate_diagram(unshared_diagram_from_json(payload)).as_json()
+
+
+def _strings(node):
+    """(container, key) of every string in a JSON tree, dict keys excluded."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, str):
+            yield node, key
+        elif isinstance(value, (dict, list)):
+            yield from _strings(value)
+
+
+def _part(payload):
+    """A level, coface or level-map payload's string entries, and the ids
+    they may be changed to."""
+    slots = list(_strings(payload))
+    return slots, sorted({container[key] for container, key in slots})
+
+
+def _parts(diagram):
+    return [_part(part) for part in (*diagram["levels"], *diagram["cofaces"].values())]
+
+
+SHARING_BASES = ("inner-z3", "s3-a3")
+
+
+@pytest.fixture(scope="module")
+def sharing_documents():
+    """name -> (loader, per-level loader, validator, payload, its parts)."""
+    docs = {}
+    for base in SHARING_BASES:
+        D = constant_diagram(NAMED_CROSSED[base]())
+        fat, incl = fatten_diagram(D, 2)
+        for form, diagram in (("constant", D), ("fattened", fat)):
+            payload = diagram_to_json(diagram)
+            docs[f"{form} {base}"] = (diagram_from_json, unshared_diagram_from_json,
+                                      validate_diagram, payload, _parts(payload))
+        payload = diagram_morphism_to_json(incl)
+        parts = (_parts(payload["source"]) + _parts(payload["target"])
+                 + [_part(maps) for maps in payload["levels"]])
+        docs[f"inclusion {base}"] = (diagram_morphism_from_json,
+                                     unshared_diagram_morphism_from_json,
+                                     validate_diagram_morphism, payload, parts)
+    return docs
+
+
+def _validated(load, validate, payload):
+    """The report of the loaded payload, or the type and message raised."""
+    try:
+        return validate(load(payload)).as_json()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# no deadline: the inclusion examples load and validate two diagrams twice
+@settings(deadline=None)
+@given(
+    st.sampled_from([f"{form} {base}" for form in ("constant", "fattened", "inclusion")
+                     for base in SHARING_BASES]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=100_000),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_shared_load_validates_as_the_unshared_load(sharing_documents, name, i, j, k):
+    """One id of one level, coface or level map changed to another id of the
+    same part: validating the shared load reports exactly what validating
+    the per-level load reports, or raises the same error."""
+    load, unshared_load, validate, payload, parts = sharing_documents[name]
+    slots, ids = parts[i % len(parts)]
+    container, key = slots[j % len(slots)]
+    old = container[key]
+    container[key] = ids[k % len(ids)]
+    try:
+        shared = _validated(load, validate, payload)
+        unshared = _validated(unshared_load, validate, payload)
+    finally:
+        container[key] = old
+    assert shared == unshared

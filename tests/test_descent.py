@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crossed_desc import (
     CrossedDescError,
@@ -343,6 +343,8 @@ def _outcome(classify, D):
         return type(exc), str(exc)
 
 
+# no deadline: the cech examples are slow, not wrong
+@settings(deadline=None)
 @given(
     st.sampled_from(["union", "inner-z3", "s3-a3", "cech"]),
     st.lists(
@@ -375,6 +377,8 @@ def _enumerated(enumerator, D):
         return type(exc), str(exc)
 
 
+# no deadline: the cech examples are slow, not wrong
+@settings(deadline=None)
 @given(
     st.sampled_from(["union", "inner-z3", "s3-a3", "cech"]),
     st.lists(
