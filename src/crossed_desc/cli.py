@@ -50,20 +50,21 @@ def _emit(obj) -> None:
     sys.stdout.write(dumps_canonical(obj))
 
 
-def _load(path: str) -> tuple[str, object]:
+def _load(path: str) -> tuple[str, str, object]:
+    """(document kind, structure kind, structure); a fixture spec is built."""
     with open(path, encoding="utf-8") as fh:
-        return parse_document(fh.read())
+        doc_kind, structure = parse_document(fh.read())
+    if doc_kind == "fixture-spec":
+        return (doc_kind, *build_fixture(structure))
+    return doc_kind, doc_kind, structure
 
 
 def _load_as(path: str, want: str):
-    """The structure of kind `want` in the document at `path`; a fixture spec
-    is built first."""
-    kind, structure = _load(path)
-    if kind == "fixture-spec":
-        kind, structure = build_fixture(structure)
-        if kind != want:
+    """The structure of kind `want` in the document at `path`."""
+    doc_kind, kind, structure = _load(path)
+    if kind != want:
+        if doc_kind == "fixture-spec":
             raise DomainError(f"fixture produces a {kind}, not a {want.replace('-', ' ')}")
-    elif kind != want:
         raise DomainError(f"expected a {want} document, got kind {kind!r}")
     return structure
 
@@ -72,19 +73,16 @@ def _load_as(path: str, want: str):
 
 
 def cmd_validate(args) -> int:
-    kind, structure = _load(args.path)
-    built_kind, built = (
-        build_fixture(structure) if kind == "fixture-spec" else (kind, structure)
-    )
-    if built_kind == "groupoid":
-        report = validate_groupoid(built)
-    elif built_kind == "crossed":
-        report = validate_crossed(built)
-    elif built_kind == "diagram":
-        report = validate_diagram(built)
+    doc_kind, kind, structure = _load(args.path)
+    if kind == "groupoid":
+        report = validate_groupoid(structure)
+    elif kind == "crossed":
+        report = validate_crossed(structure)
+    elif kind == "diagram":
+        report = validate_diagram(structure)
     else:
-        report = validate_diagram_morphism(built)
-    _emit({"kind": kind, "report": report.as_json()})
+        report = validate_diagram_morphism(structure)
+    _emit({"kind": doc_kind, "report": report.as_json()})
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
@@ -176,11 +174,10 @@ def _parse_target(F: DiagramMorphism, spec: str, bound: int) -> DescentDatum:
 
 
 def cmd_fixture(args) -> int:
-    kind, structure = _load(args.path)
-    if kind != "fixture-spec":
-        raise DomainError(f"expected a fixture-spec document, got kind {kind!r}")
-    built_kind, built = build_fixture(structure)
-    sys.stdout.write(serialize_document(built_kind, built, args.bound))
+    doc_kind, kind, structure = _load(args.path)
+    if doc_kind != "fixture-spec":
+        raise DomainError(f"expected a fixture-spec document, got kind {doc_kind!r}")
+    sys.stdout.write(serialize_document(kind, structure, args.bound))
     return EXIT_OK
 
 
@@ -197,19 +194,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, bound=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("path", help="input document (UTF-8 JSON envelope)")
-        p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                       help="candidate/size bound (default %(default)s)")
+        if bound:
+            p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                           help="candidate/size bound (default %(default)s)")
         p.set_defaults(func=func)
         return p
 
-    add("validate", cmd_validate, "run the validator for the document's kind")
+    add("validate", cmd_validate, "run the validator for the document's kind", bound=False)
     p_desc = add("desc", cmd_desc, "enumerate descent data of a diagram")
     p_desc.add_argument("--classes", action="store_true",
                         help="classify up to gauge equivalence with witnesses")
-    add("weq", cmd_weq, "check a diagram morphism for weak equivalence")
+    add("weq", cmd_weq, "check a diagram morphism for weak equivalence", bound=False)
     p_tr = add("transfer", cmd_transfer, "verify the induced class bijection both ways")
     p_tr.add_argument("--trace", action="store_true", help="include lift traces")
     p_lift = add("lift", cmd_lift, "lift one target descent datum")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .crossed import (
     CrossedGroupoid,
     CrossedMorphism,
-    _check_crossed_morphism,
     compose_crossed_morphisms,
     crossed_morphisms_equal,
     validate_crossed,
@@ -80,15 +79,15 @@ def validate_diagram(D: CrossedDiagram) -> ValidationReport:
 
     Each distinct level and coface object is checked once, and its report is
     extended under every position that holds it.  Once all four levels are
-    valid, the cofaces' functoriality and g2 homomorphisms are proven on
-    generators (`crossed._check_crossed_morphism`); otherwise every pair is
-    walked."""
+    valid, each coface is checked by `validate_crossed_morphism` with
+    `ends_valid`, which proves its functoriality and g2 homomorphisms on
+    generators; otherwise every pair is walked."""
     report = ValidationReport()
     for p, level_report in enumerate(_once_each(validate_crossed, D.levels)):
         report.extend(level_report, prefix=f"level {p}: ")
     levels_valid = report.ok
     keys = sorted(D.cofaces)
-    coface_reports = _once_each(lambda d: _check_crossed_morphism(d, levels_valid),
+    coface_reports = _once_each(lambda d: validate_crossed_morphism(d, levels_valid),
                                 [D.cofaces[key] for key in keys])
     for (p, k), coface_report in zip(keys, coface_reports):
         report.extend(coface_report, prefix=f"coface d^{k} at {p}: ")
@@ -159,8 +158,9 @@ def identity_diagram_morphism(D: CrossedDiagram) -> DiagramMorphism:
 def validate_diagram_morphism(F: DiagramMorphism) -> ValidationReport:
     """Level maps valid and natural with respect to every coface, then the
     source and target diagrams valid.  Invalid level maps are reported
-    alone; each distinct level map is checked once.  The level maps are walked over every pair: their ends are
-    validated only after them, so the proofs on generators cannot be used."""
+    alone; each distinct level map is checked once.  The level maps are
+    walked over every pair: their ends are validated only after them, so
+    `validate_crossed_morphism` cannot be told `ends_valid`."""
     report = ValidationReport()
     for p, level_report in enumerate(_once_each(validate_crossed_morphism, F.levels)):
         report.extend(level_report, prefix=f"level {p}: ")

@@ -626,23 +626,16 @@ def crossed_morphisms_equal(F: CrossedMorphism, G: CrossedMorphism) -> bool:
     )
 
 
-def validate_crossed_morphism(F: CrossedMorphism) -> ValidationReport:
+def validate_crossed_morphism(F: CrossedMorphism, ends_valid: bool = False) -> ValidationReport:
     """Check functoriality and compatibility with twist and feedback.
 
     Images are read from the maps and the target's tables; an instance whose
     images are undefined or mistyped is skipped, because another rule names it.
-    Every pair is walked: the proofs on generators need both ends valid,
-    which only a caller that has validated them can say
-    (`_check_crossed_morphism`)."""
-    return _check_crossed_morphism(F, ends_valid=False)
-
-
-def _check_crossed_morphism(F: CrossedMorphism, ends_valid: bool) -> ValidationReport:
-    """`validate_crossed_morphism`.  With `ends_valid`, source and target are
-    known to be valid crossed groupoids, so g1 functoriality (`_functorial_at`)
-    and each g2 homomorphism (`_multiplicative_on`) are proven on generating
-    sets of the source once the images are typed; a law whose precondition
-    or generator fails is walked over every pair."""
+    Every pair is walked unless `ends_valid`, which a caller that has
+    validated the source and target can pass: then, once the images are
+    typed, g1 functoriality (`_functorial_at`) and each g2 homomorphism
+    (`_multiplicative_on`) are proven on generating sets of the source, and a
+    law whose precondition or generator fails is walked over every pair."""
     report = ValidationReport()
     S, T = F.source, F.target
     obj, mor1, mor2 = F.obj_map, F.mor1_map, F.mor2_map

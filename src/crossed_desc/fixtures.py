@@ -525,7 +525,8 @@ def build_fixture(spec: FixtureSpec):
     """Build a fixture; returns ("crossed", C), ("diagram", D) or
     ("diagram-morphism", F) depending on the kind.
 
-    Parameters of the wrong shape or type raise LoadError.
+    Parameters of the wrong shape or type, and specs nested too deeply to
+    build, raise LoadError.
     """
     try:
         return _build(spec.kind, spec.params)
@@ -533,6 +534,8 @@ def build_fixture(spec: FixtureSpec):
         raise LoadError(
             f"malformed {spec.kind!r} fixture params: {type(exc).__name__}: {exc}"
         ) from None
+    except RecursionError:
+        raise LoadError("fixture spec nests too deeply") from None
 
 
 def _build(kind: str, p: dict):

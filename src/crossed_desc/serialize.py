@@ -5,7 +5,10 @@ Documents are wrapped in an envelope {"formatVersion": "crossed-desc/1",
 "kind": ..., "payload": ...}.  All tables are fully explicit: composition is a
 list of [after, before, result] triples (the "before first" convention), and
 output is canonical — sorted keys, sorted id lists — so serialization is
-byte-stable and round-trips exactly.
+byte-stable and round-trips exactly.  A table list that names one key
+twice (a groupoid's `morphisms` or `compose`, a group's `compose`, a crossed
+groupoid's `twist`) is rejected rather than letting the last entry win, and
+so is a document nested too deeply for the JSON reader.
 
 Loading keeps one object per distinct level and map within a document, as
 the builders do: a crossed-groupoid payload `==` an earlier one reuses its
@@ -13,7 +16,8 @@ the builders do: a crossed-groupoid payload `==` an earlier one reuses its
 between the same two level objects reuses its `CrossedMorphism`.  So a
 loaded constant diagram has one level object and one coface object, an
 in-place edit of a loaded level reaches every position that shares it, and
-`validate` checks each distinct level and coface once.
+`validate` checks each distinct level and coface once.  A diagram morphism
+holds its source and target as explicit diagrams.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import json
 
 from .crossed import CrossedGroupoid, CrossedMorphism, DisconnectedGroupoid, FiniteGroup
 from .cosimplicial import CrossedDiagram, DiagramMorphism
-from .fixtures import FixtureSpec, build_fixture
+from .fixtures import FixtureSpec
 from .groupoid import FiniteGroupoid
 from .validation import DEFAULT_BOUND, LoadError, ResourceBoundError
 
@@ -62,16 +66,25 @@ def _require(d, key, kind):
         raise LoadError(f"{kind} payload is missing {key!r}") from None
 
 
+def _one_row_per_key(table: dict, rows, kind: str, key: str) -> dict:
+    """`table`, just built from the list `rows`, unless two rows named one
+    key and the later one silently replaced the earlier."""
+    if len(table) != len(rows):
+        raise LoadError(f"{kind} payload names one key twice in {key!r}")
+    return table
+
+
 def groupoid_from_json(d: dict) -> FiniteGroupoid:
     morphisms = _require(d, "morphisms", "groupoid")
-    return FiniteGroupoid(
-        objects=tuple(_require(d, "objects", "groupoid")),
-        source={m["id"]: m["source"] for m in morphisms},
-        target={m["id"]: m["target"] for m in morphisms},
-        identities=dict(_require(d, "identities", "groupoid")),
-        table={(a, b): r for a, b, r in _require(d, "compose", "groupoid")},
-        inverses=dict(_require(d, "inverses", "groupoid")),
-    )
+    objects = tuple(_require(d, "objects", "groupoid"))
+    source = {m["id"]: m["source"] for m in morphisms}
+    target = {m["id"]: m["target"] for m in morphisms}
+    _one_row_per_key(source, morphisms, "groupoid", "morphisms")
+    identities = dict(_require(d, "identities", "groupoid"))
+    compose = _require(d, "compose", "groupoid")
+    table = _one_row_per_key({(a, b): r for a, b, r in compose}, compose, "groupoid", "compose")
+    inverses = dict(_require(d, "inverses", "groupoid"))
+    return FiniteGroupoid(objects, source, target, identities, table, inverses)
 
 
 # -- groups and crossed groupoids ---------------------------------------
@@ -92,9 +105,11 @@ def group_to_json(grp: FiniteGroup, bound: int = DEFAULT_BOUND) -> dict:
 
 
 def group_from_json(d: dict) -> FiniteGroup:
+    elements = tuple(_require(d, "elements", "group"))
+    compose = _require(d, "compose", "group")
     return FiniteGroup.from_table(
-        tuple(_require(d, "elements", "group")),
-        {(a, b): r for a, b, r in _require(d, "compose", "group")},
+        elements,
+        _one_row_per_key({(a, b): r for a, b, r in compose}, compose, "group", "compose"),
         _require(d, "identity", "group"),
         dict(_require(d, "inverses", "group")),
     )
@@ -115,10 +130,12 @@ def crossed_from_json(d: dict) -> CrossedGroupoid:
     g2 = DisconnectedGroupoid(
         {x: group_from_json(gd) for x, gd in _require(d, "g2", "crossed").items()}
     )
+    g1 = groupoid_from_json(_require(d, "g1", "crossed"))
+    twist = _require(d, "twist", "crossed")
     return CrossedGroupoid(
-        groupoid_from_json(_require(d, "g1", "crossed")),
+        g1,
         g2,
-        {(g, a): r for g, a, r in _require(d, "twist", "crossed")},
+        _one_row_per_key({(g, a): r for g, a, r in twist}, twist, "crossed", "twist"),
         dict(_require(d, "feedback", "crossed")),
     )
 
@@ -204,8 +221,8 @@ def diagram_morphism_to_json(
 
 def diagram_morphism_from_json(d: dict) -> DiagramMorphism:
     memo: dict = {}
-    source = _resolve_embedded_diagram(_require(d, "source", "diagram-morphism"), memo)
-    target = _resolve_embedded_diagram(_require(d, "target", "diagram-morphism"), memo)
+    source = _diagram_from_json(_require(d, "source", "diagram-morphism"), memo)
+    target = _diagram_from_json(_require(d, "target", "diagram-morphism"), memo)
     maps = _require(d, "levels", "diagram-morphism")
     if len(maps) != 4:
         raise LoadError("a diagram-morphism document needs exactly four level maps")
@@ -216,17 +233,6 @@ def diagram_morphism_from_json(d: dict) -> DiagramMorphism:
             memo, maps[p], ends, lambda: _maps_from_json(maps[p], *ends, "level map")
         ))
     return DiagramMorphism(source, target, tuple(levels))
-
-
-def _resolve_embedded_diagram(d: dict, memo: dict) -> CrossedDiagram:
-    """An embedded diagram: explicit tables, or a fixture spec to expand."""
-    if "fixture" in d:
-        spec = d["fixture"]
-        kind, built = build_fixture(FixtureSpec(spec["kind"], spec.get("params", {})))
-        if kind != "diagram":
-            raise LoadError("embedded fixture does not produce a diagram")
-        return built
-    return _diagram_from_json(d, memo)
 
 
 # -- fixture specs ------------------------------------------------------
@@ -265,9 +271,13 @@ def parse_document(text: str) -> tuple[str, object]:
     """Parse an envelope; returns (kind, structure).
 
     json.JSONDecodeError propagates for syntactically invalid input; malformed
-    envelopes or payloads raise LoadError.
+    envelopes or payloads, and nesting too deep for the JSON reader, raise
+    LoadError.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise LoadError("document nests too deeply") from None
     if not isinstance(doc, dict):
         raise LoadError("document is not a JSON object")
     if doc.get("formatVersion") != FORMAT_VERSION:

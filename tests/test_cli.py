@@ -312,6 +312,56 @@ def test_malformed_input_exits_2(
         assert "error" in json.loads(out)
 
 
+def _conflicting_row(rows):
+    """Insert, before the last row of a table list, a row that names the same
+    key: a copy of a morphism row, or a composite or twist with another
+    result."""
+    last = rows[-1]
+    if isinstance(last, dict):
+        rows.insert(-1, dict(last))
+    else:
+        rows.insert(-1, [*last[:-1], next(r[-1] for r in rows if r[-1] != last[-1])])
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (lambda p: p["g1"]["morphisms"], "groupoid payload names one key twice in 'morphisms'"),
+        (lambda p: p["g1"]["compose"], "groupoid payload names one key twice in 'compose'"),
+        (lambda p: p["g2"]["*"]["compose"], "group payload names one key twice in 'compose'"),
+        (lambda p: p["twist"], "crossed payload names one key twice in 'twist'"),
+    ],
+    ids=["groupoid-morphisms", "groupoid-compose", "group-compose", "twist"],
+)
+def test_repeated_table_key_exits_2(run, tmp_path, table, message):
+    """A table list that names one key twice is refused, rather than letting
+    the later row win over a contradicting earlier one unseen."""
+    doc = json.loads(serialize_document("crossed", fix_c_core()))
+    _conflicting_row(table(doc["payload"]))
+    assert run("validate", _write(tmp_path, "repeated", doc)) == (2, _error_bytes(message))
+
+
+def _fatten_chain(depth):
+    spec = "fix-a-core"
+    for _ in range(depth):
+        spec = {"kind": "fatten", "params": {"base": spec}}
+    return envelope("fixture-spec", spec)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000 + "]" * 100_000, "document nests too deeply"),
+        (json.dumps(_fatten_chain(400)), "fixture spec nests too deeply"),
+    ],
+    ids=["nested-arrays", "nested-fatten-spec"],
+)
+def test_deep_nesting_exits_2(run, tmp_path, text, message):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert run("validate", str(path)) == (2, _error_bytes(message))
+
+
 def test_wrong_version_exits_2(run, tmp_path):
     bad = tmp_path / "version.json"
     bad.write_text(json.dumps({"formatVersion": "other/9", "kind": "diagram",
@@ -402,6 +452,14 @@ def test_desc_fixture_spec_input(run, tmp_path):
 def test_desc_bound_exits_3(run, fixa_doc):
     code, _ = run("desc", fixa_doc, "--bound", "1")
     assert code == 3
+
+
+@pytest.mark.parametrize("command, exit_code", [("validate", 2), ("weq", 2), ("fixture", 3)])
+def test_bound_only_where_a_command_reads_it(run, fat_spec_doc, command, exit_code):
+    """`validate` and `weq` read no bound, so they refuse `--bound` as an
+    unknown option; `fixture` still writes under it."""
+    code, _ = run(command, fat_spec_doc, "--bound", "1")
+    assert code == exit_code
 
 
 def test_weq_ok(run, fat_spec_doc):
@@ -619,6 +677,16 @@ def test_validate_morphism_covers_its_diagrams(run, tmp_path):
     assert code == 1
     assert _violations(out) == [
         (rule, f"target: {detail}") for rule, detail in target_violations]
+
+
+def test_embedded_fixture_diagram_exits_2(run, tmp_path):
+    """The source and target of a diagram morphism are explicit diagrams; a
+    fixture spec in their place is not expanded."""
+    doc = _inclusion_doc("fix-a-core")
+    doc["payload"]["source"] = {
+        "fixture": {"kind": "constant-diagram", "params": {"base": "fix-a-core"}}}
+    assert run("validate", _write(tmp_path, "embedded", doc)) == (
+        2, _error_bytes("diagram payload is missing 'levels'"))
 
 
 def _table_ids(payload, level, table):

@@ -9,6 +9,7 @@ from crossed_desc import (
     DomainError,
     FiniteGroup,
     validate_crossed,
+    validate_crossed_morphism,
     validate_diagram,
     validate_diagram_morphism,
 )
@@ -44,6 +45,7 @@ from oracles import (
     unshared_diagram_from_json,
     unshared_diagram_morphism_from_json,
     walked_diagram_violations,
+    walked_morphism_violations,
 )
 
 
@@ -240,7 +242,8 @@ def oracle_diagrams(fat_union):
 )
 def test_diagram_validator_matches_the_walks_on_mutated_cofaces(oracle_diagrams, name, edits):
     """With coface entries remapped, the report is the one every law's walk
-    gives, cosimplicial identities included, rule by rule and in order."""
+    gives, cosimplicial identities included, rule by rule and in order; so is
+    each coface's own report when its valid ends let it prove on generators."""
     D = oracle_diagrams[name]
     for kind, i, j, k in edits:
         key = sorted(D.cofaces)[i % len(D.cofaces)]
@@ -249,6 +252,9 @@ def test_diagram_validator_matches_the_walks_on_mutated_cofaces(oracle_diagrams,
         pool = sorted(d.target.g1.source if kind == "mor1" else d.target.g2.owner)
         D = with_coface_entry(D, key, kind, elements[j % len(elements)], pool[k % len(pool)])
     assert [(v.rule, v.detail) for v in validate_diagram(D)] == walked_diagram_violations(D)
+    for d in {id(d): d for d in D.cofaces.values()}.values():
+        assert ([(v.rule, v.detail) for v in validate_crossed_morphism(d, ends_valid=True)]
+                == walked_morphism_violations(d))
 
 
 @pytest.mark.parametrize("rule, level, kind", [
