@@ -14,8 +14,6 @@ from .validation import (
 )
 from .groupoid import (
     FiniteGroupoid,
-    Word,
-    evaluate_word,
     pi0_groupoid,
     validate_groupoid,
 )

@@ -177,7 +177,7 @@ def cmd_fixture(args) -> int:
     doc_kind, kind, structure = _load(args.path)
     if doc_kind != "fixture-spec":
         raise DomainError(f"expected a fixture-spec document, got kind {doc_kind!r}")
-    sys.stdout.write(serialize_document(kind, structure, args.bound))
+    sys.stdout.write(serialize_document(kind, structure))
     return EXIT_OK
 
 
@@ -199,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("path", help="input document (UTF-8 JSON envelope)")
         if bound:
             p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                           help="candidate/size bound (default %(default)s)")
+                           help="candidate bound (default %(default)s)")
         p.set_defaults(func=func)
         return p
 
@@ -214,7 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lift.add_argument("--target", required=True,
                         help="enumeration index or JSON triple {x,g,a}")
     p_lift.add_argument("--trace", action="store_true", help="include the lift trace")
-    add("fixture", cmd_fixture, "expand a fixture spec into an explicit document")
+    add("fixture", cmd_fixture, "expand a fixture spec into an explicit document",
+        bound=False)
     return parser
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from .cosimplicial import CrossedDiagram
 from .crossed import CrossedGroupoid
-from .groupoid import Word, evaluate_word
 from .validation import (
     DEFAULT_BOUND,
     CrossedDescError,
@@ -126,7 +125,8 @@ def _cocycle_failure(D: CrossedDiagram, g: str) -> str:
     g01 = D.face((0, 1), 2).apply_mor1(g)
     g02 = D.face((0, 2), 2).apply_mor1(g)
     g12 = D.face((1, 2), 2).apply_mor1(g)
-    return evaluate_word(D.levels[2].g1, Word.of((g02, -1), (g12, +1), (g01, +1)))
+    G = D.levels[2].g1
+    return G.compose_all(G.inverse(g02), g12, g01)
 
 
 def _twisted_cocycle_sides(D: CrossedDiagram, t: DescentDatum) -> tuple[str, str]:
@@ -205,9 +205,7 @@ def _predicted_g(D: CrossedDiagram, src_g: str, t: GaugeTransformation) -> str:
     L1 = D.levels[1]
     f0 = D.face((0,), 1).apply_mor1(t.f)
     f1 = D.face((1,), 1).apply_mor1(t.f)
-    return evaluate_word(
-        L1.g1, Word.of((f1, +1), (src_g, +1), (L1.feedback(t.c), +1), (f0, -1))
-    )
+    return L1.g1.compose_all(f1, src_g, L1.feedback(t.c), L1.g1.inverse(f0))
 
 
 def _predicted_a(D: CrossedDiagram, src: DescentDatum, t: GaugeTransformation) -> str:
@@ -346,30 +344,25 @@ def completion_steps(
     target = _cocycle_failure(D, dst.g)
     Dc = {ij: L2.feedback(cm[ij]) for ij in cm}
 
-    def word(*factors):
-        return evaluate_word(G, Word.of(*factors))
+    inv = G.inverse
+    expand = lambda ij, i, j: [f[j], gm[ij], Dc[ij], inv(f[i])]
+    piece02 = G.compose_all(*expand((0, 2), 0, 2))
+    expanded = G.compose_all(inv(piece02), *expand((1, 2), 1, 2), *expand((0, 1), 0, 1))
 
-    expand = lambda ij, i, j: [(f[j], +1), (gm[ij], +1), (Dc[ij], +1), (f[i], -1)]
-    piece02 = word(*expand((0, 2), 0, 2))
-    expanded = word(
-        (piece02, -1), *expand((1, 2), 1, 2), *expand((0, 1), 0, 1)
-    )
-
-    cancelled = word(
-        (f[0], +1), (Dc[(0, 2)], -1), (gm[(0, 2)], -1), (gm[(1, 2)], +1),
-        (Dc[(1, 2)], +1), (gm[(0, 1)], +1), (Dc[(0, 1)], +1), (f[0], -1),
+    cancelled = G.compose_all(
+        f[0], inv(Dc[(0, 2)]), inv(gm[(0, 2)]), gm[(1, 2)],
+        Dc[(1, 2)], gm[(0, 1)], Dc[(0, 1)], inv(f[0]),
     )
 
     Da = L2.feedback(src.a)
-    substituted = word(
-        (f[0], +1), (Dc[(0, 2)], -1), (Da, +1), (gm[(0, 1)], -1),
-        (Dc[(1, 2)], +1), (gm[(0, 1)], +1), (Dc[(0, 1)], +1), (f[0], -1),
+    substituted = G.compose_all(
+        f[0], inv(Dc[(0, 2)]), Da, inv(gm[(0, 1)]),
+        Dc[(1, 2)], gm[(0, 1)], Dc[(0, 1)], inv(f[0]),
     )
 
-    twisted_c12 = L2.twist(G.inverse(gm[(0, 1)]), cm[(1, 2)])
-    folded = word(
-        (f[0], +1), (Dc[(0, 2)], -1), (Da, +1),
-        (L2.feedback(twisted_c12), +1), (Dc[(0, 1)], +1), (f[0], -1),
+    D_twisted_c12 = L2.feedback(L2.twist(inv(gm[(0, 1)]), cm[(1, 2)]))
+    folded = G.compose_all(
+        f[0], inv(Dc[(0, 2)]), Da, D_twisted_c12, Dc[(0, 1)], inv(f[0]),
     )
 
     inner = _inner_cell(L2, src.a, gm[(0, 1)], cm[(0, 1)], cm[(0, 2)], cm[(1, 2)])

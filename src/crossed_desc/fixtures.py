@@ -282,6 +282,8 @@ def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism
     if n < 1:
         raise DomainError("copy count must be at least 1")
     g1 = C.g1
+    if (len(g1.source) * n * n) ** 2 > DEFAULT_BOUND:
+        raise ResourceBoundError("fattened composition table would exceed the bound")
     objects = tuple(f"{x}@{i}" for x in g1.objects for i in range(n))
     source, target, inverses = {}, {}, {}
     morph_ids = {}
@@ -292,8 +294,6 @@ def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism
                 morph_ids[(m, i, j)] = mid
                 source[mid] = f"{g1.source[m]}@{i}"
                 target[mid] = f"{g1.target[m]}@{j}"
-    if len(source) ** 2 > DEFAULT_BOUND:
-        raise ResourceBoundError("fattened composition table would exceed the bound")
     for (m, i, j), mid in morph_ids.items():
         inverses[mid] = morph_ids[(g1.inverses[m], j, i)]
     # transport each base composite: (m2@j.k) . (m1@i.j) = (m2 . m1)@i.k.
@@ -390,11 +390,15 @@ def cech_diagram(C: CrossedGroupoid, m: int) -> CrossedDiagram:
     base_g1 = _one_object_group(C.g1)
     base_g2 = C.g2.group(obj)
 
-    tuples = [sorted(itertools.product(range(m), repeat=p + 1)) for p in range(4)]
+    # sized from m before anything is built: level p's ids have k = m^(p+1)
+    # parts, and no power is taken with an exponent k over the bound
     for p in range(4):
-        k = len(tuples[p])
-        if len(base_g2) ** k > DEFAULT_BOUND or (len(base_g1) ** k) ** 2 > DEFAULT_BOUND:
+        k = m ** (p + 1)
+        if (k > DEFAULT_BOUND or len(base_g2) ** k > DEFAULT_BOUND
+                or (len(base_g1) ** k) ** 2 > DEFAULT_BOUND):
             raise ResourceBoundError(f"Čech level {p} exceeds the size bound")
+
+    tuples = [sorted(itertools.product(range(m), repeat=p + 1)) for p in range(4)]
 
     g1_groups = [FiniteGroup.product([base_g1] * len(tuples[p])) for p in range(4)]
     g2_groups = [FiniteGroup.product([base_g2] * len(tuples[p])) for p in range(4)]

@@ -26,23 +26,6 @@ if TYPE_CHECKING:
     from .crossed import FiniteGroup
 
 
-@dataclass(frozen=True)
-class Word:
-    """A formal composite: factors listed left to right in composition order.
-
-    The leftmost factor is applied last (``h . g`` applies ``g`` first), so
-    evaluation folds from the right.  ``anchor`` names the object whose
-    identity an empty word evaluates to.
-    """
-
-    factors: tuple[tuple[str, int], ...]
-    anchor: str | None = None
-
-    @staticmethod
-    def of(*factors: tuple[str, int]) -> "Word":
-        return Word(tuple(factors))
-
-
 @dataclass
 class FiniteGroupoid:
     """Explicit object/morphism tables with total composition on composable pairs."""
@@ -149,6 +132,15 @@ class FiniteGroupoid:
             return self.inverses[m]
         except KeyError:
             raise DomainError(f"unknown morphism {m!r}") from None
+
+    def compose_all(self, *ms: str) -> str:
+        """The composite ms[0] . ms[1] . ... . ms[-1]: ms[-1] first, then
+        folded from the right, so ``compose_all(h, g, f)`` is
+        ``compose(h, compose(g, f))``."""
+        acc = ms[-1]
+        for m in reversed(ms[:-1]):
+            acc = self.compose(m, acc)
+        return acc
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         """All morphisms x -> y, sorted."""
@@ -303,29 +295,6 @@ def _associative_at(G: FiniteGroupoid, a: str) -> bool:
             if table[(ka, g)] != table[(k, ag)]:
                 return False
     return True
-
-
-def evaluate_word(G: FiniteGroupoid, w: Word) -> str:
-    """Evaluate a formal composite right to left, resolving exponents.
-
-    The empty word requires an anchor object and returns its identity.
-    """
-    if not w.factors:
-        if w.anchor is None:
-            raise DomainError("empty word needs an anchor object")
-        return G.identity(w.anchor)
-    resolved = []
-    for m, exp in w.factors:
-        if exp == 1:
-            resolved.append(m)
-        elif exp == -1:
-            resolved.append(G.inverse(m))
-        else:
-            raise DomainError(f"exponent must be +1 or -1, got {exp}")
-    acc = resolved[-1]
-    for m in reversed(resolved[:-1]):
-        acc = G.compose(m, acc)
-    return acc
 
 
 def pi0_groupoid(G: FiniteGroupoid) -> dict[str, str]:

@@ -5,8 +5,10 @@ Documents are wrapped in an envelope {"formatVersion": "crossed-desc/1",
 "kind": ..., "payload": ...}.  All tables are fully explicit: composition is a
 list of [after, before, result] triples (the "before first" convention), and
 output is canonical — sorted keys, sorted id lists — so serialization is
-byte-stable and round-trips exactly.  A table list that names one key
-twice (a groupoid's `morphisms` or `compose`, a group's `compose`, a crossed
+byte-stable and round-trips exactly.  The writers refuse (ResourceBoundError)
+a group whose composition table would have more than the fixed
+`DEFAULT_BOUND` of entries.  A table list that names one key twice (a
+groupoid's `morphisms` or `compose`, a group's `compose`, a crossed
 groupoid's `twist`) is rejected rather than letting the last entry win, and
 so is a document nested too deeply for the JSON reader.
 
@@ -90,9 +92,9 @@ def groupoid_from_json(d: dict) -> FiniteGroupoid:
 # -- groups and crossed groupoids ---------------------------------------
 
 
-def group_to_json(grp: FiniteGroup, bound: int = DEFAULT_BOUND) -> dict:
+def group_to_json(grp: FiniteGroup) -> dict:
     n = len(grp)
-    if n * n > bound:
+    if n * n > DEFAULT_BOUND:
         raise ResourceBoundError(
             f"group of order {n} needs {n * n} composition entries, over the bound"
         )
@@ -115,12 +117,10 @@ def group_from_json(d: dict) -> FiniteGroup:
     )
 
 
-def crossed_to_json(C: CrossedGroupoid, bound: int = DEFAULT_BOUND) -> dict:
+def crossed_to_json(C: CrossedGroupoid) -> dict:
     return {
         "g1": groupoid_to_json(C.g1),
-        "g2": {
-            x: group_to_json(C.g2.group(x), bound) for x in sorted(C.g2.groups)
-        },
+        "g2": {x: group_to_json(C.g2.group(x)) for x in sorted(C.g2.groups)},
         "twist": sorted([g, a, r] for (g, a), r in C.twist_table.items()),
         "feedback": dict(sorted(C.feedback_table.items())),
     }
@@ -163,9 +163,9 @@ def _maps_from_json(
     )
 
 
-def diagram_to_json(D: CrossedDiagram, bound: int = DEFAULT_BOUND) -> dict:
+def diagram_to_json(D: CrossedDiagram) -> dict:
     return {
-        "levels": [crossed_to_json(L, bound) for L in D.levels],
+        "levels": [crossed_to_json(L) for L in D.levels],
         "cofaces": {
             f"{p},{k}": _maps_to_json(d)
             for (p, k), d in sorted(D.cofaces.items())
@@ -209,12 +209,10 @@ def _diagram_from_json(d: dict, memo: dict) -> CrossedDiagram:
     return CrossedDiagram(levels, cofaces)
 
 
-def diagram_morphism_to_json(
-    F: DiagramMorphism, bound: int = DEFAULT_BOUND
-) -> dict:
+def diagram_morphism_to_json(F: DiagramMorphism) -> dict:
     return {
-        "source": diagram_to_json(F.source, bound),
-        "target": diagram_to_json(F.target, bound),
+        "source": diagram_to_json(F.source),
+        "target": diagram_to_json(F.target),
         "levels": [_maps_to_json(Fp) for Fp in F.levels],
     }
 
@@ -256,13 +254,12 @@ _PARSERS = {
     "fixture-spec": fixture_spec_from_json,
 }
 
-# kind -> payload writer taking (structure, bound)
 _WRITERS = {
-    "groupoid": lambda G, bound: groupoid_to_json(G),
+    "groupoid": groupoid_to_json,
     "crossed": crossed_to_json,
     "diagram": diagram_to_json,
     "diagram-morphism": diagram_morphism_to_json,
-    "fixture-spec": lambda spec, bound: fixture_spec_to_json(spec),
+    "fixture-spec": fixture_spec_to_json,
 }
 KINDS = tuple(_WRITERS)
 
@@ -294,7 +291,9 @@ def parse_document(text: str) -> tuple[str, object]:
         raise LoadError(f"malformed {kind} payload: {exc}") from None
 
 
-def serialize_document(kind: str, structure, bound: int = DEFAULT_BOUND) -> str:
+def serialize_document(kind: str, structure) -> str:
+    """The canonical document of `structure`; raises ResourceBoundError when
+    a group's composition table would exceed `DEFAULT_BOUND` entries."""
     if kind not in _WRITERS:
         raise LoadError(f"unknown document kind {kind!r}")
-    return dumps_canonical(envelope(kind, _WRITERS[kind](structure, bound)))
+    return dumps_canonical(envelope(kind, _WRITERS[kind](structure)))

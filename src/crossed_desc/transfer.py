@@ -32,7 +32,6 @@ from .descent import (
     is_gauge,
     vertex_object,
 )
-from .groupoid import Word, evaluate_word
 from .validation import (
     DEFAULT_BOUND,
     CrossedDescError,
@@ -133,7 +132,7 @@ def lift_descent(
     # 2. transport the datum to y' with the trivial 2-component, then complete
     f0 = H.face((0,), 1).apply_mor1(f)
     f1 = H.face((1,), 1).apply_mor1(f)
-    h_pp = evaluate_word(H1.g1, Word.of((f1, +1), (h, +1), (f0, -1)))
+    h_pp = H1.g1.compose_all(f1, h, H1.g1.inverse(f0))
     c_pp = H1.g2.identity(vertex_object(H, y, 0, 1))
     b_pp, dd_pp = complete_descent(
         H, target, PartialDescentDatum(y_prime, h_pp), GaugeTransformation(f, c_pp)
@@ -250,9 +249,7 @@ def lift_gauge(
     # 2. least d' with D(d') = g^-1 . e_(1)^-1 . g' . e_(0)
     e0 = G.face((0,), 1).apply_mor1(e)
     e1 = G.face((1,), 1).apply_mor1(e)
-    want = evaluate_word(
-        G1.g1, Word.of((src.g, -1), (e1, -1), (dst.g, +1), (e0, +1))
-    )
+    want = G1.g1.compose_all(G1.g1.inverse(src.g), G1.g1.inverse(e1), dst.g, e0)
     x0 = vertex_object(G, src.x, 0, 1)
     d_p = None
     for cand in sorted(G1.g2.group(x0).elements):
@@ -319,7 +316,7 @@ def revalidate_lift_trace(F: DiagramMorphism, trace: LiftTrace) -> ValidationRep
         H1 = H.levels[1]
         f0 = H.face((0,), 1).apply_mor1(d["f"])
         f1 = H.face((1,), 1).apply_mor1(d["f"])
-        h_pp = evaluate_word(H1.g1, Word.of((f1, +1), (target.g, +1), (f0, -1)))
+        h_pp = H1.g1.compose_all(f1, target.g, H1.g1.inverse(f0))
         if h_pp != d["h_pp"]:
             report.add("trace", "transported 1-morphism does not recompute")
         if F.levels[0].apply_obj(d["x"]) != d["y_prime"]:
@@ -359,9 +356,7 @@ def revalidate_lift_trace(F: DiagramMorphism, trace: LiftTrace) -> ValidationRep
             report.add("trace", "adjusted 2-component does not recompute")
         e0 = G.face((0,), 1).apply_mor1(d["e"])
         e1 = G.face((1,), 1).apply_mor1(d["e"])
-        want = evaluate_word(
-            G1.g1, Word.of((src.g, -1), (e1, -1), (dst.g, +1), (e0, +1))
-        )
+        want = G1.g1.compose_all(G1.g1.inverse(src.g), G1.g1.inverse(e1), dst.g, e0)
         if G1.feedback(d["d_p"]) != want:
             report.add("trace", "feedback of d' does not recompute")
         w = H1.g2.mul(d["c_tilde"], H1.g2.inv(F.levels[1].apply_mor2(d["d_p"])))

@@ -1,7 +1,7 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately written against the raw tables, without using
-the library's face maps, word evaluation, completion, or class machinery, so
+the library's face maps, `compose_all`, completion, or class machinery, so
 that agreement between the two is meaningful.  A face is applied as an
 explicit chain of cofaces (`push_desc`), composed in a *different* order
 (largest skipped vertex first) than `CrossedDiagram.face` composes them.  The

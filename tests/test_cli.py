@@ -454,12 +454,22 @@ def test_desc_bound_exits_3(run, fixa_doc):
     assert code == 3
 
 
-@pytest.mark.parametrize("command, exit_code", [("validate", 2), ("weq", 2), ("fixture", 3)])
+@pytest.mark.parametrize("command, exit_code", [("validate", 2), ("weq", 2), ("fixture", 2)])
 def test_bound_only_where_a_command_reads_it(run, fat_spec_doc, command, exit_code):
-    """`validate` and `weq` read no bound, so they refuse `--bound` as an
-    unknown option; `fixture` still writes under it."""
+    """`validate`, `weq` and `fixture` read no bound, so they refuse `--bound`
+    as an unknown option."""
     code, _ = run(command, fat_spec_doc, "--bound", "1")
     assert code == exit_code
+
+
+def test_fixture_writes_under_the_fixed_bound(run, tmp_path):
+    """The cover spec builds, but level 3's upper group has 65,536 elements,
+    too many to write as a composition table."""
+    code, out = run("fixture", _write(tmp_path, "cech", envelope("fixture-spec", CECH_SPEC)))
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "group of order 65536 needs 4294967296 composition entries, over the bound"
+    }
 
 
 def test_weq_ok(run, fat_spec_doc):

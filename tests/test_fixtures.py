@@ -141,8 +141,18 @@ def test_cech_needs_one_object():
 
 
 def test_cech_bound():
-    with pytest.raises(ResourceBoundError):
+    """Sizes are computed from the spec before anything is built, so specs
+    far over the bound fail at once instead of exhausting memory: a cover
+    whose level-0 group is too large, a trivial base whose level-3 ids
+    would have over a million parts, and a fattening with 10^12 morphisms."""
+    with pytest.raises(ResourceBoundError, match="Čech level 2 exceeds"):
         cech_diagram(fix_a_core(), 3)
+    with pytest.raises(ResourceBoundError, match="Čech level 0 exceeds"):
+        cech_diagram(fix_a_core(), 10**6)
+    with pytest.raises(ResourceBoundError, match="Čech level 3 exceeds"):
+        cech_diagram(crossed_from_normal_subgroup(trivial_group(), ["1"]), 40)
+    with pytest.raises(ResourceBoundError, match="fattened composition table"):
+        fatten(fix_a_core(), 10**6)
 
 
 def test_cocycle_count_cross_check():

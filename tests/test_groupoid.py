@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crossed_desc import (
+    ComposabilityError,
     DomainError,
     FiniteGroupoid,
     LoadError,
-    Word,
-    evaluate_word,
     fatten,
     pi0_groupoid,
     validate_groupoid,
@@ -266,32 +265,34 @@ def test_generators_do_not_depend_on_the_hash_seed():
         assert json.loads(run.stdout) == want
 
 
-def test_word_evaluation_right_to_left(s3_groupoid):
+def test_compose_all_right_to_left(s3_groupoid):
     G = s3_groupoid
-    # rightmost factor applies first, matching compose(after, before)
-    w = Word.of(("120", +1), ("102", +1))
-    assert evaluate_word(G, w) == G.compose("120", "102")
-    assert evaluate_word(G, Word.of(("120", -1))) == "201"
+    # the last argument applies first, matching compose(after, before)
+    assert G.compose_all("120", "102") == G.compose("120", "102")
+    assert G.compose_all("120", "102", "021") == G.compose("120", G.compose("102", "021"))
+    assert G.compose_all(G.inverse("120")) == "201"
 
 
-def test_empty_word_needs_anchor(s3_groupoid):
-    with pytest.raises(DomainError):
-        evaluate_word(s3_groupoid, Word(factors=(), anchor=None))
-    w = Word(factors=(), anchor="*")
-    assert evaluate_word(s3_groupoid, w) == "012"
-
-
-@given(st.lists(st.sampled_from(sorted(symmetric_group(3).elements)), max_size=5),
+@given(st.lists(st.sampled_from(sorted(symmetric_group(3).elements)), min_size=1, max_size=5),
        st.sampled_from(sorted(symmetric_group(3).elements)),
        st.integers(min_value=0, max_value=5))
-def test_word_insertion_invariance(ms, extra, pos):
-    """Splicing m . m^-1 anywhere into a word never changes its value."""
+def test_compose_all_splice_invariance(ms, extra, pos):
+    """Splicing m . m^-1 anywhere into a composite never changes its value."""
     G = one_object_groupoid(symmetric_group(3))
-    base = tuple((m, +1) for m in ms)
-    value = evaluate_word(G, Word(factors=base, anchor="*"))
-    pos = min(pos, len(base))
-    spliced = base[:pos] + ((extra, +1), (extra, -1)) + base[pos:]
-    assert evaluate_word(G, Word(factors=spliced, anchor="*")) == value
+    pos = min(pos, len(ms))
+    spliced = ms[:pos] + [extra, G.inverse(extra)] + ms[pos:]
+    assert G.compose_all(*spliced) == G.compose_all(*ms)
+
+
+def test_compose_all_inverses_are_looked_up_first():
+    """Inverses are arguments, so an unknown id among them raises before a
+    non-composable pair does, even one that the fold composes first."""
+    G = two_component_groupoid()
+    with pytest.raises(ComposabilityError):
+        G.compose_all(G.inverse("e"), "t", "ev")
+    with pytest.raises(DomainError, match="unknown morphism 'x'") as excinfo:
+        G.compose_all(G.inverse("x"), "t", "ev")
+    assert excinfo.type is DomainError
 
 
 def test_pi0_components():
