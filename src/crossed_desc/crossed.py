@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .groupoid import FiniteGroupoid, _generators, pi0_groupoid, validate_groupoid
 from .validation import DomainError, LoadError, ResourceBoundError, ValidationReport
@@ -261,11 +261,18 @@ class CrossedGroupoid:
 
     g1: FiniteGroupoid
     g2: DisconnectedGroupoid
-    twist_table: dict[tuple[str, str], str]
-    feedback_table: dict[str, str]
+    # dicts, typed here; or, on a fattening, read-only views that compute each
+    # entry from the base and miss on an ill-typed key (`fixtures.fatten`)
+    twist_table: Mapping[tuple[str, str], str]
+    feedback_table: Mapping[str, str]
     # (base, k) on a cover level that is the k-fold power of a one-object base;
     # only `cech_diagram` sets it, and validate_crossed checks it
     power: tuple[CrossedGroupoid, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # (base, n) on `fatten(base, n)`, whose ids tag the base's as x@i, m@i.j
+    # and a@i; only `fatten` sets it, and `homotopy` reads the base's
+    fattening: tuple[CrossedGroupoid, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     # pi0/pi1/pi2, computed by `homotopy` on first use, then kept
@@ -274,28 +281,31 @@ class CrossedGroupoid:
     )
 
     def __post_init__(self):
-        # reads the tables directly: an unknown id is a typing error here
+        # reads the tables directly: an unknown id is a typing error here.  A
+        # view is typed by construction, so only dict tables are walked.
         source, target, owner = self.g1.source, self.g1.target, self.g2.owner
         if set(self.g1.objects) != set(self.g2.objects):
             raise LoadError(
                 "object sets of the groupoid and the group family disagree"
             )
-        order = {x: len(grp) for x, grp in self.g2.groups.items()}
-        if len(self.twist_table) != sum(order[x] for x in source.values()):
-            raise LoadError("twist table is not total on (1-morphism, 2-morphism) pairs")
-        for (g, a), r in self.twist_table.items():
-            x = source.get(g)
-            if x is None:
-                raise LoadError(f"twist key uses unknown 1-morphism {g!r}")
-            if owner.get(a) != x:
-                raise LoadError(f"twist key ({g!r}, {a!r}) is ill-typed")
-            if owner.get(r) != target[g]:
-                raise LoadError(f"twist value of ({g!r}, {a!r}) lands at the wrong object")
-        if self.feedback_table.keys() != owner.keys():
-            raise LoadError("feedback table does not cover the 2-morphisms")
-        for a, r in self.feedback_table.items():
-            if r not in source:
-                raise LoadError(f"feedback of {a!r} is not a 1-morphism")
+        if isinstance(self.twist_table, dict):
+            order = {x: len(grp) for x, grp in self.g2.groups.items()}
+            if len(self.twist_table) != sum(order[x] for x in source.values()):
+                raise LoadError("twist table is not total on (1-morphism, 2-morphism) pairs")
+            for (g, a), r in self.twist_table.items():
+                x = source.get(g)
+                if x is None:
+                    raise LoadError(f"twist key uses unknown 1-morphism {g!r}")
+                if owner.get(a) != x:
+                    raise LoadError(f"twist key ({g!r}, {a!r}) is ill-typed")
+                if owner.get(r) != target[g]:
+                    raise LoadError(f"twist value of ({g!r}, {a!r}) lands at the wrong object")
+        if isinstance(self.feedback_table, dict):
+            if self.feedback_table.keys() != owner.keys():
+                raise LoadError("feedback table does not cover the 2-morphisms")
+            for a, r in self.feedback_table.items():
+                if r not in source:
+                    raise LoadError(f"feedback of {a!r} is not a 1-morphism")
 
     @property
     def objects(self) -> tuple[str, ...]:
@@ -316,6 +326,17 @@ class CrossedGroupoid:
             return self.feedback_table[a]
         except KeyError:
             raise DomainError(f"unknown 2-morphism {a!r}") from None
+
+    def twist_row(self, g: str) -> dict[str, str]:
+        """{a: twist(g, a)} for every 2-morphism a at the source of g, in the
+        order of that group's elements; empty when g is not a 1-morphism."""
+        tw = self.twist_table
+        if not isinstance(tw, dict):
+            return tw.row(g)
+        x = self.g1.source.get(g)
+        if x is None:
+            return {}
+        return {a: tw[(g, a)] for a in self.g2.groups[x].elements}
 
 
 def validate_crossed(C: CrossedGroupoid) -> ValidationReport:
@@ -362,7 +383,7 @@ def validate_crossed(C: CrossedGroupoid) -> ValidationReport:
     for g in g1.morphisms:
         x, y = g1.source[g], g1.target[g]
         grp, image = C.g2.group(x), C.g2.group(y)
-        row = {a: tw[(g, a)] for a in grp.elements}
+        row = C.twist_row(g)
         if len(set(row.values())) != len(grp):
             report.add("twist-bijective", f"twist({g}, -) is not injective")
         if x in gens and y in gens:
@@ -734,47 +755,61 @@ class HomotopyData:
 def homotopy(C: CrossedGroupoid) -> HomotopyData:
     """Components of g1, cokernels and kernels of the feedback per object.
 
+    A fattening `fatten(B, n)` takes the feedback image and the kernel at
+    x@i from `homotopy(B)` at x, tagged, instead of scanning its own groups.
     Computed on the first call and kept on C, so later calls return the
     same object."""
     if C._homotopy is not None:
         return C._homotopy
-    fb = C.feedback_table
     pi0 = pi0_groupoid(C.g1)
-    pi1: dict[str, Pi1] = {}
+    images: dict[str, Iterable[str]] = {}
     pi2: dict[str, tuple[str, ...]] = {}
-    for x in C.objects:
-        image = sorted({fb[a] for a in C.g2.group(x)})
-        auts = C.g1.hom(x, x)
-        coset_of: dict[str, str] = {}
-        for g in auts:
-            if g in coset_of:
-                continue
-            members = sorted(C.g1.compose(g, d) for d in image)
-            rep = members[0]
-            for m in members:
-                coset_of[m] = rep
-        one = C.g1.identity(x)
-        if one not in coset_of:
-            raise DomainError(
-                f"identity {one!r} at {x!r} lies in no coset of the feedback image"
-            )
-        reps = tuple(sorted(set(coset_of.values())))
-
-        def mul(a: str, b: str, _c=coset_of, _g1=C.g1) -> str:
-            return _c[_g1.compose(a, b)]
-
-        def inv(a: str, _c=coset_of, _g1=C.g1) -> str:
-            return _c[_g1.inverse(a)]
-
-        pi1[x] = Pi1(
-            reps,
-            coset_of,
-            FiniteGroup(reps, coset_of[one], mul, inv),
-        )
-        grp = C.g2.group(x)
-        pi2[x] = tuple(sorted(a for a in grp if fb[a] == one))
+    if C.fattening is None:
+        fb = C.feedback_table
+        for x in C.objects:
+            grp, one = C.g2.group(x), C.g1.identity(x)
+            images[x] = {fb[a] for a in grp}
+            pi2[x] = tuple(sorted(a for a in grp if fb[a] == one))
+    else:
+        base, n = C.fattening
+        hb = homotopy(base)
+        for x, p1 in hb.pi1.items():
+            image = [g for g, rep in p1.coset_of.items() if rep == p1.group.identity]
+            for i in range(n):
+                images[f"{x}@{i}"] = [f"{d}@{i}.{i}" for d in image]
+                # sorted again: the tag can reorder ids ("a@0" > "a0@0")
+                pi2[f"{x}@{i}"] = tuple(sorted(f"{a}@{i}" for a in hb.pi2[x]))
+    pi1 = {x: _pi1(C.g1, x, images[x]) for x in C.objects}
     C._homotopy = HomotopyData(pi0, pi1, pi2)
     return C._homotopy
+
+
+def _pi1(g1: FiniteGroupoid, x: str, image: Iterable[str]) -> Pi1:
+    """The automorphisms at x modulo the feedback image there, on the least
+    member of each coset."""
+    image = sorted(image)
+    coset_of: dict[str, str] = {}
+    for g in g1.hom(x, x):
+        if g in coset_of:
+            continue
+        members = sorted(g1.compose(g, d) for d in image)
+        rep = members[0]
+        for m in members:
+            coset_of[m] = rep
+    one = g1.identity(x)
+    if one not in coset_of:
+        raise DomainError(
+            f"identity {one!r} at {x!r} lies in no coset of the feedback image"
+        )
+    reps = tuple(sorted(set(coset_of.values())))
+
+    def mul(a: str, b: str) -> str:
+        return coset_of[g1.compose(a, b)]
+
+    def inv(a: str) -> str:
+        return coset_of[g1.inverse(a)]
+
+    return Pi1(reps, coset_of, FiniteGroup(reps, coset_of[one], mul, inv))
 
 
 def is_weak_equivalence_crossed(F: CrossedMorphism) -> tuple[bool, ValidationReport]:

@@ -485,7 +485,8 @@ class _GaugeScan:
     the rows below, each computed once.
 
     `rows[x]`, per level-0 object x of a member: x_(0) at level 1, and the row
-    (f, x', f_(1), f_(0)^-1, f_(0) at level 2) of each f: x -> x', sorted.
+    (f, x', f_(1), f_(0)^-1, twist row of f_(0) at level 2) of each
+    f: x -> x', sorted.
     `cells[x_(0)]`: the row (c, feedback(c), c_(0,1), c_(0,2), c_(1,2)) of
     each 2-morphism c at x_(0), sorted.  An undefined image or inverse is
     None, so every lookup that uses it misses.  Needs a member: its descent
@@ -496,7 +497,6 @@ class _GaugeScan:
         L0, L1, L2 = D.levels[0], D.levels[1], D.levels[2]
         self.D = D
         self.compose1 = L1.g1.table
-        self.twist2 = L2.twist_table
         self.g01 = D.face((0, 1), 2).mor1_map
         f0, f1 = D.face((0,), 1).mor1_map, D.face((1,), 1).mor1_map
         f0_2 = D.face((0,), 2).mor1_map
@@ -504,7 +504,8 @@ class _GaugeScan:
         self.rows: dict[str, tuple[str, list[tuple]]] = {}
         for x in dict.fromkeys(m.x for m in members):
             self.rows[x] = (vertex_object(D, x, 0, 1), [
-                (f, L0.g1.target[f], f1.get(f), inverse1.get(f0.get(f)), f0_2.get(f))
+                (f, L0.g1.target[f], f1.get(f), inverse1.get(f0.get(f)),
+                 L2.twist_row(f0_2.get(f)))
                 for f in L0.g1.out_of(x)
             ])
         c01, c02, c12 = (D.face(ij, 2).mor2_map for ij in ((0, 1), (0, 2), (1, 2)))
@@ -522,10 +523,11 @@ def _gauge_images(scan: _GaugeScan, src: DescentDatum):
     """Every gauge candidate out of `src` with its image, in scan order (f
     out of src.x, then c, both sorted), as plain tuples ((f, c), (x', g', a')).
 
-    A hit in a table implies the check the checked accessors make (twist keys
-    are typed when the crossed groupoid is built), so a candidate whose
-    lookups all hit has the checked value; one that misses is evaluated by
-    `_predicted_g` and `_predicted_a`, which raise the checked error.
+    A hit in a table implies the check the checked accessors make (a twist
+    row holds only the 2-morphisms at its 1-morphism's source), so a
+    candidate whose lookups all hit has the checked value; one that misses
+    is evaluated by `_predicted_g` and `_predicted_a`, which raise the
+    checked error.
     """
     D, L2 = scan.D, scan.D.levels[2]
     x0, rows = scan.rows[src.x]
@@ -537,12 +539,12 @@ def _gauge_images(scan: _GaugeScan, src: DescentDatum):
             inners.append(_inner_cell(L2, src.a, g01, c01, c02, c12))
         except CrossedDescError:
             inners.append(None)
-    compose, twist = scan.compose1, scan.twist2
-    for f, x_prime, f1, f0_inv, f0_2 in rows:
+    compose = scan.compose1
+    for f, x_prime, f1, f0_inv, twist_f0 in rows:
         for (c, feedback_c, _, _, _), inner in zip(cells, inners):
             try:
                 g_new = compose[(f1, compose[(g, compose[(feedback_c, f0_inv)])])]
-                a_new = twist[(f0_2, inner)]
+                a_new = twist_f0[inner]
             except KeyError:
                 t = GaugeTransformation(f, c)
                 g_new, a_new = _predicted_g(D, g, t), _predicted_a(D, src, t)

@@ -7,14 +7,16 @@ elements of two kinds.  Fattened ids append "@copy" markers; product ids join
 components with "|".
 
 The large tables are built in bulk, a row at a time: a cover level's twist and
-feedback tables from the base's rows, a fattened twist table from one row per
-1-morphism and copy, and a diagram's levels are fattened once per distinct
-level object.
+feedback tables from the base's rows.  A fattening's twist and feedback tables
+are not copied: they are read-only views that compute each entry from the
+base's, and list their items a row at a time.  A diagram's levels are
+fattened once per distinct level object.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -273,11 +275,111 @@ def _relabel_group(base: FiniteGroup, tag: str) -> FiniteGroup:
     return FiniteGroup(elems, f"{base.identity}{tag}", mul, inv)
 
 
+class _RowItems(ItemsView):
+    """The items of a table view, chained from the rows its `_rows` lists."""
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self._mapping._rows())
+
+
+class _FattenedTwist(Mapping):
+    """The twist table of `fatten(C, n)`, computed from C's:
+    twist(m@i.j, b@i) = twist_C(m, b)@j.
+
+    A key hits only when its 1-morphism is one of the fattening's and its
+    2-morphism lies at that 1-morphism's source, so an ill-typed key misses
+    as it would in a dict.  Keys are listed by base 1-morphism, source copy,
+    target copy, then element of the source's group."""
+
+    def __init__(self, C: CrossedGroupoid, n: int, morph_ids: dict,
+                 g1: FiniteGroupoid, g2: DisconnectedGroupoid):
+        self._base, self._n = C, n
+        self._source, self._owner, self._groups = g1.source, g2.owner, g2.groups
+        # fattened 1-morphism -> (base 1-morphism, length of "@i", "@j")
+        self._parts = {mid: (m, -len(f"@{i}"), f"@{j}") for (m, i, j), mid in morph_ids.items()}
+        self._base_rows: dict[str, list[str]] = {}  # kept by `row`, per base 1-morphism
+
+    def __getitem__(self, key):
+        g, a = key
+        m, cut, tag = self._parts[g]
+        if self._owner.get(a) != self._source[g]:
+            raise KeyError(key)
+        return f"{self._base.twist_table[(m, a[:cut])]}{tag}"
+
+    def __len__(self) -> int:
+        return sum(len(self._groups[self._source[g]]) for g in self._parts)
+
+    def __iter__(self):
+        for g in self._parts:
+            yield from zip(itertools.repeat(g), self._groups[self._source[g]].elements)
+
+    def items(self):
+        return _RowItems(self)
+
+    def _rows(self):
+        # the row twist(m, -)@j is built once per target copy j and serves
+        # every source copy i, whose keys are the elements of its group
+        n = self._n
+        for m, x in self._base.g1.source.items():
+            row = self._base.twist_row(m).values()
+            rows = [[f"{r}@{j}" for r in row] for j in range(n)]
+            for i in range(n):
+                keys = self._groups[f"{x}@{i}"].elements
+                for j in range(n):
+                    yield zip(zip(itertools.repeat(f"{m}@{i}.{j}"), keys), rows[j])
+
+    def row(self, g: str) -> dict[str, str]:
+        """{a: twist(g, a)} over the group at the source of g; empty for an
+        id that is not a fattened 1-morphism."""
+        if g not in self._parts:
+            return {}
+        m, _, tag = self._parts[g]
+        if m not in self._base_rows:
+            self._base_rows[m] = list(self._base.twist_row(m).values())
+        values = [f"{r}{tag}" for r in self._base_rows[m]]
+        return dict(zip(self._groups[self._source[g]].elements, values))
+
+
+class _FattenedFeedback(Mapping):
+    """The feedback table of `fatten(C, n)`, computed from C's:
+    feedback(b@i) = feedback_C(b)@i.i.  A key hits only when it is one of
+    the fattening's 2-morphisms; keys are listed by base 2-morphism, then copy."""
+
+    def __init__(self, C: CrossedGroupoid, n: int, g2: DisconnectedGroupoid):
+        self._base, self._n, self._owner = C, n, g2.owner
+        # fattened object -> (length of "@i", "@i.i")
+        self._copies = {
+            f"{x}@{i}": (-len(f"@{i}"), f"@{i}.{i}") for x in C.objects for i in range(n)
+        }
+
+    def __getitem__(self, a):
+        cut, tag = self._copies[self._owner[a]]
+        return f"{self._base.feedback_table[a[:cut]]}{tag}"
+
+    def __len__(self) -> int:
+        return len(self._owner)
+
+    def __iter__(self):
+        for a in self._base.feedback_table:
+            for i in range(self._n):
+                yield f"{a}@{i}"
+
+    def items(self):
+        return _RowItems(self)
+
+    def _rows(self):
+        # one row: a base entry has only n copies
+        n = self._n
+        yield [(f"{a}@{i}", f"{d}@{i}.{i}")
+               for a, d in self._base.feedback_table.items() for i in range(n)]
+
+
 def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism]:
     """Replace each object by n copies connected by transported isomorphisms.
 
-    Returns the fattened crossed groupoid and the inclusion of copy 0, which
-    is a weak equivalence.
+    Returns the fattened crossed groupoid, marked `fattening = (C, n)`, and
+    the inclusion of copy 0, which is a weak equivalence.  Its g1 and groups
+    are built; its twist and feedback tables are views of C's.
     """
     if n < 1:
         raise DomainError("copy count must be at least 1")
@@ -314,22 +416,9 @@ def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism
     }
     fat_g2 = DisconnectedGroupoid(fat_groups)
 
-    # the row twist(m, -)@j is built once per target copy j and serves every
-    # source copy i, whose keys are the elements of the fattened group
-    twist_table = {}
-    for m, x in g1.source.items():
-        row = [C.twist_table[(m, a)] for a in C.g2.group(x)]
-        rows = [[f"{r}@{j}" for r in row] for j in range(n)]
-        for i in range(n):
-            keys = fat_groups[f"{x}@{i}"].elements
-            for j in range(n):
-                mid = morph_ids[(m, i, j)]
-                twist_table.update(zip(zip(itertools.repeat(mid), keys), rows[j]))
-    feedback_table = {}
-    for a, d in C.feedback_table.items():
-        for i in range(n):
-            feedback_table[f"{a}@{i}"] = morph_ids[(d, i, i)]
-    fat = CrossedGroupoid(fat_g1, fat_g2, twist_table, feedback_table)
+    fat = CrossedGroupoid(fat_g1, fat_g2, _FattenedTwist(C, n, morph_ids, fat_g1, fat_g2),
+                          _FattenedFeedback(C, n, fat_g2))
+    fat.fattening = (C, n)
 
     mor2_map = {}
     for x, grp in C.g2.groups.items():
@@ -551,7 +640,7 @@ def _build(kind: str, p: dict):
     if kind == "constant-diagram":
         return "diagram", constant_diagram(_resolve_crossed(p["base"]))
     if kind == "fatten":
-        n = int(p.get("copies", 2))
+        n = _count(p, "copies", 2)
         base_kind, base = _resolve_base(p["base"])
         if base_kind == "diagram":
             fat, incl = fatten_diagram(base, n)
@@ -560,8 +649,16 @@ def _build(kind: str, p: dict):
         return "crossed", fat
     if kind == "cech":
         base = _resolve_crossed(p["base"])
-        return "diagram", cech_diagram(base, int(p.get("cover", 2)))
+        return "diagram", cech_diagram(base, _count(p, "cover", 2))
     raise LoadError(f"unknown fixture kind {kind!r}")
+
+
+def _count(p: dict, key: str, default: int) -> int:
+    """The integer parameter `key`; a bool, float or string is not coerced."""
+    value = p.get(key, default)
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be an integer, not {value!r}")
+    return value
 
 
 def _resolve_group(ref) -> FiniteGroup:

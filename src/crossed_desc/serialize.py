@@ -10,7 +10,8 @@ a group whose composition table would have more than the fixed
 `DEFAULT_BOUND` of entries.  A table list that names one key twice (a
 groupoid's `morphisms` or `compose`, a group's `compose`, a crossed
 groupoid's `twist`) is rejected rather than letting the last entry win, and
-so is a document nested too deeply for the JSON reader.
+so are a JSON object that names one key twice and a document nested too
+deeply for the JSON reader.
 
 Loading keeps one object per distinct level and map within a document, as
 the builders do: a crossed-groupoid payload `==` an earlier one reuses its
@@ -264,15 +265,28 @@ _WRITERS = {
 KINDS = tuple(_WRITERS)
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict, unless it names one key twice (then the last
+    value would silently win)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise LoadError(f"JSON object names key {key!r} twice")
+            seen.add(key)
+    return obj
+
+
 def parse_document(text: str) -> tuple[str, object]:
     """Parse an envelope; returns (kind, structure).
 
     json.JSONDecodeError propagates for syntactically invalid input; malformed
-    envelopes or payloads, and nesting too deep for the JSON reader, raise
-    LoadError.
+    envelopes or payloads, an object that names one key twice, and nesting
+    too deep for the JSON reader, raise LoadError.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except RecursionError:
         raise LoadError("document nests too deeply") from None
     if not isinstance(doc, dict):

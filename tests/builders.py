@@ -11,7 +11,14 @@ from crossed_desc import (
     FiniteGroupoid,
     fatten,
 )
-from crossed_desc.fixtures import one_object_crossed, trivial_group
+from crossed_desc.fixtures import (
+    crossed_from_normal_subgroup,
+    crossed_group,
+    cyclic_group,
+    fix_c_core,
+    one_object_crossed,
+    trivial_group,
+)
 
 
 def _tag(e: str, i: int) -> str:
@@ -107,3 +114,29 @@ def with_coface_entry(D: CrossedDiagram, key, kind: str, element: str, image: st
     cofaces = dict(D.cofaces)
     cofaces[key] = CrossedMorphism(d.source, d.target, d.obj_map, maps["mor1"], maps["mor2"])
     return CrossedDiagram(D.levels, cofaces)
+
+
+def renamed_group(G: FiniteGroup, names: dict[str, str]) -> FiniteGroup:
+    """G with every element id e renamed names[e]."""
+    return FiniteGroup.from_table(
+        (names[a] for a in G),
+        {(names[a], names[b]): names[G.mul(a, b)] for a in G for b in G},
+        names[G.identity],
+        {names[a]: names[G.inv(a)] for a in G},
+    )
+
+
+def _prefix_z4() -> FiniteGroup:
+    # fattening tags these ids into one another's prefixes, and the tag
+    # reorders them: "a" < "a0" but "a@0" > "a0@0"
+    return renamed_group(cyclic_group(4), dict(zip("0123", ("a", "a0", "a@0", "a0@0"))))
+
+
+# Valid bases whose ids contain "@" or are prefixes of one another, so a
+# fattening of them is read and sorted with ids that look like its own.
+ODD_ID_BASES = {
+    "prefix-kernel": lambda: crossed_group(_prefix_z4()),
+    "prefix-g1": lambda: crossed_from_normal_subgroup(_prefix_z4(), _prefix_z4().elements),
+    "fattened": lambda: fatten(fix_c_core(), 2)[0],
+    "union": lambda: disjoint_union(crossed_group(_prefix_z4()), fatten(fix_c_core(), 2)[0]),
+}

@@ -266,6 +266,26 @@ def _twist_value_unknown_2_morphism(doc):
     doc["payload"]["twist"][0][2] = "2.ghost"
 
 
+class _RepeatedKey(dict):
+    """A JSON object that `json.dumps` writes with its first key named twice,
+    the first time with the last key's value: the encoder writes the pairs
+    `items()` lists, and a reader that lets the last one win sees no change."""
+
+    def items(self):
+        pairs = list(super().items())
+        return [(pairs[0][0], pairs[-1][1]), *pairs]
+
+
+def _repeat_key_of(*path):
+    def edit(doc):
+        *parents, last = ("payload", *path)
+        obj = doc
+        for key in parents:
+            obj = obj[key]
+        obj[last] = _RepeatedKey(obj[last])
+    return edit
+
+
 @pytest.mark.parametrize(
     "kind, edit, extra",
     [
@@ -283,12 +303,27 @@ def _twist_value_unknown_2_morphism(doc):
         ("spec", {"kind": "fatten", "params": {"base": {"kind": "inner"}}}, ()),
         ("spec", {"kind": "fatten", "params": {"base": {"kind": "fatten", "params": [1]}}},
          ()),
+        ("crossed", _repeat_key_of("g1", "identities"), ()),
+        ("crossed", _repeat_key_of("g1", "inverses"), ()),
+        ("crossed", _repeat_key_of("g2", "*", "inverses"), ()),
+        ("crossed", _repeat_key_of("feedback"), ()),
+        ("crossed", _repeat_key_of("g2"), ()),
+        ("diagram", _repeat_key_of("cofaces"), ()),
+        ("spec", {"kind": "cech", "params": {"base": "fix-a-core", "cover": 2.7}}, ()),
+        ("spec", {"kind": "cech", "params": {"base": "fix-a-core", "cover": True}}, ()),
+        ("spec", {"kind": "cech", "params": {"base": "fix-a-core", "cover": "2"}}, ()),
+        ("spec", {"kind": "fatten", "params": {"base": "fix-a-core", "copies": 2.0}}, ()),
+        ("spec", {"kind": "fatten", "params": {"base": "fix-a-core", "copies": True}}, ()),
     ],
     ids=["morphism-without-id", "coface-key-5-0", "compose-row-of-4",
          "twist-key-unknown-2-morphism", "twist-value-unknown-2-morphism",
          "target-missing-keys", "target-not-an-object", "fatten-copies-not-int",
          "fatten-without-base", "cech-cover-list", "subgroup-not-a-list",
-         "nested-inner-without-group", "nested-params-list"],
+         "nested-inner-without-group", "nested-params-list",
+         "repeated-identities-key", "repeated-inverses-key", "repeated-group-inverses-key",
+         "repeated-feedback-key", "repeated-g2-key", "repeated-cofaces-key",
+         "cech-cover-float", "cech-cover-bool", "cech-cover-string",
+         "fatten-copies-float", "fatten-copies-bool"],
 )
 def test_malformed_input_exits_2(
     run, tmp_path, fixa_doc, fixa_core_doc, fat_spec_doc, kind, edit, extra

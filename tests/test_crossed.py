@@ -34,7 +34,7 @@ from crossed_desc.fixtures import (
     one_object_crossed,
 )
 
-from builders import disjoint_union, loop5
+from builders import ODD_ID_BASES, disjoint_union, loop5
 from oracles import (
     brute_group_violations,
     brute_twist_action_violations,
@@ -378,6 +378,34 @@ def test_homotopy_is_computed_once_per_crossed_groupoid():
         assert (h.pi0, h.pi2) == (other.pi0, other.pi2), name
         assert {x: (p.reps, p.coset_of) for x, p in h.pi1.items()} == {
             x: (p.reps, p.coset_of) for x, p in other.pi1.items()}, name
+
+
+def _dict_copy(C):
+    """C with its tables copied into dicts, so `homotopy` scans its own groups."""
+    return CrossedGroupoid(
+        C.g1, C.g2, dict(C.twist_table.items()), dict(C.feedback_table.items()))
+
+
+def _invariants(h):
+    return h.pi0, h.pi2, {
+        x: (p.reps, p.coset_of, p.group.identity) for x, p in h.pi1.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(NAMED_CROSSED) + sorted(ODD_ID_BASES))
+def test_fattened_homotopy_matches_a_dict_table_copy(name, n):
+    """A fattening reads its feedback image and pi2 from its base's homotopy;
+    the result equals the scan of the same level held in dicts, pi2 order
+    included (the "prefix" bases' ids reorder when tagged)."""
+    C = {**NAMED_CROSSED, **ODD_ID_BASES}[name]()
+    fat, _ = fatten(C, n)
+    assert _invariants(homotopy(fat)) == _invariants(homotopy(_dict_copy(fat)))
+
+
+def test_fattened_cover_homotopy_matches_a_dict_table_copy(fat_cech):
+    for level in {id(L): L for L in fat_cech[0].levels}.values():
+        assert level.fattening is not None
+        assert _invariants(homotopy(level)) == _invariants(homotopy(_dict_copy(level)))
 
 
 def test_pi1_cokernel_is_a_group():

@@ -1,4 +1,7 @@
+import functools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from crossed_desc import (
     DomainError,
@@ -29,6 +32,7 @@ from crossed_desc.fixtures import (
     trivial_group,
 )
 
+from builders import ODD_ID_BASES
 from oracles import (
     brute_automorphisms,
     cech_tables,
@@ -214,6 +218,53 @@ def test_fatten_tables_match_the_entry_oracle(name, n):
     C = NAMED_CROSSED[name]()
     fat, _ = fatten(C, n)
     assert _tables(fat) == _oracle(fatten_tables(C, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(ODD_ID_BASES))
+def test_fattened_odd_ids_tables_match_the_entry_oracle(name, n):
+    """Keys and items of the views list in the oracle's order, and have its length."""
+    C = ODD_ID_BASES[name]()
+    fat, _ = fatten(C, n)
+    tables = fatten_tables(C, n)
+    assert fat.fattening[0] is C and fat.fattening[1] == n
+    assert _tables(fat) == _oracle(tables)
+    for view, oracle in ((fat.twist_table, tables[1]), (fat.feedback_table, tables[2])):
+        assert list(view) == list(oracle) and len(view) == len(oracle)
+
+
+@functools.cache
+def _fattening_and_oracle(name, n):
+    C = ODD_ID_BASES[name]()
+    _, twist, feedback, _ = fatten_tables(C, n)
+    return C, fatten(C, n)[0], twist, feedback
+
+
+_NOISE = st.one_of(st.none(), st.text("a0@.12*:|", max_size=7))
+
+
+@given(st.data())
+def test_fattened_views_answer_as_the_entry_oracle(data):
+    """A fattening's twist and feedback views answer `[]`, `get` and `in` as
+    dicts of the entry oracle do, on well-typed keys and on ill-typed ones:
+    ids of another copy, of the base, and noise."""
+    name = data.draw(st.sampled_from(sorted(ODD_ID_BASES)))
+    n = data.draw(st.integers(1, 3))
+    C, fat, twist, feedback = _fattening_and_oracle(name, n)
+    mor1 = st.one_of(st.sampled_from(sorted(fat.g1.source) + sorted(C.g1.source)), _NOISE)
+    mor2 = st.one_of(st.sampled_from(sorted(fat.g2.owner) + sorted(C.g2.owner)), _NOISE)
+    twist_key = data.draw(st.one_of(st.sampled_from(list(twist)), st.tuples(mor1, mor2)))
+    feedback_key = data.draw(st.one_of(st.sampled_from(list(feedback)), mor2))
+    for view, oracle, key in (
+        (fat.twist_table, twist, twist_key), (fat.feedback_table, feedback, feedback_key)
+    ):
+        assert (key in view) == (key in oracle)
+        assert view.get(key) == oracle.get(key)
+        if key in oracle:
+            assert view[key] == oracle[key]
+        else:
+            with pytest.raises(KeyError):
+                view[key]
 
 
 @pytest.mark.parametrize(
