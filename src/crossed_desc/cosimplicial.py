@@ -108,15 +108,16 @@ def validate_diagram(D: CrossedDiagram) -> ValidationReport:
     return report
 
 
-def _once_each(check, objects):
-    """`check(obj)` for each of `objects` in order, run once per distinct
-    object: a loaded document shares equal levels and maps, and the checks
-    depend only on the object they get."""
-    reports = {}
+def _once_each(f, objects, memo: dict | None = None):
+    """`f(obj)` for each of `objects` in order, run once per distinct object:
+    a loaded document shares equal levels and maps, and the checks and
+    writers depend only on the object they get.  `memo` maps the ids of the
+    objects done so far to their results; pass one to share it across calls."""
+    memo = {} if memo is None else memo
     for obj in objects:
-        if id(obj) not in reports:
-            reports[id(obj)] = check(obj)
-        yield reports[id(obj)]
+        if id(obj) not in memo:
+            memo[id(obj)] = f(obj)
+        yield memo[id(obj)]
 
 
 def _first_difference(F: CrossedMorphism, G: CrossedMorphism) -> str:

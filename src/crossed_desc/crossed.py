@@ -6,14 +6,17 @@ by group isomorphisms (the twisting), and a functor g2 -> g1 that is the
 identity on objects (the feedback), subject to equivariance and the Peiffer
 identity.  This module also computes the homotopy invariants pi0/pi1/pi2,
 once per crossed groupoid (they are kept on it), and decides weak
-equivalence.
+equivalence.  The twist and feedback tables of a power of a one-object
+crossed group (a Čech cover level) are read-only views computed from the
+base's; the power check and `homotopy` read such a level through its base.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .groupoid import FiniteGroupoid, _generators, pi0_groupoid, validate_groupoid
 from .validation import DomainError, LoadError, ResourceBoundError, ValidationReport
@@ -261,12 +264,14 @@ class CrossedGroupoid:
 
     g1: FiniteGroupoid
     g2: DisconnectedGroupoid
-    # dicts, typed here; or, on a fattening, read-only views that compute each
-    # entry from the base and miss on an ill-typed key (`fixtures.fatten`)
+    # dicts, typed here; or, on a fattening or a cover level, read-only views
+    # that compute each entry from the base and miss on an ill-typed key
+    # (`fixtures.fatten`, `_PowerTwist` and `_PowerFeedback`)
     twist_table: Mapping[tuple[str, str], str]
     feedback_table: Mapping[str, str]
     # (base, k) on a cover level that is the k-fold power of a one-object base;
-    # only `cech_diagram` sets it, and validate_crossed checks it
+    # only `cech_diagram` sets it, validate_crossed checks it, and `homotopy`
+    # reads it too
     power: tuple[CrossedGroupoid, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -531,12 +536,107 @@ def _peiffer_at(C: CrossedGroupoid, x: str, gens: Iterable[str]) -> bool:
     return True
 
 
+# -- powers of a one-object crossed group -------------------------------
+
+
+class _RowItems(ItemsView):
+    """The items of a table view, chained from the rows its `_rows` lists."""
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self._mapping._rows())
+
+
+class _PowerTwist(Mapping):
+    """The twist table of the k-fold power of a one-object crossed group B,
+    computed from B's: twist(g1|...|gk, a1|...|ak) = twist_B(g1, a1)|...|twist_B(gk, ak).
+
+    A key hits only when its 1-morphism is one of the power's (the keys of
+    `g1.source`) and its 2-morphism an element of the power's group `grp`,
+    so an ill-typed key misses as it would in a dict.  Keys are listed by
+    1-morphism, then element, each in the order of its power."""
+
+    def __init__(self, base: CrossedGroupoid, k: int, g1: FiniteGroupoid, grp: FiniteGroup):
+        self._base, self._k, self._source, self._grp = base, k, g1.source, grp
+
+    def __getitem__(self, key):
+        g, a = key
+        if g not in self._source or a not in self._grp:
+            raise KeyError(key)
+        pairs = zip(g.split("|"), a.split("|"))
+        return "|".join(map(self._base.twist_table.__getitem__, pairs))
+
+    def __len__(self) -> int:
+        return len(self._source) * len(self._grp)
+
+    def __iter__(self):
+        for g in self._source:
+            yield from zip(itertools.repeat(g), self._grp.elements)
+
+    def items(self):
+        return _RowItems(self)
+
+    def _values(self, rows: dict[str, list[str]], g: str):
+        # itertools.product over the k base rows lists twist(g, -) in the
+        # order in which `FiniteGroup.product` lists the power's elements
+        return map("|".join, itertools.product(*(rows[h] for h in g.split("|"))))
+
+    def _base_rows(self) -> dict[str, list[str]]:
+        return {h: list(self._base.twist_row(h).values()) for h in self._base.g1.source}
+
+    def _rows(self):
+        rows, elements = self._base_rows(), self._grp.elements
+        for g in self._source:
+            yield zip(zip(itertools.repeat(g), elements), self._values(rows, g))
+
+    def row(self, g: str) -> dict[str, str]:
+        """{a: twist(g, a)} over the power's group; empty for an id that is
+        not one of the power's 1-morphisms."""
+        if g not in self._source:
+            return {}
+        return dict(zip(self._grp.elements, self._values(self._base_rows(), g)))
+
+
+class _PowerFeedback(Mapping):
+    """The feedback table of the k-fold power of a one-object crossed group B,
+    computed from B's: feedback(a1|...|ak) = feedback_B(a1)|...|feedback_B(ak).
+    A key hits only when it is an element of the power's group `grp`; keys
+    are listed in the order of that group."""
+
+    def __init__(self, base: CrossedGroupoid, k: int, grp: FiniteGroup):
+        self._base, self._k, self._grp = base, k, grp
+
+    def __getitem__(self, a):
+        if a not in self._grp:
+            raise KeyError(a)
+        return "|".join(map(self._base.feedback_table.__getitem__, a.split("|")))
+
+    def __len__(self) -> int:
+        return len(self._grp)
+
+    def __iter__(self):
+        return iter(self._grp.elements)
+
+    def items(self):
+        return _RowItems(self)
+
+    def _rows(self):
+        # one row, listed in the order of the power's elements as in `_PowerTwist`
+        fb = self._base.feedback_table
+        row = [fb[b] for b in self._grp.factors[0].elements]
+        yield zip(self._grp.elements, map("|".join, itertools.product(row, repeat=self._k)))
+
+
 def _validate_power(C: CrossedGroupoid, base: CrossedGroupoid, k: int) -> ValidationReport:
     """Check a level marked as the k-fold power of a one-object base: the base
     is valid, the g2 group is `FiniteGroup.product` of k copies of the base's
     (coordinatewise by construction), and every entry of the g1 table,
     inverses, twist and feedback is the coordinatewise base value on the
-    "|"-joined ids.  A power of a valid crossed group is valid, so this is exact."""
+    "|"-joined ids.  A power of a valid crossed group is valid, so this is exact.
+
+    A twist or feedback table that is the level's own view over this base,
+    k and group computes every entry from the base's current tables, so it
+    holds the values the walk expects and is not walked; any other table,
+    a dict put in its place included, is walked entry by entry."""
     report = ValidationReport()
     report.extend(validate_crossed(base), prefix="base: ")
     if not report.ok:
@@ -561,9 +661,13 @@ def _validate_power(C: CrossedGroupoid, base: CrossedGroupoid, k: int) -> Valida
         if got != want:
             report.add(rule, f"{what} is {got}, expected {want}")
 
+    def own(view, cls) -> bool:
+        return type(view) is cls and view._base is base and view._k == k and view._grp is grp
+
+    walk_twist = not (own(C.twist_table, _PowerTwist) and C.twist_table._source is g1.source)
     # The twist and feedback values, as rows over the power's elements:
     # itertools.product over k base rows lists them in the order in which
-    # `FiniteGroup.product` lists the elements (as `cech_diagram` builds them).
+    # `FiniteGroup.product` lists the elements (as the power views list them).
     twist_rows = {h: [base.twist_table[(h, b)] for b in base_grp] for h in base.g1.morphisms}
     check("power-g1", f"1_{x}", g1.identities.get(x), "|".join([base.g1.identities[x]] * k))
     for m in g1.morphisms:
@@ -571,11 +675,15 @@ def _validate_power(C: CrossedGroupoid, base: CrossedGroupoid, k: int) -> Valida
         for n in g1.morphisms:
             check("power-g1", f"{m} . {n}", g1.table.get((m, n)),
                   power(lambda h, g: base.g1.table[(h, g)], m, n))
+        if not walk_twist:
+            continue
         row = map("|".join, itertools.product(*(twist_rows[h] for h in m.split("|"))))
         for a, want in zip(grp, row):
             got = C.twist_table.get((m, a))
             if got != want:
                 report.add("power-twist", f"twist({m}, {a}) is {got}, expected {want}")
+    if own(C.feedback_table, _PowerFeedback):
+        return report
     feedback_row = [base.feedback_table[b] for b in base_grp]
     for a, want in zip(grp, map("|".join, itertools.product(feedback_row, repeat=k))):
         got = C.feedback_table.get(a)
@@ -756,15 +864,28 @@ def homotopy(C: CrossedGroupoid) -> HomotopyData:
     """Components of g1, cokernels and kernels of the feedback per object.
 
     A fattening `fatten(B, n)` takes the feedback image and the kernel at
-    x@i from `homotopy(B)` at x, tagged, instead of scanning its own groups.
-    Computed on the first call and kept on C, so later calls return the
-    same object."""
+    x@i from `homotopy(B)` at x, tagged, instead of scanning its own groups;
+    a cover level marked as the k-fold power of B takes the k-fold products
+    of B's feedback image and kernel.  Computed on the first call and kept
+    on C, so later calls return the same object."""
     if C._homotopy is not None:
         return C._homotopy
     pi0 = pi0_groupoid(C.g1)
     images: dict[str, Iterable[str]] = {}
     pi2: dict[str, tuple[str, ...]] = {}
-    if C.fattening is None:
+    if C.power is not None:
+        base, k = C.power
+        hb = homotopy(base)
+        for x, p1 in hb.pi1.items():
+            image = [g for g, rep in p1.coset_of.items() if rep == p1.group.identity]
+            images[x] = map("|".join, itertools.product(image, repeat=k))
+            kernel = hb.pi2[x]
+            if len(kernel) == len(base.g2.group(x)):
+                # the kernel is the whole power, whose ids exist already
+                pi2[x] = tuple(sorted(C.g2.group(x).elements))
+            else:
+                pi2[x] = tuple(sorted(map("|".join, itertools.product(kernel, repeat=k))))
+    elif C.fattening is None:
         fb = C.feedback_table
         for x in C.objects:
             grp, one = C.g2.group(x), C.g1.identity(x)

@@ -6,17 +6,16 @@ Conventions: 2-morphism ids carry a "2." prefix so that object, 1-morphism and
 elements of two kinds.  Fattened ids append "@copy" markers; product ids join
 components with "|".
 
-The large tables are built in bulk, a row at a time: a cover level's twist and
-feedback tables from the base's rows.  A fattening's twist and feedback tables
-are not copied: they are read-only views that compute each entry from the
-base's, and list their items a row at a time.  A diagram's levels are
-fattened once per distinct level object.
+Derived levels do not copy their base's twist and feedback tables: a
+fattening's, and a cover level's (a power of the base), are read-only views
+that compute each entry from the base's and list their items a row at a time.
+A diagram's levels are fattened once per distinct level object.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,6 +26,9 @@ from .crossed import (
     DisconnectedGroupoid,
     FiniteGroup,
     _multiplicative_on,
+    _PowerFeedback,
+    _PowerTwist,
+    _RowItems,
     identity_crossed_morphism,
 )
 from .groupoid import FiniteGroupoid, _generators
@@ -275,13 +277,6 @@ def _relabel_group(base: FiniteGroup, tag: str) -> FiniteGroup:
     return FiniteGroup(elems, f"{base.identity}{tag}", mul, inv)
 
 
-class _RowItems(ItemsView):
-    """The items of a table view, chained from the rows its `_rows` lists."""
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(self._mapping._rows())
-
-
 class _FattenedTwist(Mapping):
     """The twist table of `fatten(C, n)`, computed from C's:
     twist(m@i.j, b@i) = twist_C(m, b)@j.
@@ -466,69 +461,57 @@ def fatten_diagram(D: CrossedDiagram, n: int) -> tuple[CrossedDiagram, DiagramMo
     return fat, DiagramMorphism(D, fat, tuple(fattened[id(L)][1] for L in D.levels))
 
 
+def _power_level(C: CrossedGroupoid, k: int) -> CrossedGroupoid:
+    """The k-fold power of the one-object crossed group C, marked
+    `power = (C, k)`: its g1 and group are built as `FiniteGroup.product` of
+    k copies of C's, and its twist and feedback tables are views of C's
+    (`_PowerTwist`, `_PowerFeedback`).  The caller bounds k first."""
+    (obj,) = C.objects
+    g1_grp = FiniteGroup.product([_one_object_group(C.g1)] * k)
+    grp = FiniteGroup.product([C.g2.group(obj)] * k)
+    g1 = one_object_groupoid(g1_grp, obj)
+    level = CrossedGroupoid(g1, DisconnectedGroupoid({obj: grp}),
+                            _PowerTwist(C, k, g1, grp), _PowerFeedback(C, k, grp))
+    level.power = (C, k)
+    return level
+
+
 def cech_diagram(C: CrossedGroupoid, m: int) -> CrossedDiagram:
     """The Čech diagram of a one-object crossed group over an abstract cover
-    with m indices: level p is the product over all (p+1)-tuples of indices,
-    cofaces reindex by omitting a position.  Each level is marked as that
-    power of C, so `validate_crossed` checks it through C."""
+    with m indices: level p is the product over all (p+1)-tuples of indices
+    (`_power_level`), cofaces reindex by omitting a position.  Each level is
+    marked as that power of C, so `validate_crossed` checks it through C and
+    `homotopy` computes it from C's, and its twist and feedback tables are
+    views of C's."""
     if len(C.objects) != 1:
         raise DomainError("the Čech construction needs a one-object crossed group")
     if m < 1:
         raise DomainError("cover size must be at least 1")
     obj = C.objects[0]
-    base_g1 = _one_object_group(C.g1)
-    base_g2 = C.g2.group(obj)
 
     # sized from m before anything is built: level p's ids have k = m^(p+1)
     # parts, and no power is taken with an exponent k over the bound
     for p in range(4):
         k = m ** (p + 1)
-        if (k > DEFAULT_BOUND or len(base_g2) ** k > DEFAULT_BOUND
-                or (len(base_g1) ** k) ** 2 > DEFAULT_BOUND):
+        if (k > DEFAULT_BOUND or len(C.g2.group(obj)) ** k > DEFAULT_BOUND
+                or (len(C.g1.source) ** k) ** 2 > DEFAULT_BOUND):
             raise ResourceBoundError(f"Čech level {p} exceeds the size bound")
 
     tuples = [sorted(itertools.product(range(m), repeat=p + 1)) for p in range(4)]
+    levels = tuple(_power_level(C, len(tuples[p])) for p in range(4))
 
-    g1_groups = [FiniteGroup.product([base_g1] * len(tuples[p])) for p in range(4)]
-    g2_groups = [FiniteGroup.product([base_g2] * len(tuples[p])) for p in range(4)]
-
-    # A row lists a base map's values in the order of the base's 2-morphisms.
-    # itertools.product over k rows lists the power map's values in the order
-    # in which `FiniteGroup.product` lists the power's elements.
-    feedback_row = [C.feedback_table[a] for a in base_g2]
-    twist_rows = {g: [C.twist_table[(g, a)] for a in base_g2] for g in base_g1}
-    levels = []
-    for p in range(4):
-        k = len(tuples[p])
-        g1p = one_object_groupoid(g1_groups[p], obj)
-        g2p = DisconnectedGroupoid({obj: g2_groups[p]})
-        elems = g2_groups[p].elements
-        feedback = dict(zip(elems, map("|".join, itertools.product(feedback_row, repeat=k))))
-        twist_table = {}
-        for g, parts in zip(g1_groups[p], itertools.product(base_g1.elements, repeat=k)):
-            values = map("|".join, itertools.product(*(twist_rows[h] for h in parts)))
-            twist_table.update(zip(zip(itertools.repeat(g), elems), values))
-        level = CrossedGroupoid(g1p, g2p, twist_table, feedback)
-        level.power = (C, k)
-        levels.append(level)
-    levels = tuple(levels)
-
-    def reindex(parts: list[str], p: int, k: int) -> str:
-        val = dict(zip(tuples[p], parts))
-        out = []
-        for u in tuples[p + 1]:
-            out.append(val[u[:k] + u[k + 1:]])
-        return "|".join(out)
+    def reindex(x: str, positions: list[int]) -> str:
+        parts = x.split("|")
+        return "|".join([parts[i] for i in positions])
 
     cofaces = {}
     for p in range(3):
+        position = {u: i for i, u in enumerate(tuples[p])}
         for k in range(p + 2):
-            mor1_map = {
-                g: reindex(g.split("|"), p, k) for g in g1_groups[p]
-            }
-            mor2_map = {
-                a: reindex(a.split("|"), p, k) for a in g2_groups[p]
-            }
+            # coordinate u of the image is the input's coordinate u minus place k
+            positions = [position[u[:k] + u[k + 1:]] for u in tuples[p + 1]]
+            mor1_map = {g: reindex(g, positions) for g in levels[p].g1.source}
+            mor2_map = {a: reindex(a, positions) for a in levels[p].g2.owner}
             cofaces[(p, k)] = CrossedMorphism(
                 levels[p], levels[p + 1], {obj: obj}, mor1_map, mor2_map
             )

@@ -19,8 +19,10 @@ the builders do: a crossed-groupoid payload `==` an earlier one reuses its
 between the same two level objects reuses its `CrossedMorphism`.  So a
 loaded constant diagram has one level object and one coface object, an
 in-place edit of a loaded level reaches every position that shares it, and
-`validate` checks each distinct level and coface once.  A diagram morphism
-holds its source and target as explicit diagrams.
+`validate` checks each distinct level and coface once.  Writing mirrors
+this: each distinct level and map object of a diagram or diagram morphism
+is converted once, and every position that holds it shares the payload.  A
+diagram morphism holds its source and target as explicit diagrams.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 
 from .crossed import CrossedGroupoid, CrossedMorphism, DisconnectedGroupoid, FiniteGroup
-from .cosimplicial import CrossedDiagram, DiagramMorphism
+from .cosimplicial import CrossedDiagram, DiagramMorphism, _once_each
 from .fixtures import FixtureSpec
 from .groupoid import FiniteGroupoid
 from .validation import DEFAULT_BOUND, LoadError, ResourceBoundError
@@ -164,13 +166,18 @@ def _maps_from_json(
     )
 
 
-def diagram_to_json(D: CrossedDiagram) -> dict:
+def diagram_to_json(D: CrossedDiagram, memo: dict | None = None) -> dict:
+    """D's payload, written once per distinct level and coface object: the
+    positions that hold one object share one payload dict, so copy the
+    payload before editing one position in place.  `memo` is `_once_each`'s,
+    shared with the caller's other writes."""
+    memo = {} if memo is None else memo
+    levels = list(_once_each(crossed_to_json, D.levels, memo))
+    keys = sorted(D.cofaces)
+    cofaces = _once_each(_maps_to_json, [D.cofaces[key] for key in keys], memo)
     return {
-        "levels": [crossed_to_json(L) for L in D.levels],
-        "cofaces": {
-            f"{p},{k}": _maps_to_json(d)
-            for (p, k), d in sorted(D.cofaces.items())
-        },
+        "levels": levels,
+        "cofaces": {f"{p},{k}": maps for (p, k), maps in zip(keys, cofaces)},
     }
 
 
@@ -211,10 +218,11 @@ def _diagram_from_json(d: dict, memo: dict) -> CrossedDiagram:
 
 
 def diagram_morphism_to_json(F: DiagramMorphism) -> dict:
+    memo: dict = {}
     return {
-        "source": diagram_to_json(F.source),
-        "target": diagram_to_json(F.target),
-        "levels": [_maps_to_json(Fp) for Fp in F.levels],
+        "source": diagram_to_json(F.source, memo),
+        "target": diagram_to_json(F.target, memo),
+        "levels": list(_once_each(_maps_to_json, F.levels, memo)),
     }
 
 

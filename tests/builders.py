@@ -12,6 +12,7 @@ from crossed_desc import (
     fatten,
 )
 from crossed_desc.fixtures import (
+    NAMED_CROSSED,
     crossed_from_normal_subgroup,
     crossed_group,
     cyclic_group,
@@ -139,4 +140,27 @@ ODD_ID_BASES = {
     "prefix-g1": lambda: crossed_from_normal_subgroup(_prefix_z4(), _prefix_z4().elements),
     "fattened": lambda: fatten(fix_c_core(), 2)[0],
     "union": lambda: disjoint_union(crossed_group(_prefix_z4()), fatten(fix_c_core(), 2)[0]),
+}
+
+
+def _prefix_quotient():
+    # Z/4 -> Z/2 by reduction mod 2, acting trivially: the kernel {a, a@0} is
+    # proper, and the ids of its powers sort apart from their product order
+    z4 = _prefix_z4()
+    return one_object_crossed(cyclic_group(2), z4, dict(zip(z4.elements, "0101")),
+                              lambda g, a: a)
+
+
+# One-object bases with the exponents k of their powers that the tests build:
+# fix-a-core's are the levels of its Čech covers 1 and 2, the other named
+# bases' include their cover-1 levels (k = 1), and the rest have odd ids, a
+# proper kernel ("prefix-quotient") or view tables of their own ("fattened once").
+POWER_BASES = {
+    "fix-a-core": (NAMED_CROSSED["fix-a-core"], (1, 2, 4, 8, 16)),
+    "fix-b-core": (NAMED_CROSSED["fix-b-core"], (1, 2, 4)),
+    "fix-c-core": (NAMED_CROSSED["fix-c-core"], (1, 2, 4)),
+    "prefix-kernel": (ODD_ID_BASES["prefix-kernel"], (1, 2, 3)),
+    "prefix-g1": (ODD_ID_BASES["prefix-g1"], (1, 2, 3)),
+    "prefix-quotient": (_prefix_quotient, (1, 2, 3)),
+    "fattened once": (lambda: fatten(fix_c_core(), 1)[0], (1, 2, 3)),
 }

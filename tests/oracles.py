@@ -686,35 +686,37 @@ def fatten_tables(C, n):
     return table, twist, feedback, owner
 
 
-def cech_tables(C, m):
-    """Per level p of `cech_diagram(C, m)`, the tables written one entry at a
-    time from the "|"-split ids: (g1 composition table, twist table, feedback
-    table, g2 owner).  A level's ids join one base id per (p+1)-tuple of the m
-    cover indices, listed in lexicographic order of the base ids' positions.
-    """
+def power_tables(C, k):
+    """The tables of the k-fold power of the one-object crossed group C,
+    written one entry at a time from the "|"-split ids: (g1 composition
+    table, twist table, feedback table, g2 owner).  Ids join k base ids,
+    listed in lexicographic order of the base ids' positions."""
     (x,) = C.objects
     g1_ids = sorted(C.g1.source)
     g2_ids = list(C.g2.group(x).elements)
-    levels = []
-    for p in range(4):
-        k = m ** (p + 1)
-        mors = ["|".join(c) for c in itertools.product(g1_ids, repeat=k)]
-        cells = ["|".join(c) for c in itertools.product(g2_ids, repeat=k)]
-        table = {}
-        for h in mors:
-            for g in mors:
-                table[(h, g)] = "|".join(
-                    C.g1.table[(hx, gx)] for hx, gx in zip(h.split("|"), g.split("|"))
-                )
-        twist = {}
+    mors = ["|".join(c) for c in itertools.product(g1_ids, repeat=k)]
+    cells = ["|".join(c) for c in itertools.product(g2_ids, repeat=k)]
+    table = {}
+    for h in mors:
         for g in mors:
-            for a in cells:
-                twist[(g, a)] = "|".join(
-                    C.twist_table[(gx, ax)] for gx, ax in zip(g.split("|"), a.split("|"))
-                )
-        feedback = {a: "|".join(C.feedback_table[ax] for ax in a.split("|")) for a in cells}
-        levels.append((table, twist, feedback, {a: x for a in cells}))
-    return levels
+            table[(h, g)] = "|".join(
+                C.g1.table[(hx, gx)] for hx, gx in zip(h.split("|"), g.split("|"))
+            )
+    twist = {}
+    for g in mors:
+        for a in cells:
+            twist[(g, a)] = "|".join(
+                C.twist_table[(gx, ax)] for gx, ax in zip(g.split("|"), a.split("|"))
+            )
+    feedback = {a: "|".join(C.feedback_table[ax] for ax in a.split("|")) for a in cells}
+    return table, twist, feedback, {a: x for a in cells}
+
+
+def cech_tables(C, m):
+    """Per level p of `cech_diagram(C, m)`, the tables of the m^(p+1)-fold
+    power of C (`power_tables`): one power per (p+1)-tuple of the m cover
+    indices."""
+    return [power_tables(C, m ** (p + 1)) for p in range(4)]
 
 
 # The breadth-first classifier that `gauge_classes` replaced, kept verbatim

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from crossed_desc import (
     validate_diagram,
     validate_diagram_morphism,
 )
+from crossed_desc import serialize
 from crossed_desc.cli import main
 from crossed_desc.cosimplicial import CrossedMorphism
 from crossed_desc.fixtures import (
@@ -39,7 +41,7 @@ from crossed_desc.serialize import (
     serialize_document,
 )
 
-from builders import with_coface_entry
+from builders import renamed_group, with_coface_entry
 from oracles import (
     push_desc,
     unshared_diagram_from_json,
@@ -138,14 +140,16 @@ def _flipped_z2():
 
 def test_cover_level_is_checked_entry_by_entry():
     """Level 3 of the 2-index cover is the 16-fold power of fix-a-core.  Each
-    in-place change to one of its tables is named, entry by entry."""
+    change to one of its tables is named, entry by entry: in place for its
+    g1 and groups, and for its read-only twist and feedback views by a dict
+    copy, with that one entry changed, put in the view's place."""
     L = cech_diagram(fix_a_core(), 2).levels[3]
     one, e = L.g1.identity("*"), L.g2.identity("*")
     a = "|".join(["2.1"] + ["2.0"] * 15)
     corruptions = [
-        (L.twist_table, (one, a), e, "power-twist",
+        (vars(L), "twist_table", {**L.twist_table, (one, a): e}, "power-twist",
          f"twist({one}, {a}) is {e}, expected {a}"),
-        (L.feedback_table, a, "x", "power-feedback",
+        (vars(L), "feedback_table", {**L.feedback_table, a: "x"}, "power-feedback",
          f"feedback({a}) is x, expected {one}"),
         (L.g1.table, (one, one), "x", "power-g1", f"{one} . {one} is x, expected {one}"),
         (L.g1.inverses, one, "x", "power-g1", f"{one}^-1 is x, expected {one}"),
@@ -176,6 +180,53 @@ def test_cover_of_an_invalid_base_is_invalid():
     report = validate_crossed(cech_diagram(broken, 1).levels[0])
     assert "twist-bijective" in report.rules()
     assert all(v.detail.startswith("base: ") for v in report)
+
+
+def test_a_base_edited_after_the_cover_is_built_is_caught():
+    """A cover level's twist and feedback views read the base's tables as
+    they are now, so a base edited in place after `cech_diagram` ran makes
+    every level report what a cover built from the edited base reports."""
+    C = fix_a_core()
+    D = cech_diagram(C, 2)
+    C.twist_table[("1", "2.1")] = "2.0"
+    for L, fresh in zip(D.levels, cech_diagram(C, 2).levels):
+        report = validate_crossed(L)
+        assert "twist-bijective" in report.rules()
+        assert all(v.detail.startswith("base: ") for v in report)
+        assert report.as_json() == validate_crossed(fresh).as_json()
+    assert not validate_diagram(D).ok
+
+
+def test_views_of_another_base_are_walked():
+    """Only a level's own views go unwalked: a twist view over the level's
+    own 1-morphisms and group but another (broken) base, put in the level's
+    place, is checked entry by entry and reported as a dict copy of it is."""
+    C = fix_a_core()
+    broken = CrossedGroupoid(C.g1, C.g2, {**C.twist_table, ("1", "2.1"): "2.0"},
+                             dict(C.feedback_table))
+    L = cech_diagram(C, 2).levels[1]
+    other = type(L.twist_table)(broken, L.power[1], L.g1, L.g2.group("*"))
+    reports = []
+    for table in (other, dict(other.items())):
+        vars(L)["twist_table"] = table
+        reports.append([(v.rule, v.detail) for v in validate_crossed(L)])
+    assert reports[0] == reports[1]
+    assert {rule for rule, _ in reports[0]} == {"power-twist"}
+    assert len(reports[0]) == 15  # every element of Z/2^4 but the identity has a part 2.1
+
+
+def test_a_view_over_an_old_g1_is_walked():
+    """A twist view lists the 1-morphisms of the g1 it was built with.  Once
+    the base gains a 1-morphism and the level a g1 to match, the view is
+    walked, and the new 1-morphism's missing twist entries are named."""
+    C = fix_a_core()
+    L = cech_diagram(C, 1).levels[0]
+    g1 = one_object_groupoid(renamed_group(cyclic_group(2), {"0": "1", "1": "x"}), "*")
+    vars(C)["g1"] = vars(L)["g1"] = g1
+    vars(C)["twist_table"] = {(g, a): a for g in g1.source for a in C.g2.group("*")}
+    assert validate_crossed(C).ok
+    assert [(v.rule, v.detail) for v in validate_crossed(L)] == [
+        ("power-twist", f"twist(x, {a}) is None, expected {a}") for a in ("2.0", "2.1")]
 
 
 def test_swapped_cofaces_break_cosimplicial_identities():
@@ -283,6 +334,13 @@ def _distinct(objects) -> int:
     return len({id(obj) for obj in objects})
 
 
+def _unshared(payload):
+    """A copy of a written payload in which no two positions share a dict or
+    list (the writers share one payload among the positions of one object),
+    so that one position can be edited in place on its own."""
+    return json.loads(json.dumps(payload))
+
+
 def test_loading_shares_equal_levels_and_cofaces():
     """A constant diagram and its fattening load as the builders make them:
     one level object and one coface object, and they write back unchanged."""
@@ -295,6 +353,43 @@ def test_loading_shares_equal_levels_and_cofaces():
         assert _distinct(loaded.cofaces.values()) == 1
         assert serialize_document(kind, loaded) == doc
         assert validate_diagram(loaded).ok
+
+
+def test_each_level_and_map_object_is_written_once(monkeypatch):
+    """The writers convert each distinct level and map object of a diagram
+    or diagram morphism once, and write the bytes a conversion of every
+    position writes."""
+    D = constant_diagram(NAMED_CROSSED["inner-s3"]())
+    fat, incl = fatten_diagram(D, 2)
+
+    def each_position(diagram):
+        return {
+            "levels": [serialize.crossed_to_json(L) for L in diagram.levels],
+            "cofaces": {f"{p},{k}": serialize._maps_to_json(d)
+                        for (p, k), d in sorted(diagram.cofaces.items())},
+        }
+
+    expected = {
+        "diagram": serialize_document("diagram", D),
+        "diagram-morphism": dumps_canonical(envelope("diagram-morphism", {
+            "source": each_position(D), "target": each_position(fat),
+            "levels": [serialize._maps_to_json(F) for F in incl.levels],
+        })),
+    }
+    assert expected["diagram"] == dumps_canonical(envelope("diagram", each_position(D)))
+    for kind, structure, levels, maps in (
+        ("diagram", D, 1, len(D.cofaces)),
+        ("diagram-morphism", incl, 2, 2 * len(D.cofaces) + 1),
+    ):
+        calls = []
+        for name in ("crossed_to_json", "_maps_to_json"):
+            write = getattr(serialize, name)
+            monkeypatch.setattr(serialize, name,
+                                lambda x, name=name, write=write: calls.append(name) or write(x))
+        assert serialize_document(kind, structure) == expected[kind]
+        assert calls.count("crossed_to_json") == levels
+        assert calls.count("_maps_to_json") == maps
+        monkeypatch.undo()
 
 
 def test_loading_a_fattening_inclusion_shares_each_side(capsys, tmp_path):
@@ -318,7 +413,7 @@ def test_loading_a_fattening_inclusion_shares_each_side(capsys, tmp_path):
 def test_a_changed_level_loads_as_its_own_object():
     """One twist entry of level 2 changed: level 2 is built on its own, the
     other three levels stay one object, and the cofaces share by their ends."""
-    payload = diagram_to_json(constant_diagram(NAMED_CROSSED["inner-s3"]()))
+    payload = _unshared(diagram_to_json(constant_diagram(NAMED_CROSSED["inner-s3"]())))
     entry = next(t for t in payload["levels"][2]["twist"] if t[1] != t[2])
     entry[2] = entry[1]
     D = diagram_from_json(payload)
@@ -363,10 +458,10 @@ def sharing_documents():
         D = constant_diagram(NAMED_CROSSED[base]())
         fat, incl = fatten_diagram(D, 2)
         for form, diagram in (("constant", D), ("fattened", fat)):
-            payload = diagram_to_json(diagram)
+            payload = _unshared(diagram_to_json(diagram))
             docs[f"{form} {base}"] = (diagram_from_json, unshared_diagram_from_json,
                                       validate_diagram, payload, _parts(payload))
-        payload = diagram_morphism_to_json(incl)
+        payload = _unshared(diagram_morphism_to_json(incl))
         parts = (_parts(payload["source"]) + _parts(payload["target"])
                  + [_part(maps) for maps in payload["levels"]])
         docs[f"inclusion {base}"] = (diagram_morphism_from_json,

@@ -22,6 +22,7 @@ from crossed_desc import (
 )
 from crossed_desc.fixtures import (
     NAMED_CROSSED,
+    _power_level,
     cyclic_group,
     fatten,
     fix_a_core,
@@ -34,7 +35,7 @@ from crossed_desc.fixtures import (
     one_object_crossed,
 )
 
-from builders import ODD_ID_BASES, disjoint_union, loop5
+from builders import ODD_ID_BASES, POWER_BASES, disjoint_union, loop5
 from oracles import (
     brute_group_violations,
     brute_twist_action_violations,
@@ -405,6 +406,24 @@ def test_fattened_homotopy_matches_a_dict_table_copy(name, n):
 def test_fattened_cover_homotopy_matches_a_dict_table_copy(fat_cech):
     for level in {id(L): L for L in fat_cech[0].levels}.values():
         assert level.fattening is not None
+        assert _invariants(homotopy(level)) == _invariants(homotopy(_dict_copy(level)))
+
+
+@pytest.mark.parametrize("name", sorted(POWER_BASES))
+def test_power_homotopy_matches_a_dict_table_copy(name):
+    """A power (a cover level) takes its feedback image and pi2 as powers of
+    its base's; the result equals the scan of the same level held in dicts,
+    pi2 order included (joined "prefix" ids sort apart from product order)."""
+    make, exponents = POWER_BASES[name]
+    C = make()
+    for k in exponents:
+        level = _power_level(C, k)
+        assert _invariants(homotopy(level)) == _invariants(homotopy(_dict_copy(level)))
+
+
+def test_cover_homotopy_matches_a_dict_table_copy(diag_cech):
+    for level in diag_cech.levels:
+        assert level.power is not None
         assert _invariants(homotopy(level)) == _invariants(homotopy(_dict_copy(level)))
 
 

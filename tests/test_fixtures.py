@@ -1,7 +1,7 @@
 import functools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crossed_desc import (
     DomainError,
@@ -31,14 +31,16 @@ from crossed_desc.fixtures import (
     symmetric_group,
     trivial_group,
 )
+from crossed_desc.fixtures import _power_level
 
-from builders import ODD_ID_BASES
+from builders import ODD_ID_BASES, POWER_BASES
 from oracles import (
     brute_automorphisms,
     cech_tables,
     cech_two_cocycle_count,
     fatten_tables,
     pairwise_automorphisms,
+    power_tables,
 )
 
 
@@ -274,6 +276,68 @@ def test_cover_tables_match_the_entry_oracle(name, m):
     D = cech_diagram(C, m)
     for level, tables in zip(D.levels, cech_tables(C, m)):
         assert _tables(level) == _oracle(tables)
+
+
+@functools.cache
+def _powers_and_oracle(name):
+    """The base's powers (`_power_level`), their entry oracle's tables, their
+    table keys in the oracle's order, and every 1- and 2-morphism id of the
+    powers and the base."""
+    make, exponents = POWER_BASES[name]
+    C = make()
+    levels = [_power_level(C, k) for k in exponents]
+    tables = [power_tables(C, k) for k in exponents]
+    keys = [(list(twist), list(feedback)) for _, twist, feedback, _ in tables]
+    mor1 = sorted({g for L in (C, *levels) for g in L.g1.source})
+    mor2 = sorted({a for L in (C, *levels) for a in L.g2.owner})
+    return C, levels, tables, keys, mor1, mor2
+
+
+@pytest.mark.parametrize("name", sorted(POWER_BASES))
+def test_power_views_list_the_oracle_order(name):
+    """A power's (a cover level's) view keys and items list in the oracle's
+    order and have its length, and each twist row lists the oracle's
+    entries of its 1-morphism."""
+    C, levels, tables, _, _, _ = _powers_and_oracle(name)
+    for level, (_, twist, feedback, _) in zip(levels, tables):
+        assert level.power[0] is C
+        for view, oracle in ((level.twist_table, twist), (level.feedback_table, feedback)):
+            assert list(view) == list(oracle) and len(view) == len(oracle)
+            assert list(view.items()) == list(oracle.items())
+        (x,) = level.objects
+        for g in level.g1.source:
+            row = [(a, twist[(g, a)]) for a in level.g2.group(x)]
+            assert list(level.twist_row(g).items()) == row
+        assert level.twist_row("no such 1-morphism") == {}
+
+
+# no deadline: the first example to draw a base builds its powers and their
+# entry oracle (65,536 twist entries for fix-a-core's k = 16)
+@settings(deadline=None)
+@given(st.data())
+def test_power_views_answer_as_the_entry_oracle(data):
+    """A power's (a cover level's) twist and feedback views answer `[]`,
+    `get` and `in` as dicts of the entry oracle do, on well-typed keys and
+    on ill-typed ones: ids of another power, of the base, and noise."""
+    _, levels, tables, keys, mor1_ids, mor2_ids = _powers_and_oracle(
+        data.draw(st.sampled_from(sorted(POWER_BASES))))
+    i = data.draw(st.integers(0, len(levels) - 1))
+    (_, twist, feedback, _), (twist_keys, feedback_keys) = tables[i], keys[i]
+    mor1 = st.one_of(st.sampled_from(mor1_ids), _NOISE)
+    mor2 = st.one_of(st.sampled_from(mor2_ids), _NOISE)
+    twist_key = data.draw(st.one_of(st.sampled_from(twist_keys), st.tuples(mor1, mor2)))
+    feedback_key = data.draw(st.one_of(st.sampled_from(feedback_keys), mor2))
+    for view, oracle, key in (
+        (levels[i].twist_table, twist, twist_key),
+        (levels[i].feedback_table, feedback, feedback_key),
+    ):
+        assert (key in view) == (key in oracle)
+        assert view.get(key) == oracle.get(key)
+        if key in oracle:
+            assert view[key] == oracle[key]
+        else:
+            with pytest.raises(KeyError):
+                view[key]
 
 
 def test_fattened_cover_tables_match_the_entry_oracle(diag_cech, fat_cech):
