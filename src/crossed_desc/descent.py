@@ -87,11 +87,12 @@ def _check_datum_typing(D: CrossedDiagram, t: DescentDatum) -> None:
             f"{t.g!r} has endpoints {L1.g1.src(t.g)!r} -> {L1.g1.dst(t.g)!r}, "
             f"expected {x0!r} -> {x1!r}"
         )
-    if t.a not in L2.g2.owner:
+    x = L2.g2.owner.get(t.a)
+    if x is None:
         raise DomainError(f"{t.a!r} is not a 2-morphism of level 2")
     x0_2 = vertex_object(D, t.x, 0, 2)
-    if L2.g2.object_of(t.a) != x0_2:
-        raise DomainError(f"{t.a!r} lives at {L2.g2.object_of(t.a)!r}, expected {x0_2!r}")
+    if x != x0_2:
+        raise DomainError(f"{t.a!r} lives at {x!r}, expected {x0_2!r}")
 
 
 def _check_partial_typing(D: CrossedDiagram, t: PartialDescentDatum) -> None:
@@ -109,11 +110,12 @@ def _check_gauge_typing(
             f"{t.f!r} has endpoints {L0.g1.src(t.f)!r} -> {L0.g1.dst(t.f)!r}, "
             f"expected {x!r} -> {x_prime!r}"
         )
-    if t.c not in L1.g2.owner:
+    y = L1.g2.owner.get(t.c)
+    if y is None:
         raise DomainError(f"{t.c!r} is not a 2-morphism of level 1")
     x0 = vertex_object(D, x, 0, 1)
-    if L1.g2.object_of(t.c) != x0:
-        raise DomainError(f"{t.c!r} lives at {L1.g2.object_of(t.c)!r}, expected {x0!r}")
+    if y != x0:
+        raise DomainError(f"{t.c!r} lives at {y!r}, expected {x0!r}")
 
 
 # -- the two descent conditions -----------------------------------------

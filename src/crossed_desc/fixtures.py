@@ -6,10 +6,13 @@ Conventions: 2-morphism ids carry a "2." prefix so that object, 1-morphism and
 elements of two kinds.  Fattened ids append "@copy" markers; product ids join
 components with "|".
 
-Derived levels do not copy their base's twist and feedback tables: a
-fattening's, and a cover level's (a power of the base), are read-only views
-that compute each entry from the base's and list their items a row at a time.
-A diagram's levels are fattened once per distinct level object.
+Derived levels do not copy their base's tables.  A cover level's (a power of
+the base) twist and feedback tables are read-only views that compute each
+entry from the base's and list their items a row at a time.  A fattening
+builds only its g1: its groups, its g2 owner map, its twist and feedback
+tables and its inclusion's 2-morphism map all read the base, and the
+inclusion's weak-equivalence check is proven through the base.  A diagram's
+levels are fattened once per distinct level object.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ from .crossed import (
     CrossedMorphism,
     DisconnectedGroupoid,
     FiniteGroup,
+    _FattenedG2,
     _multiplicative_on,
     _PowerFeedback,
     _PowerTwist,
     _RowItems,
+    _TagMap,
     identity_crossed_morphism,
 )
 from .groupoid import FiniteGroupoid, _generators
@@ -263,20 +268,6 @@ def constant_diagram(C: CrossedGroupoid) -> CrossedDiagram:
     return CrossedDiagram(levels, cofaces)
 
 
-def _relabel_group(base: FiniteGroup, tag: str) -> FiniteGroup:
-    """A copy of `base` with every id suffixed by `tag` (lazy arithmetic)."""
-    elems = tuple(f"{e}{tag}" for e in base.elements)
-    cut = -len(tag)
-
-    def mul(a: str, b: str) -> str:
-        return f"{base.mul(a[:cut], b[:cut])}{tag}"
-
-    def inv(a: str) -> str:
-        return f"{base.inv(a[:cut])}{tag}"
-
-    return FiniteGroup(elems, f"{base.identity}{tag}", mul, inv)
-
-
 class _FattenedTwist(Mapping):
     """The twist table of `fatten(C, n)`, computed from C's:
     twist(m@i.j, b@i) = twist_C(m, b)@j.
@@ -286,20 +277,30 @@ class _FattenedTwist(Mapping):
     as it would in a dict.  Keys are listed by base 1-morphism, source copy,
     target copy, then element of the source's group."""
 
-    def __init__(self, C: CrossedGroupoid, n: int, morph_ids: dict,
+    def __init__(self, C: CrossedGroupoid, n: int, ids: dict[str, list[list[str]]],
                  g1: FiniteGroupoid, g2: DisconnectedGroupoid):
         self._base, self._n = C, n
-        self._source, self._owner, self._groups = g1.source, g2.owner, g2.groups
-        # fattened 1-morphism -> (base 1-morphism, length of "@i", "@j")
-        self._parts = {mid: (m, -len(f"@{i}"), f"@{j}") for (m, i, j), mid in morph_ids.items()}
-        self._base_rows: dict[str, list[str]] = {}  # kept by `row`, per base 1-morphism
+        self._source, self._groups = g1.source, g2.groups
+        # fattened 1-morphism m@i.j -> (m, the group at its source, length of "@i", "@j")
+        copies = [f"@{i}" for i in range(n)]
+        self._parts = {mid: (m, g2.groups[g1.source[mid]], -len(copies[i]), copies[j])
+                       for m, rows in ids.items()
+                       for i, row in enumerate(rows) for j, mid in enumerate(row)}
+
+    # `get` is the validators' lookup: it answers without raising on a miss
+    def get(self, key, default=None):
+        g, a = key
+        part = self._parts.get(g)
+        if part is None or a not in part[1]._members:
+            return default
+        m, _, cut, tag = part
+        return self._base.twist_table[(m, a[:cut])] + tag
 
     def __getitem__(self, key):
-        g, a = key
-        m, cut, tag = self._parts[g]
-        if self._owner.get(a) != self._source[g]:
+        value = self.get(key)
+        if value is None:
             raise KeyError(key)
-        return f"{self._base.twist_table[(m, a[:cut])]}{tag}"
+        return value
 
     def __len__(self) -> int:
         return sum(len(self._groups[self._source[g]]) for g in self._parts)
@@ -324,14 +325,12 @@ class _FattenedTwist(Mapping):
                     yield zip(zip(itertools.repeat(f"{m}@{i}.{j}"), keys), rows[j])
 
     def row(self, g: str) -> dict[str, str]:
-        """{a: twist(g, a)} over the group at the source of g; empty for an
-        id that is not a fattened 1-morphism."""
+        """{a: twist(g, a)} over the group at the source of g, read from the
+        base's current row; empty for an id that is not a fattened 1-morphism."""
         if g not in self._parts:
             return {}
-        m, _, tag = self._parts[g]
-        if m not in self._base_rows:
-            self._base_rows[m] = list(self._base.twist_row(m).values())
-        values = [f"{r}{tag}" for r in self._base_rows[m]]
+        m, _, _, tag = self._parts[g]
+        values = [r + tag for r in self._base.twist_row(m).values()]
         return dict(zip(self._groups[self._source[g]].elements, values))
 
 
@@ -342,14 +341,17 @@ class _FattenedFeedback(Mapping):
 
     def __init__(self, C: CrossedGroupoid, n: int, g2: DisconnectedGroupoid):
         self._base, self._n, self._owner = C, n, g2.owner
-        # fattened object -> (length of "@i", "@i.i")
-        self._copies = {
-            f"{x}@{i}": (-len(f"@{i}"), f"@{i}.{i}") for x in C.objects for i in range(n)
-        }
+        self._tags = {str(i): f"@{i}.{i}" for i in range(n)}  # copy index -> "@i.i"
 
     def __getitem__(self, a):
-        cut, tag = self._copies[self._owner[a]]
-        return f"{self._base.feedback_table[a[:cut]]}{tag}"
+        # b@i is a 2-morphism when i is a copy index and b one of C's, which
+        # C's feedback table knows (`_FattenedG2` decodes ids alike)
+        if isinstance(a, str):
+            b, at, i = a.rpartition("@")
+            tag = self._tags.get(i) if at else None
+            if tag is not None:
+                return self._base.feedback_table[b] + tag
+        raise KeyError(a)
 
     def __len__(self) -> int:
         return len(self._owner)
@@ -373,57 +375,55 @@ def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism
     """Replace each object by n copies connected by transported isomorphisms.
 
     Returns the fattened crossed groupoid, marked `fattening = (C, n)`, and
-    the inclusion of copy 0, which is a weak equivalence.  Its g1 and groups
-    are built; its twist and feedback tables are views of C's.
+    the inclusion of copy 0, which is a weak equivalence.  Only its g1 is
+    built.  Everything else is a view of C: the groups are C's tagged
+    (`_TaggedGroup`), the g2 reads each 2-morphism's object from C's
+    (`_FattenedG2`), the twist and feedback tables compute their entries from
+    C's, and the inclusion's 2-morphism map is the tag map a -> a@0
+    (`_TagMap`), through which `is_weak_equivalence_crossed` proves its pi2
+    bijection without a scan.
     """
     if n < 1:
         raise DomainError("copy count must be at least 1")
     g1 = C.g1
     if (len(g1.source) * n * n) ** 2 > DEFAULT_BOUND:
         raise ResourceBoundError("fattened composition table would exceed the bound")
-    objects = tuple(f"{x}@{i}" for x in g1.objects for i in range(n))
+    copies = [f"@{i}" for i in range(n)]
+    objects = {x: [x + c for c in copies] for x in g1.objects}  # x -> [x@0, x@1, ...]
+    # m -> [[m@i.j for each j] for each i], in the order the ids are listed
+    ids = {m: [[f"{m}{c}.{j}" for j in range(n)] for c in copies] for m in g1.source}
     source, target, inverses = {}, {}, {}
-    morph_ids = {}
-    for m in g1.source:
-        for i in range(n):
-            for j in range(n):
-                mid = f"{m}@{i}.{j}"
-                morph_ids[(m, i, j)] = mid
-                source[mid] = f"{g1.source[m]}@{i}"
-                target[mid] = f"{g1.target[m]}@{j}"
-    for (m, i, j), mid in morph_ids.items():
-        inverses[mid] = morph_ids[(g1.inverses[m], j, i)]
+    for m, rows in ids.items():
+        x, y, inverse = objects[g1.source[m]], objects[g1.target[m]], ids[g1.inverses[m]]
+        for i, row in enumerate(rows):
+            for j, mid in enumerate(row):
+                source[mid], target[mid], inverses[mid] = x[i], y[j], inverse[j][i]
     # transport each base composite: (m2@j.k) . (m1@i.j) = (m2 . m1)@i.k.
     # Keys go in in sorted order, which keeps the sort in serialization cheap.
     table = {}
-    for (m2, j, k), after in morph_ids.items():
-        for m1 in g1.into(g1.source[m2]):
-            r = g1.table[(m2, m1)]
-            for i in range(n):
-                table[(after, morph_ids[(m1, i, j)])] = morph_ids[(r, i, k)]
-    identities = {f"{x}@{i}": morph_ids[(g1.identities[x], i, i)] for x in g1.objects for i in range(n)}
-    fat_g1 = FiniteGroupoid(objects, source, target, identities, table, inverses)
+    for m2, rows in ids.items():
+        before = [(ids[m1], ids[g1.table[(m2, m1)]]) for m1 in g1.into(g1.source[m2])]
+        for j, row in enumerate(rows):
+            for k, after in enumerate(row):
+                for m1_ids, r_ids in before:
+                    for i in range(n):
+                        table[(after, m1_ids[i][j])] = r_ids[i][k]
+    identities = {xi: ids[g1.identities[x]][i][i]
+                  for x, copy_ids in objects.items() for i, xi in enumerate(copy_ids)}
+    fat_g1 = FiniteGroupoid(tuple(itertools.chain.from_iterable(objects.values())),
+                            source, target, identities, table, inverses)
+    fat_g2 = _FattenedG2(C.g2, g1.objects, n)
 
-    fat_groups = {
-        f"{x}@{i}": _relabel_group(C.g2.group(x), f"@{i}")
-        for x in g1.objects
-        for i in range(n)
-    }
-    fat_g2 = DisconnectedGroupoid(fat_groups)
-
-    fat = CrossedGroupoid(fat_g1, fat_g2, _FattenedTwist(C, n, morph_ids, fat_g1, fat_g2),
+    fat = CrossedGroupoid(fat_g1, fat_g2, _FattenedTwist(C, n, ids, fat_g1, fat_g2),
                           _FattenedFeedback(C, n, fat_g2))
     fat.fattening = (C, n)
 
-    mor2_map = {}
-    for x, grp in C.g2.groups.items():
-        mor2_map.update(zip(grp.elements, fat_groups[f"{x}@0"].elements))
     inclusion = CrossedMorphism(
         C,
         fat,
-        {x: f"{x}@0" for x in g1.objects},
-        {m: morph_ids[(m, 0, 0)] for m in g1.source},
-        mor2_map,
+        {x: copy_ids[0] for x, copy_ids in objects.items()},
+        {m: rows[0][0] for m, rows in ids.items()},
+        _TagMap(C, "@0"),
     )
     return fat, inclusion
 
@@ -438,25 +438,16 @@ def fatten_diagram(D: CrossedDiagram, n: int) -> tuple[CrossedDiagram, DiagramMo
         if id(L) not in fattened:
             fattened[id(L)] = fatten(L, n)
     levels = tuple(fattened[id(L)][0] for L in D.levels)
+    copies = [f"@{i}" for i in range(n)]
+    pairs = [f"@{i}.{j}" for i in range(n) for j in range(n)]
     cofaces = {}
     for (p, k), d in D.cofaces.items():
-        obj_map = {
-            f"{x}@{i}": f"{d.apply_obj(x)}@{i}"
-            for x in d.source.g1.objects
-            for i in range(n)
-        }
-        mor1_map = {
-            f"{m}@{i}.{j}": f"{d.apply_mor1(m)}@{i}.{j}"
-            for m in d.source.g1.source
-            for i in range(n)
-            for j in range(n)
-        }
-        mor2_map = {
-            f"{a}@{i}": f"{d.apply_mor2(a)}@{i}"
-            for a in d.source.g2.owner
-            for i in range(n)
-        }
-        cofaces[(p, k)] = CrossedMorphism(levels[p], levels[p + 1], obj_map, mor1_map, mor2_map)
+        # each map sends a tagged id to its image tagged alike
+        maps = [{a + c: b + c for a, b in zip(ids, map(image, ids)) for c in tags}
+                for image, ids, tags in ((d.apply_obj, d.source.g1.objects, copies),
+                                         (d.apply_mor1, d.source.g1.source, pairs),
+                                         (d.apply_mor2, d.source.g2.owner, copies))]
+        cofaces[(p, k)] = CrossedMorphism(levels[p], levels[p + 1], *maps)
     fat = CrossedDiagram(levels, cofaces)
     return fat, DiagramMorphism(D, fat, tuple(fattened[id(L)][1] for L in D.levels))
 

@@ -13,6 +13,7 @@ from crossed_desc import (
 )
 from crossed_desc.fixtures import (
     NAMED_CROSSED,
+    _power_level,
     crossed_from_normal_subgroup,
     crossed_group,
     cyclic_group,
@@ -163,4 +164,20 @@ POWER_BASES = {
     "prefix-g1": (ODD_ID_BASES["prefix-g1"], (1, 2, 3)),
     "prefix-quotient": (_prefix_quotient, (1, 2, 3)),
     "fattened once": (lambda: fatten(fix_c_core(), 1)[0], (1, 2, 3)),
+}
+
+
+def _power(name: str, k: int):
+    make = POWER_BASES[name][0]
+    return lambda: _power_level(make(), k)
+
+
+# Bases of the fattenings that the view tests compare with the eager oracle
+# (`oracles.relabeled_fattening`): the named bases, the odd-id bases, and
+# the power bases with their powers of exponent 2 ("|"-joined ids).
+FATTENING_BASES = {
+    **NAMED_CROSSED,
+    **ODD_ID_BASES,
+    **{name: make for name, (make, _) in POWER_BASES.items()},
+    **{f"{name}^2": _power(name, 2) for name, (_, ks) in POWER_BASES.items() if 2 in ks},
 }

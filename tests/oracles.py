@@ -13,8 +13,11 @@ evaluated every candidate through the checked accessors,
 `is_descent_datum`, `pairwise_automorphisms`, the automorphism search that
 checked every pair, and the validators' walks over every pair or triple of
 each law that the library now proves on a generating set (the `brute_*`
-and `walked_*` functions), and the diagram loaders that built every level
-and map from its own payload (`unshared_*`).
+and `walked_*` functions), the diagram loaders that built every level
+and map from its own payload (`unshared_*`), the fattening's eagerly
+relabeled groups, owner and inclusion (`relabeled_fattening`), and the
+weak-equivalence check that scanned every pi2 list
+(`scanned_weak_equivalence`).
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ from crossed_desc.descent import (
     vertex_object,
 )
 from crossed_desc.cosimplicial import DiagramMorphism
+from crossed_desc.crossed import DisconnectedGroupoid, FiniteGroup, homotopy
 from crossed_desc.fixtures import _element_orders, one_object_groupoid
 from crossed_desc.groupoid import _generators
 from crossed_desc.serialize import _maps_from_json, _require, crossed_from_json
-from crossed_desc.validation import DEFAULT_BOUND, LoadError
+from crossed_desc.validation import DEFAULT_BOUND, LoadError, ValidationReport
 
 
 def _skipped(seq, q):
@@ -684,6 +688,94 @@ def fatten_tables(C, n):
         for i in range(n):
             feedback[f"{a}@{i}"] = morph_ids[(d, i, i)]
     return table, twist, feedback, owner
+
+
+def relabeled_fattening(C, n):
+    """The g2 of `fatten(C, n)` and its inclusion's 2-morphism map, built
+    eagerly as the library built them before they became views of C: each
+    copy's group relabeled element by element (the former
+    `fixtures._relabel_group`, kept verbatim), a `DisconnectedGroupoid`
+    with its owner dict, and the inclusion of copy 0 as a dict."""
+
+    def relabel_group(base, tag):
+        elems = tuple(f"{e}{tag}" for e in base.elements)
+        cut = -len(tag)
+
+        def mul(a, b):
+            return f"{base.mul(a[:cut], b[:cut])}{tag}"
+
+        def inv(a):
+            return f"{base.inv(a[:cut])}{tag}"
+
+        return FiniteGroup(elems, f"{base.identity}{tag}", mul, inv)
+
+    groups = {
+        f"{x}@{i}": relabel_group(C.g2.group(x), f"@{i}")
+        for x in C.g1.objects
+        for i in range(n)
+    }
+    mor2_map = {}
+    for x, grp in C.g2.groups.items():
+        mor2_map.update(zip(grp.elements, groups[f"{x}@0"].elements))
+    return DisconnectedGroupoid(groups), mor2_map
+
+
+def scanned_weak_equivalence(F):
+    """`is_weak_equivalence_crossed` as it was before it proved a fattening
+    inclusion's pi2 through the base: every pi2 list is mapped through
+    `apply_mor2` and compared with the target's."""
+    report = ValidationReport()
+    S, T = F.source, F.target
+    hs, ht = homotopy(S), homotopy(T)
+
+    # pi0: the target components that the objects of each source component hit
+    hit: dict[str, set[str]] = {}
+    for x in S.objects:
+        y = F.apply_obj(x)
+        if y in ht.pi0:
+            hit.setdefault(hs.pi0[x], set()).add(ht.pi0[y])
+        else:
+            report.add("pi0", f"image {y} of object {x} is not an object of the target")
+    for label, labels in sorted(hit.items()):
+        if len(labels) > 1:
+            report.add("pi0", f"objects of component {label} land in several target components")
+    image = set().union(*hit.values())
+    if sum(map(len, hit.values())) != len(image):
+        report.add("pi0", "induced component map is not injective")
+    if image != set(ht.pi0.values()):
+        report.add("pi0", "induced component map is not surjective")
+
+    for x in S.objects:
+        y = F.apply_obj(x)
+        if y not in ht.pi0:
+            continue
+        # pi1: [g] -> [F(g)] must be a bijection of coset representatives
+        p1s, p1t = hs.pi1[x], ht.pi1[y]
+        induced = [p1t.coset_of.get(F.apply_mor1(r)) for r in p1s.reps]
+        if None in induced:
+            report.add("pi1", f"induced map on pi1 at {x} leaves the automorphisms of {y}")
+        else:
+            if len(set(induced)) != len(induced):
+                report.add("pi1", f"induced map on pi1 at {x} is not injective")
+            if set(induced) != set(p1t.reps):
+                report.add("pi1", f"induced map on pi1 at {x} is not surjective")
+        # pi2: kernel to kernel, bijectively
+        images = [F.apply_mor2(a) for a in hs.pi2[x]]
+        if len(set(images)) != len(images):
+            report.add("pi2", f"induced map on pi2 at {x} is not injective")
+        if set(images) != set(ht.pi2[y]):
+            report.add("pi2", f"induced map on pi2 at {x} is not surjective")
+    return report.ok, report
+
+
+def scanned_weak_equivalence_diagram(F):
+    """`scanned_weak_equivalence` at every level of a diagram morphism, with
+    the report of `transfer.is_weak_equivalence_diagram`."""
+    report = ValidationReport()
+    for p in range(4):
+        _, level_report = scanned_weak_equivalence(F.levels[p])
+        report.extend(level_report, prefix=f"level {p}: ")
+    return report.ok, report
 
 
 def power_tables(C, k):

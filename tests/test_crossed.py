@@ -35,10 +35,13 @@ from crossed_desc.fixtures import (
     one_object_crossed,
 )
 
-from builders import ODD_ID_BASES, POWER_BASES, disjoint_union, loop5
+from crossed_desc.crossed import _TagMap
+
+from builders import FATTENING_BASES, ODD_ID_BASES, POWER_BASES, disjoint_union, loop5
 from oracles import (
     brute_group_violations,
     brute_twist_action_violations,
+    scanned_weak_equivalence,
     walked_crossed_violations,
 )
 
@@ -443,6 +446,80 @@ def test_fatten_inclusion_is_weak_equivalence():
         assert validate_crossed_morphism(incl).ok
         ok, report = is_weak_equivalence_crossed(incl)
         assert ok, [v.detail for v in report]
+
+
+def _checked_as_the_scan(F, monkeypatch):
+    """`is_weak_equivalence_crossed(F)` gives the verdict and report of the
+    scan oracle; returns how many 2-morphisms it mapped (0 when it proved
+    pi2 through the base)."""
+    want = scanned_weak_equivalence(F)
+    mapped = []
+    apply_mor2 = CrossedMorphism.apply_mor2
+    monkeypatch.setattr(CrossedMorphism, "apply_mor2",
+                        lambda self, a: mapped.append(a) or apply_mor2(self, a))
+    ok, report = is_weak_equivalence_crossed(F)
+    monkeypatch.undo()
+    assert ok == want[0]
+    assert report.as_json() == want[1].as_json()
+    return len(mapped)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(FATTENING_BASES))
+def test_inclusion_weak_equivalence_matches_the_scan_oracle(name, n, monkeypatch):
+    """The inclusion of copy 0 is proven a weak equivalence through its base,
+    with no pi2 scan, and the verdict and report are the scan's."""
+    fat, incl = fatten(FATTENING_BASES[name](), n)
+    assert _checked_as_the_scan(incl, monkeypatch) == 0
+    assert is_weak_equivalence_crossed(incl)[0]
+
+
+def _remapped(name, incl):
+    """The inclusion with its tag view copied into a dict and one kernel id
+    sent to another element of its group."""
+    S = incl.source
+    x = next(x for x in S.objects if len(S.g2.group(x)) > 1)
+    a = homotopy(S).pi2[x][0]
+    mor2 = dict(incl.mor2_map)
+    mor2[a] = next(b for b in incl.target.g2.group(f"{x}@0") if b != mor2[a])
+    return CrossedMorphism(S, incl.target, incl.obj_map, incl.mor1_map, mor2)
+
+
+def _copy_one_tag(name, incl):
+    """The tag view a -> a@1 with objects still sent to copy 0."""
+    return CrossedMorphism(incl.source, incl.target, incl.obj_map, incl.mor1_map,
+                           _TagMap(incl.source, "@1"))
+
+
+def _view_of_an_equal_base(name, incl):
+    """The tag view a -> a@0 over a base equal to the source but another
+    object."""
+    return CrossedMorphism(incl.source, incl.target, incl.obj_map, incl.mor1_map,
+                           _TagMap(NAMED_CROSSED[name](), "@0"))
+
+
+def _into_an_equal_base(name, incl):
+    """The inclusion into the fattening of a base equal to its source but
+    another object."""
+    other, _ = fatten(NAMED_CROSSED[name](), incl.target.fattening[1])
+    return CrossedMorphism(incl.source, other, incl.obj_map, incl.mor1_map, incl.mor2_map)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["fix-a-core", "inner-z3", "s3-a3"])
+@pytest.mark.parametrize("control, weak", [
+    (_remapped, False), (_copy_one_tag, False), (_view_of_an_equal_base, True),
+    (_into_an_equal_base, True)])
+def test_other_maps_into_a_fattening_are_scanned(name, n, control, weak, monkeypatch):
+    """A map that is not the base's own tag view into its own fattening, with
+    its objects sent to the copy of the tag, is scanned, with the scan's
+    verdict and report: a dict copy of the tag view with one kernel id
+    remapped, the tag "@1" with objects sent to copy 0, the tag view over an
+    equal base that is another object, and the tag view into the fattening
+    of such a base."""
+    F = control(name, fatten(NAMED_CROSSED[name](), n)[1])
+    assert _checked_as_the_scan(F, monkeypatch) > 0
+    assert is_weak_equivalence_crossed(F)[0] is weak
 
 
 def test_fatten_preserves_homotopy_invariants():

@@ -18,8 +18,11 @@ from crossed_desc import (
     revalidate_lift_trace,
     verify_bijection,
 )
+from crossed_desc.crossed import _TagMap
 from crossed_desc.fixtures import constant_diagram, fix_a, trivial_group, one_object_crossed
 from crossed_desc.transfer import _target_gauge_between_images
+
+from oracles import scanned_weak_equivalence_diagram
 
 
 def trivial_diagram():
@@ -65,6 +68,27 @@ def test_non_equivalence_report_names_every_level_and_object():
         for p in range(4)
         for x in ("*@0", "*@1")
     ]
+
+
+def _with_copy_one_tag_at_level_3(F):
+    """F with its level-3 2-morphism map replaced by the tag view a -> a@1,
+    objects still sent to copy 0."""
+    G = F.levels[3]
+    moved = CrossedMorphism(G.source, G.target, G.obj_map, G.mor1_map, _TagMap(G.source, "@1"))
+    return DiagramMorphism(F.source, F.target, (*F.levels[:3], moved))
+
+
+@pytest.mark.parametrize("fixture", ["fat_a", "fat_s3", "fat_union", "fat_cech"])
+def test_diagram_weak_equivalence_matches_the_scan_oracle(fixture, request):
+    """The levelwise check of a fattening's inclusion, and of the same map
+    with a wrong tag at level 3, gives the verdict and report of the pi2
+    scan at every level (65,536 kernel ids at level 3 of the fattened cover)."""
+    _, incl = request.getfixturevalue(fixture)
+    for F, weak in ((incl, True), (_with_copy_one_tag_at_level_3(incl), False)):
+        ok, report = is_weak_equivalence_diagram(F)
+        want_ok, want = scanned_weak_equivalence_diagram(F)
+        assert ok is want_ok is weak
+        assert report.as_json() == want.as_json()
 
 
 def test_apply_morphism_preserves_descent(fat_a):
