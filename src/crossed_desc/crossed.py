@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import ItemsView, Mapping
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -167,7 +168,10 @@ class _TaggedGroup(FiniteGroup):
 
     def __init__(self, base: FiniteGroup, tag: str):
         cut = -len(tag)
-        self._base, self._tag, self._members = base, tag, self  # `in` asks __contains__
+        # `in` asks __contains__ through a weak proxy: a reference to self
+        # would be a cycle, keeping every fattening and its base until the
+        # cyclic collector runs
+        self._base, self._tag, self._members = base, tag, weakref.proxy(self)
         self.identity, self.factors = base.identity + tag, ()
         self._mul = lambda a, b: base.mul(a[:cut], b[:cut]) + tag
         self._inv = lambda a: base.inv(a[:cut]) + tag
@@ -432,14 +436,11 @@ class CrossedGroupoid:
 
     def twist_row(self, g: str) -> dict[str, str]:
         """{a: twist(g, a)} for every 2-morphism a at the source of g, in the
-        order of that group's elements; empty when g is not a 1-morphism."""
-        tw = self.twist_table
-        if not isinstance(tw, dict):
-            return tw.row(g)
+        order of that group's elements, each read through the table's lookup;
+        empty when g is not a 1-morphism."""
         x = self.g1.source.get(g)
-        if x is None:
-            return {}
-        return {a: tw[(g, a)] for a in self.g2.groups[x].elements}
+        grp = () if x is None else self.g2.groups[x].elements
+        return {a: self.twist_table[(g, a)] for a in grp}
 
 
 def validate_crossed(C: CrossedGroupoid) -> ValidationReport:
@@ -637,13 +638,6 @@ def _peiffer_at(C: CrossedGroupoid, x: str, gens: Iterable[str]) -> bool:
 # -- powers of a one-object crossed group -------------------------------
 
 
-class _RowItems(ItemsView):
-    """The items of a table view, chained from the rows its `_rows` lists."""
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(self._mapping._rows())
-
-
 class _PowerTwist(Mapping):
     """The twist table of the k-fold power of a one-object crossed group B,
     computed from B's: twist(g1|...|gk, a1|...|ak) = twist_B(g1, a1)|...|twist_B(gk, ak).
@@ -670,29 +664,6 @@ class _PowerTwist(Mapping):
         for g in self._source:
             yield from zip(itertools.repeat(g), self._grp.elements)
 
-    def items(self):
-        return _RowItems(self)
-
-    def _values(self, rows: dict[str, list[str]], g: str):
-        # itertools.product over the k base rows lists twist(g, -) in the
-        # order in which `FiniteGroup.product` lists the power's elements
-        return map("|".join, itertools.product(*(rows[h] for h in g.split("|"))))
-
-    def _base_rows(self) -> dict[str, list[str]]:
-        return {h: list(self._base.twist_row(h).values()) for h in self._base.g1.source}
-
-    def _rows(self):
-        rows, elements = self._base_rows(), self._grp.elements
-        for g in self._source:
-            yield zip(zip(itertools.repeat(g), elements), self._values(rows, g))
-
-    def row(self, g: str) -> dict[str, str]:
-        """{a: twist(g, a)} over the power's group; empty for an id that is
-        not one of the power's 1-morphisms."""
-        if g not in self._source:
-            return {}
-        return dict(zip(self._grp.elements, self._values(self._base_rows(), g)))
-
 
 class _PowerFeedback(Mapping):
     """The feedback table of the k-fold power of a one-object crossed group B,
@@ -713,15 +684,6 @@ class _PowerFeedback(Mapping):
 
     def __iter__(self):
         return iter(self._grp.elements)
-
-    def items(self):
-        return _RowItems(self)
-
-    def _rows(self):
-        # one row, listed in the order of the power's elements as in `_PowerTwist`
-        fb = self._base.feedback_table
-        row = [fb[b] for b in self._grp.factors[0].elements]
-        yield zip(self._grp.elements, map("|".join, itertools.product(row, repeat=self._k)))
 
 
 def _validate_power(C: CrossedGroupoid, base: CrossedGroupoid, k: int) -> ValidationReport:
@@ -763,30 +725,21 @@ def _validate_power(C: CrossedGroupoid, base: CrossedGroupoid, k: int) -> Valida
         return type(view) is cls and view._base is base and view._k == k and view._grp is grp
 
     walk_twist = not (own(C.twist_table, _PowerTwist) and C.twist_table._source is g1.source)
-    # The twist and feedback values, as rows over the power's elements:
-    # itertools.product over k base rows lists them in the order in which
-    # `FiniteGroup.product` lists the elements (as the power views list them).
-    twist_rows = {h: [base.twist_table[(h, b)] for b in base_grp] for h in base.g1.morphisms}
+    # the expected values: the level's own views over this base, k and group
+    want_twist, want_feedback = _PowerTwist(base, k, g1, grp), _PowerFeedback(base, k, grp)
     check("power-g1", f"1_{x}", g1.identities.get(x), "|".join([base.g1.identities[x]] * k))
     for m in g1.morphisms:
         check("power-g1", f"{m}^-1", g1.inverses.get(m), power(base.g1.inverses.get, m))
         for n in g1.morphisms:
             check("power-g1", f"{m} . {n}", g1.table.get((m, n)),
                   power(lambda h, g: base.g1.table[(h, g)], m, n))
-        if not walk_twist:
-            continue
-        row = map("|".join, itertools.product(*(twist_rows[h] for h in m.split("|"))))
-        for a, want in zip(grp, row):
-            got = C.twist_table.get((m, a))
-            if got != want:
-                report.add("power-twist", f"twist({m}, {a}) is {got}, expected {want}")
-    if own(C.feedback_table, _PowerFeedback):
-        return report
-    feedback_row = [base.feedback_table[b] for b in base_grp]
-    for a, want in zip(grp, map("|".join, itertools.product(feedback_row, repeat=k))):
-        got = C.feedback_table.get(a)
-        if got != want:
-            report.add("power-feedback", f"feedback({a}) is {got}, expected {want}")
+        if walk_twist:
+            for a in grp:
+                check("power-twist", f"twist({m}, {a})", C.twist_table.get((m, a)),
+                      want_twist[(m, a)])
+    if not own(C.feedback_table, _PowerFeedback):
+        for a in grp:
+            check("power-feedback", f"feedback({a})", C.feedback_table.get(a), want_feedback[a])
     return report
 
 

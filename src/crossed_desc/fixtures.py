@@ -8,7 +8,8 @@ components with "|".
 
 Derived levels do not copy their base's tables.  A cover level's (a power of
 the base) twist and feedback tables are read-only views that compute each
-entry from the base's and list their items a row at a time.  A fattening
+entry from the base's when it is looked up, and list their keys in the order
+an eagerly built dict would.  A fattening
 builds only its g1: its groups, its g2 owner map, its twist and feedback
 tables and its inclusion's 2-morphism map all read the base, and the
 inclusion's weak-equivalence check is proven through the base.  A diagram's
@@ -32,7 +33,6 @@ from .crossed import (
     _multiplicative_on,
     _PowerFeedback,
     _PowerTwist,
-    _RowItems,
     _TagMap,
     identity_crossed_morphism,
 )
@@ -279,8 +279,7 @@ class _FattenedTwist(Mapping):
 
     def __init__(self, C: CrossedGroupoid, n: int, ids: dict[str, list[list[str]]],
                  g1: FiniteGroupoid, g2: DisconnectedGroupoid):
-        self._base, self._n = C, n
-        self._source, self._groups = g1.source, g2.groups
+        self._base, self._source, self._groups = C, g1.source, g2.groups
         # fattened 1-morphism m@i.j -> (m, the group at its source, length of "@i", "@j")
         copies = [f"@{i}" for i in range(n)]
         self._parts = {mid: (m, g2.groups[g1.source[mid]], -len(copies[i]), copies[j])
@@ -309,30 +308,6 @@ class _FattenedTwist(Mapping):
         for g in self._parts:
             yield from zip(itertools.repeat(g), self._groups[self._source[g]].elements)
 
-    def items(self):
-        return _RowItems(self)
-
-    def _rows(self):
-        # the row twist(m, -)@j is built once per target copy j and serves
-        # every source copy i, whose keys are the elements of its group
-        n = self._n
-        for m, x in self._base.g1.source.items():
-            row = self._base.twist_row(m).values()
-            rows = [[f"{r}@{j}" for r in row] for j in range(n)]
-            for i in range(n):
-                keys = self._groups[f"{x}@{i}"].elements
-                for j in range(n):
-                    yield zip(zip(itertools.repeat(f"{m}@{i}.{j}"), keys), rows[j])
-
-    def row(self, g: str) -> dict[str, str]:
-        """{a: twist(g, a)} over the group at the source of g, read from the
-        base's current row; empty for an id that is not a fattened 1-morphism."""
-        if g not in self._parts:
-            return {}
-        m, _, _, tag = self._parts[g]
-        values = [r + tag for r in self._base.twist_row(m).values()]
-        return dict(zip(self._groups[self._source[g]].elements, values))
-
 
 class _FattenedFeedback(Mapping):
     """The feedback table of `fatten(C, n)`, computed from C's:
@@ -360,15 +335,6 @@ class _FattenedFeedback(Mapping):
         for a in self._base.feedback_table:
             for i in range(self._n):
                 yield f"{a}@{i}"
-
-    def items(self):
-        return _RowItems(self)
-
-    def _rows(self):
-        # one row: a base entry has only n copies
-        n = self._n
-        yield [(f"{a}@{i}", f"{d}@{i}.{i}")
-               for a, d in self._base.feedback_table.items() for i in range(n)]
 
 
 def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism]:

@@ -10,8 +10,10 @@ a group whose composition table would have more than the fixed
 `DEFAULT_BOUND` of entries.  A table list that names one key twice (a
 groupoid's `morphisms` or `compose`, a group's `compose`, a crossed
 groupoid's `twist`) is rejected rather than letting the last entry win, and
-so are a JSON object that names one key twice and a document nested too
-deeply for the JSON reader.
+so are a JSON object that names one key twice, a table of another JSON type
+than the writer writes (a string for an array, an array of pairs for an
+object), a coface key not spelled "p,k" as the writer spells it, and a
+document nested too deeply for the JSON reader.
 
 Loading keeps one object per distinct level and map within a document, as
 the builders do: a crossed-groupoid payload `==` an earlier one reuses its
@@ -64,11 +66,28 @@ def groupoid_to_json(G: FiniteGroupoid) -> dict:
     }
 
 
-def _require(d, key, kind):
+_JSON_TYPES = {list: "array", dict: "object"}
+
+
+def _require(d, key, kind, json_type=None):
+    """d[key]; given `json_type` (list or dict), only a value of that JSON
+    type, as the writer writes it: a string is not read as its characters,
+    nor an array of pairs as an object."""
     try:
-        return d[key]
+        value = d[key]
     except (KeyError, TypeError):
         raise LoadError(f"{kind} payload is missing {key!r}") from None
+    if json_type is not None and not isinstance(value, json_type):
+        raise LoadError(f"{kind} payload {key!r} is not a JSON {_JSON_TYPES[json_type]}")
+    return value
+
+
+def _rows(d, key, kind) -> list:
+    """The table d[key]: an array whose rows are arrays."""
+    rows = _require(d, key, kind, list)
+    if {*map(type, rows)} - {list}:
+        raise LoadError(f"{kind} payload {key!r} has a row that is not a JSON array")
+    return rows
 
 
 def _one_row_per_key(table: dict, rows, kind: str, key: str) -> dict:
@@ -80,15 +99,15 @@ def _one_row_per_key(table: dict, rows, kind: str, key: str) -> dict:
 
 
 def groupoid_from_json(d: dict) -> FiniteGroupoid:
-    morphisms = _require(d, "morphisms", "groupoid")
-    objects = tuple(_require(d, "objects", "groupoid"))
+    morphisms = _require(d, "morphisms", "groupoid", list)
+    objects = tuple(_require(d, "objects", "groupoid", list))
     source = {m["id"]: m["source"] for m in morphisms}
     target = {m["id"]: m["target"] for m in morphisms}
     _one_row_per_key(source, morphisms, "groupoid", "morphisms")
-    identities = dict(_require(d, "identities", "groupoid"))
-    compose = _require(d, "compose", "groupoid")
+    identities = _require(d, "identities", "groupoid", dict)
+    compose = _rows(d, "compose", "groupoid")
     table = _one_row_per_key({(a, b): r for a, b, r in compose}, compose, "groupoid", "compose")
-    inverses = dict(_require(d, "inverses", "groupoid"))
+    inverses = _require(d, "inverses", "groupoid", dict)
     return FiniteGroupoid(objects, source, target, identities, table, inverses)
 
 
@@ -110,13 +129,13 @@ def group_to_json(grp: FiniteGroup) -> dict:
 
 
 def group_from_json(d: dict) -> FiniteGroup:
-    elements = tuple(_require(d, "elements", "group"))
-    compose = _require(d, "compose", "group")
+    elements = tuple(_require(d, "elements", "group", list))
+    compose = _rows(d, "compose", "group")
     return FiniteGroup.from_table(
         elements,
         _one_row_per_key({(a, b): r for a, b, r in compose}, compose, "group", "compose"),
         _require(d, "identity", "group"),
-        dict(_require(d, "inverses", "group")),
+        _require(d, "inverses", "group", dict),
     )
 
 
@@ -131,15 +150,15 @@ def crossed_to_json(C: CrossedGroupoid) -> dict:
 
 def crossed_from_json(d: dict) -> CrossedGroupoid:
     g2 = DisconnectedGroupoid(
-        {x: group_from_json(gd) for x, gd in _require(d, "g2", "crossed").items()}
+        {x: group_from_json(gd) for x, gd in _require(d, "g2", "crossed", dict).items()}
     )
     g1 = groupoid_from_json(_require(d, "g1", "crossed"))
-    twist = _require(d, "twist", "crossed")
+    twist = _rows(d, "twist", "crossed")
     return CrossedGroupoid(
         g1,
         g2,
         _one_row_per_key({(g, a): r for g, a, r in twist}, twist, "crossed", "twist"),
-        dict(_require(d, "feedback", "crossed")),
+        _require(d, "feedback", "crossed", dict),
     )
 
 
@@ -160,9 +179,9 @@ def _maps_from_json(
     return CrossedMorphism(
         source,
         target,
-        dict(_require(d, "objects", what)),
-        dict(_require(d, "mor1", what)),
-        dict(_require(d, "mor2", what)),
+        _require(d, "objects", what, dict),
+        _require(d, "mor1", what, dict),
+        _require(d, "mor2", what, dict),
     )
 
 
@@ -200,16 +219,20 @@ def diagram_from_json(d: dict) -> CrossedDiagram:
 def _diagram_from_json(d: dict, memo: dict) -> CrossedDiagram:
     levels = tuple(
         _once(memo, ld, (), lambda: crossed_from_json(ld))
-        for ld in _require(d, "levels", "diagram")
+        for ld in _require(d, "levels", "diagram", list)
     )
     if len(levels) != 4:
         raise LoadError("a diagram document needs exactly four levels")
     cofaces = {}
-    for key, maps in _require(d, "cofaces", "diagram").items():
+    for key, maps in _require(d, "cofaces", "diagram", dict).items():
+        # only the writer's spelling: int() would also read " 0", "+0" and
+        # "0_0", and two spellings of one key would silently replace each other
         try:
-            p, k = (int(part) for part in key.split(","))
+            p, k = map(int, key.split(","))
         except ValueError:
-            raise LoadError(f"bad coface key {key!r}; expected 'p,k'") from None
+            p = k = None
+        if key != f"{p},{k}":
+            raise LoadError(f"bad coface key {key!r}; expected 'p,k'")
         ends = levels[p], levels[p + 1]
         cofaces[(p, k)] = _once(
             memo, maps, ends, lambda: _maps_from_json(maps, *ends, "coface")
@@ -230,7 +253,7 @@ def diagram_morphism_from_json(d: dict) -> DiagramMorphism:
     memo: dict = {}
     source = _diagram_from_json(_require(d, "source", "diagram-morphism"), memo)
     target = _diagram_from_json(_require(d, "target", "diagram-morphism"), memo)
-    maps = _require(d, "levels", "diagram-morphism")
+    maps = _require(d, "levels", "diagram-morphism", list)
     if len(maps) != 4:
         raise LoadError("a diagram-morphism document needs exactly four level maps")
     levels = []
@@ -250,7 +273,10 @@ def fixture_spec_to_json(spec: FixtureSpec) -> dict:
 
 
 def fixture_spec_from_json(d: dict) -> FixtureSpec:
-    return FixtureSpec(_require(d, "kind", "fixture-spec"), dict(d.get("params", {})))
+    kind, params = _require(d, "kind", "fixture-spec"), d.get("params", {})
+    if not isinstance(params, dict):
+        raise LoadError("fixture-spec payload 'params' is not a JSON object")
+    return FixtureSpec(kind, params)
 
 
 # -- documents ----------------------------------------------------------

@@ -376,6 +376,72 @@ def test_repeated_table_key_exits_2(run, tmp_path, table, message):
     assert run("validate", _write(tmp_path, "repeated", doc)) == (2, _error_bytes(message))
 
 
+def _pairs(table):
+    return [list(pair) for pair in table.items()]
+
+
+def _respell_coface(key, keep):
+    """Coface "0,0" under the key `key`; with `keep`, a copy of it whose
+    mor2 sends the unit to the other element goes under `key`, before the
+    valid "0,0", so a reader that read both as (0, 0) would let "0,0" win."""
+    def edit(p):
+        maps = p["cofaces"]["0,0"]
+        broken = json.loads(json.dumps(maps))
+        broken["mor2"]["2.0"] = "2.1"
+        rest = {k: v for k, v in p["cofaces"].items() if k != "0,0"}
+        p["cofaces"] = {key: broken, "0,0": maps, **rest} if keep else {key: maps, **rest}
+    return edit
+
+
+def _set(path, value):
+    def edit(p):
+        *parents, last = path
+        for key in parents:
+            p = p[key]
+        p[last] = value(p[last])
+    return edit
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("diagram", _respell_coface(" 0,0", True), "bad coface key ' 0,0'; expected 'p,k'"),
+        ("diagram", _respell_coface("+0,0", False), "bad coface key '+0,0'; expected 'p,k'"),
+        ("diagram", _respell_coface("00,0", False), "bad coface key '00,0'; expected 'p,k'"),
+        ("diagram", _respell_coface("0_0,0", False), "bad coface key '0_0,0'; expected 'p,k'"),
+        ("crossed", _set(("g1", "objects"), "".join),
+         "groupoid payload 'objects' is not a JSON array"),
+        ("crossed", _set(("g1", "compose"), lambda rows: ["".join(r) for r in rows]),
+         "groupoid payload 'compose' has a row that is not a JSON array"),
+        ("crossed", _set(("feedback",), lambda _: [["2.0", "0"], ["2.1", "x"], ["2.1", "1"]]),
+         "crossed payload 'feedback' is not a JSON object"),
+        ("crossed", _set(("g1", "identities"), _pairs),
+         "groupoid payload 'identities' is not a JSON object"),
+        ("crossed", _set(("g2", "*", "inverses"), _pairs),
+         "group payload 'inverses' is not a JSON object"),
+        ("diagram", _set(("cofaces", "1,2", "mor1"), _pairs),
+         "coface payload 'mor1' is not a JSON object"),
+        ("spec", _set(("params",), lambda _: [["base", "fix-c-core"], ["copies", 2], ["copies", 3]]),
+         "fixture-spec payload 'params' is not a JSON object"),
+    ],
+    ids=["coface-key-space-beside-valid", "coface-key-plus", "coface-key-leading-zero",
+         "coface-key-underscore", "objects-string", "compose-rows-strings",
+         "feedback-pairs", "identities-pairs", "group-inverses-pairs", "coface-mor1-pairs",
+         "spec-params-pairs"],
+)
+def test_table_of_another_json_type_exits_2(run, tmp_path, kind, edit, message):
+    """A table is read only as the JSON type and spelling the writer gives it:
+    a string is not read as its characters, an array of pairs not as an
+    object, and a coface key only as "p,k"; the message names the field."""
+    doc = {
+        "crossed": lambda: json.loads(serialize_document("crossed", fix_c_core())),
+        "diagram": lambda: json.loads(serialize_document("diagram", constant_diagram(fix_c_core()))),
+        "spec": lambda: envelope("fixture-spec", {"kind": "fatten", "params": {}}),
+    }[kind]()
+    edit(doc["payload"])
+    assert run("validate", _write(tmp_path, "retyped", doc)) == (2, _error_bytes(message))
+
+
 def _fatten_chain(depth):
     spec = "fix-a-core"
     for _ in range(depth):

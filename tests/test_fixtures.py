@@ -1,6 +1,8 @@
 import functools
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -375,6 +377,31 @@ def test_fattened_products_of_every_pair_answer_as_the_relabeled_oracle(name):
         fat, _ = fatten(C, n)
         for a, b in itertools.product(g2.owner, repeat=2):
             assert _outcome(fat.g2.mul, a, b) == _outcome(g2.mul, a, b)
+
+
+def test_a_fattening_is_freed_with_its_last_reference():
+    """With the cyclic collector off, dropping a fattening of cover level 3,
+    or the fattened cover spec's inclusion, frees its tagged groups and the
+    level-3 group they tag: no reference cycle keeps them alive."""
+    spec = FixtureSpec("fatten", {"base": {"kind": "cech", "params": {"base": "fix-a-core"}}})
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        level = cech_diagram(fix_a_core(), 2).levels[3]
+        fat, incl = fatten(level, 2)
+        assert is_weak_equivalence_crossed(incl)[0]
+        tagged = fat.g2.group("*@1")
+        assert tagged.mul(tagged.identity, tagged.identity) == tagged.identity
+        refs = [weakref.ref(tagged), weakref.ref(level.g2.group("*"))]
+        del level, fat, incl, tagged
+        _, F = build_fixture(spec)
+        refs += [weakref.ref(F.target.levels[3].g2.group("*@0")),
+                 weakref.ref(F.source.levels[3].g2.group("*"))]
+        del F
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_fattening_a_cover_level_and_checking_its_inclusion_stay_small(diag_cech):
