@@ -131,18 +131,35 @@ def _cocycle_failure(D: CrossedDiagram, g: str) -> str:
     return G.compose_all(G.inverse(g02), g12, g01)
 
 
-def _twisted_cocycle_sides(D: CrossedDiagram, t: DescentDatum) -> tuple[str, str]:
-    """a_(0,1,3)^-1 . a_(0,2,3) . a_(0,1,2) and twist(g_(0,1)^-1, a_(1,2,3))
-    in level 3, which the second descent condition equates."""
-    L3 = D.levels[3]
-    a012 = D.face((0, 1, 2), 3).apply_mor2(t.a)
-    a013 = D.face((0, 1, 3), 3).apply_mor2(t.a)
-    a023 = D.face((0, 2, 3), 3).apply_mor2(t.a)
-    a123 = D.face((1, 2, 3), 3).apply_mor2(t.a)
-    g01 = D.face((0, 1), 3).apply_mor1(t.g)
+_CELL_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+
+
+def _cell_faces(D: CrossedDiagram, a: str) -> tuple[str, str, str, str]:
+    """a_(0,1,2), a_(0,1,3), a_(0,2,3) and a_(1,2,3) in level 3."""
+    return tuple(D.face(seq, 3).apply_mor2(a) for seq in _CELL_FACES)
+
+
+def _twisted_lhs(L3: CrossedGroupoid, faces: tuple[str, str, str, str]) -> str:
+    """a_(0,1,3)^-1 . a_(0,2,3) . a_(0,1,2) in level 3, from `_cell_faces`:
+    the side of the second descent condition that depends on a alone."""
+    a012, a013, a023, _ = faces
     grp = L3.g2
-    lhs = grp.mul(grp.mul(grp.inv(a013), a023), a012)
-    return lhs, L3.twist(L3.g1.inverse(g01), a123)
+    return grp.mul(grp.mul(grp.inv(a013), a023), a012)
+
+
+def _twisted_rhs(L3: CrossedGroupoid, g01: str, a123: str) -> str:
+    """twist(g_(0,1)^-1, a_(1,2,3)) in level 3: the side that depends on g."""
+    return L3.twist(L3.g1.inverse(g01), a123)
+
+
+def _twisted_cocycle_sides(D: CrossedDiagram, t: DescentDatum) -> tuple[str, str]:
+    """The two sides of the second descent condition in level 3, `_twisted_lhs`
+    and `_twisted_rhs`: a's faces first, then g_(0,1), the left side and the
+    right side."""
+    L3 = D.levels[3]
+    faces = _cell_faces(D, t.a)
+    g01 = D.face((0, 1), 3).apply_mor1(t.g)
+    return _twisted_lhs(L3, faces), _twisted_rhs(L3, g01, faces[3])
 
 
 def is_descent_datum(D: CrossedDiagram, t: DescentDatum) -> tuple[bool, ValidationReport]:
@@ -170,8 +187,12 @@ def enumerate_descent(D: CrossedDiagram, bound: int = DEFAULT_BOUND) -> list[Des
     """All descent data, in lexicographic (x, g, a) order.
 
     Candidates come from typed hom-sets and groups, so only the two conditions
-    are evaluated, in `is_descent_datum`'s order (errors included): the cocycle
-    failure of g once per (x, g), then feedback(a) and both twisted sides."""
+    are evaluated.  The cocycle failure of g and g_(0,1) are computed once per
+    (x, g); feedback(a), a's faces and the left twisted side once per 2-cell
+    a; the right side per candidate.  What a candidate computes runs in
+    `is_descent_datum`'s order (g_(0,1) after a's faces and before the left
+    side), and what it reuses did not raise when computed, so the first
+    error raised is `is_descent_datum`'s."""
     total = 0
     plan = []
     for x in sorted(D.levels[0].objects):
@@ -186,16 +207,24 @@ def enumerate_descent(D: CrossedDiagram, bound: int = DEFAULT_BOUND) -> list[Des
             f"{total} candidate triples exceed the bound of {bound}"
         )
     out = []
-    L2 = D.levels[2]
+    L2, L3 = D.levels[2], D.levels[3]
+    sides: dict[str, tuple[str, str, str]] = {}  # a -> (feedback(a), a_(1,2,3), lhs)
     for x, homset, cells in plan:
         for g in homset:
             failure = _cocycle_failure(D, g)
+            g01 = None
             for a in cells:
-                t = DescentDatum(x, g, a)
-                cocycle_ok = L2.feedback(a) == failure
-                lhs, rhs = _twisted_cocycle_sides(D, t)
-                if cocycle_ok and lhs == rhs:
-                    out.append(t)
+                known = sides.get(a)
+                if known is None:
+                    feedback, faces = L2.feedback(a), _cell_faces(D, a)
+                if g01 is None:
+                    g01 = D.face((0, 1), 3).apply_mor1(g)
+                if known is None:
+                    known = sides[a] = feedback, faces[3], _twisted_lhs(L3, faces)
+                feedback, a123, lhs = known
+                rhs = _twisted_rhs(L3, g01, a123)
+                if feedback == failure and lhs == rhs:
+                    out.append(DescentDatum(x, g, a))
     return out
 
 

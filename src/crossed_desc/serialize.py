@@ -15,6 +15,11 @@ than the writer writes (a string for an array, an array of pairs for an
 object), a coface key not spelled "p,k" as the writer spells it, and a
 document nested too deeply for the JSON reader.
 
+`dumps_canonical` writes a document byte for byte as `json.dumps(obj,
+sort_keys=True, indent=2, ensure_ascii=False)` does, plus a newline, through
+its own recursive writer: the standard encoder takes its pure-Python path
+whenever it indents.
+
 Loading keeps one object per distinct level and map within a document, as
 the builders do: a crossed-groupoid payload `==` an earlier one reuses its
 `CrossedGroupoid`, and a coface or level-map payload `==` an earlier one
@@ -40,8 +45,52 @@ from .validation import DEFAULT_BOUND, LoadError, ResourceBoundError
 FORMAT_VERSION = "crossed-desc/1"
 
 
+_encode = json.encoder.encode_basestring
+
+
+def _write(obj, indent: str) -> str:
+    """`obj` as `json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False)` writes it at nesting `indent`: strings through the
+    C string encoder, and a list of strings, a list of string rows or a dict
+    of string values each with one join; any other scalar through
+    `json.dumps`.  The encoder raises TypeError on anything but a string, so
+    each joined path gives way to the general one at its first other value."""
+    if isinstance(obj, str):
+        return _encode(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        keys = sorted(obj)
+        try:
+            body = sep.join([f"{_encode(k)}: {_encode(obj[k])}" for k in keys])
+        except TypeError:
+            body = sep.join([f"{_encode(k)}: {_write(obj[k], inner)}" for k in keys])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            body = sep.join(map(_encode, obj))
+        except TypeError:
+            row_sep = sep + "  "
+            try:
+                body = sep.join([
+                    f"[\n{inner}  {row_sep.join(map(_encode, v))}\n{inner}]"
+                    if isinstance(v, (list, tuple)) and v else _write(v, inner)
+                    for v in obj
+                ])
+            except TypeError:
+                body = sep.join([_write(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    return json.dumps(obj)
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"`,
+    byte for byte, for JSON values with string keys (`_write`)."""
+    return _write(obj, "") + "\n"
 
 
 def envelope(kind: str, payload) -> dict:

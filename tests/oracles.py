@@ -17,12 +17,14 @@ and `walked_*` functions), the diagram loaders that built every level
 and map from its own payload (`unshared_*`), the fattening's eagerly
 relabeled groups, owner and inclusion (`relabeled_fattening`), and the
 weak-equivalence check that scanned every pi2 list
-(`scanned_weak_equivalence`).
+(`scanned_weak_equivalence`), and the one-line canonical JSON writer
+(`json_dumps_canonical`).
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 from crossed_desc.descent import (
     ClassTable,
@@ -47,6 +49,13 @@ from crossed_desc.fixtures import _element_orders, one_object_groupoid
 from crossed_desc.groupoid import _generators
 from crossed_desc.serialize import _maps_from_json, _require, crossed_from_json
 from crossed_desc.validation import DEFAULT_BOUND, LoadError, ValidationReport
+
+
+# What `serialize.dumps_canonical` was before it became a recursive writer,
+# kept verbatim (only renamed): the library's writer must give exactly these
+# bytes.
+def json_dumps_canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def _skipped(seq, q):

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -8,10 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from crossed_desc import transfer
+from crossed_desc import cli, transfer
 from crossed_desc.cli import _build_parser, main
 from crossed_desc.fixtures import (
     NAMED_CROSSED,
+    FixtureSpec,
     constant_diagram,
     fatten,
     fatten_diagram,
@@ -21,11 +23,16 @@ from crossed_desc.fixtures import (
     fix_c_core,
 )
 from crossed_desc.serialize import (
+    KINDS,
+    _WRITERS,
     envelope,
     dumps_canonical,
     parse_document,
     serialize_document,
 )
+from crossed_desc.validation import CrossedDescError
+
+from oracles import json_dumps_canonical
 
 
 @pytest.fixture
@@ -862,3 +869,154 @@ def test_single_id_substitutions_end_in_an_exit_code(tmp_path_factory, doc):
             code = main(argv)
         assert code in range(5), argv
         json.loads(out.getvalue())
+
+
+# -- the canonical writer and the collector pause -----------------------
+
+_SPECIAL_CHARACTERS = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", " ", "é", "\ud800", "\udfff"]
+_strings = st.text(
+    st.sampled_from(_SPECIAL_CHARACTERS) | st.characters(exclude_categories=()), max_size=8)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _strings,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(_strings, inner, max_size=5)
+        | st.lists(st.lists(_strings, max_size=4), max_size=4)
+        | st.dictionaries(_strings, _strings, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+def test_writer_matches_json_dumps(value):
+    """The canonical writer gives `json.dumps`'s bytes (sorted keys, 2-space
+    indent, no ASCII escaping) on any JSON value with string keys: empty and
+    nested containers, tuples, string rows, escapes, control characters,
+    non-ASCII characters and lone surrogates."""
+    assert dumps_canonical(value) == json_dumps_canonical(value)
+
+
+def test_writer_matches_json_dumps_on_every_document_kind():
+    """Every document kind is written as `json.dumps` writes its envelope."""
+    cases = [
+        ("groupoid", fix_a_core().g1),
+        ("crossed", fatten(NAMED_CROSSED["s3-a3"](), 2)[0]),
+        ("diagram", fix_a()),
+        ("diagram-morphism", fatten_diagram(fix_a(), 2)[1]),
+        ("fixture-spec", FixtureSpec("cech", CECH_SPEC["params"])),
+    ]
+    assert {kind for kind, _ in cases} == set(KINDS)
+    for kind, structure in cases:
+        text = serialize_document(kind, structure)
+        assert text == json_dumps_canonical(envelope(kind, _WRITERS[kind](structure)))
+
+
+def _broken_twist_doc(tmp_path):
+    doc = json.loads(serialize_document("crossed", fix_a_core()))
+    doc["payload"]["twist"][-1][2] = doc["payload"]["twist"][0][2]
+    return _write(tmp_path, "broken-twist", doc)
+
+
+def _malformed_doc(tmp_path):
+    path = tmp_path / "malformed.json"
+    path.write_text("{not json", encoding="utf-8")
+    return str(path)
+
+
+# one input of each command and one erroring input per nonzero exit code:
+# (argv, exit code), with {fixa}, {spec}, {inner}, {broken} and {malformed}
+# standing for documents the test writes
+_COMMAND_CASES = [
+    (["validate", "{fixa}"], 0),
+    (["desc", "{fixa}"], 0),
+    (["desc", "{fixa}", "--classes"], 0),
+    (["weq", "{spec}"], 0),
+    (["transfer", "{spec}", "--trace"], 0),
+    (["lift", "{spec}", "--target", "0", "--trace"], 0),
+    (["fixture", "{inner}"], 0),
+    (["validate", "{broken}"], 1),
+    (["validate", "{malformed}"], 2),
+    (["desc", "{fixa}", "--bound", "1"], 3),
+    (["lift", "{spec}", "--target", "99"], 4),
+]
+_COMMAND_IDS = [" ".join(argv) for argv, _ in _COMMAND_CASES]
+
+
+@pytest.fixture
+def command_docs(tmp_path, fixa_doc, fat_spec_doc):
+    inner = dumps_canonical(envelope("fixture-spec", {"kind": "inner", "params": {"group": "z3"}}))
+    (tmp_path / "inner.json").write_text(inner, encoding="utf-8")
+    return {
+        "fixa": fixa_doc,
+        "spec": fat_spec_doc,
+        "inner": str(tmp_path / "inner.json"),
+        "broken": _broken_twist_doc(tmp_path),
+        "malformed": _malformed_doc(tmp_path),
+    }
+
+
+def _argv(argv, docs):
+    return [arg.format(**docs) for arg in argv]
+
+
+@pytest.mark.parametrize("argv, exit_code", _COMMAND_CASES, ids=_COMMAND_IDS)
+def test_every_output_shape_is_written_as_json_dumps(run, command_docs, argv, exit_code):
+    """Every command's output, reports with violations and error objects
+    included, is `json.dumps`'s bytes for the value it holds."""
+    code, out = run(*_argv(argv, command_docs))
+    assert code == exit_code
+    assert out == json_dumps_canonical(json.loads(out))
+
+
+def test_semantic_error_object_is_written_as_json_dumps(run, fixa_doc, monkeypatch):
+    """The error object of exit 1, which no shipped input reaches through
+    `desc`, is `json.dumps`'s bytes too."""
+    def fail(D, bound):
+        raise CrossedDescError("completion is not a descent datum: ['é\"\\\\']")
+
+    monkeypatch.setattr(cli, "enumerate_descent", fail)
+    code, out = run("desc", fixa_doc)
+    assert code == 1
+    assert out == json_dumps_canonical({"error": "completion is not a descent datum: ['é\"\\\\']"})
+
+
+@contextlib.contextmanager
+def _collector(enabled):
+    """Automatic collection switched to `enabled`, and back on exit."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [*_COMMAND_CASES, (["--help"], 0), (["desc", "{fixa}", "--no-such-flag"], 2)],
+    ids=[*_COMMAND_IDS, "--help", "bad flag"],
+)
+def test_main_leaves_the_collector_as_it_found_it(run, command_docs, enabled, argv, exit_code):
+    """`main` pauses automatic collection only while it runs, on every exit
+    code and on argparse's own exits."""
+    with _collector(enabled):
+        code, _ = run(*_argv(argv, command_docs))
+        assert code == exit_code
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("argv, exit_code", _COMMAND_CASES, ids=_COMMAND_IDS)
+def test_commands_leave_no_cyclic_garbage(run, command_docs, argv, exit_code):
+    """With automatic collection off, a command leaves nothing for the
+    collector to find, so pausing collection while it runs frees the same
+    memory as collecting."""
+    _build_parser()
+    argv = _argv(argv, command_docs)
+    with _collector(False):
+        gc.collect()
+        code, _ = run(*argv)
+        assert code == exit_code
+        assert gc.collect() == 0
