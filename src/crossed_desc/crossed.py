@@ -6,12 +6,15 @@ by group isomorphisms (the twisting), and a functor g2 -> g1 that is the
 identity on objects (the feedback), subject to equivariance and the Peiffer
 identity.  This module also computes the homotopy invariants pi0/pi1/pi2,
 once per crossed groupoid (they are kept on it), and decides weak
-equivalence.  The twist and feedback tables of a power of a one-object
-crossed group (a Čech cover level) are read-only views computed from the
-base's; the power check and `homotopy` read such a level through its base.
-A fattening's groups, g2 and pi2, and its inclusion's 2-morphism map, are
-views of its base too (`_TaggedGroup`, `_FattenedG2`, `_TaggedPi2`,
-`_TagMap`), and the inclusion's pi2 bijection is proven through the base.
+equivalence.  A derived table is a `_View`: a read-only mapping that computes
+each entry from the tables it derives from, built by one factory per
+derivation.  The twist and feedback tables of a power of a one-object crossed
+group (a Čech cover level) are such views of the base's (`_power_tables`);
+the power check and `homotopy` read such a level through its base.  A
+fattening's groups and g2 are views of its base too (`_TaggedGroup`,
+`_FattenedG2`, whose owner is `_fattened_owner`), as are its pi2 and its
+inclusion's 2-morphism map (`_tag_map`), and the inclusion's pi2 bijection
+is proven through the base.
 """
 
 from __future__ import annotations
@@ -250,7 +253,7 @@ class DisconnectedGroupoid:
 
     Element ids must be disjoint across objects, so every 2-morphism knows
     its object: `owner` maps each to it.  A fattening's is `_FattenedG2`,
-    whose groups and owner are views of the base's.
+    whose groups and owner (a `_View`) are views of the base's.
     """
 
     def __init__(self, groups: dict[str, FiniteGroup]):
@@ -295,60 +298,75 @@ class DisconnectedGroupoid:
 
 class _FattenedG2(DisconnectedGroupoid):
     """The g2 of `fatten(B, n)`: the group at x@i is B's group at x tagged
-    "@i" (`_TaggedGroup`), and `owner` a view of B's (`_FattenedOwner`)."""
+    "@i" (`_TaggedGroup`), and `owner` a view of B's (`_fattened_owner`)."""
 
     def __init__(self, base: DisconnectedGroupoid, objects: tuple[str, ...], n: int):
         self.groups = {f"{x}@{i}": _TaggedGroup(base.group(x), f"@{i}")
                        for x in objects for i in range(n)}
-        self.owner = _FattenedOwner(base, objects, n, self.groups)
+        self.owner = _fattened_owner(base, objects, n, self.groups)
 
 
-class _FattenedOwner(Mapping):
+class _View(Mapping):
+    """A read-only table computed from what it derives from, which `of` names
+    (for `_is_view`).  `lookup(key)` answers a key or raises KeyError, also
+    on an ill-typed key, as a dict would; `keys()` generates the keys in the
+    order an eagerly built dict lists them, and `size()` counts them.  The
+    callables must not refer to the view or the structure holding it: that
+    cycle would keep both alive until the cyclic collector runs."""
+
+    def __init__(self, of: tuple, lookup: Callable, keys: Callable, size: Callable[[], int]):
+        self.of, self.lookup, self._keys, self._size = of, lookup, keys, size
+
+    def __getitem__(self, key):
+        return self.lookup(key)
+
+    def __len__(self) -> int:
+        return self._size()
+
+    def __iter__(self):
+        return self._keys()
+
+
+def _is_view(table, *of) -> bool:
+    """Whether `table` is a `_View` derived from exactly `of`.  Each is
+    compared by identity: a view over an equal copy is another table."""
+    return (type(table) is _View and len(table.of) == len(of)
+            and all(a is b for a, b in zip(table.of, of)))
+
+
+def _fattened_owner(base: DisconnectedGroupoid, objects: tuple[str, ...], n: int,
+                    groups: dict[str, _TaggedGroup]) -> _View:
     """a@i -> x@i when a lives at x in B's g2 `base`.  An id is decoded once:
     its copy is the text after its last "@", an index below n as `str`
     writes it.  A key that is not such an id, a non-string included, misses.
     Keys are listed by object, copy, then element, as a dict built from the
     groups lists them."""
+    copies = {str(i): {x: f"{x}@{i}" for x in objects} for i in range(n)}
 
-    def __init__(self, base: DisconnectedGroupoid, objects: tuple[str, ...], n: int,
-                 groups: dict[str, _TaggedGroup]):
-        self._base, self._groups = base, groups
-        self._copies = {str(i): {x: f"{x}@{i}" for x in objects} for i in range(n)}
-
-    def __getitem__(self, a) -> str:
+    def lookup(a) -> str:
         if isinstance(a, str):
             e, at, i = a.rpartition("@")
-            copy = self._copies.get(i) if at else None
-            if copy is not None and (y := copy.get(self._base.owner.get(e))) is not None:
+            copy = copies.get(i) if at else None
+            if copy is not None and (y := copy.get(base.owner.get(e))) is not None:
                 return y
         raise KeyError(a)
 
-    def __len__(self) -> int:
-        return sum(map(len, self._groups.values()))
-
-    def __iter__(self):
-        for grp in self._groups.values():
-            yield from (e + grp._tag for e in grp._base.elements)
+    return _View((base,), lookup,
+                 lambda: (e + grp._tag for grp in groups.values() for e in grp._base.elements),
+                 lambda: sum(map(len, groups.values())))
 
 
-class _TagMap(Mapping):
+def _tag_map(base: CrossedGroupoid, tag: str) -> _View:
     """a -> a + tag on the 2-morphisms of `base`: the 2-morphism map of the
     inclusion of copy i into `fatten(base, n)` (tag "@i"), listed in the
     order of `base.g2.owner`."""
 
-    def __init__(self, base: CrossedGroupoid, tag: str):
-        self._base, self._tag = base, tag
-
-    def __getitem__(self, a) -> str:
-        if a in self._base.g2.owner:
-            return a + self._tag
+    def lookup(a) -> str:
+        if a in base.g2.owner:
+            return a + tag
         raise KeyError(a)
 
-    def __len__(self) -> int:
-        return len(self._base.g2.owner)
-
-    def __iter__(self):
-        return iter(self._base.g2.owner)
+    return _View((base,), lookup, lambda: iter(base.g2.owner), lambda: len(base.g2.owner))
 
 
 @dataclass
@@ -357,10 +375,10 @@ class CrossedGroupoid:
 
     g1: FiniteGroupoid
     g2: DisconnectedGroupoid
-    # dicts, typed here; or, on a fattening or a cover level, read-only views
-    # that compute each entry from the base and miss on an ill-typed key
-    # (`fixtures.fatten`, `_PowerTwist` and `_PowerFeedback`).  A fattening's
-    # g2 is a view of the base's too (`_FattenedG2`)
+    # dicts, typed here; or, on a fattening or a cover level, `_View`s that
+    # compute each entry from the base and miss on an ill-typed key
+    # (`fixtures._fattened_tables`, `_power_tables`).  A fattening's g2 is a
+    # view of the base's too (`_FattenedG2`)
     twist_table: Mapping[tuple[str, str], str]
     feedback_table: Mapping[str, str]
     # (base, k) on a cover level that is the k-fold power of a one-object base;
@@ -638,52 +656,33 @@ def _peiffer_at(C: CrossedGroupoid, x: str, gens: Iterable[str]) -> bool:
 # -- powers of a one-object crossed group -------------------------------
 
 
-class _PowerTwist(Mapping):
-    """The twist table of the k-fold power of a one-object crossed group B,
-    computed from B's: twist(g1|...|gk, a1|...|ak) = twist_B(g1, a1)|...|twist_B(gk, ak).
+def _power_tables(base: CrossedGroupoid, g1: FiniteGroupoid,
+                  grp: FiniteGroup) -> tuple[_View, _View]:
+    """The twist and feedback tables of the power of the one-object crossed
+    group B (`base`) with g1 `g1` and group `grp`, computed from B's
+    coordinatewise: twist(g1|...|gk, a1|...|ak) = twist_B(g1, a1)|...|twist_B(gk, ak)
+    and feedback(a1|...|ak) = feedback_B(a1)|...|feedback_B(ak).  A key hits
+    only when its 1-morphism is one of `g1`'s and its 2-morphism an element
+    of `grp`, so an ill-typed key misses as in a dict.  Twist keys are listed
+    by 1-morphism, then element; feedback keys in the order of `grp`."""
 
-    A key hits only when its 1-morphism is one of the power's (the keys of
-    `g1.source`) and its 2-morphism an element of the power's group `grp`,
-    so an ill-typed key misses as it would in a dict.  Keys are listed by
-    1-morphism, then element, each in the order of its power."""
-
-    def __init__(self, base: CrossedGroupoid, k: int, g1: FiniteGroupoid, grp: FiniteGroup):
-        self._base, self._k, self._source, self._grp = base, k, g1.source, grp
-
-    def __getitem__(self, key):
+    def twist(key) -> str:
         g, a = key
-        if g not in self._source or a not in self._grp:
+        if g not in g1.source or a not in grp:
             raise KeyError(key)
-        pairs = zip(g.split("|"), a.split("|"))
-        return "|".join(map(self._base.twist_table.__getitem__, pairs))
+        return "|".join(map(base.twist_table.__getitem__, zip(g.split("|"), a.split("|"))))
 
-    def __len__(self) -> int:
-        return len(self._source) * len(self._grp)
+    def twist_keys():
+        for g in g1.source:
+            yield from zip(itertools.repeat(g), grp.elements)
 
-    def __iter__(self):
-        for g in self._source:
-            yield from zip(itertools.repeat(g), self._grp.elements)
-
-
-class _PowerFeedback(Mapping):
-    """The feedback table of the k-fold power of a one-object crossed group B,
-    computed from B's: feedback(a1|...|ak) = feedback_B(a1)|...|feedback_B(ak).
-    A key hits only when it is an element of the power's group `grp`; keys
-    are listed in the order of that group."""
-
-    def __init__(self, base: CrossedGroupoid, k: int, grp: FiniteGroup):
-        self._base, self._k, self._grp = base, k, grp
-
-    def __getitem__(self, a):
-        if a not in self._grp:
+    def feedback(a) -> str:
+        if a not in grp:
             raise KeyError(a)
-        return "|".join(map(self._base.feedback_table.__getitem__, a.split("|")))
+        return "|".join(map(base.feedback_table.__getitem__, a.split("|")))
 
-    def __len__(self) -> int:
-        return len(self._grp)
-
-    def __iter__(self):
-        return iter(self._grp.elements)
+    return (_View((base, g1, grp), twist, twist_keys, lambda: len(g1.source) * len(grp)),
+            _View((base, grp), feedback, lambda: iter(grp.elements), grp.__len__))
 
 
 def _validate_power(C: CrossedGroupoid, base: CrossedGroupoid, k: int) -> ValidationReport:
@@ -693,10 +692,11 @@ def _validate_power(C: CrossedGroupoid, base: CrossedGroupoid, k: int) -> Valida
     inverses, twist and feedback is the coordinatewise base value on the
     "|"-joined ids.  A power of a valid crossed group is valid, so this is exact.
 
-    A twist or feedback table that is the level's own view over this base,
-    k and group computes every entry from the base's current tables, so it
-    holds the values the walk expects and is not walked; any other table,
-    a dict put in its place included, is walked entry by entry."""
+    A twist or feedback table that is the level's own view (`_power_tables`
+    over this base, g1 and group, `_is_view`) computes every entry from the
+    base's current tables, so it holds the values the walk expects and is
+    not walked; any other table, a dict put in its place included, is walked
+    entry by entry."""
     report = ValidationReport()
     report.extend(validate_crossed(base), prefix="base: ")
     if not report.ok:
@@ -721,12 +721,9 @@ def _validate_power(C: CrossedGroupoid, base: CrossedGroupoid, k: int) -> Valida
         if got != want:
             report.add(rule, f"{what} is {got}, expected {want}")
 
-    def own(view, cls) -> bool:
-        return type(view) is cls and view._base is base and view._k == k and view._grp is grp
-
-    walk_twist = not (own(C.twist_table, _PowerTwist) and C.twist_table._source is g1.source)
-    # the expected values: the level's own views over this base, k and group
-    want_twist, want_feedback = _PowerTwist(base, k, g1, grp), _PowerFeedback(base, k, grp)
+    # the expected values: the level's own views over this base, g1 and group
+    want_twist, want_feedback = _power_tables(base, g1, grp)
+    walk_twist = not _is_view(C.twist_table, *want_twist.of)
     check("power-g1", f"1_{x}", g1.identities.get(x), "|".join([base.g1.identities[x]] * k))
     for m in g1.morphisms:
         check("power-g1", f"{m}^-1", g1.inverses.get(m), power(base.g1.inverses.get, m))
@@ -737,7 +734,7 @@ def _validate_power(C: CrossedGroupoid, base: CrossedGroupoid, k: int) -> Valida
             for a in grp:
                 check("power-twist", f"twist({m}, {a})", C.twist_table.get((m, a)),
                       want_twist[(m, a)])
-    if not own(C.feedback_table, _PowerFeedback):
+    if not _is_view(C.feedback_table, *want_feedback.of):
         for a in grp:
             check("power-feedback", f"feedback({a})", C.feedback_table.get(a), want_feedback[a])
     return report
@@ -754,7 +751,7 @@ class CrossedMorphism:
     target: CrossedGroupoid
     obj_map: dict[str, str]
     mor1_map: dict[str, str]
-    # a dict, or on a fattening's inclusion the tag view a -> a@0 (`_TagMap`)
+    # a dict, or on a fattening's inclusion the `_View` a -> a@0 (`_tag_map`)
     mor2_map: Mapping[str, str]
 
     def apply_obj(self, x: str) -> str:
@@ -912,35 +909,15 @@ class HomotopyData:
     pi2: Mapping[str, tuple[str, ...]]  # kernel of the feedback, sorted
 
 
-class _TaggedPi2(Mapping):
-    """pi2 of `fatten(B, n)`: at x@i, B's pi2 at x tagged "@i" and sorted
-    again (the tag can reorder ids: "a@0" > "a0@0"), built when x@i is first
-    read.  `copies` maps each x@i to (x, "@i"), in the order to list them."""
-
-    def __init__(self, base_pi2, copies: dict[str, tuple[str, str]]):
-        self._base_pi2, self._copies, self._tagged = base_pi2, copies, {}
-
-    def __getitem__(self, y):
-        if y not in self._tagged:
-            x, tag = self._copies[y]
-            self._tagged[y] = tuple(sorted(a + tag for a in self._base_pi2[x]))
-        return self._tagged[y]
-
-    def __len__(self):
-        return len(self._copies)
-
-    def __iter__(self):
-        return iter(self._copies)
-
-
 def homotopy(C: CrossedGroupoid) -> HomotopyData:
     """Components of g1, cokernels and kernels of the feedback per object.
 
     A fattening `fatten(B, n)` takes the feedback image and the kernel at
     x@i from `homotopy(B)` at x, tagged, instead of scanning its own groups;
-    its pi2 is a `_TaggedPi2`, which tags the kernel at x@i only when x@i is
-    first read.  A cover level marked as the k-fold power of B takes the
-    k-fold products of B's feedback image and kernel.  Computed on the first
+    its pi2 is a `_View` that tags and sorts the kernel at x@i again (the tag
+    can reorder ids: "a@0" > "a0@0") only when x@i is first read.  A cover
+    level marked as the k-fold power of B takes the k-fold products of B's
+    feedback image and kernel.  Computed on the first
     call and kept on C, so later calls return the same object."""
     if C._homotopy is not None:
         return C._homotopy
@@ -968,13 +945,21 @@ def homotopy(C: CrossedGroupoid) -> HomotopyData:
     else:
         base, n = C.fattening
         hb = homotopy(base)
-        copies: dict[str, tuple[str, str]] = {}
+        copies: dict[str, tuple[str, str]] = {}  # x@i -> (x, "@i"), in listing order
         for x, p1 in hb.pi1.items():
             image = [g for g, rep in p1.coset_of.items() if rep == p1.group.identity]
             for i in range(n):
                 images[f"{x}@{i}"] = [f"{d}@{i}.{i}" for d in image]
                 copies[f"{x}@{i}"] = (x, f"@{i}")
-        pi2 = _TaggedPi2(hb.pi2, copies)
+        base_pi2, tagged = hb.pi2, {}
+
+        def lookup(y) -> tuple[str, ...]:
+            if y not in tagged:
+                x, tag = copies[y]
+                tagged[y] = tuple(sorted(a + tag for a in base_pi2[x]))
+            return tagged[y]
+
+        pi2 = _View((base_pi2,), lookup, copies.__iter__, copies.__len__)
     pi1 = {x: _pi1(C.g1, x, images[x]) for x in C.objects}
     C._homotopy = HomotopyData(pi0, pi1, pi2)
     return C._homotopy
@@ -1016,16 +1001,15 @@ def is_weak_equivalence_crossed(F: CrossedMorphism) -> tuple[bool, ValidationRep
 
     pi2 is scanned at each object, except where F is the inclusion of copy i
     into a fattening of its source S: the target is marked `fatten(S, n)`, x
-    maps to x@i, and the 2-morphism map is the `_TagMap` a -> a@i over S.
-    Then the target's pi2 at x@i is S's pi2 at x tagged "@i" (`homotopy`),
-    so the induced map is a bijection by construction and is not scanned.
+    maps to x@i, and the 2-morphism map is the tag map a -> a@i over S
+    (`_tag_map`, `_is_view`).  Then the target's pi2 at x@i is S's pi2 at x
+    tagged "@i" (`homotopy`), so the induced map is a bijection by
+    construction and is not scanned.
     """
     report = ValidationReport()
     S, T = F.source, F.target
     hs, ht = homotopy(S), homotopy(T)
-    mor2 = F.mor2_map
-    tag = (mor2._tag if T.fattening is not None and T.fattening[0] is S
-           and type(mor2) is _TagMap and mor2._base is S else None)
+    tagged = T.fattening is not None and T.fattening[0] is S and _is_view(F.mor2_map, S)
 
     # pi0: the target components that the objects of each source component hit
     hit: dict[str, set[str]] = {}
@@ -1058,10 +1042,12 @@ def is_weak_equivalence_crossed(F: CrossedMorphism) -> tuple[bool, ValidationRep
                 report.add("pi1", f"induced map on pi1 at {x} is not injective")
             if set(induced) != set(p1t.reps):
                 report.add("pi1", f"induced map on pi1 at {x} is not surjective")
-        # pi2: kernel to kernel, bijectively
-        if tag is not None and y == x + tag:
+        # pi2: kernel to kernel, bijectively.  A tag map's tag is what it
+        # appends to any id, here the first of the kernel (never empty)
+        kernel = hs.pi2[x]
+        if tagged and y == x + F.mor2_map[kernel[0]][len(kernel[0]):]:
             continue
-        images = [F.apply_mor2(a) for a in hs.pi2[x]]
+        images = [F.apply_mor2(a) for a in kernel]
         if len(set(images)) != len(images):
             report.add("pi2", f"induced map on pi2 at {x} is not injective")
         if set(images) != set(ht.pi2[y]):

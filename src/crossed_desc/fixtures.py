@@ -7,19 +7,19 @@ elements of two kinds.  Fattened ids append "@copy" markers; product ids join
 components with "|".
 
 Derived levels do not copy their base's tables.  A cover level's (a power of
-the base) twist and feedback tables are read-only views that compute each
-entry from the base's when it is looked up, and list their keys in the order
-an eagerly built dict would.  A fattening
-builds only its g1: its groups, its g2 owner map, its twist and feedback
-tables and its inclusion's 2-morphism map all read the base, and the
-inclusion's weak-equivalence check is proven through the base.  A diagram's
-levels are fattened once per distinct level object.
+the base) twist and feedback tables are read-only views (`crossed._View`,
+built by `crossed._power_tables`) that compute each entry from the base's
+when it is looked up, and list their keys in the order an eagerly built dict
+would.  A fattening builds only its g1: its groups, its g2 owner map, its
+twist and feedback tables (`_fattened_tables`) and its inclusion's
+2-morphism map all read the base, and the inclusion's weak-equivalence check
+is proven through the base.  A diagram's levels are fattened once per
+distinct level object.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,9 +31,9 @@ from .crossed import (
     FiniteGroup,
     _FattenedG2,
     _multiplicative_on,
-    _PowerFeedback,
-    _PowerTwist,
-    _TagMap,
+    _power_tables,
+    _tag_map,
+    _View,
     identity_crossed_morphism,
 )
 from .groupoid import FiniteGroupoid, _generators
@@ -268,73 +268,47 @@ def constant_diagram(C: CrossedGroupoid) -> CrossedDiagram:
     return CrossedDiagram(levels, cofaces)
 
 
-class _FattenedTwist(Mapping):
-    """The twist table of `fatten(C, n)`, computed from C's:
-    twist(m@i.j, b@i) = twist_C(m, b)@j.
+def _fattened_tables(C: CrossedGroupoid, n: int, ids: dict[str, list[list[str]]],
+                     g1: FiniteGroupoid, g2: DisconnectedGroupoid) -> tuple[_View, _View]:
+    """The twist and feedback tables of `fatten(C, n)`, whose 1-morphisms are
+    `ids` (as `fatten` lists them), computed from C's: twist(m@i.j, b@i) =
+    twist_C(m, b)@j and feedback(b@i) = feedback_C(b)@i.i.  A twist key hits
+    only when its 2-morphism lies at its 1-morphism's source, and a feedback
+    key only when it is b@i for a copy index i and a b of C (the owner decodes
+    ids alike), so an ill-typed key misses as in a dict.  Twist keys are listed
+    by base 1-morphism, source copy, target copy, then element; feedback keys
+    by base 2-morphism, then copy."""
+    source, groups = g1.source, g2.groups
+    # fattened 1-morphism m@i.j -> (m, the group at its source, length of "@i", "@j")
+    copies = [f"@{i}" for i in range(n)]
+    parts = {mid: (m, groups[source[mid]], -len(copies[i]), copies[j])
+             for m, rows in ids.items() for i, row in enumerate(rows) for j, mid in enumerate(row)}
+    tags = {str(i): f"@{i}.{i}" for i in range(n)}  # copy index -> "@i.i"
 
-    A key hits only when its 1-morphism is one of the fattening's and its
-    2-morphism lies at that 1-morphism's source, so an ill-typed key misses
-    as it would in a dict.  Keys are listed by base 1-morphism, source copy,
-    target copy, then element of the source's group."""
-
-    def __init__(self, C: CrossedGroupoid, n: int, ids: dict[str, list[list[str]]],
-                 g1: FiniteGroupoid, g2: DisconnectedGroupoid):
-        self._base, self._source, self._groups = C, g1.source, g2.groups
-        # fattened 1-morphism m@i.j -> (m, the group at its source, length of "@i", "@j")
-        copies = [f"@{i}" for i in range(n)]
-        self._parts = {mid: (m, g2.groups[g1.source[mid]], -len(copies[i]), copies[j])
-                       for m, rows in ids.items()
-                       for i, row in enumerate(rows) for j, mid in enumerate(row)}
-
-    # `get` is the validators' lookup: it answers without raising on a miss
-    def get(self, key, default=None):
+    def twist(key) -> str:
         g, a = key
-        part = self._parts.get(g)
+        part = parts.get(g)
         if part is None or a not in part[1]._members:
-            return default
-        m, _, cut, tag = part
-        return self._base.twist_table[(m, a[:cut])] + tag
-
-    def __getitem__(self, key):
-        value = self.get(key)
-        if value is None:
             raise KeyError(key)
-        return value
+        m, _, cut, tag = part
+        return C.twist_table[(m, a[:cut])] + tag
 
-    def __len__(self) -> int:
-        return sum(len(self._groups[self._source[g]]) for g in self._parts)
+    def twist_keys():
+        for g in parts:
+            yield from zip(itertools.repeat(g), groups[source[g]].elements)
 
-    def __iter__(self):
-        for g in self._parts:
-            yield from zip(itertools.repeat(g), self._groups[self._source[g]].elements)
-
-
-class _FattenedFeedback(Mapping):
-    """The feedback table of `fatten(C, n)`, computed from C's:
-    feedback(b@i) = feedback_C(b)@i.i.  A key hits only when it is one of
-    the fattening's 2-morphisms; keys are listed by base 2-morphism, then copy."""
-
-    def __init__(self, C: CrossedGroupoid, n: int, g2: DisconnectedGroupoid):
-        self._base, self._n, self._owner = C, n, g2.owner
-        self._tags = {str(i): f"@{i}.{i}" for i in range(n)}  # copy index -> "@i.i"
-
-    def __getitem__(self, a):
-        # b@i is a 2-morphism when i is a copy index and b one of C's, which
-        # C's feedback table knows (`_FattenedG2` decodes ids alike)
+    def feedback(a) -> str:
         if isinstance(a, str):
             b, at, i = a.rpartition("@")
-            tag = self._tags.get(i) if at else None
+            tag = tags.get(i) if at else None
             if tag is not None:
-                return self._base.feedback_table[b] + tag
+                return C.feedback_table[b] + tag
         raise KeyError(a)
 
-    def __len__(self) -> int:
-        return len(self._owner)
-
-    def __iter__(self):
-        for a in self._base.feedback_table:
-            for i in range(self._n):
-                yield f"{a}@{i}"
+    return (_View((C, g1, g2), twist, twist_keys,
+                  lambda: sum(len(groups[source[g]]) for g in parts)),
+            _View((C, g2), feedback, lambda: (a + c for a in C.feedback_table for c in copies),
+                  lambda: len(g2.owner)))
 
 
 def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism]:
@@ -345,9 +319,9 @@ def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism
     built.  Everything else is a view of C: the groups are C's tagged
     (`_TaggedGroup`), the g2 reads each 2-morphism's object from C's
     (`_FattenedG2`), the twist and feedback tables compute their entries from
-    C's, and the inclusion's 2-morphism map is the tag map a -> a@0
-    (`_TagMap`), through which `is_weak_equivalence_crossed` proves its pi2
-    bijection without a scan.
+    C's (`_fattened_tables`), and the inclusion's 2-morphism map is the tag
+    map a -> a@0 (`_tag_map`), through which `is_weak_equivalence_crossed`
+    proves its pi2 bijection without a scan.
     """
     if n < 1:
         raise DomainError("copy count must be at least 1")
@@ -380,8 +354,7 @@ def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism
                             source, target, identities, table, inverses)
     fat_g2 = _FattenedG2(C.g2, g1.objects, n)
 
-    fat = CrossedGroupoid(fat_g1, fat_g2, _FattenedTwist(C, n, ids, fat_g1, fat_g2),
-                          _FattenedFeedback(C, n, fat_g2))
+    fat = CrossedGroupoid(fat_g1, fat_g2, *_fattened_tables(C, n, ids, fat_g1, fat_g2))
     fat.fattening = (C, n)
 
     inclusion = CrossedMorphism(
@@ -389,7 +362,7 @@ def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism
         fat,
         {x: copy_ids[0] for x, copy_ids in objects.items()},
         {m: rows[0][0] for m, rows in ids.items()},
-        _TagMap(C, "@0"),
+        _tag_map(C, "@0"),
     )
     return fat, inclusion
 
@@ -422,13 +395,12 @@ def _power_level(C: CrossedGroupoid, k: int) -> CrossedGroupoid:
     """The k-fold power of the one-object crossed group C, marked
     `power = (C, k)`: its g1 and group are built as `FiniteGroup.product` of
     k copies of C's, and its twist and feedback tables are views of C's
-    (`_PowerTwist`, `_PowerFeedback`).  The caller bounds k first."""
+    (`_power_tables`).  The caller bounds k first."""
     (obj,) = C.objects
     g1_grp = FiniteGroup.product([_one_object_group(C.g1)] * k)
     grp = FiniteGroup.product([C.g2.group(obj)] * k)
     g1 = one_object_groupoid(g1_grp, obj)
-    level = CrossedGroupoid(g1, DisconnectedGroupoid({obj: grp}),
-                            _PowerTwist(C, k, g1, grp), _PowerFeedback(C, k, grp))
+    level = CrossedGroupoid(g1, DisconnectedGroupoid({obj: grp}), *_power_tables(C, g1, grp))
     level.power = (C, k)
     return level
 
@@ -583,10 +555,10 @@ def _build(kind: str, p: dict):
         n = _count(p, "copies", 2)
         base_kind, base = _resolve_base(p["base"])
         if base_kind == "diagram":
-            fat, incl = fatten_diagram(base, n)
-            return "diagram-morphism", incl
-        fat, incl = fatten(base, n)
-        return "crossed", fat
+            return "diagram-morphism", fatten_diagram(base, n)[1]
+        if base_kind != "crossed":
+            raise LoadError("nested fixture does not produce a crossed groupoid or a diagram")
+        return "crossed", fatten(base, n)[0]
     if kind == "cech":
         base = _resolve_crossed(p["base"])
         return "diagram", cech_diagram(base, _count(p, "cover", 2))

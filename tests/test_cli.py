@@ -470,6 +470,16 @@ def test_deep_nesting_exits_2(run, tmp_path, text, message):
     assert run("validate", str(path)) == (2, _error_bytes(message))
 
 
+def test_fatten_of_a_nested_diagram_morphism_exits_2(run, tmp_path):
+    """A fatten spec whose nested base builds a diagram morphism (the
+    fattening of a diagram) names what the base must produce."""
+    diagram = {"kind": "constant-diagram", "params": {"base": "fix-c-core"}}
+    base = {"kind": "fatten", "params": {"base": diagram, "copies": 2}}
+    doc = envelope("fixture-spec", {"kind": "fatten", "params": {"base": base, "copies": 2}})
+    assert run("validate", _write(tmp_path, "nested", doc)) == (
+        2, _error_bytes("nested fixture does not produce a crossed groupoid or a diagram"))
+
+
 def test_wrong_version_exits_2(run, tmp_path):
     bad = tmp_path / "version.json"
     bad.write_text(json.dumps({"formatVersion": "other/9", "kind": "diagram",

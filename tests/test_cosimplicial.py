@@ -17,6 +17,7 @@ from crossed_desc import (
 from crossed_desc import serialize
 from crossed_desc.cli import main
 from crossed_desc.cosimplicial import CrossedMorphism
+from crossed_desc.crossed import _power_tables
 from crossed_desc.fixtures import (
     NAMED_CROSSED,
     cech_diagram,
@@ -205,7 +206,7 @@ def test_views_of_another_base_are_walked():
     broken = CrossedGroupoid(C.g1, C.g2, {**C.twist_table, ("1", "2.1"): "2.0"},
                              dict(C.feedback_table))
     L = cech_diagram(C, 2).levels[1]
-    other = type(L.twist_table)(broken, L.power[1], L.g1, L.g2.group("*"))
+    other, _ = _power_tables(broken, L.g1, L.g2.group("*"))
     reports = []
     for table in (other, dict(other.items())):
         vars(L)["twist_table"] = table

@@ -35,7 +35,7 @@ from crossed_desc.fixtures import (
     one_object_crossed,
 )
 
-from crossed_desc.crossed import _TagMap
+from crossed_desc.crossed import _tag_map
 
 from builders import FATTENING_BASES, ODD_ID_BASES, POWER_BASES, disjoint_union, loop5
 from oracles import (
@@ -488,14 +488,14 @@ def _remapped(name, incl):
 def _copy_one_tag(name, incl):
     """The tag view a -> a@1 with objects still sent to copy 0."""
     return CrossedMorphism(incl.source, incl.target, incl.obj_map, incl.mor1_map,
-                           _TagMap(incl.source, "@1"))
+                           _tag_map(incl.source, "@1"))
 
 
 def _view_of_an_equal_base(name, incl):
     """The tag view a -> a@0 over a base equal to the source but another
     object."""
     return CrossedMorphism(incl.source, incl.target, incl.obj_map, incl.mor1_map,
-                           _TagMap(NAMED_CROSSED[name](), "@0"))
+                           _tag_map(NAMED_CROSSED[name](), "@0"))
 
 
 def _into_an_equal_base(name, incl):

@@ -404,6 +404,28 @@ def test_enumeration_matches_the_checked_oracle_on_mutated_diagrams(
     assert _enumerated(enumerate_descent, D) == _enumerated(checked_descent_data, D)
 
 
+def test_enumeration_raises_the_left_side_of_the_second_condition_first():
+    """The first candidate's two twisted sides both raise, with different
+    errors: its face a_(0,1,3) and its face a_(1,2,3) are sent to copy 1.
+    Enumeration raises the checked oracle's error, the left side's."""
+    D = fatten_diagram(constant_diagram(NAMED_CROSSED["inner-z3"]()), 2)[0]
+    for key in ((2, 2), (2, 0)):  # the cofaces giving a_(0,1,3) and a_(1,2,3)
+        D = with_coface_entry(D, key, "mor2", "2.0@0", "2.1@1")
+    x, L3 = "*@0", D.levels[3]
+    g = D.levels[1].g1.hom(vertex_object(D, x, 0, 1), vertex_object(D, x, 1, 1))[0]
+    faces = descent._cell_faces(D, "2.0@0")
+    g01 = D.face((0, 1), 3).apply_mor1(g)
+    sides = []
+    for side in (lambda: descent._twisted_lhs(L3, faces),
+                 lambda: descent._twisted_rhs(L3, g01, faces[3])):
+        with pytest.raises(DomainError) as raised:
+            side()
+        sides.append(str(raised.value))
+    assert sides[0] != sides[1]
+    assert _enumerated(enumerate_descent, D) == _enumerated(checked_descent_data, D) == (
+        DomainError, sides[0])
+
+
 def test_witnesses_verify(diag_cech):
     table = gauge_classes(diag_cech)
     for m in table.members:

@@ -256,9 +256,10 @@ _NOISE = st.one_of(st.none(), st.text("a0@.12*:|", max_size=7))
 
 @given(st.data())
 def test_fattened_views_answer_as_the_entry_oracle(data):
-    """A fattening's twist and feedback views answer `[]`, `get` and `in` as
-    dicts of the entry oracle do, on well-typed keys and on ill-typed ones:
-    ids of another copy, of the base, and noise."""
+    """A fattening's twist and feedback views answer `[]`, `get` (with and
+    without a default) and `in` as dicts of the entry oracle do, on
+    well-typed keys and on ill-typed ones: ids of another copy, of the base,
+    and noise."""
     name = data.draw(st.sampled_from(sorted(ODD_ID_BASES)))
     n = data.draw(st.integers(1, 3))
     C, fat, twist, feedback = _fattening_and_oracle(name, n)
@@ -271,6 +272,7 @@ def test_fattened_views_answer_as_the_entry_oracle(data):
     ):
         assert (key in view) == (key in oracle)
         assert view.get(key) == oracle.get(key)
+        assert view.get(key, "miss") == oracle.get(key, "miss")
         if key in oracle:
             assert view[key] == oracle[key]
         else:
@@ -476,8 +478,9 @@ def test_power_views_list_the_oracle_order(name):
 @given(st.data())
 def test_power_views_answer_as_the_entry_oracle(data):
     """A power's (a cover level's) twist and feedback views answer `[]`,
-    `get` and `in` as dicts of the entry oracle do, on well-typed keys and
-    on ill-typed ones: ids of another power, of the base, and noise."""
+    `get` (with and without a default) and `in` as dicts of the entry oracle
+    do, on well-typed keys and on ill-typed ones: ids of another power, of
+    the base, and noise."""
     _, levels, tables, keys, mor1_ids, mor2_ids = _powers_and_oracle(
         data.draw(st.sampled_from(sorted(POWER_BASES))))
     i = data.draw(st.integers(0, len(levels) - 1))
@@ -492,6 +495,7 @@ def test_power_views_answer_as_the_entry_oracle(data):
     ):
         assert (key in view) == (key in oracle)
         assert view.get(key) == oracle.get(key)
+        assert view.get(key, "miss") == oracle.get(key, "miss")
         if key in oracle:
             assert view[key] == oracle[key]
         else:

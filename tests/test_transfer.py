@@ -18,7 +18,7 @@ from crossed_desc import (
     revalidate_lift_trace,
     verify_bijection,
 )
-from crossed_desc.crossed import _TagMap
+from crossed_desc.crossed import _tag_map
 from crossed_desc.fixtures import constant_diagram, fix_a, trivial_group, one_object_crossed
 from crossed_desc.transfer import _target_gauge_between_images
 
@@ -74,7 +74,7 @@ def _with_copy_one_tag_at_level_3(F):
     """F with its level-3 2-morphism map replaced by the tag view a -> a@1,
     objects still sent to copy 0."""
     G = F.levels[3]
-    moved = CrossedMorphism(G.source, G.target, G.obj_map, G.mor1_map, _TagMap(G.source, "@1"))
+    moved = CrossedMorphism(G.source, G.target, G.obj_map, G.mor1_map, _tag_map(G.source, "@1"))
     return DiagramMorphism(F.source, F.target, (*F.levels[:3], moved))
 
 
