@@ -38,11 +38,9 @@ from .descent import DescentDatum, enumerate_descent, gauge_classes
 from .fixtures import build_fixture
 from .groupoid import validate_groupoid
 from .serialize import dumps_canonical, parse_document, serialize_document
-from .transfer import (
-    is_weak_equivalence_diagram,
-    lift_descent,
-    verify_bijection,
-)
+from .transfer import is_weak_equivalence_diagram, lift_descent
+# `cmd_transfer` checks F itself; bench/traced.py times the rest under this name
+from .transfer import _verify_bijection as verify_bijection
 from .validation import (
     DEFAULT_BOUND,
     CrossedDescError,

@@ -110,9 +110,9 @@ def validate_diagram(D: CrossedDiagram) -> ValidationReport:
 
 def _once_each(f, objects, memo: dict | None = None):
     """`f(obj)` for each of `objects` in order, run once per distinct object:
-    a loaded document shares equal levels and maps, and the checks and
-    writers depend only on the object they get.  `memo` maps the ids of the
-    objects done so far to their results; pass one to share it across calls."""
+    a diagram shares equal levels and maps, and the checks, writers and
+    fattenings depend only on the object they get.  `memo` maps the ids of
+    the objects done so far to their results; pass one to share it across calls."""
     memo = {} if memo is None else memo
     for obj in objects:
         if id(obj) not in memo:
@@ -136,11 +136,6 @@ class DiagramMorphism:
     source: CrossedDiagram
     target: CrossedDiagram
     levels: tuple[CrossedMorphism, CrossedMorphism, CrossedMorphism, CrossedMorphism]
-    # (verdict, report) of the levelwise weak-equivalence check, set by
-    # `transfer.is_weak_equivalence_diagram` on first use, then kept
-    _weq: tuple[bool, ValidationReport] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if len(self.levels) != 4:

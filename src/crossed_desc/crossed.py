@@ -667,7 +667,7 @@ def _power_tables(base: CrossedGroupoid, g1: FiniteGroupoid,
     by 1-morphism, then element; feedback keys in the order of `grp`."""
 
     def twist(key) -> str:
-        g, a = key
+        g, a = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
         if g not in g1.source or a not in grp:
             raise KeyError(key)
         return "|".join(map(base.twist_table.__getitem__, zip(g.split("|"), a.split("|"))))

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .cosimplicial import CrossedDiagram, DiagramMorphism
+from .cosimplicial import CrossedDiagram, DiagramMorphism, _once_each
 from .crossed import (
     CrossedGroupoid,
     CrossedMorphism,
@@ -286,7 +286,7 @@ def _fattened_tables(C: CrossedGroupoid, n: int, ids: dict[str, list[list[str]]]
     tags = {str(i): f"@{i}.{i}" for i in range(n)}  # copy index -> "@i.i"
 
     def twist(key) -> str:
-        g, a = key
+        g, a = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
         part = parts.get(g)
         if part is None or a not in part[1]._members:
             raise KeyError(key)
@@ -372,11 +372,8 @@ def fatten_diagram(D: CrossedDiagram, n: int) -> tuple[CrossedDiagram, DiagramMo
 
     Each distinct level object is fattened once, so levels that are one
     object (as in a constant diagram) stay one object."""
-    fattened: dict[int, tuple[CrossedGroupoid, CrossedMorphism]] = {}
-    for L in D.levels:
-        if id(L) not in fattened:
-            fattened[id(L)] = fatten(L, n)
-    levels = tuple(fattened[id(L)][0] for L in D.levels)
+    fattened = list(_once_each(lambda L: fatten(L, n), D.levels))
+    levels = tuple(fat for fat, _ in fattened)
     copies = [f"@{i}" for i in range(n)]
     pairs = [f"@{i}.{j}" for i in range(n) for j in range(n)]
     cofaces = {}
@@ -388,7 +385,7 @@ def fatten_diagram(D: CrossedDiagram, n: int) -> tuple[CrossedDiagram, DiagramMo
                                          (d.apply_mor2, d.source.g2.owner, copies))]
         cofaces[(p, k)] = CrossedMorphism(levels[p], levels[p + 1], *maps)
     fat = CrossedDiagram(levels, cofaces)
-    return fat, DiagramMorphism(D, fat, tuple(fattened[id(L)][1] for L in D.levels))
+    return fat, DiagramMorphism(D, fat, tuple(incl for _, incl in fattened))
 
 
 def _power_level(C: CrossedGroupoid, k: int) -> CrossedGroupoid:
@@ -397,7 +394,8 @@ def _power_level(C: CrossedGroupoid, k: int) -> CrossedGroupoid:
     k copies of C's, and its twist and feedback tables are views of C's
     (`_power_tables`).  The caller bounds k first."""
     (obj,) = C.objects
-    g1_grp = FiniteGroup.product([_one_object_group(C.g1)] * k)
+    g1_grp = FiniteGroup.product(
+        [FiniteGroup(C.g1.morphisms, C.g1.identity(obj), C.g1.compose, C.g1.inverse)] * k)
     grp = FiniteGroup.product([C.g2.group(obj)] * k)
     g1 = one_object_groupoid(g1_grp, obj)
     level = CrossedGroupoid(g1, DisconnectedGroupoid({obj: grp}), *_power_tables(C, g1, grp))
@@ -445,17 +443,6 @@ def cech_diagram(C: CrossedGroupoid, m: int) -> CrossedDiagram:
                 levels[p], levels[p + 1], {obj: obj}, mor1_map, mor2_map
             )
     return CrossedDiagram(levels, cofaces)
-
-
-def _one_object_group(G: FiniteGroupoid) -> FiniteGroup:
-    obj = G.objects[0]
-    elems = tuple(sorted(G.source))
-    return FiniteGroup.from_table(
-        elems,
-        dict(G.table),
-        G.identities[obj],
-        dict(G.inverses),
-    )
 
 
 # -- named fixtures -----------------------------------------------------

@@ -4,8 +4,9 @@ fixture specs.
 Documents are wrapped in an envelope {"formatVersion": "crossed-desc/1",
 "kind": ..., "payload": ...}.  All tables are fully explicit: composition is a
 list of [after, before, result] triples (the "before first" convention), and
-output is canonical — sorted keys, sorted id lists — so serialization is
-byte-stable and round-trips exactly.  The writers refuse (ResourceBoundError)
+output is canonical, so serialization is byte-stable and round-trips exactly:
+`_write` alone sorts every object's keys, and the converters sort every id
+list, which the writer cannot.  The writers refuse (ResourceBoundError)
 a group whose composition table would have more than the fixed
 `DEFAULT_BOUND` of entries.  A table list that names one key twice (a
 groupoid's `morphisms` or `compose`, a group's `compose`, a crossed
@@ -20,11 +21,11 @@ sort_keys=True, indent=2, ensure_ascii=False)` does, plus a newline, through
 its own recursive writer: the standard encoder takes its pure-Python path
 whenever it indents.
 
-Loading keeps one object per distinct level and map within a document, as
-the builders do: a crossed-groupoid payload `==` an earlier one reuses its
-`CrossedGroupoid`, and a coface or level-map payload `==` an earlier one
-between the same two level objects reuses its `CrossedMorphism`.  So a
-loaded constant diagram has one level object and one coface object, an
+Loading keeps one object per distinct level and map within a document (the
+builders share levels only): a crossed-groupoid payload `==` an earlier one
+reuses its `CrossedGroupoid`, and a coface or level-map payload `==` an
+earlier one between the same two level objects reuses its `CrossedMorphism`.
+So a loaded constant diagram has one level object and one coface object, an
 in-place edit of a loaded level reaches every position that shares it, and
 `validate` checks each distinct level and coface once.  Writing mirrors
 this: each distinct level and map object of a diagram or diagram morphism
@@ -109,9 +110,9 @@ def groupoid_to_json(G: FiniteGroupoid) -> dict:
             {"id": m, "source": G.source[m], "target": G.target[m]}
             for m in sorted(G.source)
         ],
-        "identities": dict(sorted(G.identities.items())),
+        "identities": dict(G.identities),
         "compose": sorted([a, b, r] for (a, b), r in G.table.items()),
-        "inverses": dict(sorted(G.inverses.items())),
+        "inverses": dict(G.inverses),
     }
 
 
@@ -173,7 +174,7 @@ def group_to_json(grp: FiniteGroup) -> dict:
         "elements": sorted(grp.elements),
         "identity": grp.identity,
         "compose": sorted([a, b, grp.mul(a, b)] for a in grp for b in grp),
-        "inverses": {a: grp.inv(a) for a in sorted(grp.elements)},
+        "inverses": {a: grp.inv(a) for a in grp},
     }
 
 
@@ -193,7 +194,7 @@ def crossed_to_json(C: CrossedGroupoid) -> dict:
         "g1": groupoid_to_json(C.g1),
         "g2": {x: group_to_json(C.g2.group(x)) for x in sorted(C.g2.groups)},
         "twist": sorted([g, a, r] for (g, a), r in C.twist_table.items()),
-        "feedback": dict(sorted(C.feedback_table.items())),
+        "feedback": dict(C.feedback_table),
     }
 
 
@@ -216,9 +217,9 @@ def crossed_from_json(d: dict) -> CrossedGroupoid:
 
 def _maps_to_json(F: CrossedMorphism) -> dict:
     return {
-        "objects": dict(sorted(F.obj_map.items())),
-        "mor1": dict(sorted(F.mor1_map.items())),
-        "mor2": dict(sorted(F.mor2_map.items())),
+        "objects": dict(F.obj_map),
+        "mor1": dict(F.mor1_map),
+        "mor2": dict(F.mor2_map),
     }
 
 

@@ -23,6 +23,7 @@ from .descent import (
     PartialDescentDatum,
     _cocycle_failure,
     _inner_cell,
+    _predicted_a,
     _twisted_cocycle_sides,
     complete_descent,
     gauge_classes,
@@ -80,16 +81,13 @@ def apply_morphism_gauge(F: DiagramMorphism, t: GaugeTransformation) -> GaugeTra
 def is_weak_equivalence_diagram(F: DiagramMorphism) -> tuple[bool, ValidationReport]:
     """Levelwise weak-equivalence check; the report names every failing level.
 
-    Computed on the first call and kept on F, so a later call (`transfer`
-    checks before `verify_bijection` does) returns the same verdict and
-    report without scanning the levels again."""
-    if F._weq is None:
-        report = ValidationReport()
-        for p in range(4):
-            _, level_report = is_weak_equivalence_crossed(F.levels[p])
-            report.extend(level_report, prefix=f"level {p}: ")
-        F._weq = (report.ok, report)
-    return F._weq
+    It keeps no verdict: each call checks the four levels, whose homotopy
+    invariants are kept on the level objects."""
+    report = ValidationReport()
+    for p in range(4):
+        _, level_report = is_weak_equivalence_crossed(F.levels[p])
+        report.extend(level_report, prefix=f"level {p}: ")
+    return report.ok, report
 
 
 # -- lifting descent data (surjectivity chase) --------------------------
@@ -307,7 +305,8 @@ def _gauge_condition_defect(
 
 
 def revalidate_lift_trace(F: DiagramMorphism, trace: LiftTrace) -> ValidationReport:
-    """Recompute every recorded equation of a trace from its stored elements."""
+    """Recompute every recorded equation of a trace from its stored elements,
+    and every recorded value from what determines it or the value it repeats."""
     report = ValidationReport()
     G, H = F.source, F.target
     d = trace.data
@@ -319,6 +318,10 @@ def revalidate_lift_trace(F: DiagramMorphism, trace: LiftTrace) -> ValidationRep
         h_pp = H1.g1.compose_all(f1, target.g, H1.g1.inverse(f0))
         if h_pp != d["h_pp"]:
             report.add("trace", "transported 1-morphism does not recompute")
+        if d["c_pp"] != H1.g2.identity(vertex_object(H, target.x, 0, 1)):
+            report.add("trace", "transport 2-component is not the identity")
+        if _predicted_a(H, target, GaugeTransformation(d["f"], d["c_pp"])) != d["b_pp"]:
+            report.add("trace", "transported 2-cell does not recompute")
         if F.levels[0].apply_obj(d["x"]) != d["y_prime"]:
             report.add("trace", "image object does not recompute")
         if F.levels[1].apply_mor1(d["g"]) != d["h_p"]:
@@ -326,6 +329,10 @@ def revalidate_lift_trace(F: DiagramMorphism, trace: LiftTrace) -> ValidationRep
         if H1.g1.compose(d["h_p"], H1.feedback(d["c_p"])) != d["h_pp"]:
             report.add("trace", "correction equation h'' = F(g) . D(c') fails")
         lifted: DescentDatum = d["lifted"]
+        if lifted != DescentDatum(d["x"], d["g"], d["a"]):
+            report.add("trace", "lifted triple is not (x, g, a)")
+        if d["witness"] != GaugeTransformation(d["f"], d["c"]):
+            report.add("trace", "witness is not (f, c)")
         ok, _ = is_descent_datum(G, lifted)
         if not ok:
             report.add("trace", "lifted triple no longer passes the descent checks")
@@ -344,7 +351,9 @@ def revalidate_lift_trace(F: DiagramMorphism, trace: LiftTrace) -> ValidationRep
         t: GaugeTransformation = d["input"]
         H0, H1 = H.levels[0], H.levels[1]
         G1 = G.levels[1]
-        if F.levels[0].apply_mor1(d["e"]) != H0.g1.compose(t.f, H0.feedback(d["v"])):
+        if d["f_tilde"] != H0.g1.compose(t.f, H0.feedback(d["v"])):
+            report.add("trace", "adjusted 1-morphism f . D(v) does not recompute")
+        if F.levels[0].apply_mor1(d["e"]) != d["f_tilde"]:
             report.add("trace", "F(e) = f . D(v) fails")
         y_datum = apply_morphism(F, src)
         v0 = H.face((0,), 1).apply_mor2(d["v"])
@@ -366,6 +375,8 @@ def revalidate_lift_trace(F: DiagramMorphism, trace: LiftTrace) -> ValidationRep
             report.add("trace", "kernel preimage does not recompute")
         if G1.g2.mul(d["v2"], d["d_p"]) != d["d"]:
             report.add("trace", "final 2-component does not recompute")
+        if d["lifted"] != GaugeTransformation(d["e"], d["d"]):
+            report.add("trace", "lifted gauge is not (e, d)")
         ok, _ = is_gauge(G, d["lifted"], src, dst)
         if not ok:
             report.add("trace", "lifted gauge no longer verifies")
@@ -427,6 +438,11 @@ def verify_bijection(F: DiagramMorphism, bound: int = DEFAULT_BOUND) -> Bijectio
     ok, report = is_weak_equivalence_diagram(F)
     if not ok:
         raise DomainError(f"not a weak equivalence: {[v.detail for v in report]}")
+    return _verify_bijection(F, bound)
+
+
+def _verify_bijection(F: DiagramMorphism, bound: int) -> BijectionReport:
+    """`verify_bijection` on an F already checked to be a weak equivalence."""
     src_classes = gauge_classes(F.source, bound)
     tgt_classes = gauge_classes(F.target, bound)
 

@@ -480,6 +480,33 @@ def test_fatten_of_a_nested_diagram_morphism_exits_2(run, tmp_path):
         2, _error_bytes("nested fixture does not produce a crossed groupoid or a diagram"))
 
 
+@pytest.mark.parametrize(
+    "base, message",
+    [
+        ({"kind": "normal-subgroup", "params": {"group": "z2", "subgroup": ["0", "1"]}}, None),
+        ({"kind": "constant-diagram", "params": {"base": "fix-c-core"}},
+         "nested fixture does not produce a crossed groupoid"),
+        ("no-such", "unknown crossed-groupoid name 'no-such'"),
+        (5, "crossed-groupoid reference must be a name or a nested spec"),
+    ],
+    ids=["nested-normal-subgroup", "nested-diagram", "unknown-name", "not-a-reference"],
+)
+def test_cech_base_is_a_crossed_groupoid_name_or_spec(run, tmp_path, base, message):
+    """A `cech` base names a crossed groupoid or nests a spec that builds
+    one.  The nested identity crossed module on Z/2 is fix-c-core (cover 1:
+    the default cover 2 of a Z/2 lower group is over the size bound)."""
+
+    def classes(base):
+        doc = envelope("fixture-spec", {"kind": "cech", "params": {"base": base, "cover": 1}})
+        return run("desc", _write(tmp_path, "cech", doc), "--classes")
+
+    if message is None:
+        code, out = classes(base)
+        assert code == 0 and (code, out) == classes("fix-c-core")
+    else:
+        assert classes(base) == (2, _error_bytes(message))
+
+
 def test_wrong_version_exits_2(run, tmp_path):
     bad = tmp_path / "version.json"
     bad.write_text(json.dumps({"formatVersion": "other/9", "kind": "diagram",
@@ -863,6 +890,7 @@ def _substitutions(draw):
     return doc
 
 
+@pytest.mark.hashseed
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=_substitutions())
 def test_single_id_substitutions_end_in_an_exit_code(tmp_path_factory, doc):
@@ -899,6 +927,7 @@ _json_values = st.recursive(
 )
 
 
+@pytest.mark.hashseed
 @given(_json_values)
 def test_writer_matches_json_dumps(value):
     """The canonical writer gives `json.dumps`'s bytes (sorted keys, 2-space
@@ -908,6 +937,7 @@ def test_writer_matches_json_dumps(value):
     assert dumps_canonical(value) == json_dumps_canonical(value)
 
 
+@pytest.mark.hashseed
 def test_writer_matches_json_dumps_on_every_document_kind():
     """Every document kind is written as `json.dumps` writes its envelope."""
     cases = [
@@ -971,6 +1001,7 @@ def _argv(argv, docs):
     return [arg.format(**docs) for arg in argv]
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("argv, exit_code", _COMMAND_CASES, ids=_COMMAND_IDS)
 def test_every_output_shape_is_written_as_json_dumps(run, command_docs, argv, exit_code):
     """Every command's output, reports with violations and error objects
@@ -980,6 +1011,7 @@ def test_every_output_shape_is_written_as_json_dumps(run, command_docs, argv, ex
     assert out == json_dumps_canonical(json.loads(out))
 
 
+@pytest.mark.hashseed
 def test_semantic_error_object_is_written_as_json_dumps(run, fixa_doc, monkeypatch):
     """The error object of exit 1, which no shipped input reaches through
     `desc`, is `json.dumps`'s bytes too."""
@@ -1003,6 +1035,7 @@ def _collector(enabled):
         (gc.enable if was else gc.disable)()
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize(
     "argv, exit_code",
@@ -1018,6 +1051,7 @@ def test_main_leaves_the_collector_as_it_found_it(run, command_docs, enabled, ar
         assert gc.isenabled() is enabled
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("argv, exit_code", _COMMAND_CASES, ids=_COMMAND_IDS)
 def test_commands_leave_no_cyclic_garbage(run, command_docs, argv, exit_code):
     """With automatic collection off, a command leaves nothing for the

@@ -279,6 +279,7 @@ def oracle_diagrams(fat_union):
             "inner-s3": constant_diagram(NAMED_CROSSED["inner-s3"]())}
 
 
+@pytest.mark.hashseed
 @given(
     st.sampled_from(["union", "inner-z3", "s3-a3", "inner-s3"]),
     st.lists(
@@ -309,6 +310,7 @@ def test_diagram_validator_matches_the_walks_on_mutated_cofaces(oracle_diagrams,
                 == walked_morphism_violations(d))
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("rule, level, kind", [
     # Z/4 over a trivial upper group: d^0 at 0 swaps the 1-morphisms 1 and 2
     ("morphism-g1",
@@ -480,6 +482,7 @@ def _validated(load, validate, payload):
 
 
 # no deadline: the inclusion examples load and validate two diagrams twice
+@pytest.mark.hashseed
 @settings(deadline=None)
 @given(
     st.sampled_from([f"{form} {base}" for form in ("constant", "fattened", "inclusion")

@@ -212,6 +212,7 @@ ORACLE_GROUPS = {
 }
 
 
+@pytest.mark.hashseed
 @given(
     st.sampled_from(sorted(ORACLE_GROUPS)),
     st.lists(
@@ -229,6 +230,7 @@ def test_group_validator_matches_the_triple_walk(name, swaps):
     assert [(v.rule, v.detail) for v in validate_group(G)] == brute_group_violations(G)
 
 
+@pytest.mark.hashseed
 def test_group_associativity_only_failure_is_walked_in_full():
     """The order-5 loop has units and inverses but is not associative: the
     generator check must find it, and the report must name every triple."""
@@ -239,6 +241,7 @@ def test_group_associativity_only_failure_is_walked_in_full():
     assert [(v.rule, v.detail) for v in report] == brute_group_violations(G)
 
 
+@pytest.mark.hashseed
 def test_group_closure_is_bounded_before_it_is_walked(monkeypatch):
     """2^16 elements need 2^32 closure checks: the validator refuses before
     it multiplies anything."""
@@ -266,6 +269,7 @@ def _swap_entries(C, edits):
     return CrossedGroupoid(C.g1, DisconnectedGroupoid(groups), dict(C.twist_table), fb)
 
 
+@pytest.mark.hashseed
 @given(
     st.sampled_from(sorted(ACTION_CROSSED)),
     st.lists(
@@ -315,6 +319,7 @@ def _only_peiffer_fails():
     return one_object_crossed(trivial_group(), s3, {a: "1" for a in s3}, lambda g, a: a)
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("rule, build", [
     ("twist-homomorphism", _only_twist_homomorphism_fails),
     ("feedback-functor", _only_feedback_functor_fails),
@@ -395,6 +400,7 @@ def _invariants(h):
         x: (p.reps, p.coset_of, p.group.identity) for x, p in h.pi1.items()}
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(NAMED_CROSSED) + sorted(ODD_ID_BASES))
 def test_fattened_homotopy_matches_a_dict_table_copy(name, n):
@@ -412,6 +418,7 @@ def test_fattened_cover_homotopy_matches_a_dict_table_copy(fat_cech):
         assert _invariants(homotopy(level)) == _invariants(homotopy(_dict_copy(level)))
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("name", sorted(POWER_BASES))
 def test_power_homotopy_matches_a_dict_table_copy(name):
     """A power (a cover level) takes its feedback image and pi2 as powers of
@@ -424,6 +431,7 @@ def test_power_homotopy_matches_a_dict_table_copy(name):
         assert _invariants(homotopy(level)) == _invariants(homotopy(_dict_copy(level)))
 
 
+@pytest.mark.hashseed
 def test_cover_homotopy_matches_a_dict_table_copy(diag_cech):
     for level in diag_cech.levels:
         assert level.power is not None
@@ -464,6 +472,7 @@ def _checked_as_the_scan(F, monkeypatch):
     return len(mapped)
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(FATTENING_BASES))
 def test_inclusion_weak_equivalence_matches_the_scan_oracle(name, n, monkeypatch):
@@ -505,6 +514,7 @@ def _into_an_equal_base(name, incl):
     return CrossedMorphism(incl.source, other, incl.obj_map, incl.mor1_map, incl.mor2_map)
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("name", ["fix-a-core", "inner-z3", "s3-a3"])
 @pytest.mark.parametrize("control, weak", [

@@ -344,6 +344,7 @@ def _outcome(classify, D):
 
 
 # no deadline: the cech examples are slow, not wrong
+@pytest.mark.hashseed
 @settings(deadline=None)
 @given(
     st.sampled_from(["union", "inner-z3", "s3-a3", "cech"]),
@@ -378,6 +379,7 @@ def _enumerated(enumerator, D):
 
 
 # no deadline: the cech examples are slow, not wrong
+@pytest.mark.hashseed
 @settings(deadline=None)
 @given(
     st.sampled_from(["union", "inner-z3", "s3-a3", "cech"]),
@@ -404,6 +406,7 @@ def test_enumeration_matches_the_checked_oracle_on_mutated_diagrams(
     assert _enumerated(enumerate_descent, D) == _enumerated(checked_descent_data, D)
 
 
+@pytest.mark.hashseed
 def test_enumeration_raises_the_left_side_of_the_second_condition_first():
     """The first candidate's two twisted sides both raise, with different
     errors: its face a_(0,1,3) and its face a_(1,2,3) are sent to copy 1.

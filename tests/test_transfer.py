@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from crossed_desc import (
     CrossedMorphism,
     DiagramMorphism,
+    DescentDatum,
     DomainError,
+    LiftSearchError,
     apply_morphism,
     apply_morphism_gauge,
     enumerate_descent,
@@ -16,11 +19,12 @@ from crossed_desc import (
     lift_descent,
     lift_gauge,
     revalidate_lift_trace,
+    validate_diagram_morphism,
     verify_bijection,
 )
 from crossed_desc.crossed import _tag_map
-from crossed_desc.fixtures import constant_diagram, fix_a, trivial_group, one_object_crossed
-from crossed_desc.transfer import _target_gauge_between_images
+from crossed_desc.fixtures import constant_diagram, fix_a, fix_c, trivial_group, one_object_crossed
+from crossed_desc.transfer import LiftTrace, _target_gauge_between_images
 
 from oracles import scanned_weak_equivalence_diagram
 
@@ -78,6 +82,7 @@ def _with_copy_one_tag_at_level_3(F):
     return DiagramMorphism(F.source, F.target, (*F.levels[:3], moved))
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("fixture", ["fat_a", "fat_s3", "fat_union", "fat_cech"])
 def test_diagram_weak_equivalence_matches_the_scan_oracle(fixture, request):
     """The levelwise check of a fattening's inclusion, and of the same map
@@ -183,6 +188,77 @@ def test_lift_gauge_every_image_gauge(weq):
         assert ok
         assert src_classes.rep_of[s] == src_classes.rep_of[d]
         assert revalidate_lift_trace(weq, trace).ok
+
+
+def test_lift_search_is_exhausted_off_a_weak_equivalence():
+    """The map trivial -> fix-a sending 2.1 to 2.0 is a diagram morphism but
+    not surjective on pi2, so no source 2-cell maps onto the target's 2.1."""
+    T, A = trivial_diagram(), fix_a()
+    F = DiagramMorphism(T, A, tuple(
+        CrossedMorphism(T.levels[p], A.levels[p], {"*": "*"}, {"1": "1"}, {"2.1": "2.0"})
+        for p in range(4)))
+    assert validate_diagram_morphism(F).ok
+    assert not is_weak_equivalence_diagram(F)[0]
+    with pytest.raises(LiftSearchError) as exc:
+        lift_descent(F, DescentDatum("*", "1", "2.1"))
+    assert exc.value.step == "fiber-bijectivity"
+
+
+# the diagram, level and kind of each field a trace records
+_TRACE_FIELDS = {
+    "surjectivity": {
+        "target": ("H", 2, "datum"), "x": ("G", 0, "obj"), "f": ("H", 0, "mor1"),
+        "y_prime": ("H", 0, "obj"), "h_pp": ("H", 1, "mor1"), "c_pp": ("H", 1, "mor2"),
+        "b_pp": ("H", 2, "mor2"), "g": ("G", 1, "mor1"), "c_p": ("H", 1, "mor2"),
+        "h_p": ("H", 1, "mor1"), "b_p": ("H", 2, "mor2"), "a": ("G", 2, "mor2"),
+        "u": ("G", 3, "mor2"), "c": ("H", 1, "mor2"), "lifted": ("G", 2, "datum"),
+        "witness": ("H", 1, "gauge"),
+    },
+    "injectivity": {
+        "src": ("G", 2, "datum"), "dst": ("G", 2, "datum"), "input": ("H", 1, "gauge"),
+        "e": ("G", 0, "mor1"), "v": ("H", 0, "mor2"), "f_tilde": ("H", 0, "mor1"),
+        "c_tilde": ("H", 1, "mor2"), "d_p": ("G", 1, "mor2"), "w": ("H", 1, "mor2"),
+        "v2": ("G", 1, "mor2"), "d": ("G", 1, "mor2"), "u": ("G", 2, "mor2"),
+        "lifted": ("G", 1, "gauge"),
+    },
+}
+
+
+def _stand_ins(D, p, kind, value):
+    """Values typed as `value` is, in level p of D: the other descent data at
+    its object, its gauge with another 2-component, the other objects, the
+    other 1-morphisms with its ends, or the other elements of its group."""
+    L = D.levels[p]
+    if kind == "datum":
+        return [t for t in enumerate_descent(D) if t.x == value.x and t != value]
+    if kind == "gauge":
+        return [dataclasses.replace(value, c=c) for c in _stand_ins(D, p, "mor2", value.c)]
+    if kind == "obj":
+        return [x for x in L.objects if x != value]
+    if kind == "mor1":
+        return [m for m in L.g1.hom(L.g1.src(value), L.g1.dst(value)) if m != value]
+    return [b for b in L.g2.group(L.g2.object_of(value)) if b != value]
+
+
+def test_a_trace_with_any_field_replaced_does_not_revalidate():
+    """Every field of a lift trace is tied to what determines it: replaced by
+    any value of its type, the trace no longer re-validates.  The source is
+    a fattening, so the lift's object has a stand-in too."""
+    _, F = fatten_diagram(fatten_diagram(fix_c(), 2)[0], 2)
+    _, _, surjectivity = lift_descent(F, DescentDatum("*@1@1", "1@1.1@1.1", "2.1@1@1"))
+    tgt_classes = gauge_classes(F.target)
+    pair = DescentDatum("*@0", "0@0.0", "2.0@0"), DescentDatum("*@0", "1@0.0", "2.1@0")
+    t = _target_gauge_between_images(F, tgt_classes, *pair)
+    _, injectivity = lift_gauge(F, *pair, t)
+    for trace in (surjectivity, injectivity):
+        assert revalidate_lift_trace(F, trace).ok
+        assert sorted(trace.data) == sorted(_TRACE_FIELDS[trace.kind])
+        for key, (side, p, kind) in _TRACE_FIELDS[trace.kind].items():
+            stand_ins = _stand_ins(F.source if side == "G" else F.target, p, kind, trace.data[key])
+            assert stand_ins, key
+            for value in stand_ins:
+                corrupted = LiftTrace(trace.kind, {**trace.data, key: value})
+                assert not revalidate_lift_trace(F, corrupted).ok, (trace.kind, key, value)
 
 
 def test_lift_gauge_rejects_non_gauge(fat_a):
