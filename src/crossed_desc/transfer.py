@@ -7,15 +7,17 @@ constructive route must agree, and a disagreement is raised as a hard error.
 
 Every existential choice in the lifting algorithms is resolved by
 least-identifier search, so lifts are deterministic and their traces
-reproducible.
+reproducible.  `_least` owns that search.  An equation that a chase and
+`revalidate_lift_trace` both evaluate is one function that both call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .cosimplicial import CrossedDiagram, DiagramMorphism
-from .crossed import homotopy, is_weak_equivalence_crossed
+from .crossed import is_weak_equivalence_crossed
 from .descent import (
     ClassTable,
     DescentDatum,
@@ -90,6 +92,14 @@ def is_weak_equivalence_diagram(F: DiagramMorphism) -> tuple[bool, ValidationRep
     return report.ok, report
 
 
+def _least(candidates: Iterator, step: str, detail: str):
+    """The first of `candidates`, a generator of one search step's solutions in sorted
+    id order (pairs lexicographically); if it is empty, raise LiftSearchError(step, detail)."""
+    for found in candidates:
+        return found
+    raise LiftSearchError(step, detail)
+
+
 # -- lifting descent data (surjectivity chase) --------------------------
 
 
@@ -112,25 +122,15 @@ def lift_descent(
     trace = LiftTrace("surjectivity", {"target": target})
 
     # 1. an object of the source hitting the component of y, and a connecting
-    #    1-morphism f : y -> F(x)
-    labels = homotopy(H0).pi0
-    x = f = None
-    for cand in sorted(G.levels[0].objects):
-        image = F.levels[0].apply_obj(cand)
-        if labels[image] == labels[y]:
-            homset = H0.g1.hom(y, image)
-            if homset:
-                x, f = cand, homset[0]
-                break
-    if x is None:
-        raise LiftSearchError("component-surjectivity", f"no source object hits the component of {y}")
+    #    1-morphism f : y -> F(x); a nonempty hom-set is that component
+    x, f = _least(((x, f) for x in sorted(G.levels[0].objects)
+                   for f in H0.g1.hom(y, F.levels[0].apply_obj(x))),
+                  "component-surjectivity", f"no source object hits the component of {y}")
     y_prime = F.levels[0].apply_obj(x)
     trace.data.update({"x": x, "f": f, "y_prime": y_prime})
 
     # 2. transport the datum to y' with the trivial 2-component, then complete
-    f0 = H.face((0,), 1).apply_mor1(f)
-    f1 = H.face((1,), 1).apply_mor1(f)
-    h_pp = H1.g1.compose_all(f1, h, H1.g1.inverse(f0))
+    h_pp = _transported(H, f, h)
     c_pp = H1.g2.identity(vertex_object(H, y, 0, 1))
     b_pp, dd_pp = complete_descent(
         H, target, PartialDescentDatum(y_prime, h_pp), GaugeTransformation(f, c_pp)
@@ -140,17 +140,10 @@ def lift_descent(
     # 3. a source 1-morphism g and a correction c' with h'' = F(g) . D(c')
     x0, x1 = vertex_object(G, x, 0, 1), vertex_object(G, x, 1, 1)
     yp0 = vertex_object(H, y_prime, 0, 1)
-    g = c_p = None
-    for g_cand in G.levels[1].g1.hom(x0, x1):
-        h_p_cand = F.levels[1].apply_mor1(g_cand)
-        for c_cand in sorted(H1.g2.group(yp0).elements):
-            if h_pp == H1.g1.compose(h_p_cand, H1.feedback(c_cand)):
-                g, c_p = g_cand, c_cand
-                break
-        if g is not None:
-            break
-    if g is None:
-        raise LiftSearchError("hom-quotient-surjectivity", "no (g, c') with h'' = F(g) . D(c')")
+    g, c_p = _least(((g, c) for g in G.levels[1].g1.hom(x0, x1)
+                     for c in sorted(H1.g2.group(yp0).elements)
+                     if h_pp == H1.g1.compose(F.levels[1].apply_mor1(g), H1.feedback(c))),
+                    "hom-quotient-surjectivity", "no (g, c') with h'' = F(g) . D(c')")
     h_p = F.levels[1].apply_mor1(g)
     b_p, dd_p = complete_descent(
         H,
@@ -163,14 +156,9 @@ def lift_descent(
     # 4. the unique source 2-cell with the prescribed feedback and image
     G2 = G.levels[2]
     want_feedback = _cocycle_failure(G, g)
-    x0_2 = vertex_object(G, x, 0, 2)
-    a = None
-    for cand in sorted(G2.g2.group(x0_2).elements):
-        if G2.feedback(cand) == want_feedback and F.levels[2].apply_mor2(cand) == b_p:
-            a = cand
-            break
-    if a is None:
-        raise LiftSearchError("fiber-bijectivity", "no 2-cell with the required feedback and image")
+    a = _least((a for a in sorted(G2.g2.group(vertex_object(G, x, 0, 2)).elements)
+                if G2.feedback(a) == want_feedback and F.levels[2].apply_mor2(a) == b_p),
+               "fiber-bijectivity", "no 2-cell with the required feedback and image")
     trace.data["a"] = a
 
     # 5. assemble; the second descent condition follows from pi2-injectivity
@@ -183,7 +171,7 @@ def lift_descent(
     if u != G.levels[3].g2.identity(vertex_object(G, x, 0, 3)):
         raise CrossedDescError("second-condition defect of the lift is not the identity")
 
-    c = H1.g2.inv(H1.twist(H1.g1.inverse(f0), c_p))
+    c = H1.g2.inv(H1.twist(H1.g1.inverse(H.face((0,), 1).apply_mor1(f)), c_p))
     witness = GaugeTransformation(f, c)
     ok, report = is_gauge(H, witness, target, apply_morphism(F, lifted))
     if not ok:
@@ -197,6 +185,12 @@ def _second_condition_defect(D: CrossedDiagram, t: DescentDatum) -> str:
     grp = D.levels[3].g2
     lhs, rhs = _twisted_cocycle_sides(D, t)
     return grp.mul(lhs, grp.inv(rhs))
+
+
+def _transported(H: CrossedDiagram, f: str, h: str) -> str:
+    """h'' = f_(1) . h . f_(0)^-1, the 1-morphism h carried along f."""
+    f0, f1 = H.face((0,), 1).apply_mor1(f), H.face((1,), 1).apply_mor1(f)
+    return H.levels[1].g1.compose_all(f1, h, H.levels[1].g1.inverse(f0))
 
 
 # -- lifting gauge transformations (injectivity chase) ------------------
@@ -218,59 +212,36 @@ def lift_gauge(
     H0, H1 = H.levels[0], H.levels[1]
     G1 = G.levels[1]
     y = y_datum.x
-    h = y_datum.g
     trace = LiftTrace("injectivity", {"src": src, "dst": dst, "input": t})
 
     # 1. least (e, v) with F(e) = f . D(v)
-    e = v = None
-    for e_cand in G.levels[0].g1.hom(src.x, dst.x):
-        fe = F.levels[0].apply_mor1(e_cand)
-        for v_cand in sorted(H0.g2.group(y).elements):
-            if fe == H0.g1.compose(t.f, H0.feedback(v_cand)):
-                e, v = e_cand, v_cand
-                break
-        if e is not None:
-            break
-    if e is None:
-        raise LiftSearchError("hom-quotient-surjectivity", "no (e, v) with F(e) = f . D(v)")
+    e, v = _least(((e, v) for e in G.levels[0].g1.hom(src.x, dst.x)
+                   for v in sorted(H0.g2.group(y).elements)
+                   if F.levels[0].apply_mor1(e) == H0.g1.compose(t.f, H0.feedback(v))),
+                  "hom-quotient-surjectivity", "no (e, v) with F(e) = f . D(v)")
     f_tilde = H0.g1.compose(t.f, H0.feedback(v))
-    v0 = H.face((0,), 1).apply_mor2(v)
-    v1 = H.face((1,), 1).apply_mor2(v)
-    c_tilde = H1.g2.mul(
-        H1.g2.mul(H1.twist(H1.g1.inverse(h), H1.g2.inv(v1)), t.c), v0
-    )
+    c_tilde = _adjusted_c(H, y_datum.g, t.c, v)
     ok, report = is_gauge(H, GaugeTransformation(f_tilde, c_tilde), y_datum, yp_datum)
     if not ok:
         raise CrossedDescError(f"adjusted gauge fails verification: {report.violations}")
     trace.data.update({"e": e, "v": v, "f_tilde": f_tilde, "c_tilde": c_tilde})
 
     # 2. least d' with D(d') = g^-1 . e_(1)^-1 . g' . e_(0)
-    e0 = G.face((0,), 1).apply_mor1(e)
-    e1 = G.face((1,), 1).apply_mor1(e)
-    want = G1.g1.compose_all(G1.g1.inverse(src.g), G1.g1.inverse(e1), dst.g, e0)
+    want = _d_prime_feedback(G, src, dst, e)
     x0 = vertex_object(G, src.x, 0, 1)
-    d_p = None
-    for cand in sorted(G1.g2.group(x0).elements):
-        if G1.feedback(cand) == want:
-            d_p = cand
-            break
-    if d_p is None:
-        raise LiftSearchError("cokernel-injectivity", "no d' with the required feedback")
+    cells = sorted(G1.g2.group(x0).elements)
+    d_p = _least((d for d in cells if G1.feedback(d) == want),
+                 "cokernel-injectivity", "no d' with the required feedback")
     trace.data["d_p"] = d_p
 
     # 3. the kernel correction: w = c~ . F(d')^-1, its unique kernel preimage
-    w = H1.g2.mul(c_tilde, H1.g2.inv(F.levels[1].apply_mor2(d_p)))
+    w = _kernel_correction(F, c_tilde, d_p)
     y0 = vertex_object(H, y, 0, 1)
     if H1.feedback(w) != H1.g1.identity(y0):
         raise CrossedDescError("kernel correction has nontrivial feedback")
     one = G1.g1.identity(x0)
-    v2 = None
-    for cand in sorted(G1.g2.group(x0).elements):
-        if G1.feedback(cand) == one and F.levels[1].apply_mor2(cand) == w:
-            v2 = cand
-            break
-    if v2 is None:
-        raise LiftSearchError("kernel-bijectivity", "no kernel element mapping onto the correction")
+    v2 = _least((k for k in cells if G1.feedback(k) == one and F.levels[1].apply_mor2(k) == w),
+                "kernel-bijectivity", "no kernel element mapping onto the correction")
     d = G1.g2.mul(v2, d_p)
     trace.data.update({"w": w, "v2": v2, "d": d})
 
@@ -301,6 +272,26 @@ def _gauge_condition_defect(
     return grp.mul(head, _inner_cell(L2, src.a, g01, d01, d02, d12))
 
 
+def _adjusted_c(H: CrossedDiagram, h: str, c: str, v: str) -> str:
+    """c~ = twist(h^-1, v_(1)^-1) . c . v_(0), the 2-component adjusted to f . D(v)."""
+    L1 = H.levels[1]
+    v0, v1 = H.face((0,), 1).apply_mor2(v), H.face((1,), 1).apply_mor2(v)
+    return L1.g2.mul(L1.g2.mul(L1.twist(L1.g1.inverse(h), L1.g2.inv(v1)), c), v0)
+
+
+def _d_prime_feedback(G: CrossedDiagram, src: DescentDatum, dst: DescentDatum, e: str) -> str:
+    """g^-1 . e_(1)^-1 . g' . e_(0), the feedback that d' must have."""
+    e0, e1 = G.face((0,), 1).apply_mor1(e), G.face((1,), 1).apply_mor1(e)
+    g1 = G.levels[1].g1
+    return g1.compose_all(g1.inverse(src.g), g1.inverse(e1), dst.g, e0)
+
+
+def _kernel_correction(F: DiagramMorphism, c_tilde: str, d_p: str) -> str:
+    """w = c~ . F(d')^-1."""
+    grp = F.target.levels[1].g2
+    return grp.mul(c_tilde, grp.inv(F.levels[1].apply_mor2(d_p)))
+
+
 # -- trace re-validation ------------------------------------------------
 
 
@@ -313,10 +304,7 @@ def revalidate_lift_trace(F: DiagramMorphism, trace: LiftTrace) -> ValidationRep
     if trace.kind == "surjectivity":
         target: DescentDatum = d["target"]
         H1 = H.levels[1]
-        f0 = H.face((0,), 1).apply_mor1(d["f"])
-        f1 = H.face((1,), 1).apply_mor1(d["f"])
-        h_pp = H1.g1.compose_all(f1, target.g, H1.g1.inverse(f0))
-        if h_pp != d["h_pp"]:
+        if _transported(H, d["f"], target.g) != d["h_pp"]:
             report.add("trace", "transported 1-morphism does not recompute")
         if d["c_pp"] != H1.g2.identity(vertex_object(H, target.x, 0, 1)):
             report.add("trace", "transport 2-component is not the identity")
@@ -349,31 +337,21 @@ def revalidate_lift_trace(F: DiagramMorphism, trace: LiftTrace) -> ValidationRep
         src: DescentDatum = d["src"]
         dst: DescentDatum = d["dst"]
         t: GaugeTransformation = d["input"]
-        H0, H1 = H.levels[0], H.levels[1]
-        G1 = G.levels[1]
+        H0 = H.levels[0]
         if d["f_tilde"] != H0.g1.compose(t.f, H0.feedback(d["v"])):
             report.add("trace", "adjusted 1-morphism f . D(v) does not recompute")
         if F.levels[0].apply_mor1(d["e"]) != d["f_tilde"]:
             report.add("trace", "F(e) = f . D(v) fails")
-        y_datum = apply_morphism(F, src)
-        v0 = H.face((0,), 1).apply_mor2(d["v"])
-        v1 = H.face((1,), 1).apply_mor2(d["v"])
-        c_tilde = H1.g2.mul(
-            H1.g2.mul(H1.twist(H1.g1.inverse(y_datum.g), H1.g2.inv(v1)), t.c), v0
-        )
-        if c_tilde != d["c_tilde"]:
+        if _adjusted_c(H, apply_morphism(F, src).g, t.c, d["v"]) != d["c_tilde"]:
             report.add("trace", "adjusted 2-component does not recompute")
-        e0 = G.face((0,), 1).apply_mor1(d["e"])
-        e1 = G.face((1,), 1).apply_mor1(d["e"])
-        want = G1.g1.compose_all(G1.g1.inverse(src.g), G1.g1.inverse(e1), dst.g, e0)
-        if G1.feedback(d["d_p"]) != want:
+        if G.levels[1].feedback(d["d_p"]) != _d_prime_feedback(G, src, dst, d["e"]):
             report.add("trace", "feedback of d' does not recompute")
-        w = H1.g2.mul(d["c_tilde"], H1.g2.inv(F.levels[1].apply_mor2(d["d_p"])))
+        w = _kernel_correction(F, d["c_tilde"], d["d_p"])
         if w != d["w"]:
             report.add("trace", "kernel correction does not recompute")
         if F.levels[1].apply_mor2(d["v2"]) != w:
             report.add("trace", "kernel preimage does not recompute")
-        if G1.g2.mul(d["v2"], d["d_p"]) != d["d"]:
+        if G.levels[1].g2.mul(d["v2"], d["d_p"]) != d["d"]:
             report.add("trace", "final 2-component does not recompute")
         if d["lifted"] != GaugeTransformation(d["e"], d["d"]):
             report.add("trace", "lifted gauge is not (e, d)")
@@ -458,11 +436,9 @@ def _verify_bijection(F: DiagramMorphism, bound: int) -> BijectionReport:
     constructive_surjective = True
     for tr in tgt_classes.reps:
         try:
-            lifted, witness, trace = lift_descent(F, tr)
+            surjectivity[tr] = lift_descent(F, tr)
         except LiftSearchError:
             constructive_surjective = False
-            continue
-        surjectivity[tr] = (lifted, witness, trace)
 
     # constructive injectivity: merge source classes whose images collide.
     # The collision groups are disjoint and each merges into its least member,
@@ -478,11 +454,9 @@ def _verify_bijection(F: DiagramMorphism, bound: int) -> BijectionReport:
         for other in group[1:]:
             t = _target_gauge_between_images(F, tgt_classes, other, base)
             try:
-                lifted_gauge, trace = lift_gauge(F, other, base, t)
+                injectivity[(other, base)] = lift_gauge(F, other, base, t)
             except LiftSearchError:
                 constructive_injective = False
-                continue
-            injectivity[(other, base)] = (lifted_gauge, trace)
     constructive_bijective = (
         constructive_surjective
         and constructive_injective

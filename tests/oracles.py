@@ -234,6 +234,56 @@ def brute_gauge_classes(D, data=None):
     return sorted(classes)
 
 
+def _raw_hom(L, x, y):
+    return sorted(m for m in L.g1.source if L.g1.source[m] == x and L.g1.target[m] == y)
+
+
+def least_lift_choices(F, trace):
+    """The least solution of each search step of a lift, walked over sorted
+    candidates of the raw tables, for the values the trace records before
+    that step.  Keyed by the trace fields a step chooses: (x, f), (g, c_p)
+    and (a,) of a surjectivity trace, (e, v), (d_p,) and (v2,) of an
+    injectivity trace; a step without a solution maps to None."""
+    G, H = F.source, F.target
+    d = trace.data
+    F0, F1, F2 = (F.levels[p] for p in range(3))
+    if trace.kind == "surjectivity":
+        H0, H1 = H.levels[0], H.levels[1]
+        G2 = G.levels[2]
+        y, x, g = d["target"].x, d["x"], d["g"]
+        xf = next(((x, f) for x in sorted(G.levels[0].g1.objects)
+                   for f in _raw_hom(H0, y, F0.obj_map[x])), None)
+        x0 = push_desc(G, 0, 1, (0,), x, "obj")
+        x1 = push_desc(G, 0, 1, (1,), x, "obj")
+        yp0 = push_desc(H, 0, 1, (0,), F0.obj_map[x], "obj")
+        gc = next(((g, c) for g in _raw_hom(G.levels[1], x0, x1)
+                   for c in sorted(H1.g2.group(yp0).elements)
+                   if H1.g1.table[(F1.mor1_map[g], H1.feedback_table[c])] == d["h_pp"]), None)
+        g01, g02, g12 = (push_desc(G, 1, 2, seq, g, "mor1") for seq in ((0, 1), (0, 2), (1, 2)))
+        want = G2.g1.table[(G2.g1.table[(G2.g1.inverses[g02], g12)], g01)]
+        cells = sorted(G2.g2.group(push_desc(G, 0, 2, (0,), x, "obj")).elements)
+        a = next(((a,) for a in cells
+                  if G2.feedback_table[a] == want and F2.mor2_map[a] == d["b_p"]), None)
+        return {("x", "f"): xf, ("g", "c_p"): gc, ("a",): a}
+    src, dst, t, e = d["src"], d["dst"], d["input"], d["e"]
+    H0 = H.levels[0]
+    G1 = G.levels[1]
+    ev = next(((e, v) for e in _raw_hom(G.levels[0], src.x, dst.x)
+               for v in sorted(H0.g2.group(F0.obj_map[src.x]).elements)
+               if F0.mor1_map[e] == H0.g1.table[(t.f, H0.feedback_table[v])]), None)
+    e0 = push_desc(G, 0, 1, (0,), e, "mor1")
+    e1 = push_desc(G, 0, 1, (1,), e, "mor1")
+    inv, table = G1.g1.inverses, G1.g1.table
+    want = table[(table[(table[(inv[src.g], inv[e1])], dst.g)], e0)]
+    x0 = push_desc(G, 0, 1, (0,), src.x, "obj")
+    cells = sorted(G1.g2.group(x0).elements)
+    d_p = next(((c,) for c in cells if G1.feedback_table[c] == want), None)
+    one = G1.g1.identities[x0]
+    v2 = next(((c,) for c in cells
+               if G1.feedback_table[c] == one and F1.mor2_map[c] == d["w"]), None)
+    return {("e", "v"): ev, ("d_p",): d_p, ("v2",): v2}
+
+
 def cech_two_cocycle_count(m: int, values: int = 2):
     """Cocycle and coboundary counts for the abelian Čech complex of Z/`values`
     over an abstract m-index cover, degrees 1-2, via exhaustive search.

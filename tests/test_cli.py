@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import functools
 import gc
 import hashlib
+import importlib
 import io
 import json
 from pathlib import Path
@@ -582,6 +584,23 @@ def test_transfer_checks_weak_equivalence_once(run, fat_spec_doc, monkeypatch):
     code, _ = run("transfer", fat_spec_doc)
     assert code == 0
     assert len(calls) == 4
+
+
+def test_bench_tracer_wraps_names_the_package_has():
+    """Every (module, function) pair that the bench tracer wraps resolves in
+    crossed_desc.  `CALLS` is read from bench/traced.py as a literal, without
+    running the file, so a renamed or dropped import fails here instead of
+    breaking every traced bench run."""
+    traced = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
+    tree = ast.parse(traced.read_text(encoding="utf-8"))
+    calls = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["CALLS"])
+    sites = [site for pairs in calls.values() for site in pairs]
+    assert ("transfer", "lift_gauge") in sites
+    missing = [(module, name) for module, name in sites
+               if not hasattr(importlib.import_module(f"crossed_desc.{module}"), name)]
+    assert missing == []
 
 
 def test_desc_fixture_spec_input(run, tmp_path):

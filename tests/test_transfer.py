@@ -4,10 +4,12 @@ import itertools
 import pytest
 
 from crossed_desc import (
+    CrossedDescError,
     CrossedMorphism,
     DiagramMorphism,
     DescentDatum,
     DomainError,
+    GaugeTransformation,
     LiftSearchError,
     apply_morphism,
     apply_morphism_gauge,
@@ -22,11 +24,22 @@ from crossed_desc import (
     validate_diagram_morphism,
     verify_bijection,
 )
+from crossed_desc import transfer
 from crossed_desc.crossed import _tag_map
-from crossed_desc.fixtures import constant_diagram, fix_a, fix_c, trivial_group, one_object_crossed
+from crossed_desc.descent import ClassTable, gauge_identity
+from crossed_desc.fixtures import (
+    constant_diagram,
+    fix_a,
+    fix_a_core,
+    fix_c,
+    fix_c_core,
+    one_object_crossed,
+    trivial_group,
+)
 from crossed_desc.transfer import LiftTrace, _target_gauge_between_images
 
-from oracles import scanned_weak_equivalence_diagram
+from builders import ODD_ID_BASES, _prefix_quotient, disjoint_union, point
+from oracles import least_lift_choices, scanned_weak_equivalence_diagram
 
 
 def trivial_diagram():
@@ -190,6 +203,37 @@ def test_lift_gauge_every_image_gauge(weq):
         assert revalidate_lift_trace(weq, trace).ok
 
 
+# Bases whose fattenings list some 2-morphism groups out of sorted order, so
+# a search that walks a group in element order picks another candidate.
+_UNSORTED_BASES = {
+    **{name: ODD_ID_BASES[name] for name in ("prefix-kernel", "prefix-g1", "union")},
+    "prefix-quotient": _prefix_quotient,
+}
+
+
+@pytest.mark.hashseed
+@pytest.mark.parametrize("base", sorted(_UNSORTED_BASES))
+def test_lifts_choose_the_least_candidate_of_each_step(base):
+    """Every choice a lift records is the least solution of its step's
+    equation, as the oracle walks sorted candidates over the raw tables: for
+    every target datum, (x, f), (g, c') and a; for every gauge between
+    images, (e, v), d' and v2."""
+    _, F = fatten_diagram(constant_diagram(_UNSORTED_BASES[base]()), 2)
+    assert any(list(grp.elements) != sorted(grp.elements)
+               for D in (F.source, F.target) for L in D.levels[:3]
+               for grp in map(L.g2.group, L.objects))
+    traces = [lift_descent(F, target)[2] for target in enumerate_descent(F.target)]
+    tgt_classes = gauge_classes(F.target)
+    for s, d in itertools.product(enumerate_descent(F.source), repeat=2):
+        if tgt_classes.rep_of[apply_morphism(F, s)] == tgt_classes.rep_of[apply_morphism(F, d)]:
+            t = _target_gauge_between_images(F, tgt_classes, s, d)
+            traces.append(lift_gauge(F, s, d, t)[1])
+    assert {trace.kind for trace in traces} == {"surjectivity", "injectivity"}
+    for trace in traces:
+        for fields, least in least_lift_choices(F, trace).items():
+            assert tuple(trace.data[name] for name in fields) == least, (trace.as_json(), fields)
+
+
 def test_lift_search_is_exhausted_off_a_weak_equivalence():
     """The map trivial -> fix-a sending 2.1 to 2.0 is a diagram morphism but
     not surjective on pi2, so no source 2-cell maps onto the target's 2.1."""
@@ -202,6 +246,45 @@ def test_lift_search_is_exhausted_off_a_weak_equivalence():
     with pytest.raises(LiftSearchError) as exc:
         lift_descent(F, DescentDatum("*", "1", "2.1"))
     assert exc.value.step == "fiber-bijectivity"
+
+
+def test_component_search_is_exhausted_off_a_weak_equivalence():
+    """fix-a into the fix-a-core component of fix-a-core + fix-c-core is a
+    diagram morphism but not surjective on pi0, so no source object hits the
+    component of the fix-c-core object."""
+    A = fix_a()
+    U = constant_diagram(disjoint_union(fix_a_core(), fix_c_core()))
+    F = DiagramMorphism(A, U, tuple(
+        CrossedMorphism(L, M, {x: f"{x}:0" for x in L.objects},
+                        {m: f"{m}:0" for m in L.g1.source}, {a: f"{a}:0" for a in L.g2.owner})
+        for L, M in zip(A.levels, U.levels)))
+    assert validate_diagram_morphism(F).ok
+    assert not is_weak_equivalence_diagram(F)[0]
+    target = next(t for t in enumerate_descent(U) if t.x == "*:1")
+    with pytest.raises(LiftSearchError) as exc:
+        lift_descent(F, target)
+    assert exc.value.step == "component-surjectivity"
+    assert str(exc.value) == (
+        "search exhausted at step 'component-surjectivity': "
+        "no source object hits the component of *:1"
+    )
+
+
+def test_gauge_hom_search_is_exhausted_off_a_weak_equivalence():
+    """Collapsing two points onto one is a diagram morphism but not injective
+    on pi0: the identity gauge between the equal images has no source
+    1-morphism between the two objects to lift to."""
+    F = collapse_morphism(constant_diagram(disjoint_union(point(), point())))
+    assert validate_diagram_morphism(F).ok
+    assert not is_weak_equivalence_diagram(F)[0]
+    src, dst = DescentDatum("*:0", "1:0", "2.1:0"), DescentDatum("*:1", "1:1", "2.1:1")
+    with pytest.raises(LiftSearchError) as exc:
+        lift_gauge(F, src, dst, GaugeTransformation("1", "2.1"))
+    assert exc.value.step == "hom-quotient-surjectivity"
+    assert str(exc.value) == (
+        "search exhausted at step 'hom-quotient-surjectivity': "
+        "no (e, v) with F(e) = f . D(v)"
+    )
 
 
 # the diagram, level and kind of each field a trace records
@@ -300,6 +383,57 @@ def test_verify_bijection_maps_two_classes_onto_two(fat_union):
     assert report.oracle_bijective and report.constructive_bijective
     assert sorted(report.class_map.values()) == report.target_classes.reps
     assert sorted(report.surjectivity) == report.target_classes.reps
+    assert report.injectivity == {}
+
+
+@pytest.fixture
+def split_source_classes(monkeypatch):
+    """The inclusion of the fattening of fix-c-core, with `gauge_classes`
+    patched to put each of the source's two data in a class of its own;
+    returns (inclusion, list of lift_gauge calls)."""
+    _, incl = fatten_diagram(constant_diagram(fix_c_core()), 2)
+    data = enumerate_descent(incl.source)
+    assert len(data) == 2
+    split = ClassTable(data, {t: t for t in data},
+                       {t: gauge_identity(incl.source, t) for t in data})
+    classify = transfer.gauge_classes
+    monkeypatch.setattr(transfer, "gauge_classes",
+                        lambda D, bound: split if D is incl.source else classify(D, bound))
+    calls = []
+    lift = transfer.lift_gauge
+
+    def counted(*args):
+        calls.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(transfer, "lift_gauge", counted)
+    return incl, calls
+
+
+def test_constructive_injectivity_merges_a_split_class(split_source_classes):
+    """With the source's one class split in two, both map onto the target's
+    one class: the oracle sees a non-injective map, while the constructive
+    route lifts the one image collision and merges them, so the routes
+    disagree after exactly one lift_gauge call."""
+    incl, calls = split_source_classes
+    with pytest.raises(CrossedDescError) as exc:
+        verify_bijection(incl)
+    assert str(exc.value) == "bijection routes disagree: oracle=False, constructive=True"
+    assert len(calls) == 1
+
+
+def test_constructive_injectivity_fails_when_a_gauge_does_not_lift(split_source_classes, monkeypatch):
+    """The same split classes with every gauge lift failing: both routes say
+    not bijective, and no injectivity witness is kept."""
+    incl, _ = split_source_classes
+
+    def exhausted(*args):
+        raise LiftSearchError("cokernel-injectivity")
+
+    monkeypatch.setattr(transfer, "lift_gauge", exhausted)
+    report = verify_bijection(incl)
+    assert not report.oracle_bijective and not report.constructive_bijective
+    assert report.agree
     assert report.injectivity == {}
 
 
