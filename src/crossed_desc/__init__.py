@@ -44,7 +44,6 @@ from .descent import (
     GaugeTransformation,
     PartialDescentDatum,
     complete_descent,
-    completion_steps,
     enumerate_descent,
     gauge_classes,
     gauge_compose,

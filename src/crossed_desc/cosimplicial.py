@@ -16,6 +16,7 @@ from .crossed import (
     CrossedMorphism,
     compose_crossed_morphisms,
     crossed_morphisms_equal,
+    identity_crossed_morphism,
     validate_crossed,
     validate_crossed_morphism,
 )
@@ -146,9 +147,9 @@ class DiagramMorphism:
 
 
 def identity_diagram_morphism(D: CrossedDiagram) -> DiagramMorphism:
-    from .crossed import identity_crossed_morphism
-
-    return DiagramMorphism(D, D, tuple(identity_crossed_morphism(L) for L in D.levels))
+    """One identity map per distinct level object of D, held at every level
+    that holds the object, as loading shares level maps."""
+    return DiagramMorphism(D, D, tuple(_once_each(identity_crossed_morphism, D.levels)))
 
 
 def validate_diagram_morphism(F: DiagramMorphism) -> ValidationReport:

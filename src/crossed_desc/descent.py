@@ -354,64 +354,6 @@ def complete_descent(
     return a_prime, dst
 
 
-def completion_steps(
-    D: CrossedDiagram,
-    src: DescentDatum,
-    partial_dst: PartialDescentDatum,
-    t: GaugeTransformation,
-) -> list[tuple[str, str]]:
-    """The chain of level-2 values verifying the first descent condition of a
-    completed datum, one entry per rewriting step.  All values coincide on
-    valid input; a mismatch pinpoints the broken step.
-    """
-    a_prime, dst = complete_descent(D, src, partial_dst, t)
-    L2 = D.levels[2]
-    G = L2.g1
-
-    f = [D.face((i,), 2).apply_mor1(t.f) for i in range(3)]
-    gm = {ij: D.face(ij, 2).apply_mor1(src.g) for ij in ((0, 1), (0, 2), (1, 2))}
-    cm = {ij: D.face(ij, 2).apply_mor2(t.c) for ij in ((0, 1), (0, 2), (1, 2))}
-    # cannot raise: the descent check of dst in `complete_descent` evaluated it
-    target = _cocycle_failure(D, dst.g)
-    Dc = {ij: L2.feedback(cm[ij]) for ij in cm}
-
-    inv = G.inverse
-    expand = lambda ij, i, j: [f[j], gm[ij], Dc[ij], inv(f[i])]
-    piece02 = G.compose_all(*expand((0, 2), 0, 2))
-    expanded = G.compose_all(inv(piece02), *expand((1, 2), 1, 2), *expand((0, 1), 0, 1))
-
-    cancelled = G.compose_all(
-        f[0], inv(Dc[(0, 2)]), inv(gm[(0, 2)]), gm[(1, 2)],
-        Dc[(1, 2)], gm[(0, 1)], Dc[(0, 1)], inv(f[0]),
-    )
-
-    Da = L2.feedback(src.a)
-    substituted = G.compose_all(
-        f[0], inv(Dc[(0, 2)]), Da, inv(gm[(0, 1)]),
-        Dc[(1, 2)], gm[(0, 1)], Dc[(0, 1)], inv(f[0]),
-    )
-
-    D_twisted_c12 = L2.feedback(L2.twist(inv(gm[(0, 1)]), cm[(1, 2)]))
-    folded = G.compose_all(
-        f[0], inv(Dc[(0, 2)]), Da, D_twisted_c12, Dc[(0, 1)], inv(f[0]),
-    )
-
-    inner = _inner_cell(L2, src.a, gm[(0, 1)], cm[(0, 1)], cm[(0, 2)], cm[(1, 2)])
-    pulled_out = L2.feedback(L2.twist(f[0], inner))
-
-    definition = L2.feedback(a_prime)
-
-    return [
-        ("target", target),
-        ("expanded", expanded),
-        ("cancelled", cancelled),
-        ("cocycle-substituted", substituted),
-        ("twist-folded", folded),
-        ("feedback-pulled-out", pulled_out),
-        ("definition", definition),
-    ]
-
-
 # -- classification -----------------------------------------------------
 
 

@@ -13,8 +13,9 @@ when it is looked up, and list their keys in the order an eagerly built dict
 would.  A fattening builds only its g1: its groups, its g2 owner map, its
 twist and feedback tables (`_fattened_tables`) and its inclusion's
 2-morphism map all read the base, and the inclusion's weak-equivalence check
-is proven through the base.  A diagram's levels are fattened once per
-distinct level object.
+is proven through the base.  The builders of constant diagrams, fattenings
+and identity morphisms share one object per distinct level and map, as
+loading does, and a fattening fattens each distinct object once.
 """
 
 from __future__ import annotations
@@ -260,12 +261,10 @@ def inner_crossed(G: FiniteGroup) -> CrossedGroupoid:
 
 
 def constant_diagram(C: CrossedGroupoid) -> CrossedDiagram:
-    """All four levels equal to C, all cofaces the identity."""
-    cofaces = {
-        (p, k): identity_crossed_morphism(C) for p in range(3) for k in range(p + 2)
-    }
-    levels = (C, C, C, C)
-    return CrossedDiagram(levels, cofaces)
+    """All four levels C, all nine cofaces one identity object, as loading
+    its document makes it."""
+    identity = identity_crossed_morphism(C)
+    return CrossedDiagram((C, C, C, C), {(p, k): identity for p in range(3) for k in range(p + 2)})
 
 
 def _fattened_tables(C: CrossedGroupoid, n: int, ids: dict[str, list[list[str]]],
@@ -370,22 +369,24 @@ def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism
 def fatten_diagram(D: CrossedDiagram, n: int) -> tuple[CrossedDiagram, DiagramMorphism]:
     """Fatten every level compatibly; returns the inclusion of copy 0.
 
-    Each distinct level object is fattened once, so levels that are one
-    object (as in a constant diagram) stay one object."""
-    fattened = list(_once_each(lambda L: fatten(L, n), D.levels))
-    levels = tuple(fat for fat, _ in fattened)
+    Each distinct level and coface object is fattened once, so positions
+    that share an object (as in a constant diagram) share its fattening, as
+    loading the fattened document makes them."""
+    fattened = {}  # id of a level -> (its fattening, the inclusion)
+    levels = tuple(fat for fat, _ in _once_each(lambda L: fatten(L, n), D.levels, fattened))
     copies = [f"@{i}" for i in range(n)]
     pairs = [f"@{i}.{j}" for i in range(n) for j in range(n)]
-    cofaces = {}
-    for (p, k), d in D.cofaces.items():
+
+    def fatten_map(d: CrossedMorphism) -> CrossedMorphism:
         # each map sends a tagged id to its image tagged alike
         maps = [{a + c: b + c for a, b in zip(ids, map(image, ids)) for c in tags}
                 for image, ids, tags in ((d.apply_obj, d.source.g1.objects, copies),
                                          (d.apply_mor1, d.source.g1.source, pairs),
                                          (d.apply_mor2, d.source.g2.owner, copies))]
-        cofaces[(p, k)] = CrossedMorphism(levels[p], levels[p + 1], *maps)
-    fat = CrossedDiagram(levels, cofaces)
-    return fat, DiagramMorphism(D, fat, tuple(incl for _, incl in fattened))
+        return CrossedMorphism(fattened[id(d.source)][0], fattened[id(d.target)][0], *maps)
+
+    fat = CrossedDiagram(levels, dict(zip(D.cofaces, _once_each(fatten_map, D.cofaces.values()))))
+    return fat, DiagramMorphism(D, fat, tuple(fattened[id(L)][1] for L in D.levels))
 
 
 def _power_level(C: CrossedGroupoid, k: int) -> CrossedGroupoid:

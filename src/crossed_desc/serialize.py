@@ -21,13 +21,14 @@ sort_keys=True, indent=2, ensure_ascii=False)` does, plus a newline, through
 its own recursive writer: the standard encoder takes its pure-Python path
 whenever it indents.
 
-Loading keeps one object per distinct level and map within a document (the
-builders share levels only): a crossed-groupoid payload `==` an earlier one
-reuses its `CrossedGroupoid`, and a coface or level-map payload `==` an
-earlier one between the same two level objects reuses its `CrossedMorphism`.
-So a loaded constant diagram has one level object and one coface object, an
-in-place edit of a loaded level reaches every position that shares it, and
-`validate` checks each distinct level and coface once.  Writing mirrors
+Loading keeps one object per distinct level and map within a document, as
+the builders of constant diagrams, fattenings and identity morphisms do: a
+crossed-groupoid payload `==` an earlier one reuses its `CrossedGroupoid`,
+and a coface or level-map payload `==` an earlier one between the same two
+level objects reuses its `CrossedMorphism`.  So a loaded constant diagram
+has one level object and one coface object, an in-place edit of a loaded
+level reaches every position that shares it, and `validate` checks each
+distinct level and coface once.  Writing mirrors
 this: each distinct level and map object of a diagram or diagram morphism
 is converted once, and every position that holds it shares the payload.  A
 diagram morphism holds its source and target as explicit diagrams.

@@ -20,6 +20,8 @@ from crossed_desc.cosimplicial import CrossedMorphism
 from crossed_desc.crossed import _power_tables
 from crossed_desc.fixtures import (
     NAMED_CROSSED,
+    FixtureSpec,
+    build_fixture,
     cech_diagram,
     constant_diagram,
     crossed_group,
@@ -358,12 +360,58 @@ def test_loading_shares_equal_levels_and_cofaces():
         assert validate_diagram(loaded).ok
 
 
+def _positions(structure):
+    """The levels and cofaces of a diagram, in key order; for a diagram
+    morphism, its source's, its target's, then its level maps."""
+    if isinstance(structure, CrossedDiagram):
+        return [*structure.levels, *(structure.cofaces[key] for key in sorted(structure.cofaces))]
+    return [*_positions(structure.source), *_positions(structure.target), *structure.levels]
+
+
+def _sharing(objects) -> list[int]:
+    """For each position, the first position that holds the same object."""
+    first = {}
+    return [first.setdefault(id(obj), i) for i, obj in enumerate(objects)]
+
+
+@pytest.mark.parametrize("copies", (None, 1, 2))
+@pytest.mark.parametrize("base", sorted(NAMED_CROSSED))
+def test_built_fixtures_share_objects_as_they_load(base, copies):
+    """Two positions of a built constant diagram (copies None) or fattening
+    inclusion hold one object exactly when they do once its document is
+    loaded."""
+    spec = {"kind": "constant-diagram", "params": {"base": base}}
+    if copies is not None:
+        spec = {"kind": "fatten", "params": {"base": spec, "copies": copies}}
+    kind, built = build_fixture(FixtureSpec(spec["kind"], spec["params"]))
+    _, loaded = parse_document(serialize_document(kind, built))
+    assert _sharing(_positions(built)) == _sharing(_positions(loaded))
+
+
+def test_a_coface_edit_replaces_one_position():
+    """`with_coface_entry` replaces the edited coface: the other eight
+    positions of a built constant diagram still hold its one identity
+    object, unchanged."""
+    D = constant_diagram(NAMED_CROSSED["inner-s3"]())
+    identity = D.cofaces[(0, 0)]
+    written = serialize._maps_to_json(identity)
+    m, image = sorted(D.levels[0].g1.source)[:2]
+    edited = with_coface_entry(D, (1, 1), "mor1", m, image)
+    assert edited.cofaces[(1, 1)].mor1_map[m] == image
+    assert [key for key, d in edited.cofaces.items() if d is not identity] == [(1, 1)]
+    assert all(d is identity for d in D.cofaces.values())
+    assert serialize._maps_to_json(identity) == written
+
+
 def test_each_level_and_map_object_is_written_once(monkeypatch):
     """The writers convert each distinct level and map object of a diagram
     or diagram morphism once, and write the bytes a conversion of every
-    position writes."""
+    position writes: a built constant diagram holds one level and one
+    coface object, its fattening's inclusion two levels and three maps, and
+    the cover-1 Čech diagram four levels and nine cofaces."""
     D = constant_diagram(NAMED_CROSSED["inner-s3"]())
     fat, incl = fatten_diagram(D, 2)
+    cech = cech_diagram(fix_a_core(), 1)
 
     def each_position(diagram):
         return {
@@ -372,24 +420,21 @@ def test_each_level_and_map_object_is_written_once(monkeypatch):
                         for (p, k), d in sorted(diagram.cofaces.items())},
         }
 
-    expected = {
-        "diagram": serialize_document("diagram", D),
-        "diagram-morphism": dumps_canonical(envelope("diagram-morphism", {
+    cases = (
+        ("diagram", D, dumps_canonical(envelope("diagram", each_position(D))), 1, 1),
+        ("diagram", cech, dumps_canonical(envelope("diagram", each_position(cech))), 4, 9),
+        ("diagram-morphism", incl, dumps_canonical(envelope("diagram-morphism", {
             "source": each_position(D), "target": each_position(fat),
             "levels": [serialize._maps_to_json(F) for F in incl.levels],
-        })),
-    }
-    assert expected["diagram"] == dumps_canonical(envelope("diagram", each_position(D)))
-    for kind, structure, levels, maps in (
-        ("diagram", D, 1, len(D.cofaces)),
-        ("diagram-morphism", incl, 2, 2 * len(D.cofaces) + 1),
-    ):
+        })), 2, 3),
+    )
+    for kind, structure, expected, levels, maps in cases:
         calls = []
         for name in ("crossed_to_json", "_maps_to_json"):
             write = getattr(serialize, name)
             monkeypatch.setattr(serialize, name,
                                 lambda x, name=name, write=write: calls.append(name) or write(x))
-        assert serialize_document(kind, structure) == expected[kind]
+        assert serialize_document(kind, structure) == expected
         assert calls.count("crossed_to_json") == levels
         assert calls.count("_maps_to_json") == maps
         monkeypatch.undo()

@@ -576,7 +576,9 @@ def test_pi0_verdict_does_not_depend_on_the_hash_seed():
     """The component map is induced from the objects, not from an element
     picked out of a set, so string hashing cannot change the verdict."""
     tests = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    # the caller's entries follow, as in `PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}`
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
     script = (
         "import json, builders\n"
         "from crossed_desc import is_weak_equivalence_crossed\n"

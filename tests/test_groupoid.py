@@ -250,7 +250,9 @@ def test_generators_reach_every_morphism(name):
 
 def test_generators_do_not_depend_on_the_hash_seed():
     tests = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    # the caller's entries follow, as in `PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}`
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
     script = (
         "import json\n"
         "from crossed_desc.groupoid import _generators\n"

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import pytest
 
@@ -32,10 +33,12 @@ from crossed_desc.fixtures import (
     fix_a,
     fix_a_core,
     fix_c,
+    fatten,
     fix_c_core,
     one_object_crossed,
     trivial_group,
 )
+from crossed_desc.serialize import parse_document, serialize_document
 from crossed_desc.transfer import LiftTrace, _target_gauge_between_images
 
 from builders import ODD_ID_BASES, _prefix_quotient, disjoint_union, point
@@ -211,6 +214,20 @@ _UNSORTED_BASES = {
 }
 
 
+def _assert_lifts_choose_least(F):
+    """Every choice a lift along F records equals the oracle's."""
+    traces = [lift_descent(F, target)[2] for target in enumerate_descent(F.target)]
+    tgt_classes = gauge_classes(F.target)
+    for s, d in itertools.product(enumerate_descent(F.source), repeat=2):
+        if tgt_classes.rep_of[apply_morphism(F, s)] == tgt_classes.rep_of[apply_morphism(F, d)]:
+            t = _target_gauge_between_images(F, tgt_classes, s, d)
+            traces.append(lift_gauge(F, s, d, t)[1])
+    assert {trace.kind for trace in traces} == {"surjectivity", "injectivity"}
+    for trace in traces:
+        for fields, least in least_lift_choices(F, trace).items():
+            assert tuple(trace.data[name] for name in fields) == least, (trace.as_json(), fields)
+
+
 @pytest.mark.hashseed
 @pytest.mark.parametrize("base", sorted(_UNSORTED_BASES))
 def test_lifts_choose_the_least_candidate_of_each_step(base):
@@ -222,16 +239,21 @@ def test_lifts_choose_the_least_candidate_of_each_step(base):
     assert any(list(grp.elements) != sorted(grp.elements)
                for D in (F.source, F.target) for L in D.levels[:3]
                for grp in map(L.g2.group, L.objects))
-    traces = [lift_descent(F, target)[2] for target in enumerate_descent(F.target)]
-    tgt_classes = gauge_classes(F.target)
-    for s, d in itertools.product(enumerate_descent(F.source), repeat=2):
-        if tgt_classes.rep_of[apply_morphism(F, s)] == tgt_classes.rep_of[apply_morphism(F, d)]:
-            t = _target_gauge_between_images(F, tgt_classes, s, d)
-            traces.append(lift_gauge(F, s, d, t)[1])
-    assert {trace.kind for trace in traces} == {"surjectivity", "injectivity"}
-    for trace in traces:
-        for fields, least in least_lift_choices(F, trace).items():
-            assert tuple(trace.data[name] for name in fields) == least, (trace.as_json(), fields)
+    _assert_lifts_choose_least(F)
+
+
+@pytest.mark.hashseed
+def test_lift_step_one_walks_source_objects_in_sorted_order():
+    """A source whose level 0 lists isomorphic objects against sorted order
+    (a@0, a@1, a0@0, a0@1): the (x, f) of every surjectivity lift is the
+    least, as are all other choices."""
+    doc = serialize_document("crossed", fatten(fix_c_core(), 2)[0])
+    for old, new in (("*@0", "a"), ("*@1", "a0")):
+        doc = doc.replace(json.dumps(old), json.dumps(new))
+    fat = fatten_diagram(constant_diagram(parse_document(doc)[1]), 2)[0]
+    _, F = fatten_diagram(fat, 2)
+    assert F.source.levels[0].objects == ("a@0", "a@1", "a0@0", "a0@1")
+    _assert_lifts_choose_least(F)
 
 
 def test_lift_search_is_exhausted_off_a_weak_equivalence():
