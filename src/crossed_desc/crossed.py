@@ -8,19 +8,22 @@ identity.  This module also computes the homotopy invariants pi0/pi1/pi2,
 once per crossed groupoid (they are kept on it), and decides weak
 equivalence.  A derived table is a `_View`: a read-only mapping that computes
 each entry from the tables it derives from, built by one factory per
-derivation.  The twist and feedback tables of a power of a one-object crossed
-group (a Čech cover level) are such views of the base's (`_power_tables`);
-the power check and `homotopy` read such a level through its base.  A
-fattening's groups and g2 are views of its base too (`_TaggedGroup`,
-`_FattenedG2`, whose owner is `_fattened_owner`), as are its pi2 and its
-inclusion's 2-morphism map (`_tag_map`), and the inclusion's pi2 bijection
-is proven through the base.
+derivation.  A derived group is a `_LazyGroup`: it lists nothing until
+iterated, and decodes each distinct id once to decide membership.  A power
+of a one-object crossed group (a Čech cover level) has a lazy product group,
+an owner view, a lazy pi2, and twist and feedback views of the base's
+(`_power_tables`); the power check and `homotopy` read it through its base.
+A fattening's groups, owner (`_fattened_owner`), pi2 and inclusion's
+2-morphism map (`_tag_map`) are views of its base too, and the inclusion's
+pi2 bijection is proven through the base.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -61,7 +64,7 @@ class FiniteGroup:
         self._mul = mul
         self._inv = inv
         self._members = frozenset(elements)
-        self.factors: tuple[FiniteGroup, ...] = ()  # set by `product`
+        self.factors: tuple[FiniteGroup, ...] = ()  # a product's (`_ProductGroup`)
         if len(self._members) != len(self.elements):
             raise LoadError("duplicate group element ids")
         if identity not in self._members:
@@ -103,25 +106,14 @@ class FiniteGroup:
         """Direct product; element ids are factor ids joined by "|".
 
         Operations are coordinatewise, and the factors are kept in `factors`.
+        The product is lazy (`_ProductGroup`); its membership splits an id,
+        which is sound because no factor id contains "|".
         """
         for f in factors:
             for e in f.elements:
                 if "|" in e:
                     raise LoadError(f"factor element id {e!r} contains separator '|'")
-        elements = tuple(map("|".join, itertools.product(*(f.elements for f in factors))))
-        identity = "|".join(f.identity for f in factors)
-
-        # `mul` and `inv` pass only elements, so each id has one part per factor
-        def mul(a: str, b: str) -> str:
-            pairs = zip(factors, a.split("|"), b.split("|"))
-            return "|".join(f._mul(x, y) for f, x, y in pairs)
-
-        def inv(a: str) -> str:
-            return "|".join(f._inv(x) for f, x in zip(factors, a.split("|")))
-
-        g = cls(elements, identity, mul, inv)
-        g.factors = tuple(factors)
-        return g
+        return _ProductGroup(tuple(factors))
 
     def mul(self, a: str, b: str) -> str:
         if a not in self._members or b not in self._members:
@@ -164,33 +156,80 @@ class FiniteGroup:
         return iter(self.elements)
 
 
-class _TaggedGroup(FiniteGroup):
-    """B's group with every id suffixed by `tag` ("@i"): the group at x@i of
-    a fattening.  It keeps no element tuple or member set until something
-    iterates it; until then membership strips the tag and asks B."""
+class _LazyGroup(FiniteGroup):
+    """A group that lists its elements, and then keeps a frozen member set,
+    only when something iterates it.  Until then `_members` is a weak proxy
+    (a reference to self would be a cycle, kept until the cyclic collector
+    runs), so membership asks `__contains__`: an id is decoded (`_decodes`)
+    once, and each accepted id is remembered."""
 
-    def __init__(self, base: FiniteGroup, tag: str):
-        cut = -len(tag)
-        # `in` asks __contains__ through a weak proxy: a reference to self
-        # would be a cycle, keeping every fattening and its base until the
-        # cyclic collector runs
-        self._base, self._tag, self._members = base, tag, weakref.proxy(self)
-        self.identity, self.factors = base.identity + tag, ()
-        self._mul = lambda a, b: base.mul(a[:cut], b[:cut]) + tag
-        self._inv = lambda a: base.inv(a[:cut]) + tag
+    def __init__(self, identity: str, mul: Callable[[str, str], str],
+                 inv: Callable[[str], str], factors: tuple[FiniteGroup, ...] = ()):
+        self.identity, self._mul, self._inv, self.factors = identity, mul, inv, factors
+        self._members, self._accepted = weakref.proxy(self), set()
 
     @functools.cached_property
     def elements(self) -> tuple[str, ...]:
-        elements = tuple(e + self._tag for e in self._base.elements)
-        self._members = frozenset(elements)
+        elements = tuple(self._listing())
+        self._members = self._accepted = frozenset(elements)
         return elements
 
     def __contains__(self, a) -> bool:
-        tag = self._tag
-        return isinstance(a, str) and a.endswith(tag) and a[:-len(tag)] in self._base._members
+        if a in self._accepted:
+            return True
+        if isinstance(a, str) and self._decodes(a):
+            self._accepted.add(a)
+            return True
+        return False
+
+
+class _TaggedGroup(_LazyGroup):
+    """B's group with every id suffixed by `tag` ("@i"): the group at x@i of
+    a fattening.  Membership strips the tag and asks B."""
+
+    def __init__(self, base: FiniteGroup, tag: str):
+        cut = -len(tag)
+        super().__init__(base.identity + tag, lambda a, b: base.mul(a[:cut], b[:cut]) + tag,
+                         lambda a: base.inv(a[:cut]) + tag)
+        self._base, self._tag = base, tag
+
+    def _listing(self):
+        return (e + self._tag for e in self._base.elements)
+
+    def _decodes(self, a: str) -> bool:
+        return a.endswith(self._tag) and a[:-len(self._tag)] in self._base._members
 
     def __len__(self) -> int:
         return len(self._base)
+
+
+class _ProductGroup(_LazyGroup):
+    """The direct product of `factors` (`FiniteGroup.product`), listed in
+    `itertools.product` order; membership splits an id on "|"."""
+
+    def __init__(self, factors: tuple[FiniteGroup, ...]):
+        # `mul` and `inv` pass only elements, so each id has one part per factor
+        def mul(a: str, b: str) -> str:
+            pairs = zip(factors, a.split("|"), b.split("|"))
+            return "|".join(f._mul(x, y) for f, x, y in pairs)
+
+        def inv(a: str) -> str:
+            return "|".join(f._inv(x) for f, x in zip(factors, a.split("|")))
+
+        super().__init__("|".join(f.identity for f in factors), mul, inv, factors)
+        # each factor's member set; a lazy factor's proxy answers also once it is listed
+        self._sets = tuple(f._members for f in factors)
+
+    def _listing(self):
+        return map("|".join, itertools.product(*(f.elements for f in self.factors)))
+
+    def _decodes(self, a: str) -> bool:
+        # the identity first: a product of no factors has one id, of no parts
+        return a == self.identity or (len(parts := a.split("|")) == len(self._sets)
+                                      and all(map(operator.contains, self._sets, parts)))
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self.factors))
 
 
 def validate_group(G: FiniteGroup) -> ValidationReport:
@@ -252,20 +291,22 @@ class DisconnectedGroupoid:
     """A totally disconnected groupoid: one finite group per object.
 
     Element ids must be disjoint across objects, so every 2-morphism knows
-    its object: `owner` maps each to it.  A fattening's is `_FattenedG2`,
-    whose groups and owner (a `_View`) are views of the base's.
+    its object: `owner` maps each to it.  A derived level, whose groups are
+    lazy, gives a ready view: a fattening's reads its base's owner
+    (`_fattened_owner`), a cover level's asks membership
+    (`fixtures._power_level`).
     """
 
-    def __init__(self, groups: dict[str, FiniteGroup]):
+    def __init__(self, groups: dict[str, FiniteGroup], owner: Mapping[str, str] | None = None):
         self.groups = dict(groups)
-        self.owner: dict[str, str] = {}
-        for x, g in self.groups.items():
-            for e in g.elements:
-                if e in self.owner:
-                    raise LoadError(
-                        f"element id {e!r} appears at both {self.owner[e]!r} and {x!r}"
-                    )
-                self.owner[e] = x
+        if owner is None:
+            owner = {}
+            for x, g in self.groups.items():
+                for e in g.elements:
+                    if e in owner:
+                        raise LoadError(f"element id {e!r} appears at both {owner[e]!r} and {x!r}")
+                    owner[e] = x
+        self.owner = owner
 
     @property
     def objects(self) -> tuple[str, ...]:
@@ -294,16 +335,6 @@ class DisconnectedGroupoid:
 
     def identity(self, x: str) -> str:
         return self.group(x).identity
-
-
-class _FattenedG2(DisconnectedGroupoid):
-    """The g2 of `fatten(B, n)`: the group at x@i is B's group at x tagged
-    "@i" (`_TaggedGroup`), and `owner` a view of B's (`_fattened_owner`)."""
-
-    def __init__(self, base: DisconnectedGroupoid, objects: tuple[str, ...], n: int):
-        self.groups = {f"{x}@{i}": _TaggedGroup(base.group(x), f"@{i}")
-                       for x in objects for i in range(n)}
-        self.owner = _fattened_owner(base, objects, n, self.groups)
 
 
 class _View(Mapping):
@@ -377,13 +408,13 @@ class CrossedGroupoid:
     g2: DisconnectedGroupoid
     # dicts, typed here; or, on a fattening or a cover level, `_View`s that
     # compute each entry from the base and miss on an ill-typed key
-    # (`fixtures._fattened_tables`, `_power_tables`).  A fattening's g2 is a
-    # view of the base's too (`_FattenedG2`)
+    # (`fixtures._fattened_tables`, `_power_tables`).  Such a level's g2 has
+    # lazy groups and an owner view too
     twist_table: Mapping[tuple[str, str], str]
     feedback_table: Mapping[str, str]
-    # (base, k) on a cover level that is the k-fold power of a one-object base;
-    # only `cech_diagram` sets it, validate_crossed checks it, and `homotopy`
-    # reads it too
+    # (base, k) on a cover level that is the k-fold power of a one-object base,
+    # whose group, owner and pi2 list nothing until read; only `cech_diagram`
+    # sets it, validate_crossed checks it, and `homotopy` reads it too
     power: tuple[CrossedGroupoid, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -913,29 +944,26 @@ def homotopy(C: CrossedGroupoid) -> HomotopyData:
     """Components of g1, cokernels and kernels of the feedback per object.
 
     A fattening `fatten(B, n)` takes the feedback image and the kernel at
-    x@i from `homotopy(B)` at x, tagged, instead of scanning its own groups;
-    its pi2 is a `_View` that tags and sorts the kernel at x@i again (the tag
-    can reorder ids: "a@0" > "a0@0") only when x@i is first read.  A cover
-    level marked as the k-fold power of B takes the k-fold products of B's
-    feedback image and kernel.  Computed on the first
-    call and kept on C, so later calls return the same object."""
+    x@i from `homotopy(B)` at x, tagged; a cover level marked as the k-fold
+    power of B takes the k-fold products of B's.  Such a level's pi2 is a
+    `_View` that makes and keeps the sorted kernel at an object when it is
+    first read (a tag can reorder ids: "a@0" > "a0@0").  Computed on the
+    first call and kept on C, so later calls return the same object."""
     if C._homotopy is not None:
         return C._homotopy
     pi0 = pi0_groupoid(C.g1)
     images: dict[str, Iterable[str]] = {}
-    pi2: dict[str, tuple[str, ...]] = {}
+    pi2: Mapping[str, tuple[str, ...]] = {}
     if C.power is not None:
         base, k = C.power
         hb = homotopy(base)
         for x, p1 in hb.pi1.items():
             image = [g for g, rep in p1.coset_of.items() if rep == p1.group.identity]
             images[x] = map("|".join, itertools.product(image, repeat=k))
-            kernel = hb.pi2[x]
-            if len(kernel) == len(base.g2.group(x)):
-                # the kernel is the whole power, whose ids exist already
-                pi2[x] = tuple(sorted(C.g2.group(x).elements))
-            else:
-                pi2[x] = tuple(sorted(map("|".join, itertools.product(kernel, repeat=k))))
+        keys = hb.pi2
+
+        def kernel(y) -> tuple[str, ...]:
+            return tuple(sorted(map("|".join, itertools.product(hb.pi2[y], repeat=k))))
     elif C.fattening is None:
         fb = C.feedback_table
         for x in C.objects:
@@ -945,21 +973,18 @@ def homotopy(C: CrossedGroupoid) -> HomotopyData:
     else:
         base, n = C.fattening
         hb = homotopy(base)
-        copies: dict[str, tuple[str, str]] = {}  # x@i -> (x, "@i"), in listing order
+        keys = {}  # x@i -> (x, "@i"), in listing order
         for x, p1 in hb.pi1.items():
             image = [g for g, rep in p1.coset_of.items() if rep == p1.group.identity]
             for i in range(n):
                 images[f"{x}@{i}"] = [f"{d}@{i}.{i}" for d in image]
-                copies[f"{x}@{i}"] = (x, f"@{i}")
-        base_pi2, tagged = hb.pi2, {}
+                keys[f"{x}@{i}"] = (x, f"@{i}")
 
-        def lookup(y) -> tuple[str, ...]:
-            if y not in tagged:
-                x, tag = copies[y]
-                tagged[y] = tuple(sorted(a + tag for a in base_pi2[x]))
-            return tagged[y]
-
-        pi2 = _View((base_pi2,), lookup, copies.__iter__, copies.__len__)
+        def kernel(y) -> tuple[str, ...]:
+            x, tag = keys[y]
+            return tuple(sorted(a + tag for a in hb.pi2[x]))
+    if C.power is not None or C.fattening is not None:
+        pi2 = _View((hb.pi2,), functools.cache(kernel), keys.__iter__, keys.__len__)
     pi1 = {x: _pi1(C.g1, x, images[x]) for x in C.objects}
     C._homotopy = HomotopyData(pi0, pi1, pi2)
     return C._homotopy
@@ -1004,7 +1029,7 @@ def is_weak_equivalence_crossed(F: CrossedMorphism) -> tuple[bool, ValidationRep
     maps to x@i, and the 2-morphism map is the tag map a -> a@i over S
     (`_tag_map`, `_is_view`).  Then the target's pi2 at x@i is S's pi2 at x
     tagged "@i" (`homotopy`), so the induced map is a bijection by
-    construction and is not scanned.
+    construction and is not scanned, and neither lazy pi2 is made.
     """
     report = ValidationReport()
     S, T = F.source, F.target
@@ -1043,10 +1068,11 @@ def is_weak_equivalence_crossed(F: CrossedMorphism) -> tuple[bool, ValidationRep
             if set(induced) != set(p1t.reps):
                 report.add("pi1", f"induced map on pi1 at {x} is not surjective")
         # pi2: kernel to kernel, bijectively.  A tag map's tag is what it
-        # appends to any id, here the first of the kernel (never empty)
-        kernel = hs.pi2[x]
-        if tagged and y == x + F.mor2_map[kernel[0]][len(kernel[0]):]:
+        # appends to any id, here the identity
+        one = S.g2.identity(x)
+        if tagged and y == x + F.mor2_map[one][len(one):]:
             continue
+        kernel = hs.pi2[x]
         images = [F.apply_mor2(a) for a in kernel]
         if len(set(images)) != len(images):
             report.add("pi2", f"induced map on pi2 at {x} is not injective")

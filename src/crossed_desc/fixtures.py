@@ -6,16 +6,17 @@ Conventions: 2-morphism ids carry a "2." prefix so that object, 1-morphism and
 elements of two kinds.  Fattened ids append "@copy" markers; product ids join
 components with "|".
 
-Derived levels do not copy their base's tables.  A cover level's (a power of
-the base) twist and feedback tables are read-only views (`crossed._View`,
-built by `crossed._power_tables`) that compute each entry from the base's
-when it is looked up, and list their keys in the order an eagerly built dict
-would.  A fattening builds only its g1: its groups, its g2 owner map, its
-twist and feedback tables (`_fattened_tables`) and its inclusion's
-2-morphism map all read the base, and the inclusion's weak-equivalence check
-is proven through the base.  The builders of constant diagrams, fattenings
-and identity morphisms share one object per distinct level and map, as
-loading does, and a fattening fattens each distinct object once.
+Derived levels do not copy their base's tables.  A cover level (a power of
+the base) builds only its g1: its group is a lazy product, its owner a view
+that asks membership, and its twist and feedback tables are read-only views
+(`crossed._View`, built by `crossed._power_tables`) that compute each entry
+from the base's and list their keys in the order an eager dict would.  A
+fattening builds only its g1: its groups, its g2 owner map, its twist and
+feedback tables (`_fattened_tables`) and its inclusion's 2-morphism map all
+read the base, and the inclusion's weak-equivalence check is proven through
+the base.  The builders of constant diagrams, fattenings and identity
+morphisms share one object per distinct level and map, as loading does, and
+a fattening fattens each distinct object once.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from .crossed import (
     CrossedMorphism,
     DisconnectedGroupoid,
     FiniteGroup,
-    _FattenedG2,
+    _fattened_owner,
     _multiplicative_on,
     _power_tables,
     _tag_map,
+    _TaggedGroup,
     _View,
     identity_crossed_morphism,
 )
@@ -351,7 +353,8 @@ def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism
                   for x, copy_ids in objects.items() for i, xi in enumerate(copy_ids)}
     fat_g1 = FiniteGroupoid(tuple(itertools.chain.from_iterable(objects.values())),
                             source, target, identities, table, inverses)
-    fat_g2 = _FattenedG2(C.g2, g1.objects, n)
+    groups = {x + c: _TaggedGroup(C.g2.group(x), c) for x in g1.objects for c in copies}
+    fat_g2 = DisconnectedGroupoid(groups, _fattened_owner(C.g2, g1.objects, n, groups))
 
     fat = CrossedGroupoid(fat_g1, fat_g2, *_fattened_tables(C, n, ids, fat_g1, fat_g2))
     fat.fattening = (C, n)
@@ -393,13 +396,22 @@ def _power_level(C: CrossedGroupoid, k: int) -> CrossedGroupoid:
     """The k-fold power of the one-object crossed group C, marked
     `power = (C, k)`: its g1 and group are built as `FiniteGroup.product` of
     k copies of C's, and its twist and feedback tables are views of C's
-    (`_power_tables`).  The caller bounds k first."""
+    (`_power_tables`).  The group lists nothing until iterated, and the g2
+    owner is a view that asks membership in it.  The caller bounds k first."""
     (obj,) = C.objects
     g1_grp = FiniteGroup.product(
         [FiniteGroup(C.g1.morphisms, C.g1.identity(obj), C.g1.compose, C.g1.inverse)] * k)
     grp = FiniteGroup.product([C.g2.group(obj)] * k)
     g1 = one_object_groupoid(g1_grp, obj)
-    level = CrossedGroupoid(g1, DisconnectedGroupoid({obj: grp}), *_power_tables(C, g1, grp))
+
+    def owner(a) -> str:
+        if a in grp:
+            return obj
+        raise KeyError(a)
+
+    g2 = DisconnectedGroupoid(
+        {obj: grp}, _View((grp,), owner, lambda: iter(grp.elements), grp.__len__))
+    level = CrossedGroupoid(g1, g2, *_power_tables(C, g1, grp))
     level.power = (C, k)
     return level
 
@@ -410,7 +422,8 @@ def cech_diagram(C: CrossedGroupoid, m: int) -> CrossedDiagram:
     (`_power_level`), cofaces reindex by omitting a position.  Each level is
     marked as that power of C, so `validate_crossed` checks it through C and
     `homotopy` computes it from C's, and its twist and feedback tables are
-    views of C's."""
+    views of C's.  The cofaces list levels 0-2 only; level 3 (65,536
+    2-morphisms for fix-a-core over 2 indices) stays unlisted."""
     if len(C.objects) != 1:
         raise DomainError("the Čech construction needs a one-object crossed group")
     if m < 1:

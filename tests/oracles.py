@@ -17,8 +17,9 @@ and `walked_*` functions), the diagram loaders that built every level
 and map from its own payload (`unshared_*`), the fattening's eagerly
 relabeled groups, owner and inclusion (`relabeled_fattening`), and the
 weak-equivalence check that scanned every pi2 list
-(`scanned_weak_equivalence`), and the one-line canonical JSON writer
-(`json_dumps_canonical`).
+(`scanned_weak_equivalence`), the one-line canonical JSON writer
+(`json_dumps_canonical`), and the product group that listed every element
+and its member set when it was built (`eager_product`).
 """
 
 from __future__ import annotations
@@ -49,6 +50,33 @@ from crossed_desc.fixtures import _element_orders, one_object_groupoid
 from crossed_desc.groupoid import _generators
 from crossed_desc.serialize import _maps_from_json, _require, crossed_from_json
 from crossed_desc.validation import DEFAULT_BOUND, LoadError, ValidationReport
+
+
+# What `FiniteGroup.product` was before products became lazy, kept verbatim
+# (only `cls` is spelled out): the lazy product must answer as this does.
+def eager_product(factors: list["FiniteGroup"]) -> "FiniteGroup":
+    """Direct product; element ids are factor ids joined by "|".
+
+    Operations are coordinatewise, and the factors are kept in `factors`.
+    """
+    for f in factors:
+        for e in f.elements:
+            if "|" in e:
+                raise LoadError(f"factor element id {e!r} contains separator '|'")
+    elements = tuple(map("|".join, itertools.product(*(f.elements for f in factors))))
+    identity = "|".join(f.identity for f in factors)
+
+    # `mul` and `inv` pass only elements, so each id has one part per factor
+    def mul(a: str, b: str) -> str:
+        pairs = zip(factors, a.split("|"), b.split("|"))
+        return "|".join(f._mul(x, y) for f, x, y in pairs)
+
+    def inv(a: str) -> str:
+        return "|".join(f._inv(x) for f, x in zip(factors, a.split("|")))
+
+    g = FiniteGroup(elements, identity, mul, inv)
+    g.factors = tuple(factors)
+    return g
 
 
 # What `serialize.dumps_canonical` was before it became a recursive writer,

@@ -14,14 +14,18 @@ from crossed_desc import (
     FiniteGroup,
     LoadError,
     ResourceBoundError,
+    gauge_classes,
     homotopy,
     is_weak_equivalence_crossed,
+    is_weak_equivalence_diagram,
     validate_crossed,
     validate_diagram,
     validate_diagram_morphism,
     validate_group,
+    verify_bijection,
 )
 from crossed_desc import fixtures
+from crossed_desc.crossed import DisconnectedGroupoid
 from crossed_desc.fixtures import (
     FixtureSpec,
     NAMED_CROSSED,
@@ -41,11 +45,12 @@ from crossed_desc.fixtures import (
 )
 from crossed_desc.fixtures import _power_level
 
-from builders import FATTENING_BASES, ODD_ID_BASES, POWER_BASES
+from builders import FATTENING_BASES, ODD_ID_BASES, POWER_BASES, renamed_group
 from oracles import (
     brute_automorphisms,
     cech_tables,
     cech_two_cocycle_count,
+    eager_product,
     fatten_tables,
     pairwise_automorphisms,
     power_tables,
@@ -390,27 +395,54 @@ def test_fattened_products_of_every_pair_answer_as_the_relabeled_oracle(name):
             assert _outcome(fat.g2.mul, a, b) == _outcome(g2.mul, a, b)
 
 
+def _traced(f):
+    """f(), and the bytes its run allocated at its peak and still held when
+    it returned, as tracemalloc counts them."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = f()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - start, held - start
+
+
 @pytest.mark.hashseed
 def test_a_fattening_is_freed_with_its_last_reference():
     """With the cyclic collector off, dropping a fattening of cover level 3,
     or the fattened cover spec's inclusion, frees its tagged groups and the
-    level-3 group they tag: no reference cycle keeps them alive."""
+    level-3 group they tag: no reference cycle keeps them alive.  A power
+    group's memo of accepted ids goes with it: 4,096 ids accepted, then the
+    group dropped, leave under 64 KiB allocated."""
     spec = FixtureSpec("fatten", {"base": {"kind": "cech", "params": {"base": "fix-a-core"}}})
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+
+    def build_and_drop():
         level = cech_diagram(fix_a_core(), 2).levels[3]
         fat, incl = fatten(level, 2)
         assert is_weak_equivalence_crossed(incl)[0]
-        tagged = fat.g2.group("*@1")
+        tagged, power = fat.g2.group("*@1"), level.g2.group("*")
         assert tagged.mul(tagged.identity, tagged.identity) == tagged.identity
-        refs = [weakref.ref(tagged), weakref.ref(level.g2.group("*"))]
-        del level, fat, incl, tagged
+        assert all("|".join(f"2.{b}" for b in f"{i:016b}") in power for i in range(4096))
+        assert len(power._accepted) == 4096 and "elements" not in vars(power)
+        refs = [weakref.ref(tagged), weakref.ref(power)]
+        del level, fat, incl, tagged, power
         _, F = build_fixture(spec)
         refs += [weakref.ref(F.target.levels[3].g2.group("*@0")),
                  weakref.ref(F.source.levels[3].g2.group("*"))]
         del F
+        return refs
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs, _, held = _traced(build_and_drop)
         assert [ref() for ref in refs] == [None] * 4
+        assert held < 2**16
     finally:
         if enabled:
             gc.enable()
@@ -424,20 +456,43 @@ def test_fattening_a_cover_level_and_checking_its_inclusion_stay_small(diag_cech
     base and is computed first."""
     level = diag_cech.levels[3]
     homotopy(level)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        fat, incl = fatten(level, 2)
-        ok, report = is_weak_equivalence_crossed(incl)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    (ok, report), peak, _ = _traced(lambda: is_weak_equivalence_crossed(fatten(level, 2)[1]))
     assert ok and report.ok
-    assert peak - start < 2**20
+    assert peak < 2**20
+
+
+def _cover():
+    D = cech_diagram(fix_a_core(), 2)
+    return D, D.levels[3].power[1] == 16
+
+
+def _cover_classes():
+    D = cech_diagram(fix_a_core(), 2)
+    classes = gauge_classes(D)
+    return D, (len(classes.members), len(classes.reps)) == (8, 1)
+
+
+def _fattened_cover_transfer():
+    D = cech_diagram(fix_a_core(), 2)
+    _, F = fatten_diagram(D, 2)
+    return D, (is_weak_equivalence_diagram(F)[0], verify_bijection(F).agree)
+
+
+@pytest.mark.parametrize("work, bound", [
+    (_cover, 2**20),
+    (_cover_classes, 2 * 2**20),
+    (_fattened_cover_transfer, 2 * 2**20),
+], ids=["build", "classes", "weq-and-bijection"])
+def test_a_cover_and_its_fattening_never_list_level_3(work, bound):
+    """Building the cover (fix-a-core, 2 indices), classifying its descent
+    data, and checking the weak equivalence and the bijection of classes of
+    its fattening (n = 2) list no level-3 element (65,536 of them), build no
+    owner dict and read no level-3 pi2: each traced peak, the build
+    included, stays under its bound (12-13 MiB when level 3 was listed)."""
+    (D, result), peak, _ = _traced(work)
+    assert result
+    assert "elements" not in vars(D.levels[3].g2.group("*"))
+    assert peak < bound
 
 
 @pytest.mark.parametrize(
@@ -514,6 +569,99 @@ def test_power_views_answer_as_the_entry_oracle(data):
         else:
             with pytest.raises(KeyError):
                 view[key]
+
+
+def test_a_product_refuses_a_factor_id_containing_its_separator():
+    """Lazy membership splits an id on "|", which is sound only because no
+    factor id contains "|": a product refuses such a factor, in any place."""
+    bad, z2 = renamed_group(cyclic_group(2), {"0": "1", "1": "a|b"}), cyclic_group(2)
+    for factors in ([bad], [z2, bad], [bad, z2, z2]):
+        for product in (FiniteGroup.product, eager_product):
+            with pytest.raises(LoadError) as exc:
+                product(factors)
+            assert str(exc.value) == "factor element id 'a|b' contains separator '|'"
+
+
+# exponents of each power base small enough that the eager oracle is quick
+_SMALL_POWERS = [(name, k) for name, (_, ks) in sorted(POWER_BASES.items()) for k in ks if k <= 4]
+_PARTS = sorted({e for make in NAMED_GROUPS.values() for e in make()})
+
+
+def _probes(data, eager):
+    """Members of `eager` and ids that are not: one part too few or too
+    many, "", "|", a trailing "|", a part of another group put in one place,
+    a tagged member, and values that are not strings."""
+    members = data.draw(st.lists(st.sampled_from(eager.elements), min_size=1, max_size=3))
+    a = members[0]
+    parts = a.split("|")
+    i = data.draw(st.integers(0, len(parts) - 1))
+    swapped = "|".join(parts[:i] + [data.draw(st.sampled_from(_PARTS))] + parts[i + 1:])
+    return members + ["|".join(parts[:-1]), f"{a}|{parts[0]}", "", "|", f"{a}|", swapped,
+                      f"{a}@0", None, 5, ("a",)]
+
+
+def _answers_as(lazy, eager, probes):
+    """Each group answers `in`, `mul`, `inv` and their `_or_none` forms on
+    every probe (pair) as the other does, errors and messages included."""
+    for a in probes:
+        assert (a in lazy) == (a in eager)
+        assert _outcome(lazy.inv, a) == _outcome(eager.inv, a)
+        assert lazy.inv_or_none(a) == eager.inv_or_none(a)
+        for b in probes:
+            assert _outcome(lazy.mul, a, b) == _outcome(eager.mul, a, b)
+            assert lazy.mul_or_none(a, b) == eager.mul_or_none(a, b)
+
+
+# no deadline: the eager oracle of a large draw lists over a thousand ids
+@pytest.mark.hashseed
+@settings(deadline=None)
+@given(st.data())
+def test_lazy_products_and_power_views_answer_as_the_eager_oracle(data):
+    """A product of named groups (a power, or mixed factors such as
+    Z/2 x S3) answers as the eagerly listed product (`eager_product`) before
+    and after its elements are first listed, and lists the same elements in
+    the same order.  A power level's owner view answers as the owner dict
+    built from that eager group, and its pi2 view holds the old eager tuple:
+    the sorted ids of the power whose every part is in the base's kernel.
+    Nothing is listed until something iterates the group."""
+    if data.draw(st.booleans()):
+        make = NAMED_GROUPS[data.draw(st.sampled_from(sorted(NAMED_GROUPS)))]
+        factors = [make()] * data.draw(st.integers(1, 4))
+    else:
+        names = data.draw(st.lists(st.sampled_from(sorted(NAMED_GROUPS)), min_size=1, max_size=3))
+        factors = [NAMED_GROUPS[name]() for name in names]
+    lazy, eager = FiniteGroup.product(factors), eager_product(factors)
+    probes = _probes(data, eager)
+    _answers_as(lazy, eager, probes)
+    assert (len(lazy), lazy.identity, lazy.factors) == (len(eager), eager.identity, eager.factors)
+    assert "elements" not in vars(lazy)
+    assert lazy.elements == eager.elements and list(lazy) == list(eager)
+    _answers_as(lazy, eager, probes)
+
+    name, k = data.draw(st.sampled_from(_SMALL_POWERS))
+    base = POWER_BASES[name][0]()
+    (x,) = base.objects
+    level = _power_level(base, k)
+    g2, grp = level.g2, level.g2.group(x)
+    eager = eager_product([base.g2.group(x)] * k)
+    eager_g2 = DisconnectedGroupoid({x: eager})
+    probes = _probes(data, eager)
+    one = base.g1.identity(x)
+    kernel = tuple(sorted(a for a in eager if all(
+        base.feedback_table[p] == one for p in a.split("|"))))
+    pi2 = homotopy(level).pi2
+    assert (list(pi2), len(pi2), pi2[x], pi2.get("no such object")) == ([x], 1, kernel, None)
+    for listed in (False, True):
+        _answers_as(grp, eager, probes)
+        for a in probes:
+            assert (a in g2.owner) == (a in eager_g2.owner)
+            assert g2.owner.get(a, "miss") == eager_g2.owner.get(a, "miss")
+            assert _outcome(g2.object_of, a) == _outcome(eager_g2.object_of, a)
+            assert _outcome(g2.inv, a) == _outcome(eager_g2.inv, a)
+            for b in probes:
+                assert _outcome(g2.mul, a, b) == _outcome(eager_g2.mul, a, b)
+        assert ("elements" in vars(grp)) == listed
+        assert list(g2.owner) == list(eager_g2.owner) and len(g2.owner) == len(eager_g2.owner)
 
 
 def test_fattened_cover_tables_match_the_entry_oracle(diag_cech, fat_cech):
