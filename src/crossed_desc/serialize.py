@@ -32,6 +32,10 @@ distinct level and coface once.  Writing mirrors
 this: each distinct level and map object of a diagram or diagram morphism
 is converted once, and every position that holds it shares the payload.  A
 diagram morphism holds its source and target as explicit diagrams.
+
+Reading decodes each distinct level and coface text of a document once
+(`_decode`): a level, coface or level map whose text repeats an earlier one
+reuses its decoded JSON, with `json.loads`'s value, errors and offsets.
 """
 
 from __future__ import annotations
@@ -363,6 +367,91 @@ def _object(pairs: list) -> dict:
     return obj
 
 
+_scan_once = json.JSONDecoder(object_pairs_hook=_object).scan_once
+_skip_space = json.decoder.WHITESPACE.match
+
+# The members read one by one, by key and depth; "repeats" marks the
+# containers whose members may repeat an earlier one's text
+_DIAGRAM = {"levels": "repeats", "cofaces": "repeats"}
+_ENVELOPE = {"payload": {**_DIAGRAM, "source": _DIAGRAM, "target": _DIAGRAM}}
+
+
+def _decode(text: str):
+    """`json.loads(text, object_pairs_hook=_object)`: the same value, or the
+    same exception at the same offset.  Each element of a `levels` array and
+    value of a `cofaces` object whose text begins with the text of such a
+    container decoded earlier in the document is that earlier value: a
+    container ends at its matching bracket, so it decodes alike wherever it
+    stands.  A number is not self-delimiting and is never reused; text that
+    differs, if only in whitespace, is decoded in full.  Every other value
+    is one call of the C scanner."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    doc, end = _read(text, _skip_space(text).end(), _ENVELOPE, [])
+    end = _skip_space(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return doc
+
+
+def _scan(text: str, i: int):
+    """The JSON value at text[i] and its end, in one call of the C scanner."""
+    try:
+        return _scan_once(text, i)
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", text, err.value) from None
+
+
+def _read(text: str, i: int, keys, decoded: list):
+    """The JSON value at text[i] and its end.  An object (any container if
+    `keys` is "repeats") is read as the C scanner reads it, but each member
+    under a key of `keys` through `_read` with the keys it maps to, and each
+    member of a "repeats" container through `_repeated`."""
+    is_object = text.startswith("{", i)
+    if not (is_object or keys == "repeats" and text.startswith("[", i)):
+        return _scan(text, i)
+    close, items, key = "}" if is_object else "]", [], None
+    i = _skip_space(text, i + 1).end()
+    empty = text.startswith(close, i)
+    while not empty:  # ends at the closing bracket: a comma needs a member
+        if is_object:
+            if not text.startswith('"', i):
+                raise json.JSONDecodeError(
+                    "Expecting property name enclosed in double quotes", text, i)
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = _skip_space(text, i).end()
+            if not text.startswith(":", i):
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+            i = _skip_space(text, i + 1).end()
+        if keys == "repeats":
+            value, i = _repeated(text, i, decoded)
+        elif key in keys:
+            value, i = _read(text, i, keys[key], decoded)
+        else:
+            value, i = _scan(text, i)
+        items.append((key, value) if is_object else value)
+        i = _skip_space(text, i).end()
+        if text.startswith(close, i):
+            break
+        if not text.startswith(",", i):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+        i = _skip_space(text, i + 1).end()
+    return (_object(items) if is_object else items), i + 1
+
+
+def _repeated(text: str, i: int, decoded: list):
+    """The value at text[i] and its end: a container in `decoded` (pairs of
+    text and value, in document order) whose text starts there, else the
+    scanner's value, added to `decoded` if it is a container."""
+    for earlier, value in decoded:
+        if text.startswith(earlier, i):
+            return value, i + len(earlier)
+    value, end = _scan(text, i)
+    if isinstance(value, (dict, list)):
+        decoded.append((text[i:end], value))
+    return value, end
+
+
 def parse_document(text: str) -> tuple[str, object]:
     """Parse an envelope; returns (kind, structure).
 
@@ -371,7 +460,7 @@ def parse_document(text: str) -> tuple[str, object]:
     too deep for the JSON reader, raise LoadError.
     """
     try:
-        doc = json.loads(text, object_pairs_hook=_object)
+        doc = _decode(text)
     except RecursionError:
         raise LoadError("document nests too deeply") from None
     if not isinstance(doc, dict):

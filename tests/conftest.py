@@ -20,8 +20,10 @@ from crossed_desc.fixtures import (
 
 from builders import disjoint_union
 
-# HYPOTHESIS_PROFILE=ci fuzzes harder (CI runs it); local runs keep the default
-settings.register_profile("ci", max_examples=500)
+# HYPOTHESIS_PROFILE=ci fuzzes harder (CI runs it); local runs keep the default.
+# It prints a failing example's @reproduce_failure line, so a failure seen once
+# in a CI log can be replayed without waiting for it to recur
+settings.register_profile("ci", max_examples=500, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 

@@ -18,8 +18,9 @@ and map from its own payload (`unshared_*`), the fattening's eagerly
 relabeled groups, owner and inclusion (`relabeled_fattening`), and the
 weak-equivalence check that scanned every pi2 list
 (`scanned_weak_equivalence`), the one-line canonical JSON writer
-(`json_dumps_canonical`), and the product group that listed every element
-and its member set when it was built (`eager_product`).
+(`json_dumps_canonical`), the document parser that decoded every byte with
+`json.loads` (`json_parse_document`), and the product group that listed
+every element and its member set when it was built (`eager_product`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,14 @@ from crossed_desc.cosimplicial import DiagramMorphism
 from crossed_desc.crossed import DisconnectedGroupoid, FiniteGroup, homotopy
 from crossed_desc.fixtures import _element_orders, one_object_groupoid
 from crossed_desc.groupoid import _generators
-from crossed_desc.serialize import _maps_from_json, _require, crossed_from_json
+from crossed_desc.serialize import (
+    _PARSERS,
+    FORMAT_VERSION,
+    _maps_from_json,
+    _object,
+    _require,
+    crossed_from_json,
+)
 from crossed_desc.validation import DEFAULT_BOUND, LoadError, ValidationReport
 
 
@@ -84,6 +92,31 @@ def eager_product(factors: list["FiniteGroup"]) -> "FiniteGroup":
 # bytes.
 def json_dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+# What `serialize.parse_document` was before it decoded each repeated level
+# and coface text once, kept verbatim (only renamed): `json.loads` decodes
+# every byte, then the same payload readers run.  The library's parser must
+# return what this returns and raise what this raises.
+def json_parse_document(text: str) -> tuple[str, object]:
+    try:
+        doc = json.loads(text, object_pairs_hook=_object)
+    except RecursionError:
+        raise LoadError("document nests too deeply") from None
+    if not isinstance(doc, dict):
+        raise LoadError("document is not a JSON object")
+    if doc.get("formatVersion") != FORMAT_VERSION:
+        raise LoadError(f"unrecognized format version {doc.get('formatVersion')!r}")
+    kind = doc.get("kind")
+    if kind not in _PARSERS:
+        raise LoadError(f"unknown document kind {kind!r}")
+    payload = doc.get("payload")
+    if payload is None:
+        raise LoadError("document has no payload")
+    try:
+        return kind, _PARSERS[kind](payload)
+    except (TypeError, AttributeError, KeyError, IndexError, ValueError) as exc:
+        raise LoadError(f"malformed {kind} payload: {exc}") from None
 
 
 def _skipped(seq, q):
