@@ -35,7 +35,8 @@ diagram morphism holds its source and target as explicit diagrams.
 
 Reading decodes each distinct level and coface text of a document once
 (`_decode`): a level, coface or level map whose text repeats an earlier one
-reuses its decoded JSON, with `json.loads`'s value, errors and offsets.
+reuses its decoded JSON.  The value is `json.loads`'s; on text that is not
+JSON, `json.loads` itself is run to raise its error.
 """
 
 from __future__ import annotations
@@ -375,31 +376,41 @@ _skip_space = json.decoder.WHITESPACE.match
 _DIAGRAM = {"levels": "repeats", "cofaces": "repeats"}
 _ENVELOPE = {"payload": {**_DIAGRAM, "source": _DIAGRAM, "target": _DIAGRAM}}
 
+# The most level and map members a valid document holds: a diagram
+# morphism's two diagrams (four levels and nine cofaces each) and four level
+# maps
+_MOST_MEMBERS = 2 * (4 + 9) + 4
+
+
+class _NotJSON(ValueError):
+    """The reader met text that is not JSON; `json.loads` says why."""
+
 
 def _decode(text: str):
-    """`json.loads(text, object_pairs_hook=_object)`: the same value, or the
-    same exception at the same offset.  Each element of a `levels` array and
-    value of a `cofaces` object whose text begins with the text of such a
-    container decoded earlier in the document is that earlier value: a
-    container ends at its matching bracket, so it decodes alike wherever it
-    stands.  A number is not self-delimiting and is never reused; text that
-    differs, if only in whitespace, is decoded in full.  Every other value
-    is one call of the C scanner."""
-    if text.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    doc, end = _read(text, _skip_space(text).end(), _ENVELOPE, [])
-    end = _skip_space(text, end).end()
-    if end != len(text):
-        raise json.JSONDecodeError("Extra data", text, end)
-    return doc
+    """`json.loads(text, object_pairs_hook=_object)`'s value.  Each element
+    of a `levels` array and value of a `cofaces` object whose text begins
+    with the text of such a container decoded earlier in the document is
+    that earlier value: a container ends at its matching bracket, so it
+    decodes alike wherever it stands.  A number is not self-delimiting and
+    is never reused; text that differs, if only in whitespace, is decoded in
+    full.  Every other value is one call of the C scanner.  On text that is
+    not JSON, `json.loads` itself raises, in the running Python's words."""
+    try:
+        doc, end = _read(text, _skip_space(text).end(), _ENVELOPE, [])
+        if _skip_space(text, end).end() == len(text):
+            return doc
+    except ValueError:  # json.JSONDecodeError is one
+        pass
+    json.loads(text, object_pairs_hook=_object)
+    raise AssertionError("json.loads accepts a text the reader rejects")
 
 
 def _scan(text: str, i: int):
     """The JSON value at text[i] and its end, in one call of the C scanner."""
     try:
         return _scan_once(text, i)
-    except StopIteration as err:
-        raise json.JSONDecodeError("Expecting value", text, err.value) from None
+    except StopIteration:
+        raise _NotJSON from None
 
 
 def _read(text: str, i: int, keys, decoded: list):
@@ -416,12 +427,11 @@ def _read(text: str, i: int, keys, decoded: list):
     while not empty:  # ends at the closing bracket: a comma needs a member
         if is_object:
             if not text.startswith('"', i):
-                raise json.JSONDecodeError(
-                    "Expecting property name enclosed in double quotes", text, i)
+                raise _NotJSON
             key, i = json.decoder.scanstring(text, i + 1)
             i = _skip_space(text, i).end()
             if not text.startswith(":", i):
-                raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+                raise _NotJSON
             i = _skip_space(text, i + 1).end()
         if keys == "repeats":
             value, i = _repeated(text, i, decoded)
@@ -434,7 +444,7 @@ def _read(text: str, i: int, keys, decoded: list):
         if text.startswith(close, i):
             break
         if not text.startswith(",", i):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+            raise _NotJSON
         i = _skip_space(text, i + 1).end()
     return (_object(items) if is_object else items), i + 1
 
@@ -442,7 +452,11 @@ def _read(text: str, i: int, keys, decoded: list):
 def _repeated(text: str, i: int, decoded: list):
     """The value at text[i] and its end: a container in `decoded` (pairs of
     text and value, in document order) whose text starts there, else the
-    scanner's value, added to `decoded` if it is a container."""
+    scanner's value, added to `decoded` if it is a container.  Once
+    `decoded` holds as many texts as a valid document has members, the
+    document is invalid, and the rest is scanned without a search."""
+    if len(decoded) >= _MOST_MEMBERS:
+        return _scan(text, i)
     for earlier, value in decoded:
         if text.startswith(earlier, i):
             return value, i + len(earlier)
