@@ -51,7 +51,6 @@ from .descent import (
     gauge_invert,
     is_descent_datum,
     is_gauge,
-    is_partial_gauge,
 )
 from .transfer import (
     BijectionReport,

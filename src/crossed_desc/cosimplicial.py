@@ -4,7 +4,14 @@ category.
 A diagram holds four crossed groupoids (levels 0..3) and coface morphisms
 d^k : level p -> level p+1 for 0 <= k <= p+1, p <= 2, satisfying the
 cosimplicial identities.  The map of a face is the composite of the cofaces
-for its skipped vertices; each diagram builds it once and keeps it.
+for its skipped vertices; each diagram builds it once and keeps it.  A
+diagram composes each distinct (after, before) pair of map objects once and
+keeps the composite with the pair: its faces, the sides of its cosimplicial
+identities, and the side through its coface of a naturality square of a
+diagram morphism out of or into it.  A constant diagram holds one coface
+object, so the eighteen sides of its identities are one composite.  What a
+diagram keeps is not rebuilt when a map is edited in place: edit a copy of
+the map and build a new diagram.
 """
 
 from __future__ import annotations
@@ -32,6 +39,11 @@ class CrossedDiagram:
     levels: tuple[CrossedGroupoid, CrossedGroupoid, CrossedGroupoid, CrossedGroupoid]
     cofaces: dict[tuple[int, int], CrossedMorphism]
     _faces: dict[tuple[tuple[int, ...], int], CrossedMorphism] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # (id(after), id(before)) -> (after, before, composite): the pair is kept
+    # with its composite, so its ids name no other objects while it is kept
+    _composites: dict[tuple[int, int], tuple[CrossedMorphism, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -70,9 +82,19 @@ class CrossedDiagram:
             raise DomainError(f"face {seq} of dimension {q} skips no vertex")
         F = self.cofaces[(p, skipped[0])]
         for dim, k in enumerate(skipped[1:], start=p + 1):
-            F = compose_crossed_morphisms(self.cofaces[(dim, k)], F)
+            F = self._compose(self.cofaces[(dim, k)], F)
         self._faces[(seq, q)] = F
         return F
+
+    def _compose(self, after: CrossedMorphism, before: CrossedMorphism) -> CrossedMorphism:
+        """`after` after `before`, composed once per distinct pair of map
+        objects and then kept."""
+        try:
+            return self._composites[(id(after), id(before))][2]
+        except KeyError:
+            composite = compose_crossed_morphisms(after, before)
+            self._composites[(id(after), id(before))] = (after, before, composite)
+            return composite
 
 
 def validate_diagram(D: CrossedDiagram) -> ValidationReport:
@@ -82,7 +104,8 @@ def validate_diagram(D: CrossedDiagram) -> ValidationReport:
     extended under every position that holds it.  Once all four levels are
     valid, each coface is checked by `validate_crossed_morphism` with
     `ends_valid`, which proves its functoriality and g2 homomorphisms on
-    generators; otherwise every pair is walked."""
+    generators; otherwise every pair is walked.  The sides of the
+    identities are composed once per distinct pair of cofaces (`_compose`)."""
     report = ValidationReport()
     for p, level_report in enumerate(_once_each(validate_crossed, D.levels)):
         report.extend(level_report, prefix=f"level {p}: ")
@@ -98,8 +121,8 @@ def validate_diagram(D: CrossedDiagram) -> ValidationReport:
         for j in range(p + 3):
             for i in range(j):
                 # d^j . d^i = d^i . d^{j-1} as maps level p -> level p+2
-                lhs = compose_crossed_morphisms(D.cofaces[(p + 1, j)], D.cofaces[(p, i)])
-                rhs = compose_crossed_morphisms(D.cofaces[(p + 1, i)], D.cofaces[(p, j - 1)])
+                lhs = D._compose(D.cofaces[(p + 1, j)], D.cofaces[(p, i)])
+                rhs = D._compose(D.cofaces[(p + 1, i)], D.cofaces[(p, j - 1)])
                 if not crossed_morphisms_equal(lhs, rhs):
                     witness = _first_difference(lhs, rhs)
                     report.add(
@@ -164,8 +187,8 @@ def validate_diagram_morphism(F: DiagramMorphism) -> ValidationReport:
     if not report.ok:
         return report
     for (p, k) in sorted(F.source.cofaces):
-        lhs = compose_crossed_morphisms(F.levels[p + 1], F.source.cofaces[(p, k)])
-        rhs = compose_crossed_morphisms(F.target.cofaces[(p, k)], F.levels[p])
+        lhs = F.source._compose(F.levels[p + 1], F.source.cofaces[(p, k)])
+        rhs = F.target._compose(F.target.cofaces[(p, k)], F.levels[p])
         if not crossed_morphisms_equal(lhs, rhs):
             report.add(
                 "naturality",

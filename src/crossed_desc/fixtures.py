@@ -318,8 +318,9 @@ def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism
     Returns the fattened crossed groupoid, marked `fattening = (C, n)`, and
     the inclusion of copy 0, which is a weak equivalence.  Only its g1 is
     built.  Everything else is a view of C: the groups are C's tagged
-    (`_TaggedGroup`), the g2 reads each 2-morphism's object from C's
-    (`_FattenedG2`), the twist and feedback tables compute their entries from
+    (`_TaggedGroup`), the g2's owner map reads each 2-morphism's object from
+    C's (`crossed._fattened_owner`, passed to `DisconnectedGroupoid(groups,
+    owner)`), the twist and feedback tables compute their entries from
     C's (`_fattened_tables`), and the inclusion's 2-morphism map is the tag
     map a -> a@0 (`_tag_map`), through which `is_weak_equivalence_crossed`
     proves its pi2 bijection without a scan.

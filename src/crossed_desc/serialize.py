@@ -30,8 +30,10 @@ has one level object and one coface object, an in-place edit of a loaded
 level reaches every position that shares it, and `validate` checks each
 distinct level and coface once.  Writing mirrors
 this: each distinct level and map object of a diagram or diagram morphism
-is converted once, and every position that holds it shares the payload.  A
-diagram morphism holds its source and target as explicit diagrams.
+is converted once, every position that holds it shares the payload, and
+`dumps_canonical` formats a shared payload once per `levels` array or
+`cofaces` object and repeats its text (`_members`).  A diagram morphism
+holds its source and target as explicit diagrams.
 
 Reading decodes each distinct level and coface text of a document once
 (`_decode`): a level, coface or level map whose text repeats an earlier one
@@ -42,6 +44,7 @@ JSON, `json.loads` itself is run to raise its error.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .crossed import CrossedGroupoid, CrossedMorphism, DisconnectedGroupoid, FiniteGroup
 from .cosimplicial import CrossedDiagram, DiagramMorphism, _once_each
@@ -54,14 +57,21 @@ FORMAT_VERSION = "crossed-desc/1"
 
 _encode = json.encoder.encode_basestring
 
+# The members written and read one by one, by key and depth; "repeats" marks
+# the containers whose members may repeat an earlier one
+_DIAGRAM = {"levels": "repeats", "cofaces": "repeats"}
+_ENVELOPE = {"payload": {**_DIAGRAM, "source": _DIAGRAM, "target": _DIAGRAM}}
 
-def _write(obj, indent: str) -> str:
+
+def _write(obj, indent: str, keys=None) -> str:
     """`obj` as `json.dumps(obj, sort_keys=True, indent=2,
     ensure_ascii=False)` writes it at nesting `indent`: strings through the
     C string encoder, and a list of strings, a list of string rows or a dict
     of string values each with one join; any other scalar through
     `json.dumps`.  The encoder raises TypeError on anything but a string, so
-    each joined path gives way to the general one at its first other value."""
+    each joined path gives way to the general one at its first other value.
+    A member under a key of `keys` is written with the keys it maps to, and
+    the members of a "repeats" container through `_members`."""
     if isinstance(obj, str):
         return _encode(obj)
     inner = indent + "  "
@@ -69,15 +79,23 @@ def _write(obj, indent: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        keys = sorted(obj)
-        try:
-            body = sep.join([f"{_encode(k)}: {_encode(obj[k])}" for k in keys])
-        except TypeError:
-            body = sep.join([f"{_encode(k)}: {_write(obj[k], inner)}" for k in keys])
+        names = sorted(obj)
+        if keys == "repeats":
+            texts = _members([obj[k] for k in names], inner)
+            body = sep.join([f"{_encode(k)}: {text}" for k, text in zip(names, texts)])
+        else:
+            try:
+                body = sep.join([f"{_encode(k)}: {_encode(obj[k])}" for k in names])
+            except TypeError:
+                body = sep.join([f"{_encode(k)}: {_write(obj[k], inner, keys and keys.get(k))}"
+                                 for k in names])
         return f"{{\n{inner}{body}\n{indent}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if keys == "repeats":
+            body = sep.join(_members(obj, inner))
+            return f"[\n{inner}{body}\n{indent}]"
         try:
             body = sep.join(map(_encode, obj))
         except TypeError:
@@ -94,10 +112,28 @@ def _write(obj, indent: str) -> str:
     return json.dumps(obj)
 
 
+def _members(values: list, indent: str):
+    """The text of each of `values` at `indent`, written once per distinct
+    object: a diagram holds one level or map object at several positions.
+    The repeats are counted first, so a text is kept only for an object that
+    recurs, and only until its last position."""
+    left = Counter(map(id, values))
+    kept = {}
+    for value in values:
+        key = id(value)
+        left[key] -= 1
+        text = kept.pop(key) if key in kept else _write(value, indent)
+        if left[key]:
+            kept[key] = text
+        yield text
+
+
 def dumps_canonical(obj) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"`,
-    byte for byte, for JSON values with string keys (`_write`)."""
-    return _write(obj, "") + "\n"
+    byte for byte, for JSON values with string keys (`_write`).  In an
+    envelope, each distinct level and map object of a diagram's `levels` and
+    `cofaces` and of a diagram morphism's `levels` is formatted once."""
+    return _write(obj, "", _ENVELOPE) + "\n"
 
 
 def envelope(kind: str, payload) -> dict:
@@ -243,9 +279,10 @@ def _maps_from_json(
 
 def diagram_to_json(D: CrossedDiagram, memo: dict | None = None) -> dict:
     """D's payload, written once per distinct level and coface object: the
-    positions that hold one object share one payload dict, so copy the
-    payload before editing one position in place.  `memo` is `_once_each`'s,
-    shared with the caller's other writes."""
+    positions that hold one object share one payload dict, which
+    `dumps_canonical` then formats once, so copy the payload before editing
+    one position in place.  `memo` is `_once_each`'s, shared with the
+    caller's other writes."""
     memo = {} if memo is None else memo
     levels = list(_once_each(crossed_to_json, D.levels, memo))
     keys = sorted(D.cofaces)
@@ -370,11 +407,6 @@ def _object(pairs: list) -> dict:
 
 _scan_once = json.JSONDecoder(object_pairs_hook=_object).scan_once
 _skip_space = json.decoder.WHITESPACE.match
-
-# The members read one by one, by key and depth; "repeats" marks the
-# containers whose members may repeat an earlier one's text
-_DIAGRAM = {"levels": "repeats", "cofaces": "repeats"}
-_ENVELOPE = {"payload": {**_DIAGRAM, "source": _DIAGRAM, "target": _DIAGRAM}}
 
 # The most level and map members a valid document holds: a diagram
 # morphism's two diagrams (four levels and nine cofaces each) and four level

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .cosimplicial import CrossedDiagram, DiagramMorphism
+from .cosimplicial import CrossedDiagram, DiagramMorphism, _once_each
 from .crossed import is_weak_equivalence_crossed
 from .descent import (
     ClassTable,
@@ -83,11 +83,11 @@ def apply_morphism_gauge(F: DiagramMorphism, t: GaugeTransformation) -> GaugeTra
 def is_weak_equivalence_diagram(F: DiagramMorphism) -> tuple[bool, ValidationReport]:
     """Levelwise weak-equivalence check; the report names every failing level.
 
-    It keeps no verdict: each call checks the four levels, whose homotopy
-    invariants are kept on the level objects."""
+    Each distinct level map is checked once, and its report is extended under
+    every level that holds it.  It keeps no verdict: each call checks the
+    distinct maps again, whose ends keep their homotopy invariants."""
     report = ValidationReport()
-    for p in range(4):
-        _, level_report = is_weak_equivalence_crossed(F.levels[p])
+    for p, (_, level_report) in enumerate(_once_each(is_weak_equivalence_crossed, F.levels)):
         report.extend(level_report, prefix=f"level {p}: ")
     return report.ok, report
 

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from crossed_desc.fixtures import (
 from crossed_desc.serialize import (
     KINDS,
     _WRITERS,
+    diagram_to_json,
     envelope,
     dumps_canonical,
     parse_document,
@@ -570,9 +572,15 @@ def test_consecutive_calls_do_not_leak_flags(run, fixa_doc, fat_spec_doc):
     assert _build_parser() is _build_parser()
 
 
-def test_transfer_checks_weak_equivalence_once(run, fat_spec_doc, monkeypatch):
+@pytest.mark.parametrize("base, maps", [
+    ({"kind": "constant-diagram", "params": {"base": "fix-a-core"}}, 1),
+    (CECH_SPEC, 4),
+], ids=["constant", "cech"])
+def test_transfer_checks_weak_equivalence_once(run, tmp_path, monkeypatch, base, maps):
     """`transfer` checks the morphism before `verify_bijection` does; the
-    levelwise check runs once, one call per level."""
+    levelwise check runs once, one call per distinct level map: the
+    inclusion into a fattened constant diagram holds one map at all four
+    levels, the inclusion into a fattened cover four."""
     calls = []
     check = transfer.is_weak_equivalence_crossed
 
@@ -581,9 +589,33 @@ def test_transfer_checks_weak_equivalence_once(run, fat_spec_doc, monkeypatch):
         return check(F)
 
     monkeypatch.setattr(transfer, "is_weak_equivalence_crossed", counted)
-    code, _ = run("transfer", fat_spec_doc)
+    spec = {"kind": "fatten", "params": {"base": base, "copies": 2}}
+    code, _ = run("transfer", _write(tmp_path, "fat", envelope("fixture-spec", spec)))
     assert code == 0
-    assert len(calls) == 4
+    assert len(calls) == len({id(F) for F in calls}) == maps
+
+
+@pytest.mark.hashseed
+def test_a_shared_level_map_is_named_at_every_level(run, tmp_path):
+    """A level map that is no weak equivalence and stands at all four levels
+    is checked once and named under every level, in the bytes the check of
+    each level wrote."""
+    doc = _inclusion_doc("s3-a3")
+    for maps in doc["payload"]["levels"]:
+        _automorphism_across_copies([maps])
+    path = _write(tmp_path, "shared", doc)
+    _, F = parse_document(json.dumps(doc))
+    assert len({id(maps) for maps in F.levels}) == 1
+    detail = "induced map on pi1 at * leaves the automorphisms of *@0"
+    expected = json_dumps_canonical({
+        "report": {"ok": False, "violations": [
+            {"detail": f"level {p}: {detail}", "rule": "pi1"} for p in range(4)]},
+        "weakEquivalence": False,
+    })
+    for command, extra, exit_code in (
+        ("weq", (), 1), ("transfer", (), 4), ("lift", ("--target", "0"), 4)
+    ):
+        assert run(command, path, *extra) == (exit_code, expected)
 
 
 def test_bench_tracer_wraps_names_the_package_has():
@@ -954,6 +986,78 @@ def test_writer_matches_json_dumps(value):
     nested containers, tuples, string rows, escapes, control characters,
     non-ASCII characters and lone surrogates."""
     assert dumps_canonical(value) == json_dumps_canonical(value)
+
+
+_scalars = st.none() | st.booleans() | st.integers() | _strings
+
+
+@st.composite
+def _shared_trees(draw):
+    """An envelope-shaped JSON tree whose containers come from a small pool,
+    so one object stands at several positions: repeated and interleaved in
+    `levels` arrays and `cofaces` objects, at two depths, outside those
+    keys, and inside another pool member.  Those keys also hold a pool
+    member whole (a `levels` object, a `cofaces` array) or a scalar, and
+    empty containers come up as pool members and as empty tables."""
+    pool = []
+    for container in draw(st.lists(st.dictionaries(_strings, _scalars, max_size=3)
+                                   | st.lists(_scalars, max_size=3), min_size=1, max_size=3)):
+        if pool and draw(st.booleans()):
+            inner = draw(st.sampled_from(pool))
+            if isinstance(container, dict):
+                container["inner"] = inner
+            else:
+                container.append(inner)
+        pool.append(container)
+    values = [*pool, *draw(st.lists(_scalars, max_size=2))]
+
+    def repeats():
+        members = draw(st.lists(st.sampled_from(values), max_size=6))
+        table = draw(st.sampled_from(["array", "object", "value"]))
+        if table == "value":
+            return draw(st.sampled_from(values))
+        if table == "array":
+            return members
+        return dict(zip(["0,0", "0,1", "1,0", "1,1", "1,2", "2,0"], members))
+
+    def diagram():
+        return {"levels": repeats(), "cofaces": repeats(), "other": draw(st.sampled_from(values))}
+
+    payload = diagram()
+    payload["source"] = diagram() if draw(st.booleans()) else draw(st.sampled_from(values))
+    payload["target"] = diagram()
+    return {"formatVersion": "crossed-desc/1", "kind": "diagram", "payload": payload}
+
+
+@pytest.mark.hashseed
+@given(_shared_trees())
+def test_writer_matches_json_dumps_on_shared_members(value):
+    """A member of a `levels` array or `cofaces` object that repeats an
+    earlier member is written once and its text repeated: the bytes stay
+    `json.dumps`'s wherever the shared objects stand."""
+    assert dumps_canonical(value) == json_dumps_canonical(value)
+
+
+@pytest.mark.hashseed
+def test_writing_distinct_equal_levels_keeps_no_text():
+    """A diagram document whose four levels and nine cofaces are equal but
+    distinct objects (as relabeling writes them) shares nothing, so the
+    writer keeps no member's text: the peak stays at the two copies of the
+    document that the final joins hold.  With shared objects, one kept text
+    stands for the positions' own.  A member's text kept past its container,
+    into the joins of the enclosing objects, would add to the peak."""
+    shared = diagram_to_json(fatten_diagram(constant_diagram(NAMED_CROSSED["inner-s3"]()), 3)[0])
+    for payload in (json.loads(json.dumps(shared)), shared):
+        doc = envelope("diagram", payload)
+        dumps_canonical(doc)
+        tracemalloc.start()
+        try:
+            text = dumps_canonical(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 900_000
+        assert peak < 2 * len(text) + 16 * 1024
 
 
 @pytest.mark.hashseed

@@ -18,10 +18,10 @@ from crossed_desc import (
     validate_diagram,
     validate_diagram_morphism,
 )
-from crossed_desc import serialize
+from crossed_desc import cosimplicial, serialize
 from crossed_desc.cli import main
-from crossed_desc.cosimplicial import CrossedMorphism, DiagramMorphism
-from crossed_desc.crossed import _power_tables
+from crossed_desc.cosimplicial import CrossedMorphism, DiagramMorphism, identity_diagram_morphism
+from crossed_desc.crossed import _power_tables, compose_crossed_morphisms, crossed_morphisms_equal
 from crossed_desc.fixtures import (
     NAMED_CROSSED,
     FixtureSpec,
@@ -338,6 +338,79 @@ def test_coface_law_only_failure_is_walked_in_full(rule, level, kind):
     report = validate_diagram(D)
     assert report.rules() == {rule}
     assert [(v.rule, v.detail) for v in report] == walked_diagram_violations(D)
+
+
+@pytest.mark.hashseed
+def test_an_automorphism_at_one_position_of_a_shared_coface_matches_the_walks():
+    """Inversion on Z/3 at d^1 out of level 1, where a constant diagram holds
+    one identity coface at all nine positions, keeps every coface valid and
+    breaks the four identities that compose it with the shared identity on
+    one side only.  The report is the walks', also after the unedited
+    diagram has composed its own pairs."""
+    D = constant_diagram(crossed_group(cyclic_group(3)))
+    assert validate_diagram(D).ok
+    edited = with_coface_entry(D, (1, 1), "mor2", "2.1", "2.2")
+    edited = with_coface_entry(edited, (1, 1), "mor2", "2.2", "2.1")
+    report = [(v.rule, v.detail) for v in validate_diagram(edited)]
+    assert report == walked_diagram_violations(edited)
+    assert [rule for rule, _ in report] == ["cosimplicial-identity"] * 4
+    assert validate_diagram(D).ok
+
+
+def _compositions(monkeypatch) -> list:
+    """The pairs `compose_crossed_morphisms` composes from now on."""
+    calls = []
+    compose = cosimplicial.compose_crossed_morphisms
+
+    def counted(after, before):
+        calls.append((after, before))
+        return compose(after, before)
+
+    monkeypatch.setattr(cosimplicial, "compose_crossed_morphisms", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make, validate, pairs", [
+    # one coface object: all eighteen sides of the identities are one pair
+    (lambda: constant_diagram(NAMED_CROSSED["inner-s3"]()), validate_diagram, 1),
+    # nine coface objects: the eighteen sides are eighteen distinct pairs
+    (lambda: cech_diagram(fix_a_core(), 2), validate_diagram, 18),
+    # one level map and one coface: each side of the nine squares is one
+    # pair, and the diagram's identities one more
+    (lambda: identity_diagram_morphism(constant_diagram(NAMED_CROSSED["inner-s3"]())),
+     validate_diagram_morphism, 3),
+], ids=["constant", "cech", "identity-morphism"])
+def test_each_distinct_pair_of_maps_is_composed_once(monkeypatch, make, validate, pairs):
+    """The validators compose each distinct (after, before) pair of map
+    objects once, and a second validation composes nothing."""
+    structure = make()
+    calls = _compositions(monkeypatch)
+    assert validate(structure).ok
+    assert len(calls) == len({(id(a), id(b)) for a, b in calls}) == pairs
+    assert validate(structure).ok
+    assert len(calls) == pairs
+
+
+@pytest.mark.parametrize("make", [
+    lambda: constant_diagram(NAMED_CROSSED["inner-s3"]()),
+    lambda: fatten_diagram(constant_diagram(NAMED_CROSSED["inner-s3"]()), 2)[0],
+    lambda: cech_diagram(fix_a_core(), 2),
+], ids=["constant", "fattened", "cech"])
+def test_every_face_is_its_cofaces_composed_afresh(make):
+    """Each face, built through the kept composites after the identities
+    were checked, is the map its cofaces compose to in ascending order."""
+    D = make()
+    assert validate_diagram(D).ok
+    for q in range(1, 4):
+        for p in range(q):
+            for seq in itertools.combinations(range(q + 1), p + 1):
+                skipped = [k for k in range(q + 1) if k not in seq]
+                fresh = D.cofaces[(p, skipped[0])]
+                for dim, k in enumerate(skipped[1:], start=p + 1):
+                    fresh = compose_crossed_morphisms(D.cofaces[(dim, k)], fresh)
+                F = D.face(seq, q)
+                assert F.source is fresh.source and F.target is fresh.target
+                assert crossed_morphisms_equal(F, fresh)
 
 
 def _distinct(objects) -> int:
