@@ -9,7 +9,10 @@ once per crossed groupoid (they are kept on it), and decides weak
 equivalence.  A derived table is a `_View`: a read-only mapping that computes
 each entry from the tables it derives from, built by one factory per
 derivation.  A derived group is a `_LazyGroup`: it lists nothing until
-iterated, and decodes each distinct id once to decide membership.  A power
+iterated, and decodes each distinct id once to decide membership; its `mul`
+and `inv` answer membership from the ids it has accepted before they decode
+one.  A tagged group multiplies through its base's unchecked products, and a
+product of table-backed groups through the factors' tables.  A power
 of a one-object crossed group (a Čech cover level) has a lazy product group,
 an owner view, a lazy pi2, and twist and feedback views of the base's
 (`_power_tables`); the power check and `homotopy` read it through its base.
@@ -49,8 +52,12 @@ class FiniteGroup:
     """A finite group on string element ids.
 
     Multiplication may be table-backed or computed; ``mul(a, b)`` means
-    "b first, then a", matching the groupoid composition convention.
+    "b first, then a", matching the groupoid composition convention.  A
+    table-backed group (`from_table`) keeps its `table` and `inverses`.
     """
+
+    table: dict[tuple[str, str], str] | None = None
+    inverses: dict[str, str] | None = None
 
     def __init__(
         self,
@@ -99,7 +106,9 @@ class FiniteGroup:
             except KeyError:
                 raise LoadError(f"inverse of {a!r} missing from table") from None
 
-        return cls(elements, identity, mul, inv)
+        group = cls(elements, identity, mul, inv)
+        group.table, group.inverses = table, inverses
+        return group
 
     @classmethod
     def product(cls, factors: list["FiniteGroup"]) -> "FiniteGroup":
@@ -182,15 +191,27 @@ class _LazyGroup(FiniteGroup):
             return True
         return False
 
+    # an id accepted before needs no call of `__contains__`
+    def mul(self, a: str, b: str) -> str:
+        if a in self._accepted and b in self._accepted:
+            return self._mul(a, b)
+        return FiniteGroup.mul(self, a, b)
+
+    def inv(self, a: str) -> str:
+        if a in self._accepted:
+            return self._inv(a)
+        return FiniteGroup.inv(self, a)
+
 
 class _TaggedGroup(_LazyGroup):
     """B's group with every id suffixed by `tag` ("@i"): the group at x@i of
-    a fattening.  Membership strips the tag and asks B."""
+    a fattening.  Membership strips the tag and asks B, so `mul` and `inv`
+    pass B's unchecked ones only B's elements."""
 
     def __init__(self, base: FiniteGroup, tag: str):
         cut = -len(tag)
-        super().__init__(base.identity + tag, lambda a, b: base.mul(a[:cut], b[:cut]) + tag,
-                         lambda a: base.inv(a[:cut]) + tag)
+        super().__init__(base.identity + tag, lambda a, b: base._mul(a[:cut], b[:cut]) + tag,
+                         lambda a: base._inv(a[:cut]) + tag)
         self._base, self._tag = base, tag
 
     def _listing(self):
@@ -205,7 +226,10 @@ class _TaggedGroup(_LazyGroup):
 
 class _ProductGroup(_LazyGroup):
     """The direct product of `factors` (`FiniteGroup.product`), listed in
-    `itertools.product` order; membership splits an id on "|"."""
+    `itertools.product` order; membership splits an id on "|".  When every
+    factor is table-backed, a product or inverse reads the factors' tables
+    in one pass; a coordinate the tables lack is computed again factor by
+    factor, which raises that factor's `LoadError`."""
 
     def __init__(self, factors: tuple[FiniteGroup, ...]):
         # `mul` and `inv` pass only elements, so each id has one part per factor
@@ -215,6 +239,23 @@ class _ProductGroup(_LazyGroup):
 
         def inv(a: str) -> str:
             return "|".join(f._inv(x) for f, x in zip(factors, a.split("|")))
+
+        if all(f.table is not None for f in factors):
+            tables, inverses = [f.table for f in factors], [f.inverses for f in factors]
+            mul_by_factor, inv_by_factor = mul, inv
+
+            def mul(a: str, b: str) -> str:
+                try:
+                    return "|".join(map(dict.__getitem__, tables,
+                                        zip(a.split("|"), b.split("|"))))
+                except KeyError:
+                    return mul_by_factor(a, b)
+
+            def inv(a: str) -> str:
+                try:
+                    return "|".join(map(dict.__getitem__, inverses, a.split("|")))
+                except KeyError:
+                    return inv_by_factor(a)
 
         super().__init__("|".join(f.identity for f in factors), mul, inv, factors)
         # each factor's member set; a lazy factor's proxy answers also once it is listed
@@ -291,7 +332,10 @@ class DisconnectedGroupoid:
     """A totally disconnected groupoid: one finite group per object.
 
     Element ids must be disjoint across objects, so every 2-morphism knows
-    its object: `owner` maps each to it.  A derived level, whose groups are
+    its object: `owner` maps each to it, and an id is an element of the
+    group at x exactly when `owner` maps it to x.  So a product taken in one
+    group of elements of that group is the checked `mul` here, which the
+    descent scans use.  A derived level, whose groups are
     lazy, gives a ready view: a fattening's reads its base's owner
     (`_fattened_owner`), a cover level's asks membership
     (`fixtures._power_level`).
@@ -324,14 +368,22 @@ class DisconnectedGroupoid:
         except KeyError:
             raise DomainError(f"unknown 2-morphism {a!r}") from None
 
+    # `owner` is read inline; on a miss, `object_of` words the error
     def mul(self, a: str, b: str) -> str:
-        x = self.object_of(a)
-        if self.object_of(b) != x:
+        try:
+            x, y = self.owner[a], self.owner[b]
+        except KeyError:
+            x, y = self.object_of(a), self.object_of(b)
+        if y != x:
             raise DomainError(f"{a!r} and {b!r} live at different objects")
         return self.groups[x].mul(a, b)
 
     def inv(self, a: str) -> str:
-        return self.groups[self.object_of(a)].inv(a)
+        try:
+            x = self.owner[a]
+        except KeyError:
+            x = self.object_of(a)
+        return self.groups[x].inv(a)
 
     def identity(self, x: str) -> str:
         return self.group(x).identity

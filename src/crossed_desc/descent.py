@@ -14,14 +14,22 @@ of any one member: `gauge_classes` reaches each class from its least member.
 The classification scan evaluates every candidate of every member, so it
 computes nothing more often than its inputs change: the face maps' dicts and
 the level tables once per diagram; per level-0 object, the rows
-(f, x', f_(1), f_(0)^-1, f_(0) at level 2) of its out-morphisms; per level-1
-2-cell c, feedback(c) and the images c_(0,1), c_(0,2), c_(1,2); and per
-member, the f-free inner 2-cell of the image for each c.  A candidate is then
-three composition lookups, one twist lookup and one membership lookup.  The
-input is not validated, so the tables need not be associative: every product
-keeps the bracketing of the checked formulas `_predicted_g` and
-`_predicted_a`, and a candidate whose lookups miss is evaluated by those
-formulas, which raise the checked error.
+(f, x', f_(1), f_(0) at level 2) of its out-morphisms, each with
+feedback(c) . f_(0)^-1 for every level-1 2-cell c; per c, the images
+c_(0,1), c_(0,2), c_(1,2); and per member, the f-free inner 2-cell of the
+image for each c.  A candidate is then two composition lookups, one twist
+lookup and one membership lookup.  The input is not validated, so the tables
+need not be associative: every product keeps the bracketing of the checked
+formulas `_predicted_g` and `_predicted_a`.
+
+The 2-cell arithmetic is typed: the inner 2-cell is multiplied in the group
+of the member's 2-cell at level 2, and the left side of the second descent
+condition in the group of a_(0,1,2) at level 3, through that group's own
+`mul` and `inv`, whose membership checks make each product the checked
+product of the level's g2 (an id is an element of the group at x exactly
+when g2's owner maps it to x).  The twisted right side and the twist of f_(0)
+are table reads.  Whatever misses or fails there is replayed from the start
+by the checked formulas, which raise the checked error.
 """
 
 from __future__ import annotations
@@ -133,6 +141,10 @@ def _cocycle_failure(D: CrossedDiagram, g: str) -> str:
 
 _CELL_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
+# what a typed product or table read raises where the checked formula must
+# be replayed: a miss, an id that is no key, or a checked error
+_FAST_PATH_FAILURES = (KeyError, TypeError, CrossedDescError)
+
 
 def _cell_faces(D: CrossedDiagram, a: str) -> tuple[str, str, str, str]:
     """a_(0,1,2), a_(0,1,3), a_(0,2,3) and a_(1,2,3) in level 3."""
@@ -141,10 +153,18 @@ def _cell_faces(D: CrossedDiagram, a: str) -> tuple[str, str, str, str]:
 
 def _twisted_lhs(L3: CrossedGroupoid, faces: tuple[str, str, str, str]) -> str:
     """a_(0,1,3)^-1 . a_(0,2,3) . a_(0,1,2) in level 3, from `_cell_faces`:
-    the side of the second descent condition that depends on a alone."""
+    the side of the second descent condition that depends on a alone.
+
+    Multiplied in the group of a_(0,1,2), where the checked products of
+    `L3.g2` must land; if anything there fails, the checked formula is
+    evaluated from the start and raises the checked error."""
     a012, a013, a023, _ = faces
-    grp = L3.g2
-    return grp.mul(grp.mul(grp.inv(a013), a023), a012)
+    try:
+        grp = L3.g2.groups[L3.g2.owner[a012]]
+        return grp.mul(grp.mul(grp.inv(a013), a023), a012)
+    except _FAST_PATH_FAILURES:
+        grp = L3.g2
+        return grp.mul(grp.mul(grp.inv(a013), a023), a012)
 
 
 def _twisted_rhs(L3: CrossedGroupoid, g01: str, a123: str) -> str:
@@ -192,7 +212,9 @@ def enumerate_descent(D: CrossedDiagram, bound: int = DEFAULT_BOUND) -> list[Des
     a; the right side per candidate.  What a candidate computes runs in
     `is_descent_datum`'s order (g_(0,1) after a's faces and before the left
     side), and what it reuses did not raise when computed, so the first
-    error raised is `is_descent_datum`'s."""
+    error raised is `is_descent_datum`'s.  The right side is a twist-table
+    read with g_(0,1)^-1 looked up once per g; on a miss `_twisted_rhs`
+    evaluates it checked."""
     total = 0
     plan = []
     for x in sorted(D.levels[0].objects):
@@ -208,6 +230,7 @@ def enumerate_descent(D: CrossedDiagram, bound: int = DEFAULT_BOUND) -> list[Des
         )
     out = []
     L2, L3 = D.levels[2], D.levels[3]
+    twist3, inverse3 = L3.twist_table, L3.g1.inverses
     sides: dict[str, tuple[str, str, str]] = {}  # a -> (feedback(a), a_(1,2,3), lhs)
     for x, homset, cells in plan:
         for g in homset:
@@ -219,10 +242,15 @@ def enumerate_descent(D: CrossedDiagram, bound: int = DEFAULT_BOUND) -> list[Des
                     feedback, faces = L2.feedback(a), _cell_faces(D, a)
                 if g01 is None:
                     g01 = D.face((0, 1), 3).apply_mor1(g)
+                    # None, which no 1-morphism is, where the lookup would fail
+                    g01_inv = inverse3.get(g01) if isinstance(g01, str) else None
                 if known is None:
                     known = sides[a] = feedback, faces[3], _twisted_lhs(L3, faces)
                 feedback, a123, lhs = known
-                rhs = _twisted_rhs(L3, g01, a123)
+                try:
+                    rhs = twist3[(g01_inv, a123)]
+                except _FAST_PATH_FAILURES:
+                    rhs = _twisted_rhs(L3, g01, a123)
                 if feedback == failure and lhs == rhs:
                     out.append(DescentDatum(x, g, a))
     return out
@@ -384,14 +412,16 @@ def gauge_classes(D: CrossedDiagram, bound: int = DEFAULT_BOUND) -> ClassTable:
     scanning member's class.  Every witness is verified.
 
     Each value of the scan is computed once per change of its inputs: the
-    face maps and level tables once per diagram, the 1-morphism rows once per
-    level-0 object and the 2-cell rows once per level-1 object (`_GaugeScan`),
-    and the f-free inner 2-cell once per member and 2-cell (`_gauge_images`).
-    A candidate then costs three composition lookups, one twist lookup and one
-    membership lookup.  The products keep the bracketing of `_predicted_g` and
-    `_predicted_a`, because the input is not validated and a table need not
-    be associative; a candidate whose lookups miss is evaluated by those
-    checked formulas, which raise the checked error.
+    face maps and level tables once per diagram, the 1-morphism rows (with
+    feedback(c) . f_(0)^-1 for each c) once per level-0 object and the 2-cell
+    rows once per level-1 object (`_GaugeScan`), and the f-free inner 2-cell
+    once per member and 2-cell, multiplied in the group of the member's
+    2-cell (`_gauge_images`).  A candidate then costs two composition
+    lookups, one twist lookup and one membership lookup.  The products keep
+    the bracketing of `_predicted_g` and `_predicted_a`, because the input is
+    not validated and a table need not be associative; a candidate whose
+    lookups miss, or whose inner 2-cell failed, is replayed by those checked
+    formulas, which raise the checked error.
     """
     members = enumerate_descent(D, bound)
     L0, L1 = D.levels[0], D.levels[1]
@@ -457,39 +487,39 @@ class _GaugeScan:
     """What the gauge scan of D reads: the level tables and face maps, and
     the rows below, each computed once.
 
+    `cells[x_(0)]`: the row (c, c_(0,1), c_(0,2), c_(1,2)) of each
+    2-morphism c at x_(0) of level 1, sorted.
     `rows[x]`, per level-0 object x of a member: x_(0) at level 1, and the row
-    (f, x', f_(1), f_(0)^-1, twist row of f_(0) at level 2) of each
-    f: x -> x', sorted.
-    `cells[x_(0)]`: the row (c, feedback(c), c_(0,1), c_(0,2), c_(1,2)) of
-    each 2-morphism c at x_(0), sorted.  An undefined image or inverse is
-    None, so every lookup that uses it misses.  Needs a member: its descent
-    check has built every face read here.
+    (f, x', f_(1), twist row of f_(0) at level 2, heads) of each f: x -> x',
+    sorted, where heads holds feedback(c) . f_(0)^-1 at level 1 for each c of
+    `cells[x_(0)]`.  An undefined image, inverse or composite is None, so
+    every lookup that uses it misses.  Needs a member: its descent check has
+    built every face read here.
     """
 
     def __init__(self, D: CrossedDiagram, members: list[DescentDatum]):
         L0, L1, L2 = D.levels[0], D.levels[1], D.levels[2]
         self.D = D
-        self.compose1 = L1.g1.table
+        self.compose1 = compose1 = L1.g1.table
         self.g01 = D.face((0, 1), 2).mor1_map
         f0, f1 = D.face((0,), 1).mor1_map, D.face((1,), 1).mor1_map
         f0_2 = D.face((0,), 2).mor1_map
-        inverse1 = L1.g1.inverses
+        c01, c02, c12 = (D.face(ij, 2).mor2_map for ij in ((0, 1), (0, 2), (1, 2)))
+        inverse1, feedback1 = L1.g1.inverses, L1.feedback_table
+        self.cells: dict[str, list[tuple]] = {}
         self.rows: dict[str, tuple[str, list[tuple]]] = {}
         for x in dict.fromkeys(m.x for m in members):
-            self.rows[x] = (vertex_object(D, x, 0, 1), [
-                (f, L0.g1.target[f], f1.get(f), inverse1.get(f0.get(f)),
-                 L2.twist_row(f0_2.get(f)))
-                for f in L0.g1.out_of(x)
-            ])
-        c01, c02, c12 = (D.face(ij, 2).mor2_map for ij in ((0, 1), (0, 2), (1, 2)))
-        feedback1 = L1.feedback_table
-        self.cells: dict[str, list[tuple]] = {}
-        for x0, _ in self.rows.values():
+            x0 = vertex_object(D, x, 0, 1)
             if x0 not in self.cells:
-                self.cells[x0] = [
-                    (c, feedback1[c], c01.get(c), c02.get(c), c12.get(c))
-                    for c in sorted(L1.g2.group(x0).elements)
-                ]
+                self.cells[x0] = [(c, c01.get(c), c02.get(c), c12.get(c))
+                                  for c in sorted(L1.g2.group(x0).elements)]
+            feedbacks = [feedback1[c] for c, _, _, _ in self.cells[x0]]
+            rows = []
+            for f in L0.g1.out_of(x):
+                f0_inv = inverse1.get(f0.get(f))
+                rows.append((f, L0.g1.target[f], f1.get(f), L2.twist_row(f0_2.get(f)),
+                             [compose1.get((d, f0_inv)) for d in feedbacks]))
+            self.rows[x] = (x0, rows)
 
 
 def _gauge_images(scan: _GaugeScan, src: DescentDatum):
@@ -500,23 +530,29 @@ def _gauge_images(scan: _GaugeScan, src: DescentDatum):
     row holds only the 2-morphisms at its 1-morphism's source), so a
     candidate whose lookups all hit has the checked value; one that misses
     is evaluated by `_predicted_g` and `_predicted_a`, which raise the
-    checked error.
+    checked error.  The f-free inner 2-cell of each c is multiplied in the
+    group of src.a at level 2, where the checked products of `_inner_cell`
+    must land, with its twist read from the table; where anything fails it
+    is None, and that c's candidates are evaluated checked.
     """
     D, L2 = scan.D, scan.D.levels[2]
     x0, rows = scan.rows[src.x]
     cells = scan.cells[x0]
-    g, g01 = src.g, scan.g01.get(src.g)
-    inners = []  # the f-free part of a', per c; None where it would raise
-    for _, _, c01, c02, c12 in cells:
+    g, a = src.g, src.a
+    grp, twist2 = L2.g2.groups[L2.g2.owner[a]], L2.twist_table
+    g01 = scan.g01.get(g)
+    g01_inv = L2.g1.inverses.get(g01) if isinstance(g01, str) else None
+    inners = []  # the f-free part of a', per c
+    for _, c01, c02, c12 in cells:
         try:
-            inners.append(_inner_cell(L2, src.a, g01, c01, c02, c12))
-        except CrossedDescError:
+            inners.append(grp.mul(grp.mul(grp.mul(grp.inv(c02), a), twist2[(g01_inv, c12)]), c01))
+        except _FAST_PATH_FAILURES:
             inners.append(None)
     compose = scan.compose1
-    for f, x_prime, f1, f0_inv, twist_f0 in rows:
-        for (c, feedback_c, _, _, _), inner in zip(cells, inners):
+    for f, x_prime, f1, twist_f0, heads in rows:
+        for (c, _, _, _), head, inner in zip(cells, heads, inners):
             try:
-                g_new = compose[(f1, compose[(g, compose[(feedback_c, f0_inv)])])]
+                g_new = compose[(f1, compose[(g, head)])]
                 a_new = twist_f0[inner]
             except KeyError:
                 t = GaugeTransformation(f, c)

@@ -38,7 +38,10 @@ holds its source and target as explicit diagrams.
 Reading decodes each distinct level and coface text of a document once
 (`_decode`): a level, coface or level map whose text repeats an earlier one
 reuses its decoded JSON.  The value is `json.loads`'s; on text that is not
-JSON, `json.loads` itself is run to raise its error.
+JSON, `json.loads` itself is run to raise its error, and a text without
+levels or cofaces (a groupoid, crossed groupoid or fixture spec) is read by
+`json.loads` alone.  A map value that is a JSON array or object is rejected,
+since an id is never a container.
 """
 
 from __future__ import annotations
@@ -268,13 +271,18 @@ def _maps_to_json(F: CrossedMorphism) -> dict:
 def _maps_from_json(
     d: dict, source: CrossedGroupoid, target: CrossedGroupoid, what: str
 ) -> CrossedMorphism:
-    return CrossedMorphism(
-        source,
-        target,
-        _require(d, "objects", what, dict),
-        _require(d, "mor1", what, dict),
-        _require(d, "mor2", what, dict),
-    )
+    maps = (_id_map(d, key, what) for key in ("objects", "mor1", "mor2"))
+    return CrossedMorphism(source, target, *maps)
+
+
+def _id_map(d, key, what) -> dict:
+    """The JSON object d[key], unless a value is a JSON array or object: an
+    image is an id, and a container is no key of any table."""
+    m = _require(d, key, what, dict)
+    if not {list, dict}.isdisjoint(map(type, m.values())):
+        k, v = next((k, v) for k, v in m.items() if type(v) in _JSON_TYPES)
+        raise LoadError(f"{what} payload {key!r} maps {k!r} to a JSON {_JSON_TYPES[type(v)]}")
+    return m
 
 
 def diagram_to_json(D: CrossedDiagram, memo: dict | None = None) -> dict:
@@ -426,7 +434,11 @@ def _decode(text: str):
     decodes alike wherever it stands.  A number is not self-delimiting and
     is never reused; text that differs, if only in whitespace, is decoded in
     full.  Every other value is one call of the C scanner.  On text that is
-    not JSON, `json.loads` itself raises, in the running Python's words."""
+    not JSON, `json.loads` itself raises, in the running Python's words.
+    A text that spells neither key goes to `json.loads` whole: reuse never
+    changes a value, and such a text has nothing to reuse."""
+    if '"cofaces"' not in text and '"levels"' not in text:
+        return json.loads(text, object_pairs_hook=_object)
     try:
         doc, end = _read(text, _skip_space(text).end(), _ENVELOPE, [])
         if _skip_space(text, end).end() == len(text):

@@ -960,6 +960,78 @@ def test_single_id_substitutions_end_in_an_exit_code(tmp_path_factory, doc):
         json.loads(out.getvalue())
 
 
+# a fattened diagram's coface 2,3, then the level map 1 of a fattening
+# inclusion, with the commands that read each
+_MAP_VALUE_CASES = (
+    ("diagram", ("cofaces", "2,3"), "coface",
+     (("validate",), ("desc",), ("desc", "--classes"))),
+    ("diagram-morphism", ("levels", 1), "level map",
+     (("validate",), ("weq",), ("transfer",), ("lift", "--target", "0"))),
+)
+
+
+def _map_value_runs(run, tmp_path, key, value):
+    """Every command of `_MAP_VALUE_CASES` on its document (of fix-c-core,
+    two copies) with the first value of map `key` set to `value`, as
+    (exit code, stdout), each with the map's kind and the entry's key."""
+    runs = []
+    for kind, (part, index), what, commands in _MAP_VALUE_CASES:
+        D, inclusion = fatten_diagram(constant_diagram(fix_c_core()), 2)
+        doc = json.loads(serialize_document(kind, D if kind == "diagram" else inclusion))
+        table = doc["payload"][part][index][key]
+        first = sorted(table)[0]
+        table[first] = value
+        path = _write(tmp_path, kind, doc)
+        runs += [(what, first, run(command[0], path, *command[1:])) for command in commands]
+    return runs
+
+
+@pytest.mark.parametrize("value, json_type", [([1], "array"), ({"a": 1}, "object")])
+@pytest.mark.parametrize("key", ["objects", "mor1", "mor2"])
+def test_a_map_value_that_is_a_container_is_a_load_error(run, tmp_path, key, value, json_type):
+    """A coface or level-map value that is a JSON array or object is no id:
+    every command that loads the document exits 2 and names the map, where
+    hashing the value raised TypeError."""
+    for what, first, outcome in _map_value_runs(run, tmp_path, key, value):
+        message = f"{what} payload {key!r} maps {first!r} to a JSON {json_type}"
+        assert outcome == (2, _error_bytes(message))
+
+
+# exit codes of the commands of `_MAP_VALUE_CASES`, in order, and the sha256
+# of their joined stdout, as they were before container values were refused
+_SCALAR_MAP_VALUES = {
+    (5, "objects"): ((1, 0, 0, 1, 1, 4, 4),
+                    "8d20ebdd58b7bdad395718b0a4146bbac5fe953bc2bad3af64a0c6b1717b9630"),
+    (5, "mor1"): ((1, 4, 4, 1, 1, 4, 4),
+                 "6aa28fc8dd1b5e6635f85f6652951c8dd536afef4c9fd428f14bb4acd459e951"),
+    (5, "mor2"): ((1, 4, 4, 1, 1, 4, 4),
+                 "163f095e023c016cd3c349bdd1350b3c9d3d758acaf76eeea0da48ec03cdd760"),
+    (None, "objects"): ((1, 0, 0, 1, 1, 4, 4),
+                       "25adeef6fd9be55d4891129cc5818c3b08ba65b4277879d1112fa2f08382842f"),
+    (None, "mor1"): ((1, 4, 4, 1, 1, 4, 4),
+                    "64554e0006f3b0d1789a2c37002ac798cbaf19e9f2d26600da7c0845aabcb5ea"),
+    (None, "mor2"): ((1, 4, 4, 1, 1, 4, 4),
+                    "b59807c95d24e584d3ac3f65abe2385b37ca277eebc2f15732f3b8457e8fe568"),
+    (True, "objects"): ((1, 0, 0, 1, 1, 4, 4),
+                       "29d1be0c1c23be2e0771cb1073c0c4c92b93889b066c03703167515c1540cd8f"),
+    (True, "mor1"): ((1, 4, 4, 1, 1, 4, 4),
+                    "919794b75266162f71cdfd0cf330763feb2e6566ba2aa7d89af6f877cf8a0756"),
+    (True, "mor2"): ((1, 4, 4, 1, 1, 4, 4),
+                    "71505fff6480c390764840144f2c3650e159d660e555544d05bda438facc4380"),
+}
+
+
+@pytest.mark.hashseed
+@pytest.mark.parametrize("value, key", sorted(_SCALAR_MAP_VALUES, key=repr))
+def test_a_scalar_map_value_keeps_its_output(run, tmp_path, value, key):
+    """A number, null or boolean map value still loads: each command reports
+    or raises as it did, with the same exit code and bytes."""
+    outcomes = [outcome for _, _, outcome in _map_value_runs(run, tmp_path, key, value)]
+    codes, digest = _SCALAR_MAP_VALUES[(value, key)]
+    assert tuple(code for code, _ in outcomes) == codes
+    assert hashlib.sha256("".join(out for _, out in outcomes).encode()).hexdigest() == digest
+
+
 # -- the canonical writer and the collector pause -----------------------
 
 _SPECIAL_CHARACTERS = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", " ", "é", "\ud800", "\udfff"]

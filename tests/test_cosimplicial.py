@@ -656,6 +656,8 @@ def parse_documents(diag_c):
         serialize_document("groupoid", fix_c_core().g1),
         serialize_document("crossed", fix_c_core()),
         serialize_document("fixture-spec", FixtureSpec("fatten", {"base": "fix-c-core", "copies": 2})),
+        serialize_document("fixture-spec", FixtureSpec("fatten", {
+            "base": {"kind": "cech", "params": {"base": "fix-a-core", "cover": 2}}, "copies": 2})),
         serialize_document("diagram-morphism", fatten_diagram(constant, 1)[1]),
     ]
     for D in (constant, diag_c):
@@ -774,6 +776,9 @@ _EDGE_TEXTS = [
     '{"payload": {"levels": [[1], [1]]}, "payload": 0}',
     '{"payload": {"levels": [[1], [1', '{"payload": {"levels": [[1], ', '{"payload"',
     '\ufeff{}', '{"payload": {"levels": [[1]]}} [',
+    # neither key spelled as the writer spells it: read by `json.loads` whole
+    '{"payload": {"lev\\u0065ls": [[1], [1]], "cofaces ": {"a": [1], "b": [1]}}}',
+    '{"kind": "fixture-spec", "payload": {"params": {"base": "levels"}}} x',
 ]
 
 

@@ -35,11 +35,13 @@ from crossed_desc.fixtures import (
     one_object_crossed,
 )
 
-from crossed_desc.crossed import _tag_map
+from crossed_desc.crossed import _tag_map, _TaggedGroup
+from crossed_desc.validation import LoadError
 
 from builders import FATTENING_BASES, ODD_ID_BASES, POWER_BASES, disjoint_union, loop5
 from oracles import (
     brute_group_violations,
+    eager_product,
     brute_twist_action_violations,
     scanned_weak_equivalence,
     walked_crossed_violations,
@@ -69,6 +71,108 @@ def test_product_group_arithmetic():
     assert P.mul("1|2", "1|2") == "0|1"
     assert P.inv("1|2") == "1|1"
     assert P.identity == "0|0"
+
+
+def _raised(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (DomainError, LoadError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _computed(G):
+    """G with the same products and inverses, computed: no tables kept."""
+    return FiniteGroup(G.elements, G.identity, G._mul, G._inv)
+
+
+def _recording(G, calls):
+    """G as a table-backed group whose products and inverses are appended
+    to `calls` when they are computed factor by factor."""
+    H = FiniteGroup.from_table(G.elements, dict(G.table), G.identity, dict(G.inverses))
+    mul, inv = H._mul, H._inv
+    H._mul = lambda a, b: calls.append((a, b)) or mul(a, b)
+    H._inv = lambda a: calls.append(a) or inv(a)
+    return H
+
+
+def _answers_on_every_pair(lazy, eager):
+    for a in eager.elements:
+        assert _raised(lazy.inv, a) == _raised(eager.inv, a)
+        for b in eager.elements:
+            assert _raised(lazy.mul, a, b) == _raised(eager.mul, a, b)
+
+
+@pytest.mark.parametrize("computed", [(), (0,), (1,), (0, 1, 2)])
+def test_a_product_reads_the_factor_tables_only_when_all_have_them(computed):
+    """Z/2 x S3 x Z/3 multiplies and inverts as the eager product on every
+    pair.  With every factor table-backed it reads their tables and calls
+    no factor; with a computed factor (`computed` names which) it calls
+    every factor, once per coordinate."""
+    calls = []
+    groups = (cyclic_group(2), symmetric_group(3), cyclic_group(3))
+    factors = [_recording(G, calls) for G in groups]
+    factors = [_computed(G) if i in computed else G for i, G in enumerate(factors)]
+    lazy, eager = FiniteGroup.product(factors), eager_product(factors)
+    _answers_on_every_pair(lazy, eager)
+    calls.clear()
+    for a in eager.elements:
+        lazy.inv(a)
+        for b in eager.elements:
+            lazy.mul(a, b)
+    n = len(eager)
+    assert len(calls) == (0 if not computed else 3 * (n * n + n))
+
+
+@pytest.mark.parametrize("computed", [False, True])
+@pytest.mark.parametrize("missing", ["pair", "inverse"])
+def test_a_factor_table_missing_an_entry_raises_the_per_factor_error(missing, computed):
+    """A factor whose table lacks one product or one inverse: the product
+    raises the `LoadError` the eager product raises, with the same text,
+    whether or not another factor is computed."""
+    z3 = cyclic_group(3)
+    table, inverses = dict(z3.table), dict(z3.inverses)
+    if missing == "pair":
+        del table[("1", "2")]
+    else:
+        del inverses["2"]
+    broken = FiniteGroup.from_table(z3.elements, table, z3.identity, inverses)
+    z2 = _computed(cyclic_group(2)) if computed else cyclic_group(2)
+    lazy, eager = FiniteGroup.product([z2, broken]), eager_product([z2, broken])
+    _answers_on_every_pair(lazy, eager)
+    if missing == "pair":
+        assert _raised(lazy.mul, "1|1", "0|2") == (
+            LoadError, "multiplication pair ('1', '2') missing from table")
+    else:
+        assert _raised(lazy.inv, "0|2") == (LoadError, "inverse of '2' missing from table")
+
+
+@pytest.mark.parametrize("listed", [False, True])
+@pytest.mark.parametrize("make", [
+    lambda: _TaggedGroup(symmetric_group(3), "@1"),
+    lambda: FiniteGroup.product([cyclic_group(2), symmetric_group(3)]),
+    lambda: _TaggedGroup(FiniteGroup.product([cyclic_group(2)] * 2), "@0"),
+], ids=["tagged", "product", "tagged-product"])
+def test_lazy_groups_refuse_what_is_not_a_member(make, listed):
+    """A tagged or product group, before and after it is listed, and with
+    members accepted earlier: `mul` and `inv` raise the `DomainError` of
+    `FiniteGroup.mul` and `inv` on a non-member, and `TypeError` on an
+    unhashable value, as membership in a set does."""
+    G = make()
+    if listed:
+        G.elements
+    a = G.identity
+    G.mul(a, a)  # `a` is accepted from here on
+    for other in ("x", a + "x", a[:-1], "", 5, None, ("a",)):
+        assert _raised(G.inv, other) == (DomainError, f"{other!r} is not an element of this group")
+        for x, y in ((a, other), (other, a), (other, other)):
+            assert _raised(G.mul, x, y) == (
+                DomainError, f"{x!r} or {y!r} is not an element of this group")
+    for other in ([1], {"a": 1}):
+        assert _raised(G.inv, other)[0] is TypeError
+        for x, y in ((a, other), (other, a)):
+            assert _raised(G.mul, x, y)[0] is TypeError
+    assert G.mul(a, a) == G.inv(a) == a
 
 
 def _rebuild(C, twist_table=None, feedback_table=None):

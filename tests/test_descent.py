@@ -28,8 +28,9 @@ from crossed_desc import (
     is_gauge,
 )
 from crossed_desc import descent
+from crossed_desc.crossed import DisconnectedGroupoid, FiniteGroup
 from crossed_desc.descent import vertex_object
-from crossed_desc.fixtures import NAMED_CROSSED
+from crossed_desc.fixtures import NAMED_CROSSED, cech_diagram
 
 from builders import with_coface_entry
 from oracles import (
@@ -315,6 +316,43 @@ def _rewrite_twist(D, p, i, j):
     return _relevel(D, p, CrossedGroupoid(L.g1, L.g2, twist, L.feedback_table))
 
 
+def _edited_group(G, kind, j, k):
+    """G as a table-backed group with one edit: a product sent to another
+    element ("product"), an inverse sent to another element ("inverse"), or
+    a product deleted ("unpair"), which a multiplication then misses.  An
+    entry G lacks, after an earlier edit, stays missing."""
+    elements = G.elements
+    table = {(a, b): r for a in elements for b in elements
+             if (r := G.mul_or_none(a, b)) is not None}
+    inverses = {a: r for a in elements if (r := G.inv_or_none(a)) is not None}
+    keys = sorted(table)
+    if kind == "product":
+        table[keys[j % len(keys)]] = elements[k % len(elements)]
+    elif kind == "inverse":
+        inverses[elements[j % len(elements)]] = elements[k % len(elements)]
+    else:
+        del table[keys[j % len(keys)]]
+    return FiniteGroup.from_table(elements, table, G.identity, inverses)
+
+
+def _with_edited_group(C, kind, i, j, k):
+    """C with the group at one object replaced by `_edited_group`'s copy;
+    the twist and feedback tables are C's."""
+    groups = dict(C.g2.groups)
+    x = sorted(groups)[i % len(groups)]
+    groups[x] = _edited_group(groups[x], kind, j, k)
+    return CrossedGroupoid(C.g1, DisconnectedGroupoid(groups), C.twist_table, C.feedback_table)
+
+
+def _rewrite_group(D, kind, i, j, k):
+    """D with one g2 table of level 1, 2 or 3 edited (`_edited_group`): a
+    level whose groups have at most 64 elements, so that its table is
+    quick to list (level 1 of the cover; every level of a fattening)."""
+    levels = [p for p in (1, 2, 3) if max(map(len, D.levels[p].g2.groups.values())) <= 64]
+    p = levels[i % len(levels)]
+    return _relevel(D, p, _with_edited_group(D.levels[p], kind, i // 3, j, k))
+
+
 def _edit(D, kind, i, j, k):
     """D with one edit of `kind`; the integers pick entries modulo their count."""
     if kind in ("mor1", "mor2"):
@@ -323,14 +361,29 @@ def _edit(D, kind, i, j, k):
         elements = sorted(getattr(d, f"{kind}_map"))
         pool = sorted(d.target.g1.source if kind == "mor1" else d.target.g2.owner)
         return with_coface_entry(D, key, kind, elements[j % len(elements)], pool[k % len(pool)])
+    if kind in _GROUP_EDITS:
+        return _rewrite_group(D, kind, i, j, k)
     edit = _swap_composites if kind == "compose" else _rewrite_twist
     return edit(D, 1 + i % 2, j, k)
+
+
+_GROUP_EDITS = ("product", "inverse", "unpair")
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["mor1", "mor2", "compose", "twist", *_GROUP_EDITS]),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    min_size=1,
+    max_size=3,
+)
 
 
 @pytest.fixture(scope="module")
 def scan_diagrams(fat_union, diag_cech):
     fat = {name: fatten_diagram(constant_diagram(NAMED_CROSSED[name]()), 2)[0]
-           for name in ("inner-z3", "s3-a3")}
+           for name in ("inner-z3", "s3-a3", "inner-s3")}
     return {"union": fat_union[0], **fat, "cech": diag_cech}
 
 
@@ -345,28 +398,58 @@ def _outcome(classify, D):
 # no deadline: the cech examples are slow, not wrong
 @pytest.mark.hashseed
 @settings(deadline=None)
-@given(
-    st.sampled_from(["union", "inner-z3", "s3-a3", "cech"]),
-    st.lists(
-        st.tuples(
-            st.sampled_from(["mor1", "mor2", "compose", "twist"]),
-            st.integers(min_value=0, max_value=10_000),
-            st.integers(min_value=0, max_value=10_000),
-            st.integers(min_value=0, max_value=10_000),
-        ),
-        min_size=1,
-        max_size=3,
-    ),
-)
+@given(st.sampled_from(["union", "inner-z3", "s3-a3", "inner-s3", "cech"]), _EDITS)
 def test_scan_matches_the_scan_oracle_on_mutated_diagrams(scan_diagrams, name, edits):
-    """With coface entries remapped, level-1 and level-2 composites swapped
-    and twist entries rewritten, the library returns the table of the scan
-    that evaluated every candidate through the checked accessors, insertion
-    order included, or raises its error."""
+    """With coface entries remapped, level-1 and level-2 composites swapped,
+    twist entries rewritten and g2 tables edited, the library returns the
+    table of the scan that evaluated every candidate through the checked
+    accessors, insertion order included, or raises its error."""
     D = scan_diagrams[name]
     for edit in edits:
         D = _edit(D, *edit)
     assert _outcome(gauge_classes, D) == _outcome(scan_gauge_classes, D)
+
+
+def _yielded(items):
+    """What a generator yields, then the type and message it raises, if any."""
+    out = []
+    try:
+        for item in items:
+            out.append(item)
+    except Exception as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def _checked_images(D, src):
+    """`descent._gauge_images` through the checked formulas alone: every
+    candidate (f, c) out of `src`, in scan order, with its image."""
+    L0, L1 = D.levels[0], D.levels[1]
+    for f in L0.g1.out_of(src.x):
+        for c in sorted(L1.g2.group(vertex_object(D, src.x, 0, 1)).elements):
+            t = GaugeTransformation(f, c)
+            g, a = descent._predicted_g(D, src.g, t), descent._predicted_a(D, src, t)
+            yield (f, c), (L0.g1.dst(f), g, a)
+
+
+# no deadline: the cech examples are slow, not wrong
+@pytest.mark.hashseed
+@settings(deadline=None)
+@given(st.sampled_from(["union", "inner-z3", "s3-a3", "inner-s3", "cech"]), _EDITS)
+def test_each_gauge_candidate_matches_the_checked_formulas(scan_diagrams, name, edits):
+    """On the mutated diagrams of the scan test, the scan gives every
+    candidate of every member the checked image, and raises the checked
+    error at the candidate where the checked formulas raise: a fast path
+    that skipped a check would give an image there."""
+    D = scan_diagrams[name]
+    for edit in edits:
+        D = _edit(D, *edit)
+    members = _enumerated(enumerate_descent, D)
+    if not isinstance(members, list) or not members:
+        return
+    scan = descent._GaugeScan(D, members)
+    for src in members:
+        assert _yielded(descent._gauge_images(scan, src)) == _yielded(_checked_images(D, src))
 
 
 def _enumerated(enumerator, D):
@@ -377,32 +460,88 @@ def _enumerated(enumerator, D):
         return type(exc), str(exc)
 
 
+def _checked_lhs(L3, faces):
+    """`descent._twisted_lhs` through the checked products of `L3.g2` alone."""
+    a012, a013, a023, _ = faces
+    grp = L3.g2
+    return grp.mul(grp.mul(grp.inv(a013), a023), a012)
+
+
+def _checked_enumeration(D):
+    """`_enumerated(checked_descent_data, D)` with the left twisted side
+    evaluated by `_checked_lhs`, so that no fast path of the library is in
+    the oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(descent, "_twisted_lhs", _checked_lhs)
+        return _enumerated(checked_descent_data, D)
+
+
 # no deadline: the cech examples are slow, not wrong
 @pytest.mark.hashseed
 @settings(deadline=None)
-@given(
-    st.sampled_from(["union", "inner-z3", "s3-a3", "cech"]),
-    st.lists(
-        st.tuples(
-            st.sampled_from(["mor1", "mor2", "compose", "twist"]),
-            st.integers(min_value=0, max_value=10_000),
-            st.integers(min_value=0, max_value=10_000),
-            st.integers(min_value=0, max_value=10_000),
-        ),
-        min_size=1,
-        max_size=3,
-    ),
-)
+@given(st.sampled_from(["union", "inner-z3", "s3-a3", "inner-s3", "cech"]), _EDITS)
 def test_enumeration_matches_the_checked_oracle_on_mutated_diagrams(
     scan_diagrams, name, edits
 ):
     """On the mutated diagrams of the scan test, enumeration returns the list
-    of the loop that sent every candidate through `is_descent_datum`, in
-    order, or raises its error."""
+    of the loop that sent every candidate through `is_descent_datum` and the
+    checked products, in order, or raises its error."""
     D = scan_diagrams[name]
     for edit in edits:
         D = _edit(D, *edit)
-    assert _enumerated(enumerate_descent, D) == _enumerated(checked_descent_data, D)
+    assert _enumerated(enumerate_descent, D) == _checked_enumeration(D)
+
+
+@pytest.mark.hashseed
+@pytest.mark.parametrize("copies", [1, 2])
+def test_the_right_side_twists_by_the_inverse_of_g_01(copies):
+    """On inner-s3, twisting is conjugation, so twist(g, -) and twist(g^-1, -)
+    differ when g is conjugation by a 3-cycle a.  With a's faces edited,
+    a_(0,1,2) -> a^-1 . b . a and a_(1,2,3) -> b for a transposition b, the
+    datum (x, feedback(a), a) meets the second condition only through
+    twist(g_(0,1)^-1, b); enumeration finds it, as the checked oracle does."""
+    D = fatten_diagram(constant_diagram(NAMED_CROSSED["inner-s3"]()), copies)[0]
+    x = sorted(D.levels[0].objects)[0]
+    grp = D.levels[2].g2.group(vertex_object(D, x, 0, 2))
+    one = grp.identity
+    a = next(e for e in sorted(grp) if grp.mul(e, e) != one)
+    b = next(e for e in sorted(grp) if e != one and grp.mul(e, e) == one)
+    c = grp.mul(grp.mul(grp.inv(a), b), a)
+    assert c != grp.mul(grp.mul(a, b), grp.inv(a))
+    D = with_coface_entry(D, (2, 3), "mor2", a, c)  # a_(0,1,2)
+    D = with_coface_entry(D, (2, 0), "mor2", a, b)  # a_(1,2,3)
+    data = enumerate_descent(D)
+    assert DescentDatum(x, D.levels[1].feedback(a), a) in data
+    assert data == _checked_enumeration(D)
+
+
+_BUILDS = {
+    "cech": lambda C: cech_diagram(C, 2),
+    "fattened": lambda C: fatten_diagram(constant_diagram(C), 2)[0],
+    "fattened cech": lambda C: fatten_diagram(cech_diagram(C, 2), 2)[0],
+}
+
+
+# no deadline: the cech examples are slow, not wrong
+@pytest.mark.hashseed
+@settings(deadline=None)
+@given(
+    st.sampled_from([("cech", "fix-a-core"), ("fattened cech", "fix-a-core"),
+                     ("fattened", "inner-z3"), ("fattened", "s3-a3"), ("fattened", "fix-c-core")]),
+    st.sampled_from(_GROUP_EDITS),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_scan_and_enumeration_match_the_oracles_on_edited_bases(build, kind, i, j, k):
+    """A base whose g2 table was edited before the diagram was built
+    (`_with_edited_group`): the cover's product groups and the fattening's
+    tagged groups multiply through the edited table.  Enumeration and the
+    scan return what the checked oracles return, or raise their errors."""
+    construction, name = build
+    D = _BUILDS[construction](_with_edited_group(NAMED_CROSSED[name](), kind, i, j, k))
+    assert _enumerated(enumerate_descent, D) == _checked_enumeration(D)
+    assert _outcome(gauge_classes, D) == _outcome(scan_gauge_classes, D)
 
 
 @pytest.mark.hashseed
