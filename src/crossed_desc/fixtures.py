@@ -11,16 +11,23 @@ the base) builds only its g1: its group is a lazy product, its owner a view
 that asks membership, and its twist and feedback tables are read-only views
 (`crossed._View`, built by `crossed._power_tables`) that compute each entry
 from the base's and list their keys in the order an eager dict would.  A
-fattening builds only its g1: its groups, its g2 owner map, its twist and
-feedback tables (`_fattened_tables`) and its inclusion's 2-morphism map all
-read the base, and the inclusion's weak-equivalence check is proven through
-the base.  The builders of constant diagrams, fattenings and identity
-morphisms share one object per distinct level and map, as loading does, and
-a fattening fattens each distinct object once.
+fattening builds only its g1's source, target, inverse and identity tables:
+its composition table is made from the base's when something first reads it
+whole, its groups, its g2 owner map, its twist and feedback tables
+(`_fattened_tables`) and its inclusion's 2-morphism map all read the base,
+and the inclusion's weak-equivalence check is proven through the base.  The
+builders of constant diagrams, fattenings and identity morphisms share one
+object per distinct level and map, as loading does, and a fattening fattens
+each distinct object once.
+
+A fixture spec builds each named base (`NAMED_CROSSED`) once per process and
+shares it, so structures built from specs must not be edited in place;
+`NAMED_CROSSED[name]()` itself builds a fresh one on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,7 +46,7 @@ from .crossed import (
     _View,
     identity_crossed_morphism,
 )
-from .groupoid import FiniteGroupoid, _generators
+from .groupoid import FiniteGroupoid, _generators, _LazyTableGroupoid
 from .validation import DEFAULT_BOUND, DomainError, LoadError, ResourceBoundError
 
 
@@ -269,21 +276,18 @@ def constant_diagram(C: CrossedGroupoid) -> CrossedDiagram:
     return CrossedDiagram((C, C, C, C), {(p, k): identity for p in range(3) for k in range(p + 2)})
 
 
-def _fattened_tables(C: CrossedGroupoid, n: int, ids: dict[str, list[list[str]]],
+def _fattened_tables(C: CrossedGroupoid, n: int, parts: dict[str, tuple],
                      g1: FiniteGroupoid, g2: DisconnectedGroupoid) -> tuple[_View, _View]:
     """The twist and feedback tables of `fatten(C, n)`, whose 1-morphisms are
-    `ids` (as `fatten` lists them), computed from C's: twist(m@i.j, b@i) =
-    twist_C(m, b)@j and feedback(b@i) = feedback_C(b)@i.i.  A twist key hits
-    only when its 2-morphism lies at its 1-morphism's source, and a feedback
-    key only when it is b@i for a copy index i and a b of C (the owner decodes
-    ids alike), so an ill-typed key misses as in a dict.  Twist keys are listed
-    by base 1-morphism, source copy, target copy, then element; feedback keys
-    by base 2-morphism, then copy."""
-    source, groups = g1.source, g2.groups
-    # fattened 1-morphism m@i.j -> (m, the group at its source, length of "@i", "@j")
+    the keys of `parts` (as `fatten` lists and decodes them), computed from
+    C's: twist(m@i.j, b@i) = twist_C(m, b)@j and feedback(b@i) =
+    feedback_C(b)@i.i.  A twist key hits only when its 2-morphism lies at its
+    1-morphism's source, and a feedback key only when it is b@i for a copy
+    index i and a b of C (the owner decodes ids alike), so an ill-typed key
+    misses as in a dict.  Twist keys are listed by base 1-morphism, source
+    copy, target copy, then element; feedback keys by base 2-morphism, then
+    copy."""
     copies = [f"@{i}" for i in range(n)]
-    parts = {mid: (m, groups[source[mid]], -len(copies[i]), copies[j])
-             for m, rows in ids.items() for i, row in enumerate(rows) for j, mid in enumerate(row)}
     tags = {str(i): f"@{i}.{i}" for i in range(n)}  # copy index -> "@i.i"
 
     def twist(key) -> str:
@@ -291,12 +295,12 @@ def _fattened_tables(C: CrossedGroupoid, n: int, ids: dict[str, list[list[str]]]
         part = parts.get(g)
         if part is None or a not in part[1]._members:
             raise KeyError(key)
-        m, _, cut, tag = part
+        m, _, cut, tag, _, _ = part
         return C.twist_table[(m, a[:cut])] + tag
 
     def twist_keys():
-        for g in parts:
-            yield from zip(itertools.repeat(g), groups[source[g]].elements)
+        for g, part in parts.items():
+            yield from zip(itertools.repeat(g), part[1].elements)
 
     def feedback(a) -> str:
         if isinstance(a, str):
@@ -307,7 +311,7 @@ def _fattened_tables(C: CrossedGroupoid, n: int, ids: dict[str, list[list[str]]]
         raise KeyError(a)
 
     return (_View((C, g1, g2), twist, twist_keys,
-                  lambda: sum(len(groups[source[g]]) for g in parts)),
+                  lambda: sum(len(part[1]) for part in parts.values())),
             _View((C, g2), feedback, lambda: (a + c for a in C.feedback_table for c in copies),
                   lambda: len(g2.owner)))
 
@@ -316,13 +320,18 @@ def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism
     """Replace each object by n copies connected by transported isomorphisms.
 
     Returns the fattened crossed groupoid, marked `fattening = (C, n)`, and
-    the inclusion of copy 0, which is a weak equivalence.  Only its g1 is
-    built.  Everything else is a view of C: the groups are C's tagged
-    (`_TaggedGroup`), the g2's owner map reads each 2-morphism's object from
-    C's (`crossed._fattened_owner`, passed to `DisconnectedGroupoid(groups,
-    owner)`), the twist and feedback tables compute their entries from
-    C's (`_fattened_tables`), and the inclusion's 2-morphism map is the tag
-    map a -> a@0 (`_tag_map`), through which `is_weak_equivalence_crossed`
+    the inclusion of copy 0, which is a weak equivalence.  Only its g1's
+    source, target, inverse and identity tables are built.  Its composition
+    table is made from C's the first time something reads it whole (the
+    gauge scan, a validator, the writer); until then `compose` answers
+    (m2@j.k) . (m1@i.j) = (m2 . m1)@i.k from C's table, decoding each id
+    through the parts map (`groupoid._LazyTableGroupoid`).  Everything else
+    is a view of C: the groups are C's tagged (`_TaggedGroup`), the g2's
+    owner map reads each 2-morphism's object from C's
+    (`crossed._fattened_owner`, passed to `DisconnectedGroupoid(groups,
+    owner)`), the twist and feedback tables compute their entries from C's
+    (`_fattened_tables`), and the inclusion's 2-morphism map is the tag map
+    a -> a@0 (`_tag_map`), through which `is_weak_equivalence_crossed`
     proves its pi2 bijection without a scan.
     """
     if n < 1:
@@ -332,32 +341,48 @@ def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism
         raise ResourceBoundError("fattened composition table would exceed the bound")
     copies = [f"@{i}" for i in range(n)]
     objects = {x: [x + c for c in copies] for x in g1.objects}  # x -> [x@0, x@1, ...]
+    groups = {x + c: _TaggedGroup(C.g2.group(x), c) for x in g1.objects for c in copies}
     # m -> [[m@i.j for each j] for each i], in the order the ids are listed
     ids = {m: [[f"{m}{c}.{j}" for j in range(n)] for c in copies] for m in g1.source}
-    source, target, inverses = {}, {}, {}
+    # m@i.j -> (m, the group at its source, length of "@i", "@j", i, j)
+    source, target, inverses, parts = {}, {}, {}, {}
     for m, rows in ids.items():
         x, y, inverse = objects[g1.source[m]], objects[g1.target[m]], ids[g1.inverses[m]]
         for i, row in enumerate(rows):
+            grp, cut = groups[x[i]], -len(copies[i])
             for j, mid in enumerate(row):
                 source[mid], target[mid], inverses[mid] = x[i], y[j], inverse[j][i]
-    # transport each base composite: (m2@j.k) . (m1@i.j) = (m2 . m1)@i.k.
-    # Keys go in in sorted order, which keeps the sort in serialization cheap.
-    table = {}
-    for m2, rows in ids.items():
-        before = [(ids[m1], ids[g1.table[(m2, m1)]]) for m1 in g1.into(g1.source[m2])]
-        for j, row in enumerate(rows):
-            for k, after in enumerate(row):
-                for m1_ids, r_ids in before:
-                    for i in range(n):
-                        table[(after, m1_ids[i][j])] = r_ids[i][k]
+                parts[mid] = (m, grp, cut, copies[j], i, j)
+
+    def make_table() -> dict[tuple[str, str], str]:
+        # transport each base composite: (m2@j.k) . (m1@i.j) = (m2 . m1)@i.k.
+        # Keys go in in sorted order, which keeps the sort in serialization cheap.
+        table = {}
+        for m2, rows in ids.items():
+            before = [(ids[m1], ids[g1.table[(m2, m1)]]) for m1 in g1.into(g1.source[m2])]
+            for j, row in enumerate(rows):
+                for k, after in enumerate(row):
+                    for m1_ids, r_ids in before:
+                        for i in range(n):
+                            table[(after, m1_ids[i][j])] = r_ids[i][k]
+        return table
+
+    def compose(after: str, before: str) -> str | None:
+        # after = m2@j.k and before = m1@i.j share the copy j; C's table is
+        # defined exactly on its composable pairs
+        h, g = parts.get(after), parts.get(before)
+        if h is None or g is None or h[4] != g[5]:
+            return None
+        r = g1.table.get((h[0], g[0]))
+        return None if r is None else ids[r][g[4]][h[5]]
+
     identities = {xi: ids[g1.identities[x]][i][i]
                   for x, copy_ids in objects.items() for i, xi in enumerate(copy_ids)}
-    fat_g1 = FiniteGroupoid(tuple(itertools.chain.from_iterable(objects.values())),
-                            source, target, identities, table, inverses)
-    groups = {x + c: _TaggedGroup(C.g2.group(x), c) for x in g1.objects for c in copies}
+    fat_g1 = _LazyTableGroupoid(tuple(itertools.chain.from_iterable(objects.values())),
+                                source, target, identities, inverses, make_table, compose)
     fat_g2 = DisconnectedGroupoid(groups, _fattened_owner(C.g2, g1.objects, n, groups))
 
-    fat = CrossedGroupoid(fat_g1, fat_g2, *_fattened_tables(C, n, ids, fat_g1, fat_g2))
+    fat = CrossedGroupoid(fat_g1, fat_g2, *_fattened_tables(C, n, parts, fat_g1, fat_g2))
     fat.fattening = (C, n)
 
     inclusion = CrossedMorphism(
@@ -545,10 +570,31 @@ def build_fixture(spec: FixtureSpec):
         raise LoadError("fixture spec nests too deeply") from None
 
 
+# the params each kind reads; a spec naming another is refused
+_PARAMS = {
+    "normal-subgroup": ("group", "subgroup"),
+    "inner": ("group",),
+    "constant-diagram": ("base",),
+    "fatten": ("base", "copies"),
+    "cech": ("base", "cover"),
+}
+
+
 def _build(kind: str, p: dict):
+    reads = _PARAMS.get(kind) if isinstance(kind, str) else None
+    if reads is None:
+        raise LoadError(f"unknown fixture kind {kind!r}")
+    if isinstance(p, dict):
+        for key in p:
+            if key not in reads:
+                raise LoadError(f"unknown {kind!r} fixture parameter {key!r}")
     if kind == "normal-subgroup":
         G = _resolve_group(p["group"])
-        return "crossed", crossed_from_normal_subgroup(G, p["subgroup"])
+        N = p["subgroup"]
+        if not isinstance(N, list) or not all(isinstance(a, str) for a in N):
+            raise LoadError("'normal-subgroup' fixture parameter 'subgroup' "
+                            "is not a JSON array of strings")
+        return "crossed", crossed_from_normal_subgroup(G, N)
     if kind == "inner":
         return "crossed", inner_crossed(_resolve_group(p["group"]))
     if kind == "constant-diagram":
@@ -561,10 +607,8 @@ def _build(kind: str, p: dict):
         if base_kind != "crossed":
             raise LoadError("nested fixture does not produce a crossed groupoid or a diagram")
         return "crossed", fatten(base, n)[0]
-    if kind == "cech":
-        base = _resolve_crossed(p["base"])
-        return "diagram", cech_diagram(base, _count(p, "cover", 2))
-    raise LoadError(f"unknown fixture kind {kind!r}")
+    base = _resolve_crossed(p["base"])  # kind "cech"
+    return "diagram", cech_diagram(base, _count(p, "cover", 2))
 
 
 def _count(p: dict, key: str, default: int) -> int:
@@ -584,10 +628,18 @@ def _resolve_group(ref) -> FiniteGroup:
     raise LoadError("group reference must be a name")
 
 
+@functools.cache
+def _named_base(name: str) -> CrossedGroupoid:
+    """`NAMED_CROSSED[name]()`, built on the first call for each name and
+    kept: every spec over the name shares it, and what is built over it
+    must not be edited in place."""
+    return NAMED_CROSSED[name]()
+
+
 def _resolve_crossed(ref) -> CrossedGroupoid:
     if isinstance(ref, str):
         try:
-            return NAMED_CROSSED[ref]()
+            return _named_base(ref)
         except KeyError:
             raise LoadError(f"unknown crossed-groupoid name {ref!r}") from None
     if isinstance(ref, dict):
@@ -600,7 +652,7 @@ def _resolve_crossed(ref) -> CrossedGroupoid:
 
 def _resolve_base(ref):
     if isinstance(ref, str) and ref in NAMED_CROSSED:
-        return "crossed", NAMED_CROSSED[ref]()
+        return "crossed", _named_base(ref)
     if isinstance(ref, dict):
         return build_fixture(FixtureSpec(ref["kind"], ref.get("params", {})))
     raise LoadError("fatten base must be a named crossed groupoid or a nested spec")

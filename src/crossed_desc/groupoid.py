@@ -7,13 +7,15 @@ construction: the sorted morphisms out of and into each object and the sorted
 hom-sets, so the validator walks only composable pairs and triples.
 Associativity is proven on a generating set (Light's test); only a table that
 fails a check is walked over every composable triple, so that every violated
-triple is named.
+triple is named.  A derived groupoid (`_LazyTableGroupoid`, a fattening's g1)
+makes its composition table only when something reads it whole.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 from .validation import (
     ComposabilityError,
@@ -65,9 +67,7 @@ class FiniteGroupoid:
                 raise LoadError(f"identity {e!r} of {x!r} is not a morphism")
         if set(self.identities) != objset:
             raise LoadError("identity table does not cover the object set")
-        for (h, g), r in self.table.items():
-            if h not in morphs or g not in morphs or r not in morphs:
-                raise LoadError(f"composition entry ({h!r}, {g!r}) -> {r!r} has unknown ids")
+        self._check_table(morphs)
         for m, mi in self.inverses.items():
             if m not in morphs or mi not in morphs:
                 raise LoadError(f"inverse entry {m!r} -> {mi!r} has unknown ids")
@@ -86,6 +86,11 @@ class FiniteGroupoid:
         self._out = {x: tuple(ms) for x, ms in out.items()}
         self._in = {x: tuple(ms) for x, ms in into.items()}
         self._homs = {xy: tuple(ms) for xy, ms in homs.items()}
+
+    def _check_table(self, morphs: set[str]) -> None:
+        for (h, g), r in self.table.items():
+            if h not in morphs or g not in morphs or r not in morphs:
+                raise LoadError(f"composition entry ({h!r}, {g!r}) -> {r!r} has unknown ids")
 
     # -- basic accessors -------------------------------------------------
 
@@ -117,15 +122,19 @@ class FiniteGroupoid:
         try:
             return self.table[(after, before)]
         except KeyError:
-            if self.dst(before) != self.src(after):
-                raise ComposabilityError(
-                    f"cannot compose {after!r} after {before!r}: "
-                    f"{before!r} ends at {self.dst(before)!r} but "
-                    f"{after!r} starts at {self.src(after)!r}"
-                ) from None
-            raise LoadError(
-                f"composable pair ({after!r}, {before!r}) missing from table"
+            self._no_composite(after, before)
+
+    def _no_composite(self, after: str, before: str) -> NoReturn:
+        """Raise what `compose` raises where the table has no entry."""
+        if self.dst(before) != self.src(after):
+            raise ComposabilityError(
+                f"cannot compose {after!r} after {before!r}: "
+                f"{before!r} ends at {self.dst(before)!r} but "
+                f"{after!r} starts at {self.src(after)!r}"
             ) from None
+        raise LoadError(
+            f"composable pair ({after!r}, {before!r}) missing from table"
+        ) from None
 
     def inverse(self, m: str) -> str:
         try:
@@ -162,6 +171,40 @@ class FiniteGroupoid:
 
     def contains_morphism(self, m: str) -> bool:
         return m in self.source
+
+
+class _LazyTableGroupoid(FiniteGroupoid):
+    """A groupoid whose composition table, typed by construction, is made by
+    `make_table()` the first time something reads `table`, and then kept.
+    Until then `compose` asks `lookup(after, before)`, which gives the
+    composite, or None where the table would have no entry; once the table
+    is made, both callables are dropped with whatever they hold."""
+
+    def __init__(self, objects: tuple[str, ...], source: dict[str, str],
+                 target: dict[str, str], identities: dict[str, str], inverses: dict[str, str],
+                 make_table: Callable[[], dict[tuple[str, str], str]],
+                 lookup: Callable[[str, str], str | None]):
+        self.objects, self.source, self.target = objects, source, target
+        self.identities, self.inverses = identities, inverses
+        self._make_table, self._lookup = make_table, lookup
+        self.__post_init__()
+
+    def _check_table(self, morphs: set[str]) -> None:
+        pass  # typed by construction, and not made yet
+
+    @functools.cached_property
+    def table(self) -> dict[tuple[str, str], str]:
+        table = self._make_table()
+        self._make_table = self._lookup = None
+        return table
+
+    def compose(self, after: str, before: str) -> str:
+        if self._lookup is None:
+            return super().compose(after, before)
+        composite = self._lookup(after, before)
+        if composite is None:
+            self._no_composite(after, before)
+        return composite
 
 
 def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:

@@ -19,8 +19,10 @@ relabeled groups, owner and inclusion (`relabeled_fattening`), and the
 weak-equivalence check that scanned every pi2 list
 (`scanned_weak_equivalence`), the one-line canonical JSON writer
 (`json_dumps_canonical`), the document parser that decoded every byte with
-`json.loads` (`json_parse_document`), and the product group that listed
-every element and its member set when it was built (`eager_product`).
+`json.loads` (`json_parse_document`), the product group that listed
+every element and its member set when it was built (`eager_product`), and
+the fattened g1 whose composition table was built with it
+(`eager_fattened_g1`).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from crossed_desc.descent import (
 from crossed_desc.cosimplicial import DiagramMorphism
 from crossed_desc.crossed import DisconnectedGroupoid, FiniteGroup, homotopy
 from crossed_desc.fixtures import _element_orders, one_object_groupoid
-from crossed_desc.groupoid import _generators
+from crossed_desc.groupoid import FiniteGroupoid, _generators
 from crossed_desc.serialize import (
     _PARSERS,
     FORMAT_VERSION,
@@ -838,6 +840,37 @@ def relabeled_fattening(C, n):
     for x, grp in C.g2.groups.items():
         mor2_map.update(zip(grp.elements, groups[f"{x}@0"].elements))
     return DisconnectedGroupoid(groups), mor2_map
+
+
+def eager_fattened_g1(C, n):
+    """The g1 of `fatten(C, n)` as `fatten` built it before its composition
+    table was made on first read: the ids, the source, target and inverse
+    tables, the composition loop and the groupoid, kept verbatim."""
+    g1 = C.g1
+    copies = [f"@{i}" for i in range(n)]
+    objects = {x: [x + c for c in copies] for x in g1.objects}  # x -> [x@0, x@1, ...]
+    # m -> [[m@i.j for each j] for each i], in the order the ids are listed
+    ids = {m: [[f"{m}{c}.{j}" for j in range(n)] for c in copies] for m in g1.source}
+    source, target, inverses = {}, {}, {}
+    for m, rows in ids.items():
+        x, y, inverse = objects[g1.source[m]], objects[g1.target[m]], ids[g1.inverses[m]]
+        for i, row in enumerate(rows):
+            for j, mid in enumerate(row):
+                source[mid], target[mid], inverses[mid] = x[i], y[j], inverse[j][i]
+    # transport each base composite: (m2@j.k) . (m1@i.j) = (m2 . m1)@i.k.
+    # Keys go in in sorted order, which keeps the sort in serialization cheap.
+    table = {}
+    for m2, rows in ids.items():
+        before = [(ids[m1], ids[g1.table[(m2, m1)]]) for m1 in g1.into(g1.source[m2])]
+        for j, row in enumerate(rows):
+            for k, after in enumerate(row):
+                for m1_ids, r_ids in before:
+                    for i in range(n):
+                        table[(after, m1_ids[i][j])] = r_ids[i][k]
+    identities = {xi: ids[g1.identities[x]][i][i]
+                  for x, copy_ids in objects.items() for i, xi in enumerate(copy_ids)}
+    return FiniteGroupoid(tuple(itertools.chain.from_iterable(objects.values())),
+                          source, target, identities, table, inverses)
 
 
 def scanned_weak_equivalence(F):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from crossed_desc import cli, transfer
+from crossed_desc import cli, fixtures, transfer
 from crossed_desc.cli import _build_parser, main
 from crossed_desc.fixtures import (
     NAMED_CROSSED,
@@ -509,6 +509,67 @@ def test_cech_base_is_a_crossed_groupoid_name_or_spec(run, tmp_path, base, messa
         assert code == 0 and (code, out) == classes("fix-c-core")
     else:
         assert classes(base) == (2, _error_bytes(message))
+
+
+_DIAGRAM_OF = {"kind": "constant-diagram", "params": {"base": "fix-a-core"}}
+
+
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        ("transfer", {"kind": "fatten", "params": {"base": _DIAGRAM_OF, "copy": 5}},
+         "unknown 'fatten' fixture parameter 'copy'"),
+        ("desc", {"kind": "cech", "params": {"base": "fix-a-core", "covers": 1}},
+         "unknown 'cech' fixture parameter 'covers'"),
+        ("fixture", {"kind": "constant-diagram", "params": {"base": "fix-a-core", "copies": 2}},
+         "unknown 'constant-diagram' fixture parameter 'copies'"),
+        ("fixture", {"kind": "inner", "params": {"group": "z3", "base": "fix-a-core"}},
+         "unknown 'inner' fixture parameter 'base'"),
+        ("fixture", {"kind": "normal-subgroup",
+                     "params": {"group": "z2", "subgroup": ["0", "1"], "normal": True}},
+         "unknown 'normal-subgroup' fixture parameter 'normal'"),
+        ("transfer", {"kind": "fatten", "params": {
+            "base": {"kind": "constant-diagram", "params": {"base": "fix-a-core", "cover": 2}}}},
+         "unknown 'constant-diagram' fixture parameter 'cover'"),
+        ("fixture", {"kind": "normal-subgroup", "params": {"group": "s3", "subgroup": "012"}},
+         "'normal-subgroup' fixture parameter 'subgroup' is not a JSON array of strings"),
+        ("fixture", {"kind": "normal-subgroup", "params": {"group": "z2", "subgroup": [0, 1]}},
+         "'normal-subgroup' fixture parameter 'subgroup' is not a JSON array of strings"),
+    ],
+    ids=["fatten-copy", "cech-covers", "constant-diagram-copies", "inner-base",
+         "normal-subgroup-normal", "nested-constant-diagram-cover", "subgroup-string",
+         "subgroup-numbers"],
+)
+def test_a_spec_param_its_kind_does_not_read_exits_2(run, tmp_path, command, spec, message):
+    """A spec names only the params its kind reads, and a subgroup is an
+    array of element ids: a misspelt key is not ignored (a `fatten` with
+    "copy" built the default 2 copies and exited 0), and a string is not
+    read as its characters."""
+    path = _write(tmp_path, "spec", envelope("fixture-spec", spec))
+    assert run(command, path) == (2, _error_bytes(message))
+
+
+@pytest.mark.parametrize("argv, made", [(("weq",), False), (("lift", "--target", "0"), False),
+                                        (("transfer",), True)], ids=["weq", "lift", "transfer"])
+def test_a_fattened_g1_makes_its_composition_table_only_when_read_whole(
+        run, tmp_path, monkeypatch, argv, made):
+    """`weq` and `lift` on a fatten spec compose in the fattening without
+    its composition table; `transfer` classifies, and its gauge scan reads
+    the table whole."""
+    fattenings = []
+
+    def recording(C, n):
+        fat, inclusion = fatten(C, n)
+        fattenings.append(fat)
+        return fat, inclusion
+
+    monkeypatch.setattr(fixtures, "fatten", recording)
+    base = {"kind": "constant-diagram", "params": {"base": "inner-s3"}}
+    path = _write(tmp_path, "spec", envelope(
+        "fixture-spec", {"kind": "fatten", "params": {"base": base, "copies": 3}}))
+    code, _ = run(argv[0], path, *argv[1:])
+    assert code == 0 and len(fattenings) == 1
+    assert ("table" in vars(fattenings[0].g1)) is made
 
 
 def test_wrong_version_exits_2(run, tmp_path):

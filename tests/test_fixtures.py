@@ -22,10 +22,12 @@ from crossed_desc import (
     validate_diagram,
     validate_diagram_morphism,
     validate_group,
+    validate_groupoid,
     verify_bijection,
 )
 from crossed_desc import fixtures
 from crossed_desc.crossed import DisconnectedGroupoid
+from crossed_desc.serialize import serialize_document
 from crossed_desc.fixtures import (
     FixtureSpec,
     NAMED_CROSSED,
@@ -50,6 +52,7 @@ from oracles import (
     brute_automorphisms,
     cech_tables,
     cech_two_cocycle_count,
+    eager_fattened_g1,
     eager_product,
     fatten_tables,
     pairwise_automorphisms,
@@ -208,6 +211,20 @@ def test_build_fixture_dispatch():
     assert kind == "diagram-morphism" and validate_diagram_morphism(F).ok
     kind, fat = build_fixture(FixtureSpec("fatten", {"base": "fix-a-core"}))
     assert kind == "crossed" and validate_crossed(fat).ok
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_CROSSED))
+def test_specs_over_one_name_share_its_base(name):
+    """Every spec that names a base builds over one object per process;
+    `NAMED_CROSSED[name]()` itself builds a fresh one on every call."""
+    fattenings = [build_fixture(FixtureSpec("fatten", {"base": name}))[1] for _ in range(2)]
+    diagrams = [build_fixture(FixtureSpec("constant-diagram", {"base": name}))[1]
+                for _ in range(2)]
+    base = fattenings[0].fattening[0]
+    assert fattenings[1].fattening[0] is base
+    assert all(L is base for D in diagrams for L in D.levels)
+    fresh = [NAMED_CROSSED[name]() for _ in range(2)]
+    assert fresh[0] is not fresh[1] and base is not fresh[0] and base is not fresh[1]
 
 
 def test_build_fixture_unknown_kind():
@@ -395,6 +412,36 @@ def test_fattened_products_of_every_pair_answer_as_the_relabeled_oracle(name):
             assert _outcome(fat.g2.mul, a, b) == _outcome(g2.mul, a, b)
 
 
+@pytest.mark.hashseed
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(FATTENING_BASES))
+def test_a_fattened_g1_answers_as_the_eager_oracle(name, n):
+    """A fattening's g1 composes as the eagerly built one does, errors and
+    their messages included, on every pair of its ids and noise, before and
+    after its composition table is made; the table is made on first read,
+    with the oracle's items in the oracle's order, and validates and writes
+    as the oracle does."""
+    C = FATTENING_BASES[name]()
+    eager, fat = eager_fattened_g1(C, n), fatten(C, n)[0]
+    lazy = fat.g1
+    ids = list(eager.source) + sorted(C.g1.source) + ["", "zz", "@", "@0.0", None, 5]
+    ids += [f"{m}@0" for m in list(eager.source)[:3]]  # an extra "@"
+    ids += [f"{m}@0.{n}" for m in C.g1.source]  # a copy out of range
+    want = [_outcome(eager.compose, a, b) for a in ids for b in ids]
+    assert [_outcome(lazy.compose, a, b) for a in ids for b in ids] == want
+    assert "table" not in vars(lazy)
+    for attr in ("objects", "morphisms", "_out", "_in", "_homs"):
+        assert getattr(lazy, attr) == getattr(eager, attr)
+    for attr in ("source", "target", "identities", "inverses"):
+        assert list(getattr(lazy, attr).items()) == list(getattr(eager, attr).items())
+    assert list(lazy.table.items()) == list(eager.table.items())
+    assert [_outcome(lazy.compose, a, b) for a in ids for b in ids] == want
+    assert validate_groupoid(lazy).as_json() == validate_groupoid(eager).as_json()
+    assert serialize_document("groupoid", lazy) == serialize_document("groupoid", eager)
+    copy = CrossedGroupoid(eager, fat.g2, fat.twist_table, fat.feedback_table)
+    assert serialize_document("crossed", fat) == serialize_document("crossed", copy)
+
+
 def _traced(f):
     """f(), and the bytes its run allocated at its peak and still held when
     it returned, as tracemalloc counts them."""
@@ -418,8 +465,14 @@ def test_a_fattening_is_freed_with_its_last_reference():
     or the fattened cover spec's inclusion, frees its tagged groups and the
     level-3 group they tag: no reference cycle keeps them alive.  A power
     group's memo of accepted ids goes with it: 4,096 ids accepted, then the
-    group dropped, leave under 64 KiB allocated."""
+    group dropped, leave under 64 KiB allocated.  A fattening of a named
+    base whose composition table was made is freed too, while the base it
+    shares with every spec over that name lives on; making the table drops
+    the callables that held the ids it was made from."""
     spec = FixtureSpec("fatten", {"base": {"kind": "cech", "params": {"base": "fix-a-core"}}})
+    named = FixtureSpec("fatten", {"base": "inner-s3", "copies": 3})
+    build_fixture(spec)  # the named bases both specs share are made before tracing
+    base = weakref.ref(build_fixture(named)[1].fattening[0])
 
     def build_and_drop():
         level = cech_diagram(fix_a_core(), 2).levels[3]
@@ -435,14 +488,22 @@ def test_a_fattening_is_freed_with_its_last_reference():
         refs += [weakref.ref(F.target.levels[3].g2.group("*@0")),
                  weakref.ref(F.source.levels[3].g2.group("*"))]
         del F
+        _, fat = build_fixture(named)
+        assert fat.fattening[0] is base()
+        builders = [weakref.ref(v) for v in vars(fat.g1).values() if callable(v)]
+        assert builders and len(fat.g1.table) == 54 * 18  # 18 ids end where each starts
+        assert [ref() for ref in builders] == [None] * len(builders)
+        refs += [weakref.ref(fat), weakref.ref(fat.g1), weakref.ref(fat.g2.group("*@2"))]
+        del fat
         return refs
 
     enabled = gc.isenabled()
     gc.disable()
     try:
         refs, _, held = _traced(build_and_drop)
-        assert [ref() for ref in refs] == [None] * 4
+        assert [ref() for ref in refs] == [None] * 7
         assert held < 2**16
+        assert base() is not None and build_fixture(named)[1].fattening[0] is base()
     finally:
         if enabled:
             gc.enable()
