@@ -166,13 +166,16 @@ def cmd_lift(args) -> int:
 
 def _parse_target(F: DiagramMorphism, spec: str, bound: int) -> DescentDatum:
     """A target datum: an index into the canonical enumeration (of at most
-    `bound` candidates), or a JSON object {"x":..., "g":..., "a":...}."""
+    `bound` candidates) spelt as `str` spells it, or a JSON object
+    {"x":..., "g":..., "a":...}."""
     try:
         index = int(spec)
     except ValueError:
+        index = None
+    if index is None or spec != str(index):
         try:
             d = json.loads(spec)
-        except json.JSONDecodeError:
+        except ValueError:  # a JSONDecodeError, or an integer over the digit limit
             raise LoadError(f"target {spec!r} is neither an index nor JSON") from None
         if not (isinstance(d, dict) and all(isinstance(d.get(k), str) for k in "xga")):
             raise LoadError(f"target {spec!r} is not an object with string x, g and a")

@@ -553,6 +553,20 @@ class FixtureSpec:
     params: dict = field(default_factory=dict)
 
 
+def fixture_spec_from_json(d) -> FixtureSpec:
+    """A spec object {"kind": ..., "params": {...}}, a document's payload or
+    nested as a base; a key other than those two is refused."""
+    if not isinstance(d, dict) or "kind" not in d:
+        raise LoadError("fixture-spec payload is missing 'kind'")
+    params = d.get("params", {})
+    if not isinstance(params, dict):
+        raise LoadError("fixture-spec payload 'params' is not a JSON object")
+    for key in d:
+        if key not in ("kind", "params"):
+            raise LoadError(f"unknown fixture-spec key {key!r}")
+    return FixtureSpec(d["kind"], params)
+
+
 def build_fixture(spec: FixtureSpec):
     """Build a fixture; returns ("crossed", C), ("diagram", D) or
     ("diagram-morphism", F) depending on the kind.
@@ -643,7 +657,7 @@ def _resolve_crossed(ref) -> CrossedGroupoid:
         except KeyError:
             raise LoadError(f"unknown crossed-groupoid name {ref!r}") from None
     if isinstance(ref, dict):
-        kind, built = build_fixture(FixtureSpec(ref["kind"], ref.get("params", {})))
+        kind, built = build_fixture(fixture_spec_from_json(ref))
         if kind != "crossed":
             raise LoadError("nested fixture does not produce a crossed groupoid")
         return built
@@ -654,5 +668,5 @@ def _resolve_base(ref):
     if isinstance(ref, str) and ref in NAMED_CROSSED:
         return "crossed", _named_base(ref)
     if isinstance(ref, dict):
-        return build_fixture(FixtureSpec(ref["kind"], ref.get("params", {})))
+        return build_fixture(fixture_spec_from_json(ref))
     raise LoadError("fatten base must be a named crossed groupoid or a nested spec")

@@ -51,7 +51,7 @@ from collections import Counter
 
 from .crossed import CrossedGroupoid, CrossedMorphism, DisconnectedGroupoid, FiniteGroup
 from .cosimplicial import CrossedDiagram, DiagramMorphism, _once_each
-from .fixtures import FixtureSpec
+from .fixtures import FixtureSpec, fixture_spec_from_json
 from .groupoid import FiniteGroupoid
 from .validation import DEFAULT_BOUND, LoadError, ResourceBoundError
 
@@ -371,13 +371,6 @@ def diagram_morphism_from_json(d: dict) -> DiagramMorphism:
 
 def fixture_spec_to_json(spec: FixtureSpec) -> dict:
     return {"kind": spec.kind, "params": spec.params}
-
-
-def fixture_spec_from_json(d: dict) -> FixtureSpec:
-    kind, params = _require(d, "kind", "fixture-spec"), d.get("params", {})
-    if not isinstance(params, dict):
-        raise LoadError("fixture-spec payload 'params' is not a JSON object")
-    return FixtureSpec(kind, params)
 
 
 # -- documents ----------------------------------------------------------

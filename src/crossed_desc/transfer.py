@@ -7,13 +7,13 @@ constructive route must agree, and a disagreement is raised as a hard error.
 
 Every existential choice in the lifting algorithms is resolved by
 least-identifier search, so lifts are deterministic and their traces
-reproducible.  `_least` owns that search.  An equation that a chase and
-`revalidate_lift_trace` both evaluate is one function that both call.
+reproducible.  `_least` owns that search; `revalidate_lift_trace` replays a
+chase with a trace's recorded choices in its place.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from .cosimplicial import CrossedDiagram, DiagramMorphism, _once_each
@@ -25,7 +25,6 @@ from .descent import (
     PartialDescentDatum,
     _cocycle_failure,
     _inner_cell,
-    _predicted_a,
     _twisted_cocycle_sides,
     complete_descent,
     gauge_classes,
@@ -46,7 +45,7 @@ from .validation import (
 
 @dataclass
 class LiftTrace:
-    """All intermediates of one lifting run, re-validatable after the fact."""
+    """The inputs, search-step choices and intermediates of one lift, enough to replay it."""
 
     kind: str  # "surjectivity" or "injectivity"
     data: dict[str, object] = field(default_factory=dict)
@@ -113,6 +112,13 @@ def lift_descent(
     F being a weak equivalence; search exhaustion raises LiftSearchError and
     indicates that it is not, or that the data is corrupt.
     """
+    return _chase_descent(F, target, _least)
+
+
+def _chase_descent(
+    F: DiagramMorphism, target: DescentDatum, choose: Callable
+) -> tuple[DescentDatum, GaugeTransformation, LiftTrace]:
+    """The surjectivity chase, taking each step's solution from `choose`."""
     G, H = F.source, F.target
     ok, _ = is_descent_datum(H, target)
     if not ok:
@@ -123,14 +129,15 @@ def lift_descent(
 
     # 1. an object of the source hitting the component of y, and a connecting
     #    1-morphism f : y -> F(x); a nonempty hom-set is that component
-    x, f = _least(((x, f) for x in sorted(G.levels[0].objects)
+    x, f = choose(((x, f) for x in sorted(G.levels[0].objects)
                    for f in H0.g1.hom(y, F.levels[0].apply_obj(x))),
                   "component-surjectivity", f"no source object hits the component of {y}")
     y_prime = F.levels[0].apply_obj(x)
     trace.data.update({"x": x, "f": f, "y_prime": y_prime})
 
     # 2. transport the datum to y' with the trivial 2-component, then complete
-    h_pp = _transported(H, f, h)
+    f0, f1 = H.face((0,), 1).apply_mor1(f), H.face((1,), 1).apply_mor1(f)
+    h_pp = H1.g1.compose_all(f1, h, H1.g1.inverse(f0))
     c_pp = H1.g2.identity(vertex_object(H, y, 0, 1))
     b_pp, dd_pp = complete_descent(
         H, target, PartialDescentDatum(y_prime, h_pp), GaugeTransformation(f, c_pp)
@@ -140,7 +147,7 @@ def lift_descent(
     # 3. a source 1-morphism g and a correction c' with h'' = F(g) . D(c')
     x0, x1 = vertex_object(G, x, 0, 1), vertex_object(G, x, 1, 1)
     yp0 = vertex_object(H, y_prime, 0, 1)
-    g, c_p = _least(((g, c) for g in G.levels[1].g1.hom(x0, x1)
+    g, c_p = choose(((g, c) for g in G.levels[1].g1.hom(x0, x1)
                      for c in sorted(H1.g2.group(yp0).elements)
                      if h_pp == H1.g1.compose(F.levels[1].apply_mor1(g), H1.feedback(c))),
                     "hom-quotient-surjectivity", "no (g, c') with h'' = F(g) . D(c')")
@@ -156,7 +163,7 @@ def lift_descent(
     # 4. the unique source 2-cell with the prescribed feedback and image
     G2 = G.levels[2]
     want_feedback = _cocycle_failure(G, g)
-    a = _least((a for a in sorted(G2.g2.group(vertex_object(G, x, 0, 2)).elements)
+    a = choose((a for a in sorted(G2.g2.group(vertex_object(G, x, 0, 2)).elements)
                 if G2.feedback(a) == want_feedback and F.levels[2].apply_mor2(a) == b_p),
                "fiber-bijectivity", "no 2-cell with the required feedback and image")
     trace.data["a"] = a
@@ -171,7 +178,7 @@ def lift_descent(
     if u != G.levels[3].g2.identity(vertex_object(G, x, 0, 3)):
         raise CrossedDescError("second-condition defect of the lift is not the identity")
 
-    c = H1.g2.inv(H1.twist(H1.g1.inverse(H.face((0,), 1).apply_mor1(f)), c_p))
+    c = H1.g2.inv(H1.twist(H1.g1.inverse(f0), c_p))
     witness = GaugeTransformation(f, c)
     ok, report = is_gauge(H, witness, target, apply_morphism(F, lifted))
     if not ok:
@@ -187,12 +194,6 @@ def _second_condition_defect(D: CrossedDiagram, t: DescentDatum) -> str:
     return grp.mul(lhs, grp.inv(rhs))
 
 
-def _transported(H: CrossedDiagram, f: str, h: str) -> str:
-    """h'' = f_(1) . h . f_(0)^-1, the 1-morphism h carried along f."""
-    f0, f1 = H.face((0,), 1).apply_mor1(f), H.face((1,), 1).apply_mor1(f)
-    return H.levels[1].g1.compose_all(f1, h, H.levels[1].g1.inverse(f0))
-
-
 # -- lifting gauge transformations (injectivity chase) ------------------
 
 
@@ -203,6 +204,14 @@ def lift_gauge(
     t: GaugeTransformation,
 ) -> tuple[GaugeTransformation, LiftTrace]:
     """Lift a gauge transformation between images back to the source."""
+    return _chase_gauge(F, src, dst, t, _least)
+
+
+def _chase_gauge(
+    F: DiagramMorphism, src: DescentDatum, dst: DescentDatum, t: GaugeTransformation,
+    choose: Callable,
+) -> tuple[GaugeTransformation, LiftTrace]:
+    """The injectivity chase, taking each step's solution from `choose`."""
     G, H = F.source, F.target
     y_datum = apply_morphism(F, src)
     yp_datum = apply_morphism(F, dst)
@@ -214,33 +223,36 @@ def lift_gauge(
     y = y_datum.x
     trace = LiftTrace("injectivity", {"src": src, "dst": dst, "input": t})
 
-    # 1. least (e, v) with F(e) = f . D(v)
-    e, v = _least(((e, v) for e in G.levels[0].g1.hom(src.x, dst.x)
+    # 1. least (e, v) with F(e) = f . D(v), and c adjusted to f~ = f . D(v)
+    e, v = choose(((e, v) for e in G.levels[0].g1.hom(src.x, dst.x)
                    for v in sorted(H0.g2.group(y).elements)
                    if F.levels[0].apply_mor1(e) == H0.g1.compose(t.f, H0.feedback(v))),
                   "hom-quotient-surjectivity", "no (e, v) with F(e) = f . D(v)")
     f_tilde = H0.g1.compose(t.f, H0.feedback(v))
-    c_tilde = _adjusted_c(H, y_datum.g, t.c, v)
+    v0, v1 = H.face((0,), 1).apply_mor2(v), H.face((1,), 1).apply_mor2(v)
+    twisted = H1.twist(H1.g1.inverse(y_datum.g), H1.g2.inv(v1))
+    c_tilde = H1.g2.mul(H1.g2.mul(twisted, t.c), v0)
     ok, report = is_gauge(H, GaugeTransformation(f_tilde, c_tilde), y_datum, yp_datum)
     if not ok:
         raise CrossedDescError(f"adjusted gauge fails verification: {report.violations}")
     trace.data.update({"e": e, "v": v, "f_tilde": f_tilde, "c_tilde": c_tilde})
 
     # 2. least d' with D(d') = g^-1 . e_(1)^-1 . g' . e_(0)
-    want = _d_prime_feedback(G, src, dst, e)
+    e0, e1 = G.face((0,), 1).apply_mor1(e), G.face((1,), 1).apply_mor1(e)
+    want = G1.g1.compose_all(G1.g1.inverse(src.g), G1.g1.inverse(e1), dst.g, e0)
     x0 = vertex_object(G, src.x, 0, 1)
     cells = sorted(G1.g2.group(x0).elements)
-    d_p = _least((d for d in cells if G1.feedback(d) == want),
+    d_p = choose((d for d in cells if G1.feedback(d) == want),
                  "cokernel-injectivity", "no d' with the required feedback")
     trace.data["d_p"] = d_p
 
     # 3. the kernel correction: w = c~ . F(d')^-1, its unique kernel preimage
-    w = _kernel_correction(F, c_tilde, d_p)
+    w = H1.g2.mul(c_tilde, H1.g2.inv(F.levels[1].apply_mor2(d_p)))
     y0 = vertex_object(H, y, 0, 1)
     if H1.feedback(w) != H1.g1.identity(y0):
         raise CrossedDescError("kernel correction has nontrivial feedback")
     one = G1.g1.identity(x0)
-    v2 = _least((k for k in cells if G1.feedback(k) == one and F.levels[1].apply_mor2(k) == w),
+    v2 = choose((k for k in cells if G1.feedback(k) == one and F.levels[1].apply_mor2(k) == w),
                 "kernel-bijectivity", "no kernel element mapping onto the correction")
     d = G1.g2.mul(v2, d_p)
     trace.data.update({"w": w, "v2": v2, "d": d})
@@ -272,96 +284,44 @@ def _gauge_condition_defect(
     return grp.mul(head, _inner_cell(L2, src.a, g01, d01, d02, d12))
 
 
-def _adjusted_c(H: CrossedDiagram, h: str, c: str, v: str) -> str:
-    """c~ = twist(h^-1, v_(1)^-1) . c . v_(0), the 2-component adjusted to f . D(v)."""
-    L1 = H.levels[1]
-    v0, v1 = H.face((0,), 1).apply_mor2(v), H.face((1,), 1).apply_mor2(v)
-    return L1.g2.mul(L1.g2.mul(L1.twist(L1.g1.inverse(h), L1.g2.inv(v1)), c), v0)
-
-
-def _d_prime_feedback(G: CrossedDiagram, src: DescentDatum, dst: DescentDatum, e: str) -> str:
-    """g^-1 . e_(1)^-1 . g' . e_(0), the feedback that d' must have."""
-    e0, e1 = G.face((0,), 1).apply_mor1(e), G.face((1,), 1).apply_mor1(e)
-    g1 = G.levels[1].g1
-    return g1.compose_all(g1.inverse(src.g), g1.inverse(e1), dst.g, e0)
-
-
-def _kernel_correction(F: DiagramMorphism, c_tilde: str, d_p: str) -> str:
-    """w = c~ . F(d')^-1."""
-    grp = F.target.levels[1].g2
-    return grp.mul(c_tilde, grp.inv(F.levels[1].apply_mor2(d_p)))
-
-
 # -- trace re-validation ------------------------------------------------
 
 
+# the fields each search step of a chase records, in step order
+_CHOICES = {
+    "surjectivity": (("x", "f"), ("g", "c_p"), ("a",)),
+    "injectivity": (("e", "v"), ("d_p",), ("v2",)),
+}
+
+
 def revalidate_lift_trace(F: DiagramMorphism, trace: LiftTrace) -> ValidationReport:
-    """Recompute every recorded equation of a trace from its stored elements,
-    and every recorded value from what determines it or the value it repeats."""
+    """Replay the trace's chase on its recorded inputs and choices, and compare
+    every recorded field with the replay's.  A choice must solve its step, not
+    be the least solution; one that does not is reported under its step."""
     report = ValidationReport()
-    G, H = F.source, F.target
     d = trace.data
-    if trace.kind == "surjectivity":
-        target: DescentDatum = d["target"]
-        H1 = H.levels[1]
-        if _transported(H, d["f"], target.g) != d["h_pp"]:
-            report.add("trace", "transported 1-morphism does not recompute")
-        if d["c_pp"] != H1.g2.identity(vertex_object(H, target.x, 0, 1)):
-            report.add("trace", "transport 2-component is not the identity")
-        if _predicted_a(H, target, GaugeTransformation(d["f"], d["c_pp"])) != d["b_pp"]:
-            report.add("trace", "transported 2-cell does not recompute")
-        if F.levels[0].apply_obj(d["x"]) != d["y_prime"]:
-            report.add("trace", "image object does not recompute")
-        if F.levels[1].apply_mor1(d["g"]) != d["h_p"]:
-            report.add("trace", "image 1-morphism does not recompute")
-        if H1.g1.compose(d["h_p"], H1.feedback(d["c_p"])) != d["h_pp"]:
-            report.add("trace", "correction equation h'' = F(g) . D(c') fails")
-        lifted: DescentDatum = d["lifted"]
-        if lifted != DescentDatum(d["x"], d["g"], d["a"]):
-            report.add("trace", "lifted triple is not (x, g, a)")
-        if d["witness"] != GaugeTransformation(d["f"], d["c"]):
-            report.add("trace", "witness is not (f, c)")
-        ok, _ = is_descent_datum(G, lifted)
-        if not ok:
-            report.add("trace", "lifted triple no longer passes the descent checks")
-        if F.levels[2].apply_mor2(lifted.a) != d["b_p"]:
-            report.add("trace", "image 2-cell does not recompute")
-        if d["u"] != G.levels[3].g2.identity(vertex_object(G, lifted.x, 0, 3)):
-            report.add("trace", "recorded defect is not the identity")
-        if _second_condition_defect(G, lifted) != d["u"]:
-            report.add("trace", "defect does not recompute")
-        ok, _ = is_gauge(H, d["witness"], target, apply_morphism(F, lifted))
-        if not ok:
-            report.add("trace", "witness gauge no longer verifies")
-    elif trace.kind == "injectivity":
-        src: DescentDatum = d["src"]
-        dst: DescentDatum = d["dst"]
-        t: GaugeTransformation = d["input"]
-        H0 = H.levels[0]
-        if d["f_tilde"] != H0.g1.compose(t.f, H0.feedback(d["v"])):
-            report.add("trace", "adjusted 1-morphism f . D(v) does not recompute")
-        if F.levels[0].apply_mor1(d["e"]) != d["f_tilde"]:
-            report.add("trace", "F(e) = f . D(v) fails")
-        if _adjusted_c(H, apply_morphism(F, src).g, t.c, d["v"]) != d["c_tilde"]:
-            report.add("trace", "adjusted 2-component does not recompute")
-        if G.levels[1].feedback(d["d_p"]) != _d_prime_feedback(G, src, dst, d["e"]):
-            report.add("trace", "feedback of d' does not recompute")
-        w = _kernel_correction(F, d["c_tilde"], d["d_p"])
-        if w != d["w"]:
-            report.add("trace", "kernel correction does not recompute")
-        if F.levels[1].apply_mor2(d["v2"]) != w:
-            report.add("trace", "kernel preimage does not recompute")
-        if G.levels[1].g2.mul(d["v2"], d["d_p"]) != d["d"]:
-            report.add("trace", "final 2-component does not recompute")
-        if d["lifted"] != GaugeTransformation(d["e"], d["d"]):
-            report.add("trace", "lifted gauge is not (e, d)")
-        ok, _ = is_gauge(G, d["lifted"], src, dst)
-        if not ok:
-            report.add("trace", "lifted gauge no longer verifies")
-        if _gauge_condition_defect(G, d["lifted"], src, dst) != d["u"]:
-            report.add("trace", "defect does not recompute")
-    else:
+    if trace.kind not in _CHOICES:
         report.add("trace", f"unknown trace kind {trace.kind!r}")
+        return report
+    steps = iter(_CHOICES[trace.kind])
+
+    def recorded(candidates: Iterator, step: str, detail: str):
+        names = next(steps)
+        choice = tuple(d[name] for name in names) if len(names) > 1 else d[names[0]]
+        return _least((c for c in candidates if c == choice), step,
+                      f"the recorded {', '.join(names)} = {choice!r} is not a solution")
+
+    try:
+        if trace.kind == "surjectivity":
+            replayed = _chase_descent(F, d["target"], recorded)[-1]
+        else:
+            replayed = _chase_gauge(F, d["src"], d["dst"], d["input"], recorded)[-1]
+    except CrossedDescError as exc:
+        report.add("trace", str(exc))
+        return report
+    for name, value in replayed.data.items():
+        if d.get(name) != value:
+            report.add("trace", f"recorded {name} does not recompute")
     return report
 
 

@@ -549,6 +549,59 @@ def test_a_spec_param_its_kind_does_not_read_exits_2(run, tmp_path, command, spe
     assert run(command, path) == (2, _error_bytes(message))
 
 
+_CECH_OF_Z2 = {"kind": "normal-subgroup", "params": {"group": "z2", "subgroup": ["0", "1"]}}
+
+
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        ("fixture", {"kind": "fatten", "params": {"base": "fix-a-core"}, "copies": 3},
+         "unknown fixture-spec key 'copies'"),
+        ("transfer", {"kind": "fatten", "params": {"base": {**_DIAGRAM_OF, "copies": 3}}},
+         "unknown fixture-spec key 'copies'"),
+        ("desc", {"kind": "cech", "params": {"base": {**_CECH_OF_Z2, "cover": 2}, "cover": 1}},
+         "unknown fixture-spec key 'cover'"),
+        ("transfer", {"kind": "fatten", "params": {
+            "base": {"kind": "constant-diagram", "params": [["base", "fix-a-core"]]}}},
+         "fixture-spec payload 'params' is not a JSON object"),
+        ("desc", {"kind": "cech", "params": {"base": {"params": {}}, "cover": 1}},
+         "fixture-spec payload is missing 'kind'"),
+    ],
+    ids=["top-level-copies", "nested-base-copies", "nested-crossed-cover",
+         "nested-params-pairs", "nested-without-kind"],
+)
+def test_a_spec_key_other_than_kind_and_params_exits_2(run, tmp_path, command, spec, message):
+    """A spec object, at the top or nested as a base, is read by one reader:
+    a key other than `kind` and `params` is not ignored (a sibling "copies"
+    built the default 2 copies and exited 0), and a nested spec's malformed
+    `params` or missing `kind` is worded as the top level words it."""
+    path = _write(tmp_path, "spec", envelope("fixture-spec", spec))
+    assert run(command, path) == (2, _error_bytes(message))
+
+
+@pytest.mark.parametrize(
+    "target, code, message",
+    [
+        ("1_0", 2, "target '1_0' is neither an index nor JSON"),
+        ("+1", 2, "target '+1' is neither an index nor JSON"),
+        (" 1", 2, "target ' 1' is not an object with string x, g and a"),
+        ("01", 2, "target '01' is neither an index nor JSON"),
+        ("\u0661", 2, "target '\u0661' is neither an index nor JSON"),
+        ("-0", 2, "target '-0' is not an object with string x, g and a"),
+        ("-1", 4, "target index -1 out of range (0..3)"),
+        ("1" * 5000, 2, f"target {'1' * 5000!r} is neither an index nor JSON"),
+    ],
+    ids=["underscore", "plus", "space", "leading-zero", "arabic-indic-one", "minus-zero",
+         "minus-one", "over-the-digit-limit"],
+)
+def test_lift_target_index_is_read_only_as_str_writes_it(run, fat_spec_doc, target, code, message):
+    """`--target` is an index only in the spelling `str(i)` gives it; any
+    other text is read as JSON (`1_0` read as 10 was out of range, and `+1`,
+    ` 1`, an Arabic-Indic one and `-0` each lifted a datum and exited 0), and
+    an integer too long for `int` exits 2 rather than with a traceback."""
+    assert run("lift", fat_spec_doc, "--target", target) == (code, _error_bytes(message))
+
+
 @pytest.mark.parametrize("argv, made", [(("weq",), False), (("lift", "--target", "0"), False),
                                         (("transfer",), True)], ids=["weq", "lift", "transfer"])
 def test_a_fattened_g1_makes_its_composition_table_only_when_read_whole(
@@ -816,7 +869,7 @@ def _report_bytes(kind):
 
 
 def _error_bytes(message):
-    return '{\n  "error": %s\n}\n' % json.dumps(message)
+    return '{\n  "error": %s\n}\n' % json.dumps(message, ensure_ascii=False)
 
 
 _NOT_A_DIAGRAM = "expected a diagram document, got kind {!r}"

@@ -366,6 +366,51 @@ def test_a_trace_with_any_field_replaced_does_not_revalidate():
                 assert not revalidate_lift_trace(F, corrupted).ok, (trace.kind, key, value)
 
 
+def _last_candidate(candidates, step, detail):
+    """A step picker that takes the greatest solution instead of the least."""
+    return transfer._least(reversed(list(candidates)), step, detail)
+
+
+def test_a_trace_of_solutions_other_than_the_least_revalidates():
+    """A trace certifies its lift: each recorded choice must solve its step,
+    but need not be the least solution.  Chased with the greatest solution
+    of each step, every lift's trace differs from the least one and still
+    re-validates."""
+    _, F = fatten_diagram(fatten_diagram(fix_c(), 2)[0], 2)
+    pairs = [(lift_descent(F, target)[2], transfer._chase_descent(F, target, _last_candidate)[2])
+             for target in enumerate_descent(F.target)]
+    tgt_classes = gauge_classes(F.target)
+    for s, d in itertools.product(enumerate_descent(F.source), repeat=2):
+        if tgt_classes.rep_of[apply_morphism(F, s)] == tgt_classes.rep_of[apply_morphism(F, d)]:
+            t = _target_gauge_between_images(F, tgt_classes, s, d)
+            pairs.append((lift_gauge(F, s, d, t)[1],
+                          transfer._chase_gauge(F, s, d, t, _last_candidate)[1]))
+    assert [least.kind for least, _ in pairs] == ["surjectivity"] * 8 + ["injectivity"] * 16
+    for least, last in pairs:
+        assert last.data != least.data
+        assert revalidate_lift_trace(F, last).ok, last.as_json()
+
+
+def test_a_recorded_choice_that_solves_no_step_is_reported_under_its_step():
+    """A 2-cell a or kernel element v2 other than the recorded one is no
+    solution of its step (each solution is unique), and the report names
+    the step whose recorded choice fails."""
+    _, F = fatten_diagram(fatten_diagram(fix_c(), 2)[0], 2)
+    _, _, surjectivity = lift_descent(F, DescentDatum("*@1@1", "1@1.1@1.1", "2.1@1@1"))
+    pair = DescentDatum("*@0", "0@0.0", "2.0@0"), DescentDatum("*@0", "1@0.0", "2.1@0")
+    t = _target_gauge_between_images(F, gauge_classes(F.target), *pair)
+    _, injectivity = lift_gauge(F, *pair, t)
+    for trace, key, step, p in ((surjectivity, "a", "fiber-bijectivity", 2),
+                                (injectivity, "v2", "kernel-bijectivity", 1)):
+        stand_ins = _stand_ins(F.source, p, "mor2", trace.data[key])
+        assert stand_ins
+        for value in stand_ins:
+            report = revalidate_lift_trace(F, LiftTrace(trace.kind, {**trace.data, key: value}))
+            assert [(v.rule, v.detail) for v in report] == [(
+                "trace", f"search exhausted at step {step!r}: "
+                         f"the recorded {key} = {value!r} is not a solution")]
+
+
 def test_lift_gauge_rejects_non_gauge(fat_a):
     fat, incl = fat_a
     from crossed_desc import GaugeTransformation
