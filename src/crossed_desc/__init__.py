@@ -22,10 +22,8 @@ from .crossed import (
     CrossedMorphism,
     DisconnectedGroupoid,
     FiniteGroup,
-    HomotopyData,
     compose_crossed_morphisms,
     homotopy,
-    identity_crossed_morphism,
     is_weak_equivalence_crossed,
     validate_crossed,
     validate_crossed_morphism,

@@ -5,20 +5,20 @@ a totally disconnected groupoid g2 on the same objects, an action of g1 on g2
 by group isomorphisms (the twisting), and a functor g2 -> g1 that is the
 identity on objects (the feedback), subject to equivariance and the Peiffer
 identity.  This module also computes the homotopy invariants pi0/pi1/pi2,
-once per crossed groupoid (they are kept on it), and decides weak
-equivalence.  A derived table is a `_View`: a read-only mapping that computes
-each entry from the tables it derives from, built by one factory per
-derivation.  A derived group is a `_LazyGroup`: it lists nothing until
-iterated, and decodes each distinct id once to decide membership; its `mul`
-and `inv` answer membership from the ids it has accepted before they decode
-one.  A tagged group multiplies through its base's unchecked products, and a
+once per crossed groupoid (they are kept on it) and by one scan for every
+level, and decides weak equivalence.  A derived table is a `_View`: a
+read-only mapping that computes each entry from the tables it derives
+from, built by one factory per derivation.  A derived group is a
+`_LazyGroup`: it lists nothing until iterated, and decodes each distinct id
+once to decide membership; its `mul` and `inv` answer membership from the
+ids it has accepted before they decode one.  A tagged group multiplies through its base's unchecked products, and a
 product of table-backed groups through the factors' tables.  A power
 of a one-object crossed group (a Čech cover level) has a lazy product group,
-an owner view, a lazy pi2, and twist and feedback views of the base's
-(`_power_tables`); the power check and `homotopy` read it through its base.
-A fattening's groups, owner (`_fattened_owner`), pi2 and inclusion's
-2-morphism map (`_tag_map`) are views of its base too, and the inclusion's
-pi2 bijection is proven through the base.
+an owner view, and twist and feedback views of the base's (`_power_tables`);
+the power check reads it through its base.  A fattening's groups, owner
+(`_fattened_owner`) and inclusion's 2-morphism map (`_tag_map`) are views of
+its base too, and the inclusion of a copy is a weak equivalence by its
+marker (`_includes_a_copy`), with no homotopy computed.
 """
 
 from __future__ import annotations
@@ -465,14 +465,14 @@ class CrossedGroupoid:
     twist_table: Mapping[tuple[str, str], str]
     feedback_table: Mapping[str, str]
     # (base, k) on a cover level that is the k-fold power of a one-object base,
-    # whose group, owner and pi2 list nothing until read; only `cech_diagram`
-    # sets it, validate_crossed checks it, and `homotopy` reads it too
+    # whose group and owner list nothing until read; only `cech_diagram` sets
+    # it, and validate_crossed checks it
     power: tuple[CrossedGroupoid, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     # (base, n) on `fatten(base, n)`, whose ids tag the base's as x@i, m@i.j
-    # and a@i; only `fatten` sets it.  `homotopy` reads the base's, and
-    # `is_weak_equivalence_crossed` proves the inclusion's pi2 through it
+    # and a@i; only `fatten` sets it, and `is_weak_equivalence_crossed`
+    # recognises the inclusion of a copy by it (`_includes_a_copy`)
     fattening: tuple[CrossedGroupoid, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -989,56 +989,22 @@ class Pi1:
 class HomotopyData:
     pi0: dict[str, str]
     pi1: dict[str, Pi1]
-    pi2: Mapping[str, tuple[str, ...]]  # kernel of the feedback, sorted
+    pi2: dict[str, tuple[str, ...]]  # kernel of the feedback, sorted
 
 
 def homotopy(C: CrossedGroupoid) -> HomotopyData:
-    """Components of g1, cokernels and kernels of the feedback per object.
-
-    A fattening `fatten(B, n)` takes the feedback image and the kernel at
-    x@i from `homotopy(B)` at x, tagged; a cover level marked as the k-fold
-    power of B takes the k-fold products of B's.  Such a level's pi2 is a
-    `_View` that makes and keeps the sorted kernel at an object when it is
-    first read (a tag can reorder ids: "a@0" > "a0@0").  Computed on the
-    first call and kept on C, so later calls return the same object."""
+    """Components of g1, cokernels and kernels of the feedback per object,
+    scanned from C's own groups and feedback table, whether C was built or
+    loaded.  Computed on the first call and kept on C, so later calls
+    return the same object."""
     if C._homotopy is not None:
         return C._homotopy
-    pi0 = pi0_groupoid(C.g1)
-    images: dict[str, Iterable[str]] = {}
-    pi2: Mapping[str, tuple[str, ...]] = {}
-    if C.power is not None:
-        base, k = C.power
-        hb = homotopy(base)
-        for x, p1 in hb.pi1.items():
-            image = [g for g, rep in p1.coset_of.items() if rep == p1.group.identity]
-            images[x] = map("|".join, itertools.product(image, repeat=k))
-        keys = hb.pi2
-
-        def kernel(y) -> tuple[str, ...]:
-            return tuple(sorted(map("|".join, itertools.product(hb.pi2[y], repeat=k))))
-    elif C.fattening is None:
-        fb = C.feedback_table
-        for x in C.objects:
-            grp, one = C.g2.group(x), C.g1.identity(x)
-            images[x] = {fb[a] for a in grp}
-            pi2[x] = tuple(sorted(a for a in grp if fb[a] == one))
-    else:
-        base, n = C.fattening
-        hb = homotopy(base)
-        keys = {}  # x@i -> (x, "@i"), in listing order
-        for x, p1 in hb.pi1.items():
-            image = [g for g, rep in p1.coset_of.items() if rep == p1.group.identity]
-            for i in range(n):
-                images[f"{x}@{i}"] = [f"{d}@{i}.{i}" for d in image]
-                keys[f"{x}@{i}"] = (x, f"@{i}")
-
-        def kernel(y) -> tuple[str, ...]:
-            x, tag = keys[y]
-            return tuple(sorted(a + tag for a in hb.pi2[x]))
-    if C.power is not None or C.fattening is not None:
-        pi2 = _View((hb.pi2,), functools.cache(kernel), keys.__iter__, keys.__len__)
-    pi1 = {x: _pi1(C.g1, x, images[x]) for x in C.objects}
-    C._homotopy = HomotopyData(pi0, pi1, pi2)
+    fb, pi1, pi2 = C.feedback_table, {}, {}
+    for x in C.objects:
+        grp, one = C.g2.group(x), C.g1.identity(x)
+        pi1[x] = _pi1(C.g1, x, {fb[a] for a in grp})
+        pi2[x] = tuple(sorted(a for a in grp if fb[a] == one))
+    C._homotopy = HomotopyData(pi0_groupoid(C.g1), pi1, pi2)
     return C._homotopy
 
 
@@ -1070,23 +1036,40 @@ def _pi1(g1: FiniteGroupoid, x: str, image: Iterable[str]) -> Pi1:
     return Pi1(reps, coset_of, FiniteGroup(reps, coset_of[one], mul, inv))
 
 
+def _includes_a_copy(F: CrossedMorphism) -> bool:
+    """Whether F is the inclusion of copy i into `fatten(S, n)` of its
+    source S, as `fatten` makes it: the target is marked as that fattening,
+    the 2-morphism map is S's own tag view a -> a@i (`_tag_map`, `_is_view`),
+    x maps to x@i and m to m@i.i.  A tag map's tag is what it appends to any
+    id, here an identity."""
+    S, T = F.source, F.target
+    if not (S.objects and T.fattening is not None and T.fattening[0] is S
+            and _is_view(F.mor2_map, S)):
+        return False
+    one = S.g2.identity(S.objects[0])
+    tag = F.mor2_map[one][len(one):]
+    return (tag in [f"@{i}" for i in range(T.fattening[1])]
+            and F.obj_map == {x: x + tag for x in S.objects}
+            and F.mor1_map == {m: f"{m}{tag}.{tag[1:]}" for m in S.g1.source})
+
+
 def is_weak_equivalence_crossed(F: CrossedMorphism) -> tuple[bool, ValidationReport]:
     """True iff F induces a pi0 bijection and pi1/pi2 isomorphisms everywhere.
 
     The report names every failing invariant at every object; a map that is
     not functorial on objects or automorphisms is reported there, not raised.
 
-    pi2 is scanned at each object, except where F is the inclusion of copy i
-    into a fattening of its source S: the target is marked `fatten(S, n)`, x
-    maps to x@i, and the 2-morphism map is the tag map a -> a@i over S
-    (`_tag_map`, `_is_view`).  Then the target's pi2 at x@i is S's pi2 at x
-    tagged "@i" (`homotopy`), so the induced map is a bijection by
-    construction and is not scanned, and neither lazy pi2 is made.
+    The inclusion of a copy into a fattening of its source
+    (`_includes_a_copy`) induces bijections on pi0, pi1 and pi2 by
+    construction, so it is a weak equivalence with no homotopy computed on
+    either side.  Every other map is scanned: the invariants of both ends
+    (`homotopy`) are compared object by object.
     """
     report = ValidationReport()
+    if _includes_a_copy(F):
+        return True, report
     S, T = F.source, F.target
     hs, ht = homotopy(S), homotopy(T)
-    tagged = T.fattening is not None and T.fattening[0] is S and _is_view(F.mor2_map, S)
 
     # pi0: the target components that the objects of each source component hit
     hit: dict[str, set[str]] = {}
@@ -1119,11 +1102,7 @@ def is_weak_equivalence_crossed(F: CrossedMorphism) -> tuple[bool, ValidationRep
                 report.add("pi1", f"induced map on pi1 at {x} is not injective")
             if set(induced) != set(p1t.reps):
                 report.add("pi1", f"induced map on pi1 at {x} is not surjective")
-        # pi2: kernel to kernel, bijectively.  A tag map's tag is what it
-        # appends to any id, here the identity
-        one = S.g2.identity(x)
-        if tagged and y == x + F.mor2_map[one][len(one):]:
-            continue
+        # pi2: kernel to kernel, bijectively
         kernel = hs.pi2[x]
         images = [F.apply_mor2(a) for a in kernel]
         if len(set(images)) != len(images):

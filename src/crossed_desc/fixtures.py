@@ -15,10 +15,10 @@ fattening builds only its g1's source, target, inverse and identity tables:
 its composition table is made from the base's when something first reads it
 whole, its groups, its g2 owner map, its twist and feedback tables
 (`_fattened_tables`) and its inclusion's 2-morphism map all read the base,
-and the inclusion's weak-equivalence check is proven through the base.  The
-builders of constant diagrams, fattenings and identity morphisms share one
-object per distinct level and map, as loading does, and a fattening fattens
-each distinct object once.
+and the inclusion is a weak equivalence by the fattening's marker, with no
+homotopy computed on either side.  The builders of constant diagrams,
+fattenings and identity morphisms share one object per distinct level and
+map, as loading does, and a fattening fattens each distinct object once.
 
 A fixture spec builds each named base (`NAMED_CROSSED`) once per process and
 shares it, so structures built from specs must not be edited in place;
@@ -331,8 +331,9 @@ def fatten(C: CrossedGroupoid, n: int) -> tuple[CrossedGroupoid, CrossedMorphism
     (`crossed._fattened_owner`, passed to `DisconnectedGroupoid(groups,
     owner)`), the twist and feedback tables compute their entries from C's
     (`_fattened_tables`), and the inclusion's 2-morphism map is the tag map
-    a -> a@0 (`_tag_map`), through which `is_weak_equivalence_crossed`
-    proves its pi2 bijection without a scan.
+    a -> a@0 (`_tag_map`).  By that map and the marker,
+    `is_weak_equivalence_crossed` knows the inclusion for a weak equivalence
+    without computing the homotopy of either side.
     """
     if n < 1:
         raise DomainError("copy count must be at least 1")
@@ -422,8 +423,9 @@ def _power_level(C: CrossedGroupoid, k: int) -> CrossedGroupoid:
     """The k-fold power of the one-object crossed group C, marked
     `power = (C, k)`: its g1 and group are built as `FiniteGroup.product` of
     k copies of C's, and its twist and feedback tables are views of C's
-    (`_power_tables`).  The group lists nothing until iterated, and the g2
-    owner is a view that asks membership in it.  The caller bounds k first."""
+    (`_power_tables`).  The group lists nothing until iterated (`homotopy`
+    scans it, so taking the level's homotopy lists it), and the g2 owner is
+    a view that asks membership in it.  The caller bounds k first."""
     (obj,) = C.objects
     g1_grp = FiniteGroup.product(
         [FiniteGroup(C.g1.morphisms, C.g1.identity(obj), C.g1.compose, C.g1.inverse)] * k)
@@ -446,10 +448,10 @@ def cech_diagram(C: CrossedGroupoid, m: int) -> CrossedDiagram:
     """The Čech diagram of a one-object crossed group over an abstract cover
     with m indices: level p is the product over all (p+1)-tuples of indices
     (`_power_level`), cofaces reindex by omitting a position.  Each level is
-    marked as that power of C, so `validate_crossed` checks it through C and
-    `homotopy` computes it from C's, and its twist and feedback tables are
-    views of C's.  The cofaces list levels 0-2 only; level 3 (65,536
-    2-morphisms for fix-a-core over 2 indices) stays unlisted."""
+    marked as that power of C, so `validate_crossed` checks it through C,
+    and its twist and feedback tables are views of C's.  The cofaces list
+    levels 0-2 only; level 3 (65,536 2-morphisms for fix-a-core over 2
+    indices) stays unlisted, unless something takes its homotopy."""
     if len(C.objects) != 1:
         raise DomainError("the Čech construction needs a one-object crossed group")
     if m < 1:

@@ -507,19 +507,24 @@ def parse_document(text: str) -> tuple[str, object]:
     """Parse an envelope; returns (kind, structure).
 
     json.JSONDecodeError propagates for syntactically invalid input; malformed
-    envelopes or payloads, an object that names one key twice, and nesting
-    too deep for the JSON reader, raise LoadError.
+    envelopes or payloads, an object that names one key twice, nesting too
+    deep for the JSON reader, and an integer longer than Python converts
+    (worded as Python words it), raise LoadError.
     """
     try:
         doc = _decode(text)
     except RecursionError:
         raise LoadError("document nests too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer over the digit limit
+        raise LoadError(str(exc)) from None
     if not isinstance(doc, dict):
         raise LoadError("document is not a JSON object")
     if doc.get("formatVersion") != FORMAT_VERSION:
         raise LoadError(f"unrecognized format version {doc.get('formatVersion')!r}")
     kind = doc.get("kind")
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise LoadError(f"unknown document kind {kind!r}")
     payload = doc.get("payload")
     if payload is None:

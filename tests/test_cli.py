@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import copy
 import functools
 import gc
 import hashlib
@@ -23,6 +24,7 @@ from crossed_desc.fixtures import (
     fix_a,
     fix_a_core,
     fix_b_core,
+    fix_c,
     fix_c_core,
 )
 from crossed_desc.serialize import (
@@ -633,6 +635,35 @@ def test_wrong_version_exits_2(run, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind, message", [
+    (["diagram"], "unknown document kind ['diagram']"),
+    ({}, "unknown document kind {}"),
+    ("nope", "unknown document kind 'nope'"),
+], ids=["array", "object", "unknown-string"])
+@pytest.mark.parametrize("command, extra", [
+    ("validate", ()), ("desc", ("--classes",)), ("weq", ()), ("transfer", ()),
+    ("lift", ("--target", "0")), ("fixture", ())],
+    ids=["validate", "desc", "weq", "transfer", "lift", "fixture"])
+def test_unknown_document_kind_exits_2(run, tmp_path, command, extra, kind, message):
+    """A `kind` that names no document kind exits 2 under every command,
+    an unhashable one too (the lookup raised TypeError)."""
+    path = _write(tmp_path, "kind", {"formatVersion": "crossed-desc/1", "kind": kind,
+                                     "payload": {}})
+    assert run(command, path, *extra) == (2, _error_bytes(message))
+
+
+def test_an_integer_over_the_digit_limit_exits_2(run, tmp_path):
+    """A JSON integer longer than Python converts exits 2 with Python's own
+    words (`json.loads` raises ValueError, not JSONDecodeError, for it)."""
+    with pytest.raises(ValueError) as raised:
+        json.loads("1" * 5000)
+    path = tmp_path / "spec.json"
+    path.write_text('{"formatVersion": "crossed-desc/1", "kind": "fixture-spec", "payload": '
+                    '{"kind": "fatten", "params": {"base": "fix-a-core", "copies": %s}}}'
+                    % ("1" * 5000), encoding="utf-8")
+    assert run("validate", str(path)) == (2, _error_bytes(str(raised.value)))
+
+
 def test_missing_file_exits_2(run, tmp_path):
     code, _ = run("validate", str(tmp_path / "absent.json"))
     assert code == 2
@@ -1072,6 +1103,101 @@ def test_single_id_substitutions_end_in_an_exit_code(tmp_path_factory, doc):
             code = main(argv)
         assert code in range(5), argv
         json.loads(out.getvalue())
+
+
+# every document kind the CLI reads, as text: a fattened fix-c diagram, its
+# inclusion, fix-a-core, and a fatten spec
+_FRONT_DOOR_DOCS = {
+    "diagram": lambda: serialize_document("diagram", fatten_diagram(fix_c(), 2)[0]),
+    "diagram-morphism": lambda: serialize_document(
+        "diagram-morphism", fatten_diagram(fix_c(), 2)[1]),
+    "crossed": lambda: serialize_document("crossed", fix_a_core()),
+    "fixture-spec": lambda: dumps_canonical(envelope("fixture-spec", {
+        "kind": "fatten",
+        "params": {"base": {"kind": "constant-diagram", "params": {"base": "fix-c-core"}},
+                   "copies": 2}})),
+}
+_FRONT_DOOR_ARGV = (("validate",), ("desc",), ("desc", "--classes"), ("weq",), ("transfer",),
+                    ("lift", "--target", "0"), ("fixture",))
+
+
+class _LongInteger:
+    """Written as a 5,000-digit JSON integer, which `int` refuses to convert."""
+
+
+_DELETE = object()
+_ODD_VALUES = (None, False, True, 0, -1, 1.5, float("nan"), 1e308, 2**70, _LongInteger(),
+               "", [], {}, [[]])
+
+
+@functools.cache
+def _front_door_text(name):
+    return _FRONT_DOOR_DOCS[name]()
+
+
+def _json_text(node, twice=None):
+    """`node` as JSON text; the object `twice` names its first key twice."""
+    if isinstance(node, _LongInteger):
+        return "1" * 5000
+    if isinstance(node, list):
+        return "[" + ", ".join(_json_text(v, twice) for v in node) + "]"
+    if not isinstance(node, dict):
+        return json.dumps(node)
+    members = [f"{json.dumps(k)}: {_json_text(v, twice)}" for k, v in node.items()]
+    return "{" + ", ".join(members[:1] * (node is twice) + members) + "}"
+
+
+@st.composite
+def _node(draw, doc):
+    """(parent, key) of a node of `doc`, or (None, None) for its root: each
+    step goes down into a drawn member with probability 9/10."""
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 9)):
+        parent, key = node, draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                                 else range(len(node))))
+        node = parent[key]
+    return parent, key
+
+
+@st.composite
+def _front_door_cases(draw):
+    """The text of a readable document with one or two of its JSON nodes
+    replaced by an odd value or deleted, or with one object naming a key
+    twice."""
+    doc = json.loads(_front_door_text(draw(st.sampled_from(sorted(_FRONT_DOOR_DOCS)))))
+    if draw(st.booleans()):
+        parent, key = draw(_node(doc))
+        node = doc if parent is None else parent[key]
+        return _json_text(doc, node if isinstance(node, dict) else None)
+    for _ in range(draw(st.integers(1, 2))):
+        parent, key = draw(_node(doc))
+        value = draw(st.sampled_from((_DELETE, *_ODD_VALUES)))
+        if parent is None:
+            doc = None if value is _DELETE else copy.deepcopy(value)
+        elif value is _DELETE:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(value)
+    return _json_text(doc)
+
+
+@pytest.mark.hashseed
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_front_door_cases())
+def test_odd_json_at_the_front_door_ends_in_an_exit_code(tmp_path_factory, text):
+    """Every command on a readable document of each kind with one or two
+    JSON nodes replaced by null, a boolean, 0, -1, 1.5, NaN, 1e308, 2^70, a
+    5,000-digit integer, "", [], {} or [[]], or deleted, or with a key named
+    twice: each ends in an exit code from 0 to 4, with one JSON object on
+    stdout and no exception."""
+    path = tmp_path_factory.getbasetemp() / "front-door.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in _FRONT_DOOR_ARGV:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([argv[0], str(path), *argv[1:]])
+        assert code in range(5), argv
+        assert isinstance(json.loads(out.getvalue()), dict), argv
 
 
 # a fattened diagram's coface 2,3, then the level map 1 of a fattening

@@ -16,6 +16,7 @@ from crossed_desc import (
     ResourceBoundError,
     homotopy,
     is_weak_equivalence_crossed,
+    is_weak_equivalence_diagram,
     validate_crossed,
     validate_crossed_morphism,
     validate_group,
@@ -23,8 +24,10 @@ from crossed_desc import (
 from crossed_desc.fixtures import (
     NAMED_CROSSED,
     _power_level,
+    cech_diagram,
     cyclic_group,
     fatten,
+    fatten_diagram,
     fix_a_core,
     fix_b_core,
     fix_c_core,
@@ -562,8 +565,8 @@ def test_fatten_inclusion_is_weak_equivalence():
 
 def _checked_as_the_scan(F, monkeypatch):
     """`is_weak_equivalence_crossed(F)` gives the verdict and report of the
-    scan oracle; returns how many 2-morphisms it mapped (0 when it proved
-    pi2 through the base)."""
+    scan oracle; returns how many 2-morphisms it mapped (0 when it knew F
+    for the inclusion of a copy, or no object maps into the target)."""
     want = scanned_weak_equivalence(F)
     mapped = []
     apply_mor2 = CrossedMorphism.apply_mor2
@@ -580,8 +583,8 @@ def _checked_as_the_scan(F, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(FATTENING_BASES))
 def test_inclusion_weak_equivalence_matches_the_scan_oracle(name, n, monkeypatch):
-    """The inclusion of copy 0 is proven a weak equivalence through its base,
-    with no pi2 scan, and the verdict and report are the scan's."""
+    """The inclusion of copy 0 is a weak equivalence by its marker, with no
+    scan, and the verdict and report are the scan's."""
     fat, incl = fatten(FATTENING_BASES[name](), n)
     assert _checked_as_the_scan(incl, monkeypatch) == 0
     assert is_weak_equivalence_crossed(incl)[0]
@@ -604,6 +607,23 @@ def _copy_one_tag(name, incl):
                            _tag_map(incl.source, "@1"))
 
 
+def _objects_left_in_copy_zero(name, incl):
+    """The tag view a -> a@1 with 1-morphisms sent to copy 1, m -> m@1.1, but
+    objects still sent to copy 0."""
+    S = incl.source
+    return CrossedMorphism(S, incl.target, incl.obj_map, {m: f"{m}@1.1" for m in S.g1.source},
+                           _tag_map(S, "@1"))
+
+
+def _first_morphism_to_copy_one(name, incl):
+    """The inclusion with its tag view, but its least 1-morphism m sent to
+    its copy-1 image m@1.1."""
+    mor1 = dict(incl.mor1_map)
+    m = min(mor1)
+    mor1[m] = f"{m}@1.1"
+    return CrossedMorphism(incl.source, incl.target, incl.obj_map, mor1, incl.mor2_map)
+
+
 def _view_of_an_equal_base(name, incl):
     """The tag view a -> a@0 over a base equal to the source but another
     object."""
@@ -622,18 +642,44 @@ def _into_an_equal_base(name, incl):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("name", ["fix-a-core", "inner-z3", "s3-a3"])
 @pytest.mark.parametrize("control, weak", [
-    (_remapped, False), (_copy_one_tag, False), (_view_of_an_equal_base, True),
+    (_remapped, False), (_copy_one_tag, False), (_objects_left_in_copy_zero, False),
+    (_first_morphism_to_copy_one, False), (_view_of_an_equal_base, True),
     (_into_an_equal_base, True)])
 def test_other_maps_into_a_fattening_are_scanned(name, n, control, weak, monkeypatch):
     """A map that is not the base's own tag view into its own fattening, with
-    its objects sent to the copy of the tag, is scanned, with the scan's
-    verdict and report: a dict copy of the tag view with one kernel id
-    remapped, the tag "@1" with objects sent to copy 0, the tag view over an
-    equal base that is another object, and the tag view into the fattening
-    of such a base."""
+    its objects sent to the copy of the tag and its 1-morphisms to that
+    copy's, is scanned, with the scan's verdict and report: a dict copy of
+    the tag view with one kernel id remapped, the tag "@1" with objects sent
+    to copy 0 (with 1-morphisms sent to copy 0, or to copy 1), the tag view
+    with one 1-morphism sent to copy 1, the tag view over an equal base that
+    is another object, and the tag view into the fattening of such a base."""
     F = control(name, fatten(NAMED_CROSSED[name](), n)[1])
     assert _checked_as_the_scan(F, monkeypatch) > 0
     assert is_weak_equivalence_crossed(F)[0] is weak
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", ["fix-a-core", "inner-z3", "s3-a3"])
+def test_a_tag_view_past_the_last_copy_is_scanned(name, n, monkeypatch):
+    """The tag view "@n" into `fatten(S, n)`, with objects and 1-morphisms
+    sent to that copy, which does not exist: the map is scanned, and no
+    object lands in the target."""
+    S = NAMED_CROSSED[name]()
+    fat, _ = fatten(S, n)
+    F = CrossedMorphism(S, fat, {x: f"{x}@{n}" for x in S.objects},
+                        {m: f"{m}@{n}.{n}" for m in S.g1.source}, _tag_map(S, f"@{n}"))
+    _checked_as_the_scan(F, monkeypatch)
+    assert not is_weak_equivalence_crossed(F)[0]
+
+
+def test_a_fattened_cover_inclusion_computes_no_homotopy():
+    """The weak-equivalence check of a fattened cover's inclusion knows each
+    level map for the inclusion of a copy: no level of either diagram has
+    its homotopy computed."""
+    D, inclusion = fatten_diagram(cech_diagram(fix_a_core(), 2), 2)
+    assert is_weak_equivalence_diagram(inclusion)[0]
+    for level in (*inclusion.source.levels, *D.levels):
+        assert level._homotopy is None
 
 
 def test_fatten_preserves_homotopy_invariants():

@@ -513,8 +513,8 @@ def test_fattening_a_cover_level_and_checking_its_inclusion_stay_small(diag_cech
     """Fattening level 3 of the cover (65,536 2-morphisms) and checking that
     its inclusion is a weak equivalence allocate no per-element table: the
     traced peak stays under 1 MiB (it was 45 MiB with relabeled groups, an
-    owner dict and a pi2 scan).  The level's own homotopy belongs to the
-    base and is computed first."""
+    owner dict and a pi2 scan).  The level's own homotopy is computed
+    first, outside the trace."""
     level = diag_cech.levels[3]
     homotopy(level)
     (ok, report), peak, _ = _traced(lambda: is_weak_equivalence_crossed(fatten(level, 2)[1]))
@@ -682,9 +682,10 @@ def test_lazy_products_and_power_views_answer_as_the_eager_oracle(data):
     Z/2 x S3) answers as the eagerly listed product (`eager_product`) before
     and after its elements are first listed, and lists the same elements in
     the same order.  A power level's owner view answers as the owner dict
-    built from that eager group, and its pi2 view holds the old eager tuple:
-    the sorted ids of the power whose every part is in the base's kernel.
-    Nothing is listed until something iterates the group."""
+    built from that eager group, and its pi2 holds the eager tuple: the
+    sorted ids of the power whose every part is in the base's kernel.
+    Nothing is listed until something iterates the group, as taking the
+    level's homotopy does."""
     if data.draw(st.booleans()):
         make = NAMED_GROUPS[data.draw(st.sampled_from(sorted(NAMED_GROUPS)))]
         factors = [make()] * data.draw(st.integers(1, 4))
@@ -710,8 +711,6 @@ def test_lazy_products_and_power_views_answer_as_the_eager_oracle(data):
     one = base.g1.identity(x)
     kernel = tuple(sorted(a for a in eager if all(
         base.feedback_table[p] == one for p in a.split("|"))))
-    pi2 = homotopy(level).pi2
-    assert (list(pi2), len(pi2), pi2[x], pi2.get("no such object")) == ([x], 1, kernel, None)
     for listed in (False, True):
         _answers_as(grp, eager, probes)
         for a in probes:
@@ -723,6 +722,8 @@ def test_lazy_products_and_power_views_answer_as_the_eager_oracle(data):
                 assert _outcome(g2.mul, a, b) == _outcome(eager_g2.mul, a, b)
         assert ("elements" in vars(grp)) == listed
         assert list(g2.owner) == list(eager_g2.owner) and len(g2.owner) == len(eager_g2.owner)
+    pi2 = homotopy(level).pi2
+    assert (list(pi2), len(pi2), pi2[x], pi2.get("no such object")) == ([x], 1, kernel, None)
 
 
 def test_fattened_cover_tables_match_the_entry_oracle(diag_cech, fat_cech):
