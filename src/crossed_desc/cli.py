@@ -252,7 +252,7 @@ def _run(argv: list[str] | None) -> int:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (json.JSONDecodeError, LoadError, OSError) as exc:
+    except (json.JSONDecodeError, LoadError, OSError, UnicodeDecodeError) as exc:
         _emit({"error": str(exc)})
         return EXIT_PARSE
     except ResourceBoundError as exc:

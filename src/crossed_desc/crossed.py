@@ -465,8 +465,8 @@ class CrossedGroupoid:
     twist_table: Mapping[tuple[str, str], str]
     feedback_table: Mapping[str, str]
     # (base, k) on a cover level that is the k-fold power of a one-object base,
-    # whose group and owner list nothing until read; only `cech_diagram` sets
-    # it, and validate_crossed checks it
+    # whose group and owner list nothing until read; only
+    # `fixtures._power_level` sets it, and validate_crossed checks it
     power: tuple[CrossedGroupoid, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )

@@ -19,6 +19,8 @@ and the inclusion is a weak equivalence by the fattening's marker, with no
 homotopy computed on either side.  The builders of constant diagrams,
 fattenings and identity morphisms share one object per distinct level and
 map, as loading does, and a fattening fattens each distinct object once.
+`power_diagram` stacks cover levels over a shape given as data (level sizes
+and face maps); the Čech nerve is one, listed only after the size guard.
 
 A fixture spec builds each named base (`NAMED_CROSSED`) once per process and
 shares it, so structures built from specs must not be edited in place;
@@ -444,30 +446,25 @@ def _power_level(C: CrossedGroupoid, k: int) -> CrossedGroupoid:
     return level
 
 
-def cech_diagram(C: CrossedGroupoid, m: int) -> CrossedDiagram:
-    """The Čech diagram of a one-object crossed group over an abstract cover
-    with m indices: level p is the product over all (p+1)-tuples of indices
-    (`_power_level`), cofaces reindex by omitting a position.  Each level is
-    marked as that power of C, so `validate_crossed` checks it through C,
-    and its twist and feedback tables are views of C's.  The cofaces list
-    levels 0-2 only; level 3 (65,536 2-morphisms for fix-a-core over 2
-    indices) stays unlisted, unless something takes its homotopy."""
+def power_diagram(C: CrossedGroupoid, sizes: list[int], faces: Callable) -> CrossedDiagram:
+    """Powers of a one-object crossed group C over a 3-truncated
+    semi-simplicial set given as data: level p is the `sizes[p]`-fold power
+    (`_power_level`), and coface (p, k) sends coordinate u of level p+1 to
+    coordinate `faces(p, k)[u]` of level p.  The guard reads `sizes` alone,
+    before `faces` is called or any level is built."""
     if len(C.objects) != 1:
         raise DomainError("the Čech construction needs a one-object crossed group")
-    if m < 1:
+    if min(sizes) < 1:
         raise DomainError("cover size must be at least 1")
     obj = C.objects[0]
 
-    # sized from m before anything is built: level p's ids have k = m^(p+1)
-    # parts, and no power is taken with an exponent k over the bound
-    for p in range(4):
-        k = m ** (p + 1)
+    # level p's ids have k parts; no power is taken with k over the bound
+    for p, k in enumerate(sizes):
         if (k > DEFAULT_BOUND or len(C.g2.group(obj)) ** k > DEFAULT_BOUND
                 or (len(C.g1.source) ** k) ** 2 > DEFAULT_BOUND):
             raise ResourceBoundError(f"Čech level {p} exceeds the size bound")
 
-    tuples = [sorted(itertools.product(range(m), repeat=p + 1)) for p in range(4)]
-    levels = tuple(_power_level(C, len(tuples[p])) for p in range(4))
+    levels = tuple(_power_level(C, k) for k in sizes)
 
     def reindex(x: str, positions: list[int]) -> str:
         parts = x.split("|")
@@ -475,16 +472,29 @@ def cech_diagram(C: CrossedGroupoid, m: int) -> CrossedDiagram:
 
     cofaces = {}
     for p in range(3):
-        position = {u: i for i, u in enumerate(tuples[p])}
         for k in range(p + 2):
-            # coordinate u of the image is the input's coordinate u minus place k
-            positions = [position[u[:k] + u[k + 1:]] for u in tuples[p + 1]]
+            positions = faces(p, k)
             mor1_map = {g: reindex(g, positions) for g in levels[p].g1.source}
             mor2_map = {a: reindex(a, positions) for a in levels[p].g2.owner}
             cofaces[(p, k)] = CrossedMorphism(
                 levels[p], levels[p + 1], {obj: obj}, mor1_map, mor2_map
             )
     return CrossedDiagram(levels, cofaces)
+
+
+def cech_diagram(C: CrossedGroupoid, m: int) -> CrossedDiagram:
+    """The Čech diagram of a one-object crossed group over an abstract cover
+    with m indices: `power_diagram` over the nerve whose p-simplices are the
+    sorted (p+1)-tuples of indices, face k omitting place k.  The cofaces
+    list levels 0-2 only; level 3 (65,536 2-morphisms for fix-a-core over 2
+    indices) stays unlisted, unless something takes its homotopy."""
+    nerve = functools.cache(lambda p: sorted(itertools.product(range(m), repeat=p + 1)))
+
+    def faces(p: int, k: int) -> list[int]:
+        position = {u: i for i, u in enumerate(nerve(p))}
+        return [position[u[:k] + u[k + 1:]] for u in nerve(p + 1)]
+
+    return power_diagram(C, [m ** (p + 1) for p in range(4)], faces)
 
 
 # -- named fixtures -----------------------------------------------------

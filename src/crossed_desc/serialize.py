@@ -47,6 +47,7 @@ since an id is never a container.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 
 from .crossed import CrossedGroupoid, CrossedMorphism, DisconnectedGroupoid, FiniteGroup
@@ -415,6 +416,11 @@ _skip_space = json.decoder.WHITESPACE.match
 _MOST_MEMBERS = 2 * (4 + 9) + 4
 
 
+# a lone surrogate: a \ud800 escape with no partner decodes to one, and no
+# UTF-8 writer can write it
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
 class _NotJSON(ValueError):
     """The reader met text that is not JSON; `json.loads` says why."""
 
@@ -508,11 +514,16 @@ def parse_document(text: str) -> tuple[str, object]:
 
     json.JSONDecodeError propagates for syntactically invalid input; malformed
     envelopes or payloads, an object that names one key twice, nesting too
-    deep for the JSON reader, and an integer longer than Python converts
-    (worded as Python words it), raise LoadError.
+    deep for the JSON reader, an integer longer than Python converts (worded
+    as Python words it), and a string, key or value, holding a lone
+    surrogate, which no UTF-8 output can write, raise LoadError.
     """
     try:
         doc = _decode(text)
+        if "\\" in text:  # only an escape spells a surrogate in text read as UTF-8
+            found = _SURROGATE.search(json.dumps(doc, ensure_ascii=False))
+            if found:
+                raise LoadError(f"JSON string holds the lone surrogate {found.group()!r}")
     except RecursionError:
         raise LoadError("document nests too deeply") from None
     except json.JSONDecodeError:

@@ -22,7 +22,8 @@ weak-equivalence check that scanned every pi2 list
 `json.loads` (`json_parse_document`), the product group that listed
 every element and its member set when it was built (`eager_product`), and
 the fattened g1 whose composition table was built with it
-(`eager_fattened_g1`).
+(`eager_fattened_g1`), and the Čech diagram that listed its nerve inside
+its level and coface loops (`looped_cech_diagram`).
 """
 
 from __future__ import annotations
@@ -48,8 +49,14 @@ from crossed_desc.descent import (
     vertex_object,
 )
 from crossed_desc.cosimplicial import DiagramMorphism
-from crossed_desc.crossed import DisconnectedGroupoid, FiniteGroup, homotopy
-from crossed_desc.fixtures import _element_orders, one_object_groupoid
+from crossed_desc.crossed import (
+    CrossedGroupoid,
+    CrossedMorphism,
+    DisconnectedGroupoid,
+    FiniteGroup,
+    homotopy,
+)
+from crossed_desc.fixtures import _element_orders, _power_level, one_object_groupoid
 from crossed_desc.groupoid import FiniteGroupoid, _generators
 from crossed_desc.serialize import (
     _PARSERS,
@@ -59,7 +66,7 @@ from crossed_desc.serialize import (
     _require,
     crossed_from_json,
 )
-from crossed_desc.validation import DEFAULT_BOUND, LoadError, ValidationReport
+from crossed_desc.validation import DEFAULT_BOUND, DomainError, LoadError, ValidationReport
 
 
 # What `FiniteGroup.product` was before products became lazy, kept verbatim
@@ -962,6 +969,52 @@ def cech_tables(C, m):
     power of C (`power_tables`): one power per (p+1)-tuple of the m cover
     indices."""
     return [power_tables(C, m ** (p + 1)) for p in range(4)]
+
+
+# What `cech_diagram` was before it became `power_diagram` over the Čech
+# nerve, kept verbatim (only renamed): the nerve is listed inside the level
+# and coface loops.
+def looped_cech_diagram(C: CrossedGroupoid, m: int) -> CrossedDiagram:
+    """The Čech diagram of a one-object crossed group over an abstract cover
+    with m indices: level p is the product over all (p+1)-tuples of indices
+    (`_power_level`), cofaces reindex by omitting a position.  Each level is
+    marked as that power of C, so `validate_crossed` checks it through C,
+    and its twist and feedback tables are views of C's.  The cofaces list
+    levels 0-2 only; level 3 (65,536 2-morphisms for fix-a-core over 2
+    indices) stays unlisted, unless something takes its homotopy."""
+    if len(C.objects) != 1:
+        raise DomainError("the Čech construction needs a one-object crossed group")
+    if m < 1:
+        raise DomainError("cover size must be at least 1")
+    obj = C.objects[0]
+
+    # sized from m before anything is built: level p's ids have k = m^(p+1)
+    # parts, and no power is taken with an exponent k over the bound
+    for p in range(4):
+        k = m ** (p + 1)
+        if (k > DEFAULT_BOUND or len(C.g2.group(obj)) ** k > DEFAULT_BOUND
+                or (len(C.g1.source) ** k) ** 2 > DEFAULT_BOUND):
+            raise ResourceBoundError(f"Čech level {p} exceeds the size bound")
+
+    tuples = [sorted(itertools.product(range(m), repeat=p + 1)) for p in range(4)]
+    levels = tuple(_power_level(C, len(tuples[p])) for p in range(4))
+
+    def reindex(x: str, positions: list[int]) -> str:
+        parts = x.split("|")
+        return "|".join([parts[i] for i in positions])
+
+    cofaces = {}
+    for p in range(3):
+        position = {u: i for i, u in enumerate(tuples[p])}
+        for k in range(p + 2):
+            # coordinate u of the image is the input's coordinate u minus place k
+            positions = [position[u[:k] + u[k + 1:]] for u in tuples[p + 1]]
+            mor1_map = {g: reindex(g, positions) for g in levels[p].g1.source}
+            mor2_map = {a: reindex(a, positions) for a in levels[p].g2.owner}
+            cofaces[(p, k)] = CrossedMorphism(
+                levels[p], levels[p + 1], {obj: obj}, mor1_map, mor2_map
+            )
+    return CrossedDiagram(levels, cofaces)
 
 
 # The breadth-first classifier that `gauge_classes` replaced, kept verbatim

@@ -7,6 +7,9 @@ import hashlib
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -140,6 +143,101 @@ def test_validate_over_the_check_bound_exits_3(run, tmp_path):
     code, out = run("validate", _write(tmp_path, "fat-cech", envelope("fixture-spec", spec)))
     assert code == 3
     assert "error" in json.loads(out)
+
+
+def _cech(base, cover):
+    return {"kind": "cech", "params": {"base": base, "cover": cover}}
+
+
+_FATTENING = {"kind": "fatten", "params": {"base": "fix-a-core", "copies": 2}}
+_COVER_ARGV = (("validate",), ("desc",), ("desc", "--classes"), ("fixture",))
+_FATTENED_COVER_ARGV = (("validate",), ("weq",), ("transfer", "--trace"),
+                        ("lift", "--target", "0", "--trace"))
+
+# (spec, commands, (exit code, sha256 of stdout) of each command), recorded
+# before `cech_diagram` became `power_diagram` over the Čech nerve.  The
+# guard errors: fix-c-core over 2 indices exits 3 ("Čech level 3 exceeds the
+# size bound"), cover 0 exits 4 ("cover size must be at least 1"), and a
+# fattening exits 4 ("the Čech construction needs a one-object crossed
+# group"), at cover 0 too.  `fixture` on fix-a-core over 2 indices exits 3
+# (its level-3 group needs 2^32 composition entries), and so does
+# `validate` on the fattened cover (2^32 homomorphism checks)
+_COVER_DIGESTS = {
+    "fix-a-core, cover 1": (_cech("fix-a-core", 1), _COVER_ARGV, (
+        (0, "6fc350e186a233096c8ccca3a6874df8160eaf3aa3ab5f23281b6a2b37566bff"),
+        (0, "1316986477857dc0f5f0d3155076f4e36e897e2660957e87db87eeaaf1f0fd6d"),
+        (0, "79194afbfcf3347fd31e1a9d884e1a6d62721607ee785088b70dc3751701464a"),
+        (0, "af4030364f44c7574836fb3f10ce893554de1a1dafe64a15c5151add987f0d6a"),
+    )),
+    "fix-a-core, cover 2": (_cech("fix-a-core", 2), _COVER_ARGV, (
+        (0, "6fc350e186a233096c8ccca3a6874df8160eaf3aa3ab5f23281b6a2b37566bff"),
+        (0, "fab52ba9f74b41324b12cc90c173c2eae64e31e2bd131239da9884972c1484cd"),
+        (0, "64105425a52ab9aad957c7a76888d163afc2a7d148dece0d62fe2946bf9f6b9b"),
+        (3, "ed8d97d214622e08727f36c00878a91432cd5b84d613dbb86194b94c58e69598"),
+    )),
+    "fix-b-core, cover 1": (_cech("fix-b-core", 1), _COVER_ARGV, (
+        (0, "6fc350e186a233096c8ccca3a6874df8160eaf3aa3ab5f23281b6a2b37566bff"),
+        (0, "a10d781205acd358091b986305075d50fb609073681e7eb7061bab7dd7f8e0f6"),
+        (0, "1a34039eb43e9c9952cf2294548d1ae19d1bd12361cdffcf2a52493ac1960dae"),
+        (0, "832fff6946e7c6d825b7a11831073a53033522171b4fd57f70c3f5131543ad4f"),
+    )),
+    "fix-c-core, cover 1": (_cech("fix-c-core", 1), _COVER_ARGV, (
+        (0, "6fc350e186a233096c8ccca3a6874df8160eaf3aa3ab5f23281b6a2b37566bff"),
+        (0, "e96db1e9cf5f68204f252c0d60277a89544e8735e62926e01b775ad158ed89a7"),
+        (0, "d109bcb80f44203e9ff76b880939eba2a99f88327168ff6bab3c317751a90063"),
+        (0, "9341cc0bffa1b2815a947f65a8a23e973adc8799a0502492e797db618d8dca88"),
+    )),
+    "inner-z3, cover 1": (_cech("inner-z3", 1), _COVER_ARGV, (
+        (0, "6fc350e186a233096c8ccca3a6874df8160eaf3aa3ab5f23281b6a2b37566bff"),
+        (0, "d4f9ae10df91c9a49d8d7923b7a3901213bab20849e835bb43079d2fc8b0af10"),
+        (0, "da5d5cd699badedeece8f1ee717a89a77acca1dc654b94495e05d19a77e12e54"),
+        (0, "53584e1d5b8176ae1696239a5dee2de2b70d18fc04aa6893e3886cc829f2e925"),
+    )),
+    "fix-c-core, cover 2": (_cech("fix-c-core", 2), _COVER_ARGV, (
+        (3, "f466146f7e2c7f3b8cd088373b9410c116cd8eaccb9e4c3a83068220e4211fb1"),
+        (3, "f466146f7e2c7f3b8cd088373b9410c116cd8eaccb9e4c3a83068220e4211fb1"),
+        (3, "f466146f7e2c7f3b8cd088373b9410c116cd8eaccb9e4c3a83068220e4211fb1"),
+        (3, "f466146f7e2c7f3b8cd088373b9410c116cd8eaccb9e4c3a83068220e4211fb1"),
+    )),
+    "fix-a-core, cover 0": (_cech("fix-a-core", 0), _COVER_ARGV, (
+        (4, "d56e816f0d29a73c184de564fef18bf18285135406792827c9b95cca5dfe9055"),
+        (4, "d56e816f0d29a73c184de564fef18bf18285135406792827c9b95cca5dfe9055"),
+        (4, "d56e816f0d29a73c184de564fef18bf18285135406792827c9b95cca5dfe9055"),
+        (4, "d56e816f0d29a73c184de564fef18bf18285135406792827c9b95cca5dfe9055"),
+    )),
+    "fattening, cover 1": (_cech(_FATTENING, 1), _COVER_ARGV, (
+        (4, "2d4b46202bd54d24674cdc36bbae5d26775a4a8ada5bfc15bc805c28556bf49a"),
+        (4, "2d4b46202bd54d24674cdc36bbae5d26775a4a8ada5bfc15bc805c28556bf49a"),
+        (4, "2d4b46202bd54d24674cdc36bbae5d26775a4a8ada5bfc15bc805c28556bf49a"),
+        (4, "2d4b46202bd54d24674cdc36bbae5d26775a4a8ada5bfc15bc805c28556bf49a"),
+    )),
+    "fattening, cover 0": (_cech(_FATTENING, 0), _COVER_ARGV, (
+        (4, "2d4b46202bd54d24674cdc36bbae5d26775a4a8ada5bfc15bc805c28556bf49a"),
+        (4, "2d4b46202bd54d24674cdc36bbae5d26775a4a8ada5bfc15bc805c28556bf49a"),
+        (4, "2d4b46202bd54d24674cdc36bbae5d26775a4a8ada5bfc15bc805c28556bf49a"),
+        (4, "2d4b46202bd54d24674cdc36bbae5d26775a4a8ada5bfc15bc805c28556bf49a"),
+    )),
+    "fattened cover 2": ({"kind": "fatten", "params": {"base": CECH_SPEC, "copies": 2}},
+                         _FATTENED_COVER_ARGV, (
+        (3, "6be271961e4f2a116a19c605a774497fb5b7d6affaa032fd8e7b6a67c3d2aac0"),
+        (0, "634b6a589fcdc755225021bbc55c3c9166bbad9f2215e10a95d13d3d51cf75cd"),
+        (0, "612c6ea37ca8f7778a70e1acc6597c6d171193c7e2556cf45ec43cf85c4977e5"),
+        (0, "69f5f1a44b9235f1bc978ca5470b36ef5034801d47d6d25fd653684c27ab3538"),
+    )),
+}
+
+
+@pytest.mark.hashseed
+@pytest.mark.parametrize("case", list(_COVER_DIGESTS))
+def test_cover_specs_keep_their_exit_codes_and_bytes(run, tmp_path, case):
+    """Every command on each `cech` spec, on the guard errors and on the
+    fattened cover exits and writes as it did when the Čech construction
+    listed its nerve in its own loops."""
+    spec, commands, expected = _COVER_DIGESTS[case]
+    path = _write(tmp_path, "cover", envelope("fixture-spec", spec))
+    outcomes = [run(argv[0], path, *argv[1:]) for argv in commands]
+    assert tuple((code, hashlib.sha256(out.encode()).hexdigest())
+                 for code, out in outcomes) == expected
 
 
 def test_validate_reports_missing_composite(run, tmp_path):
@@ -1126,8 +1224,8 @@ class _LongInteger:
 
 
 _DELETE = object()
-_ODD_VALUES = (None, False, True, 0, -1, 1.5, float("nan"), 1e308, 2**70, _LongInteger(),
-               "", [], {}, [[]])
+_ODD_VALUES = (None, False, True, 0, -1, 1.5, -0.0, float("nan"), float("inf"), 1e308, 2**70,
+               _LongInteger(), "", "\u0000", "\ud800", [], {}, [[]])
 
 
 @functools.cache
@@ -1186,10 +1284,11 @@ def _front_door_cases(draw):
 @given(text=_front_door_cases())
 def test_odd_json_at_the_front_door_ends_in_an_exit_code(tmp_path_factory, text):
     """Every command on a readable document of each kind with one or two
-    JSON nodes replaced by null, a boolean, 0, -1, 1.5, NaN, 1e308, 2^70, a
-    5,000-digit integer, "", [], {} or [[]], or deleted, or with a key named
-    twice: each ends in an exit code from 0 to 4, with one JSON object on
-    stdout and no exception."""
+    JSON nodes replaced by null, a boolean, 0, -1, 1.5, -0.0, NaN, Infinity,
+    1e308, 2^70, a 5,000-digit integer, "", "\\u0000", a lone surrogate,
+    [], {} or [[]], or deleted, or with a key named twice: each ends in an
+    exit code from 0 to 4, with one JSON object on stdout that UTF-8 can
+    encode (the CLI writes UTF-8), and no exception."""
     path = tmp_path_factory.getbasetemp() / "front-door.json"
     path.write_text(text, encoding="utf-8")
     for argv in _FRONT_DOOR_ARGV:
@@ -1198,6 +1297,56 @@ def test_odd_json_at_the_front_door_ends_in_an_exit_code(tmp_path_factory, text)
             code = main([argv[0], str(path), *argv[1:]])
         assert code in range(5), argv
         assert isinstance(json.loads(out.getvalue()), dict), argv
+        out.getvalue().encode("utf-8")
+
+
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+_SURROGATE = "JSON string holds the lone surrogate '\\ud800'"
+
+
+def _bad_text_docs(tmp_path, fixa_doc):
+    """A file of the bytes \\xff{}, which is not UTF-8, and the fix-a
+    diagram with its "2.1" spelt as the escape of a lone surrogate."""
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff{}")
+    surrogate = tmp_path / "surrogate.json"
+    text = Path(fixa_doc).read_text(encoding="utf-8")
+    surrogate.write_text(text.replace('"2.1"', '"\\ud800"'), encoding="utf-8")
+    return str(not_utf8), str(surrogate)
+
+
+@pytest.mark.parametrize("argv", _FRONT_DOOR_ARGV, ids=" ".join)
+def test_text_not_utf8_or_with_a_lone_surrogate_exits_2(run, tmp_path, fixa_doc, argv):
+    """Bytes that are not UTF-8 exit 2 in the decoder's own words, where
+    they ended in a UnicodeDecodeError; a lone surrogate exits 2, where
+    `validate` passed it and `desc` failed to write it."""
+    not_utf8, surrogate = _bad_text_docs(tmp_path, fixa_doc)
+    assert run(argv[0], not_utf8, *argv[1:]) == (2, _error_bytes(_NOT_UTF8))
+    assert run(argv[0], surrogate, *argv[1:]) == (2, _error_bytes(_SURROGATE))
+
+
+def _cli_process(*args):
+    """(exit code, stdout bytes, stderr text) of `python -m crossed_desc.cli`
+    run in a process of its own on this checkout's package."""
+    package = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(package), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "crossed_desc.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True)
+    return done.returncode, done.stdout, done.stderr.decode("utf-8", "replace")
+
+
+def test_the_cli_process_ends_bad_text_in_exit_2(run, tmp_path, fixa_doc):
+    """In a process of its own, whose stdout cannot encode a lone surrogate
+    (the in-process tests' `io.StringIO` can), the CLI exits 2 on bytes that
+    are not UTF-8 and on a lone surrogate, and 0 on a valid document, with
+    the bytes written in process and no traceback."""
+    not_utf8, surrogate = _bad_text_docs(tmp_path, fixa_doc)
+    for argv, code, out in ((("validate", not_utf8), 2, _error_bytes(_NOT_UTF8)),
+                            (("desc", surrogate), 2, _error_bytes(_SURROGATE)),
+                            (("desc", fixa_doc), 0, run("desc", fixa_doc)[1])):
+        exit_code, stdout, stderr = _cli_process(*argv)
+        assert (exit_code, stdout) == (code, out.encode("utf-8")), argv
+        assert "Traceback" not in stderr, argv
 
 
 # a fattened diagram's coface 2,3, then the level map 1 of a fattening

@@ -55,6 +55,7 @@ from oracles import (
     eager_fattened_g1,
     eager_product,
     fatten_tables,
+    looped_cech_diagram,
     pairwise_automorphisms,
     power_tables,
     relabeled_fattening,
@@ -513,10 +514,8 @@ def test_fattening_a_cover_level_and_checking_its_inclusion_stay_small(diag_cech
     """Fattening level 3 of the cover (65,536 2-morphisms) and checking that
     its inclusion is a weak equivalence allocate no per-element table: the
     traced peak stays under 1 MiB (it was 45 MiB with relabeled groups, an
-    owner dict and a pi2 scan).  The level's own homotopy is computed
-    first, outside the trace."""
+    owner dict and a pi2 scan)."""
     level = diag_cech.levels[3]
-    homotopy(level)
     (ok, report), peak, _ = _traced(lambda: is_weak_equivalence_crossed(fatten(level, 2)[1]))
     assert ok and report.ok
     assert peak < 2**20
@@ -563,6 +562,42 @@ def test_cover_tables_match_the_entry_oracle(name, m):
     D = cech_diagram(C, m)
     for level, tables in zip(D.levels, cech_tables(C, m)):
         assert _tables(level) == _oracle(tables)
+
+
+def _diagram_tables(D):
+    """Every level's marker exponent, objects, g1 and g2 tables, and every
+    coface's three maps, as item lists, so insertion order counts."""
+    levels = []
+    for L in D.levels:
+        g1 = [list(t.items()) for t in (L.g1.source, L.g1.target, L.g1.identities, L.g1.inverses)]
+        groups = [(x, list(grp.elements)) for x, grp in L.g2.groups.items()]
+        levels.append((L.power[1], L.objects, g1, groups, _tables(L)))
+    cofaces = [(key, list(d.obj_map.items()), list(d.mor1_map.items()), list(d.mor2_map.items()))
+               for key, d in D.cofaces.items()]
+    return levels, cofaces
+
+
+@pytest.mark.hashseed
+@pytest.mark.parametrize(
+    "name, m", [("fix-a-core", 1), ("fix-a-core", 2), ("fix-b-core", 1), ("fix-c-core", 1)])
+def test_cover_is_the_power_diagram_the_looped_construction_built(name, m):
+    """`cech_diagram`, which is `power_diagram` over the Čech nerve, builds
+    what the construction with the nerve in its loops built, dict for dict:
+    each level's tables and each coface's maps, in the same order."""
+    C = NAMED_CROSSED[name]()
+    D, oracle = cech_diagram(C, m), looped_cech_diagram(C, m)
+    assert all(L.power[0] is C for L in D.levels)
+    assert _diagram_tables(D) == _diagram_tables(oracle)
+
+
+def test_power_diagram_guards_before_it_reads_its_shape():
+    """The size guard reads the level sizes alone: a shape whose faces
+    cannot be read fails the guard before any face is asked for."""
+    def faces(p, k):
+        raise AssertionError("a face was read before the size guard")
+
+    with pytest.raises(ResourceBoundError, match="Čech level 3 exceeds"):
+        fixtures.power_diagram(fix_a_core(), [1, 2, 4, 10**12], faces)
 
 
 @functools.cache
